@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction benches.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include "core/experiment.hpp"
 #include "core/matrix.hpp"
 #include "core/report.hpp"
+#include "core/timeline.hpp"
 #include "obs/metrics.hpp"
 
 namespace dcache::bench {
@@ -33,11 +35,6 @@ struct BenchOptions {
   /// dcache.bench.v1) with wall-clock, ops/sec and peak RSS. Timing data
   /// goes to this sidecar only — stdout stays byte-deterministic.
   std::string benchJsonOut;
-  /// --disagg 0|1 (or DCACHE_DISAGG=0|1; the flag wins): include the fifth,
-  /// memory-disaggregated architecture in the arch-sweeping benches. On by
-  /// default; --disagg 0 restores the pre-disaggregation four-architecture
-  /// stdout byte-for-byte.
-  bool disagg = true;
   /// argv[0] basename, for the perf record's bench name.
   std::string benchName;
   /// Process wall-clock start, captured in parseBenchOptions.
@@ -51,41 +48,37 @@ struct BenchOptions {
   return options;
 }
 
-/// Parse shared bench flags out of argv (both "--flag value" and
-/// "--flag=value" forms); unrecognized arguments are ignored, matching
-/// parseMatrixOptions. Also stores the result in benchOptions().
+/// The value of argv[i] when it is `flag`: "--flag value" (advancing i
+/// past the value) or "--flag=value". nullptr for any other argument, so a
+/// bench parses its own flags with a loop of these, like the shared ones
+/// below; unrecognized arguments are ignored, matching parseMatrixOptions.
+[[nodiscard]] inline const char* flagValue(int argc, char** argv, int& i,
+                                           std::string_view flag) {
+  const std::string_view arg = argv[i];
+  if (arg == flag) return i + 1 < argc ? argv[++i] : nullptr;
+  if (arg.size() > flag.size() + 1 && arg.starts_with(flag) &&
+      arg[flag.size()] == '=') {
+    return argv[i] + flag.size() + 1;
+  }
+  return nullptr;
+}
+
+/// Parse shared bench flags out of argv and store the result in
+/// benchOptions().
 [[nodiscard]] inline BenchOptions parseBenchOptions(int argc, char** argv) {
   BenchOptions options;
   options.matrix = core::parseMatrixOptions(argc, argv);
   options.trace.seed = options.matrix.rootSeed;
-  const auto value = [&](int& i, std::string_view arg,
-                         std::string_view flag) -> const char* {
-    if (arg == flag) {
-      if (i + 1 < argc) return argv[++i];
-      return nullptr;
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return argv[i] + flag.size() + 1;
-    }
-    return nullptr;
-  };
-  if (const char* env = std::getenv("DCACHE_DISAGG")) {
-    options.disagg = env[0] != '0';
-  }
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (const char* v = value(i, arg, "--disagg")) {
-      options.disagg = std::strtoull(v, nullptr, 10) != 0;
-    } else if (const char* v = value(i, arg, "--trace-sample")) {
+    if (const char* v = flagValue(argc, argv, i, "--trace-sample")) {
       options.trace.sampleEvery =
           static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (const char* v = value(i, arg, "--trace-keep")) {
+    } else if (const char* v = flagValue(argc, argv, i, "--trace-keep")) {
       options.trace.keepTraces =
           static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (const char* v = value(i, arg, "--metrics-out")) {
+    } else if (const char* v = flagValue(argc, argv, i, "--metrics-out")) {
       options.metricsOut = v;
-    } else if (const char* v = value(i, arg, "--bench-json")) {
+    } else if (const char* v = flagValue(argc, argv, i, "--bench-json")) {
       options.benchJsonOut = v;
     }
   }
@@ -123,21 +116,17 @@ struct BenchOptions {
 }
 
 /// Perf-trajectory record (schema dcache.bench.v1): wall-clock, simulated
-/// op throughput and peak RSS for one bench invocation. tools/perf.sh
-/// records these per bench into perf/BENCH_<name>.json and fails the perf
-/// lane on >20% wall-clock regressions; stdout (golden-diffed) is never
-/// touched.
-inline void writeBenchJson(const BenchOptions& options,
-                           std::span<const core::ExperimentResult> results) {
+/// op throughput (`ops` measured ops over `cells` cells) and peak RSS for
+/// one bench invocation. tools/perf.sh records these per bench into
+/// perf/BENCH_<name>.json and fails the perf lane on >20% wall-clock
+/// regressions; stdout (golden-diffed) is never touched.
+inline void writeBenchJson(const BenchOptions& options, std::uint64_t ops = 0,
+                           std::size_t cells = 0) {
   // dcache-lint: allow(determinism, bench wall-clock goes to the --bench-json perf sidecar only)
   const auto end = std::chrono::steady_clock::now();
   const double wallMs =
       std::chrono::duration<double, std::milli>(end - options.startTime)
           .count();
-  std::uint64_t ops = 0;
-  for (const core::ExperimentResult& r : results) {
-    ops += r.counters.reads + r.counters.writes;
-  }
   const double opsPerSec = wallMs > 0.0 ? ops * 1000.0 / wallMs : 0.0;
   long peakRssKb = 0;
   if (rusage usage{}; getrusage(RUSAGE_SELF, &usage) == 0) {
@@ -161,8 +150,17 @@ inline void writeBenchJson(const BenchOptions& options,
                "}\n",
                options.benchName.c_str(), wallMs,
                static_cast<unsigned long long>(ops), opsPerSec, peakRssKb,
-               results.size());
+               cells);
   std::fclose(f);
+}
+
+/// Write `registry` to the --metrics-out file as JSON.
+inline void writeMetrics(const obs::MetricsRegistry& registry) {
+  const std::string& path = benchOptions().metricsOut;
+  if (!registry.writeJsonFile(path)) {
+    std::fprintf(stderr, "warning: could not write metrics to %s\n",
+                 path.c_str());
+  }
 }
 
 /// Shared bench epilogue: when --trace-sample is on, print each traced
@@ -187,30 +185,45 @@ inline void finishBench(std::span<const core::ExperimentResult> results) {
       core::exportExperimentMetrics(registry, cellLabel(i, results[i]) + ".",
                                     results[i]);
     }
-    if (!registry.writeJsonFile(options.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   options.metricsOut.c_str());
-    }
+    writeMetrics(registry);
   }
   if (!options.benchJsonOut.empty()) {
-    writeBenchJson(options, results);
+    std::uint64_t ops = 0;
+    for (const core::ExperimentResult& r : results) {
+      ops += r.counters.reads + r.counters.writes;
+    }
+    writeBenchJson(options, ops, results.size());
   }
 }
 
-/// Architecture list for an arch-sweeping bench: `base` (a bench's own
-/// roster, or core::kAllArchitectures) with kDisaggregated appended/kept
-/// only while the --disagg gate is open. With the gate closed every sweep
-/// collapses to its pre-disaggregation roster, so stdout stays byte-exact.
-[[nodiscard]] inline std::vector<core::Architecture> sweepArchitectures(
-    std::span<const core::Architecture> base = core::kAllArchitectures) {
-  std::vector<core::Architecture> archs;
-  for (const core::Architecture arch : base) {
-    if (arch == core::Architecture::kDisaggregated && !benchOptions().disagg) {
-      continue;
+/// Timeline epilogue (fig9-12): each cell's final-window trace report
+/// (clearMeters resets the tracer every window), every window of every cell
+/// through exportTimelineMetrics, and the measured-window op count.
+inline void finishTimeline(const core::TimelineSpec& spec,
+                           std::span<const core::TimelineResult> cells) {
+  const BenchOptions& options = benchOptions();
+  std::uint64_t ops = 0;
+  for (const core::TimelineResult& cell : cells) {
+    if (options.trace.enabled()) {
+      std::printf("\n%s", core::traceTreeReport(
+                              cell.windows.back(),
+                              "trace " + spec.name + "." + cell.label +
+                                  " (final window)",
+                              /*maxTraces=*/1)
+                              .c_str());
     }
-    archs.push_back(arch);
+    for (const core::ExperimentResult& window : cell.windows) {
+      ops += window.counters.reads + window.counters.writes;
+    }
   }
-  return archs;
+  if (!options.metricsOut.empty()) {
+    obs::MetricsRegistry registry;
+    core::exportTimelineMetrics(registry, spec.name + ".", cells);
+    writeMetrics(registry);
+  }
+  if (!options.benchJsonOut.empty()) {
+    writeBenchJson(options, ops, cells.size());
+  }
 }
 
 /// Offered load for the compute-bound synthetic sweeps. The paper's testbed
@@ -221,11 +234,54 @@ inline constexpr double kSyntheticQps = 120000.0;
 /// Unity Catalog serves ~40K complex queries per second (§5.2).
 inline constexpr double kUcQps = 40000.0;
 
+/// "1.23x"
+[[nodiscard]] inline std::string ratioCell(double ratio) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%.2fx", ratio);
+  return buf;
+}
+
 [[nodiscard]] inline std::string savingCell(const core::ExperimentResult& base,
                                             const core::ExperimentResult& r) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%.2fx", core::savingsVs(base, r));
+  return ratioCell(core::savingsVs(base, r));
+}
+
+/// "+12.3%": what `other` bills over `base`.
+[[nodiscard]] inline std::string premiumCell(util::Money base,
+                                             util::Money other) {
+  const double pct = base.micros() > 0
+                         ? (static_cast<double>(other.micros()) /
+                                static_cast<double>(base.micros()) -
+                            1.0) * 100.0
+                         : 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "+%.1f%%", pct);
   return buf;
+}
+
+/// Index of a timeline cell's costliest window (the first one on ties).
+[[nodiscard]] inline std::size_t costliestWindow(
+    const core::TimelineResult& cell) {
+  std::size_t peak = 0;
+  for (std::size_t w = 1; w < cell.windows.size(); ++w) {
+    if (cell.windows[w].cost.totalCost.micros() >
+        cell.windows[peak].cost.totalCost.micros()) {
+      peak = w;
+    }
+  }
+  return peak;
+}
+
+/// Largest `metric(window)` over a cell's windows [from, until), floor 0.
+template <typename Metric>
+[[nodiscard]] double worstWindow(const core::TimelineResult& cell,
+                                 std::size_t from, std::size_t until,
+                                 Metric metric) {
+  double worst = 0.0;
+  for (std::size_t w = from; w < until; ++w) {
+    worst = std::max(worst, metric(cell.windows[w]));
+  }
+  return worst;
 }
 
 /// Queue one (architecture, workload) cell on `matrix`; the cell builds a

@@ -25,7 +25,7 @@ using namespace dcache;
 namespace {
 
 void addTwitterCells(core::ExperimentMatrix& matrix,
-                     const std::vector<core::Architecture>& archs) {
+                     std::span<const core::Architecture> archs) {
   core::ExperimentConfig experiment;
   experiment.operations = 200000;
   experiment.warmupOperations = 400000;
@@ -39,7 +39,7 @@ void addTwitterCells(core::ExperimentMatrix& matrix,
 }
 
 void addLatencyCells(core::ExperimentMatrix& matrix,
-                     const std::vector<core::Architecture>& archs) {
+                     std::span<const core::Architecture> archs) {
   core::ExperimentConfig experiment;
   experiment.operations = 120000;
   experiment.warmupOperations = 120000;
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   const core::MatrixOptions options =
       bench::parseBenchOptions(argc, argv).matrix;
   core::ExperimentMatrix matrix(options);
-  const std::vector<core::Architecture> archs = bench::sweepArchitectures();
+  const std::span<const core::Architecture> archs = core::kAllArchitectures;
   addTwitterCells(matrix, archs);
   addLatencyCells(matrix, archs);
   const std::vector<core::ExperimentResult> results = matrix.run();

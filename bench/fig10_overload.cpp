@@ -21,38 +21,21 @@
 // the summary prices the provisioning headroom (extra app nodes -> extra
 // $) needed to hold the surge instead. Every cell is seeded from (--seed,
 // cell index) alone, so output is byte-identical for any --jobs value.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/cost_model.hpp"
-#include "core/matrix.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/surge.hpp"
 
 using namespace dcache;
 
 namespace {
 
-// Sweep roster: the kDisaggregated tail rides behind the --disagg gate
-// (bench::sweepArchitectures strips it, restoring the original cells).
-constexpr core::Architecture kArchs[] = {
-    core::Architecture::kBase, core::Architecture::kRemote,
-    core::Architecture::kLinked, core::Architecture::kLinkedVersion,
-    core::Architecture::kDisaggregated};
-
-constexpr std::size_t kWindows = 8;
-constexpr const char* kPhases[kWindows] = {"steady", "steady", "surge",
-                                           "surge",  "hotkey", "hotkey",
-                                           "recover", "recover"};
-/// Provisioning headroom the capacities are calibrated to: every tier can
-/// absorb 2x its steady CPU demand before queueing starts.
-constexpr double kHeadroomFactor = 2.0;
 constexpr double kHotKeyFraction = 0.5;
+constexpr std::size_t kOverloadFrom = 2, kOverloadUntil = 6;  // [2,6)
 
 struct Fig10Options {
   double surgeMultiplier = 10.0;
@@ -65,152 +48,33 @@ struct Fig10Options {
 /// 0|1); the shared flags were already consumed by parseBenchOptions.
 Fig10Options parseFig10Options(int argc, char** argv) {
   Fig10Options options;
-  const auto value = [&](int& i, std::string_view arg,
-                         std::string_view flag) -> const char* {
-    if (arg == flag) {
-      if (i + 1 < argc) return argv[++i];
-      return nullptr;
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return argv[i] + flag.size() + 1;
-    }
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (const char* v = value(i, arg, "--surge")) {
+    if (const char* v = bench::flagValue(argc, argv, i, "--surge")) {
       options.surgeMultiplier = std::strtod(v, nullptr);
-    } else if (const char* v = value(i, arg, "--shed")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--shed")) {
       options.shed = std::strtoull(v, nullptr, 10) != 0;
-    } else if (const char* v = value(i, arg, "--breaker")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--breaker")) {
       options.breakers = std::strtoull(v, nullptr, 10) != 0;
-    } else if (const char* v = value(i, arg, "--hedge")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--hedge")) {
       options.hedge = std::strtoull(v, nullptr, 10) != 0;
     }
   }
   return options;
 }
 
-/// Op counts, honoring the DCACHE_GOLDEN_OPS fast mode.
-struct OpBudget {
-  std::uint64_t warmupOps;
-  std::uint64_t windowOps;
-  std::uint64_t calibrateWarmOps;
-  std::uint64_t calibrateOps;
-};
-
-OpBudget opBudget() {
-  if (const std::uint64_t cap = core::goldenOpsCap(); cap > 0) {
-    return {cap * 4, cap, cap, cap};
-  }
-  return {120000, 30000, 60000, 30000};
-}
-
-/// Per-tier steady CPU demand, measured by running the steady workload
-/// against an *unconstrained* deployment — the denominator the capacities
-/// are provisioned from. Per-node µs of CPU per simulated second.
-struct TierDemand {
-  double appMicrosPerSec = 0.0;
-  double remoteMicrosPerSec = 0.0;
-  double sqlMicrosPerSec = 0.0;
-  double kvMicrosPerSec = 0.0;
-};
-
-TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  core::Deployment deployment(config);
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
-  };
-  for (std::uint64_t i = 0; i < budget.calibrateWarmOps; ++i) serveOne();
-  deployment.clearMeters();
-  for (std::uint64_t i = 0; i < budget.calibrateOps; ++i) serveOne();
-
-  const double seconds =
-      static_cast<double>(budget.calibrateOps) / bench::kSyntheticQps;
-  TierDemand demand;
-  for (const sim::Tier* tier : deployment.tiers()) {
-    const double perNodeMicrosPerSec = tier->aggregateCpu().totalMicros() /
-                                 seconds /
-                                 static_cast<double>(tier->size());
-    switch (tier->kind()) {
-      case sim::TierKind::kAppServer:
-        demand.appMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kRemoteCache:
-        demand.remoteMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kSqlFrontend:
-        demand.sqlMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kKvStorage:
-        demand.kvMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      default:
-        break;
-    }
-  }
-  return demand;
-}
-
-struct WindowRow {
-  double p50Micros = 0.0;
-  double p99Micros = 0.0;
-  double goodput = 1.0;  // fraction of ops answered (not shed, not failed)
-  double hitRatio = 0.0;
-  std::uint64_t shed = 0;
-  std::uint64_t queueTimeouts = 0;  // timeouts + full-queue rejections
-  std::uint64_t breakerOpens = 0;
-  std::uint64_t breakerShortCircuits = 0;
-  std::uint64_t hedgesSent = 0;
-  std::uint64_t hedgeWins = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failedOps = 0;
-  double amplification = 1.0;  // RPC attempts per op vs the no-retry floor
-  double appCpuMicros = 0.0;
-  double windowSeconds = 0.0;
-  util::Money cost;
-};
-
-struct CellResult {
-  std::string architecture;
-  bool defenses = false;
-  double appCapacityPerNode = 0.0;
-  std::size_t appServers = 0;
-  util::Money steadyAppComputeCost;
-  std::vector<WindowRow> windows;
-  obs::TraceSummary trace;  // final window only (clearMeters resets it)
-};
-
-CellResult runOverloadCell(std::size_t index, std::uint64_t rootSeed,
-                           const Fig10Options& options, const OpBudget& budget,
-                           const std::vector<core::Architecture>& archs) {
-  const core::Architecture arch = archs[index % archs.size()];
-  const bool defenses = index >= archs.size();
-  const TierDemand demand = calibrateDemand(arch, budget);
-
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  config.faultSeed = core::cellSeed(rootSeed, index);
-  config.overload.appCapacityMicrosPerSec =
-      demand.appMicrosPerSec * kHeadroomFactor;
-  config.overload.remoteCacheCapacityMicrosPerSec =
-      demand.remoteMicrosPerSec * kHeadroomFactor;
-  config.overload.sqlCapacityMicrosPerSec =
-      demand.sqlMicrosPerSec * kHeadroomFactor;
-  config.overload.kvCapacityMicrosPerSec =
-      demand.kvMicrosPerSec * kHeadroomFactor;
-  if (defenses) {
+[[nodiscard]] core::TimelineSpec timelineSpec(const Fig10Options& options) {
+  core::TimelineSpec spec;
+  spec.name = "fig10";
+  spec.architectures.assign(std::begin(core::kAllArchitectures),
+                            std::end(core::kAllArchitectures));
+  spec.postures = {"bare", "defenses"};
+  spec.phases = {"steady", "steady", "surge",   "surge",
+                 "hotkey", "hotkey", "recover", "recover"};
+  // Every tier can absorb 2x its steady CPU demand before queueing starts.
+  spec.headroom = 2.0;
+  spec.configure = [options](const core::TimelineCell& cell,
+                             core::DeploymentConfig& config) {
+    if (cell.posture == 0) return;  // bare
     if (options.shed) {
       config.overload.shed.enabled = true;
       // Stabilize the queue below the RPC timeout cliff: start shedding at
@@ -226,145 +90,71 @@ CellResult runOverloadCell(std::size_t index, std::uint64_t rootSeed,
     // Satellite defense: a per-call budget stops a doomed call after ~2
     // timeouts' worth of waiting instead of burning the whole ladder.
     config.rpcPolicy.deadlineMicros = config.rpcPolicy.timeoutMicros * 2.5;
-  }
-  config = bench::withBenchTrace(config);
-  core::Deployment deployment(config);
-
-  std::vector<workload::SurgePhase> phases;
-  phases.push_back({budget.warmupOps, 1.0, 0.0, 0, "warmup"});
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    workload::SurgePhase phase;
-    phase.ops = budget.windowOps;
-    phase.name = kPhases[w];
-    if (w == 2 || w == 3) phase.qpsMultiplier = options.surgeMultiplier;
-    if (w == 4 || w == 5) {
-      phase.hotKeyFraction = kHotKeyFraction;
-      phase.hotKey = 0;
-    }
-    phases.push_back(phase);
-  }
-  workload::SurgeWorkload workload{workload::SyntheticConfig{},
-                                   std::move(phases),
-                                   core::cellSeed(rootSeed, index + 100)};
-  deployment.populateKv(workload);
-
-  double simMicros = 0.0;
-  auto serveOne = [&] {
-    // Open-loop arrivals: the surge multiplier compresses inter-arrival
-    // time, it does not wait for the system to keep up — that gap is the
-    // whole overload story.
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(simMicros));
-    simMicros +=
-        1e6 / (bench::kSyntheticQps * workload.currentPhase().qpsMultiplier);
-    deployment.serve(workload.next());
   };
-  for (std::uint64_t i = 0; i < budget.warmupOps; ++i) serveOne();
-
-  const core::ExperimentConfig experiment;  // pricing + utilization defaults
-  const core::CostModel model(experiment.pricing,
-                              experiment.targetUtilization);
-
-  CellResult cell;
-  cell.architecture = std::string(core::architectureName(arch));
-  cell.defenses = defenses;
-  cell.appCapacityPerNode = config.overload.appCapacityMicrosPerSec;
-  cell.appServers = config.appServers;
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    deployment.clearMeters();
-    const double windowStartMicros = simMicros;
-    for (std::uint64_t i = 0; i < budget.windowOps; ++i) serveOne();
-    const core::ServeCounters& c = deployment.counters();
-    WindowRow row;
-    row.p50Micros = deployment.latencies().p50();
-    row.p99Micros = deployment.latencies().p99();
-    const double ops = static_cast<double>(budget.windowOps);
-    row.goodput =
-        (ops - static_cast<double>(c.sheddedRequests + c.failedOps)) / ops;
-    row.hitRatio = c.hitRatio();
-    row.shed = c.sheddedRequests;
-    row.queueTimeouts = c.queueTimeouts + c.queueRejections;
-    row.breakerOpens = c.breakerOpens;
-    row.breakerShortCircuits = c.breakerShortCircuits;
-    row.hedgesSent = c.hedgesSent;
-    row.hedgeWins = c.hedgeWins;
-    row.retries = c.retries;
-    row.failedOps = c.failedOps;
-    row.amplification = 1.0 + static_cast<double>(c.retries) / ops;
-    row.windowSeconds = (simMicros - windowStartMicros) * 1e-6;
-    for (const sim::Tier* tier : deployment.tiers()) {
-      if (tier->kind() == sim::TierKind::kAppServer) {
-        row.appCpuMicros = tier->aggregateCpu().totalMicros();
-      }
+  spec.surge = [options](std::size_t window) {
+    workload::SurgePhase phase;
+    if (window == 2 || window == 3) {
+      phase.qpsMultiplier = options.surgeMultiplier;
     }
-    const core::CostBreakdown breakdown =
-        model.breakdown(deployment.tiers(), row.windowSeconds,
-                        deployment.db().totalStoredBytes(),
-                        config.replicationFactor);
-    row.cost = breakdown.totalCost;
-    if (w == 0) {
-      if (const core::TierUsage* appUsage =
-              breakdown.tier(sim::TierKind::kAppServer)) {
-        cell.steadyAppComputeCost = appUsage->computeCost;
-      }
-    }
-    cell.windows.push_back(row);
-  }
-  if (const obs::Tracer* tracer = deployment.tracer()) {
-    cell.trace = tracer->summary();
-  }
-  return cell;
+    if (window == 4 || window == 5) phase.hotKeyFraction = kHotKeyFraction;
+    return phase;
+  };
+  return spec;
 }
 
-void printCell(const CellResult& cell, const OpBudget& budget) {
+[[nodiscard]] double windowOps(const core::ExperimentResult& window) {
+  return static_cast<double>(window.counters.reads + window.counters.writes);
+}
+
+/// Fraction of ops answered (not shed, not failed).
+[[nodiscard]] double goodput(const core::ExperimentResult& window) {
+  const core::ServeCounters& c = window.counters;
+  return (windowOps(window) -
+          static_cast<double>(c.sheddedRequests + c.failedOps)) /
+         windowOps(window);
+}
+
+/// RPC attempts per op vs the no-retry floor.
+[[nodiscard]] double amplification(const core::ExperimentResult& window) {
+  return 1.0 + static_cast<double>(window.counters.retries) / windowOps(window);
+}
+
+[[nodiscard]] double p99(const core::ExperimentResult& window) {
+  return window.p99LatencyMicros;
+}
+
+void printCell(const core::TimelineSpec& spec,
+               const core::TimelineResult& cell, std::size_t index) {
   util::TablePrinter table({"window", "phase", "p50_us", "p99_us", "goodput",
                             "hit_ratio", "shed", "queue_to", "brk_open",
                             "brk_sc", "hedges", "hedge_wins", "retries",
                             "failed", "amp", "window_cost"});
   for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-    const WindowRow& row = cell.windows[w];
-    table.row(static_cast<unsigned long long>(w), kPhases[w], row.p50Micros,
-              row.p99Micros, row.goodput, row.hitRatio,
-              static_cast<unsigned long long>(row.shed),
-              static_cast<unsigned long long>(row.queueTimeouts),
-              static_cast<unsigned long long>(row.breakerOpens),
-              static_cast<unsigned long long>(row.breakerShortCircuits),
-              static_cast<unsigned long long>(row.hedgesSent),
-              static_cast<unsigned long long>(row.hedgeWins),
-              static_cast<unsigned long long>(row.retries),
-              static_cast<unsigned long long>(row.failedOps),
-              row.amplification, row.cost.str());
+    const core::ExperimentResult& window = cell.windows[w];
+    const core::ServeCounters& c = window.counters;
+    table.row(w, spec.phases[w], window.latencies.p50(),
+              window.p99LatencyMicros, goodput(window), c.hitRatio(),
+              c.sheddedRequests, c.queueTimeouts + c.queueRejections,
+              c.breakerOpens, c.breakerShortCircuits, c.hedgesSent,
+              c.hedgeWins, c.retries, c.failedOps, amplification(window),
+              window.cost.totalCost.str());
   }
   char title[160];
   std::snprintf(title, sizeof title,
                 "\nFigure 10 [%s, defenses=%s]: overload timeline (%lluK-op "
                 "windows, capacity=%.0fx steady)",
-                cell.architecture.c_str(), cell.defenses ? "on" : "off",
-                static_cast<unsigned long long>(budget.windowOps / 1000),
-                kHeadroomFactor);
+                cell.windows.front().architecture.c_str(),
+                index < spec.architectures.size() ? "off" : "on",
+                static_cast<unsigned long long>(spec.budget.windowOps / 1000),
+                spec.headroom);
   table.print(title);
 }
 
-/// Worst (highest) amplification across the overloaded windows 2-5.
-double worstAmplification(const CellResult& cell) {
-  double worst = 0.0;
-  for (std::size_t w = 2; w <= 5 && w < cell.windows.size(); ++w) {
-    worst = std::max(worst, cell.windows[w].amplification);
-  }
-  return worst;
-}
-
-double worstP99(const CellResult& cell) {
-  double worst = 0.0;
-  for (std::size_t w = 2; w <= 5 && w < cell.windows.size(); ++w) {
-    worst = std::max(worst, cell.windows[w].p99Micros);
-  }
-  return worst;
-}
-
-double worstGoodput(const CellResult& cell) {
+/// Worst (lowest) goodput across the overloaded windows.
+[[nodiscard]] double worstGoodput(const core::TimelineResult& cell) {
   double worst = 1.0;
-  for (std::size_t w = 2; w <= 5 && w < cell.windows.size(); ++w) {
-    worst = std::min(worst, cell.windows[w].goodput);
+  for (std::size_t w = kOverloadFrom; w < kOverloadUntil; ++w) {
+    worst = std::min(worst, goodput(cell.windows[w]));
   }
   return worst;
 }
@@ -372,35 +162,29 @@ double worstGoodput(const CellResult& cell) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions benchOptions =
-      bench::parseBenchOptions(argc, argv);
+  const bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
   const Fig10Options fig10 = parseFig10Options(argc, argv);
-  const core::MatrixOptions& options = benchOptions.matrix;
-  const OpBudget budget = opBudget();
+  const core::TimelineSpec spec = timelineSpec(fig10);
+  const std::vector<core::TimelineResult> cells =
+      core::runTimeline(spec, options.matrix, options.trace);
+  const std::size_t archs = spec.architectures.size();
 
-  util::ThreadPool pool(options.jobs);
-  const std::vector<core::Architecture> archs =
-      bench::sweepArchitectures(kArchs);
-  const std::size_t cellCount = 2 * archs.size();
-  const std::vector<CellResult> cells =
-      util::mapOrdered(pool, cellCount,
-                       [&options, &fig10, &budget, &archs](std::size_t i) {
-                         return runOverloadCell(i, options.rootSeed, fig10,
-                                                budget, archs);
-                       });
-  pool.wait();
-
-  for (const CellResult& cell : cells) printCell(cell, budget);
+  for (std::size_t i = 0; i < cells.size(); ++i) printCell(spec, cells[i], i);
 
   // The metastability verdict: how much work the retry path multiplies the
   // surge into, with and without the defenses, and what the defenses keep.
   util::TablePrinter verdict({"architecture", "amp_off", "amp_on", "p99_off",
                               "p99_on", "goodput_off", "goodput_on"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& off = cells[a];
-    const CellResult& on = cells[a + archs.size()];
-    verdict.row(off.architecture, worstAmplification(off),
-                worstAmplification(on), worstP99(off), worstP99(on),
+  for (std::size_t a = 0; a < archs; ++a) {
+    const core::TimelineResult& off = cells[a];
+    const core::TimelineResult& on = cells[a + archs];
+    verdict.row(off.windows.front().architecture,
+                bench::worstWindow(off, kOverloadFrom, kOverloadUntil,
+                                   amplification),
+                bench::worstWindow(on, kOverloadFrom, kOverloadUntil,
+                                   amplification),
+                bench::worstWindow(off, kOverloadFrom, kOverloadUntil, p99),
+                bench::worstWindow(on, kOverloadFrom, kOverloadUntil, p99),
                 worstGoodput(off), worstGoodput(on));
   }
   char verdictTitle[160];
@@ -417,97 +201,41 @@ int main(int argc, char** argv) {
   util::TablePrinter headroom({"architecture", "steady_cost", "peak_cost",
                                "peak_phase", "headroom_delta",
                                "extra_app_nodes", "extra_app_cost"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& cell = cells[a];
-    const util::Money steady = cell.windows.front().cost;
-    util::Money peak = steady;
-    std::size_t peakWindow = 0;
+  for (std::size_t a = 0; a < archs; ++a) {
+    const core::TimelineResult& cell = cells[a];
+    const util::Money steady = cell.windows.front().cost.totalCost;
+    const std::size_t peak = bench::costliestWindow(cell);
     double peakAppDemandPerSec = 0.0;
-    for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-      if (cell.windows[w].cost.micros() > peak.micros()) {
-        peak = cell.windows[w].cost;
-        peakWindow = w;
-      }
-      if (cell.windows[w].windowSeconds > 0.0) {
-        peakAppDemandPerSec =
-            std::max(peakAppDemandPerSec, cell.windows[w].appCpuMicros /
-                                              cell.windows[w].windowSeconds);
+    for (const core::ExperimentResult& window : cell.windows) {
+      if (window.simulatedSeconds > 0.0) {
+        peakAppDemandPerSec = std::max(
+            peakAppDemandPerSec,
+            window.cost.tier(sim::TierKind::kAppServer)->cpuMicrosTotal /
+                window.simulatedSeconds);
       }
     }
-    const double delta =
-        steady.micros() > 0
-            ? (static_cast<double>(peak.micros()) /
-                   static_cast<double>(steady.micros()) -
-               1.0) * 100.0
-            : 0.0;
     // Nodes needed so the observed peak demand fits under the same
     // per-node capacity the steady tier was provisioned with.
-    const std::size_t neededNodes = static_cast<std::size_t>(
-        std::ceil(peakAppDemandPerSec / cell.appCapacityPerNode));
+    const std::size_t appServers = cell.config.appServers;
+    const std::size_t neededNodes = static_cast<std::size_t>(std::ceil(
+        peakAppDemandPerSec / cell.config.overload.appCapacityMicrosPerSec));
     const std::size_t extraNodes =
-        neededNodes > cell.appServers ? neededNodes - cell.appServers : 0;
-    const double perNodeUsd = cell.steadyAppComputeCost.dollars() /
-                              static_cast<double>(cell.appServers);
-    char deltaCell[32];
-    std::snprintf(deltaCell, sizeof deltaCell, "+%.1f%%", delta);
+        neededNodes > appServers ? neededNodes - appServers : 0;
+    const double perNodeUsd =
+        cell.windows.front()
+            .cost.tier(sim::TierKind::kAppServer)
+            ->computeCost.dollars() /
+        static_cast<double>(appServers);
     char extraCost[32];
     std::snprintf(extraCost, sizeof extraCost, "$%.2f/mo",
                   static_cast<double>(extraNodes) * perNodeUsd);
-    headroom.row(cell.architecture, steady.str(), peak.str(),
-                 kPhases[peakWindow], deltaCell,
-                 static_cast<unsigned long long>(extraNodes), extraCost);
+    headroom.row(cell.windows.front().architecture, steady.str(),
+                 cell.windows[peak].cost.totalCost.str(), spec.phases[peak],
+                 bench::premiumCell(steady, cell.windows[peak].cost.totalCost),
+                 extraNodes, extraCost);
   }
   headroom.print("\nFigure 10 headroom: provisioning the surge away instead "
                  "(extra app nodes -> extra $)");
-
-  if (benchOptions.trace.enabled()) {
-    // clearMeters resets the tracer per window, so the summary covers the
-    // final (recover) window.
-    for (const CellResult& cell : cells) {
-      core::ExperimentResult result;
-      result.architecture =
-          cell.architecture + (cell.defenses ? ".defenses" : ".bare");
-      result.trace = cell.trace;
-      std::printf("\n%s",
-                  core::traceTreeReport(result,
-                                        "trace fig10." + result.architecture +
-                                            " (final window)",
-                                        /*maxTraces=*/1)
-                      .c_str());
-    }
-  }
-  if (!benchOptions.metricsOut.empty()) {
-    obs::MetricsRegistry registry;
-    for (const CellResult& cell : cells) {
-      const std::string prefix = "fig10." + cell.architecture +
-                                 (cell.defenses ? ".defenses." : ".bare.");
-      for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        const WindowRow& row = cell.windows[w];
-        const std::string base = prefix + "window_" + std::to_string(w) + ".";
-        registry.setGauge(base + "p50_us", row.p50Micros);
-        registry.setGauge(base + "p99_us", row.p99Micros);
-        registry.setGauge(base + "goodput", row.goodput);
-        registry.setGauge(base + "hit_ratio", row.hitRatio);
-        registry.setCounter(base + "shedded_requests", row.shed);
-        registry.setCounter(base + "queue_timeouts", row.queueTimeouts);
-        registry.setCounter(base + "breaker_opens", row.breakerOpens);
-        registry.setCounter(base + "breaker_short_circuits",
-                            row.breakerShortCircuits);
-        registry.setCounter(base + "hedges_sent", row.hedgesSent);
-        registry.setCounter(base + "hedge_wins", row.hedgeWins);
-        registry.setCounter(base + "retries", row.retries);
-        registry.setCounter(base + "failed_ops", row.failedOps);
-        registry.setGauge(base + "amplification", row.amplification);
-        registry.setGauge(base + "window_cost_usd", row.cost.dollars());
-      }
-    }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
-  }
-  if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
-  }
+  bench::finishTimeline(spec, cells);
   return 0;
 }

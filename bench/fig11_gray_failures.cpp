@@ -3,13 +3,13 @@
 // against it. Hard crashes (fig9) are the easy case — the load balancer
 // sees a dead pod and routes around it. A gray failure passes every health
 // check: the node answers, just 10x slower, or drops a third of its
-// messages, or is reachable from only one direction. All four
+// messages, or is reachable from only one direction. All five
 // architectures serve the synthetic workload through the same deterministic
 // gray-fault timeline. Every tier gets a finite capacity (self-calibrated
-// to 2x its steady CPU demand, as in fig10), because that is what makes a
-// slow node dangerous in practice: its work takes 10x the core-micros, its
-// queue outgrows the RPC timeout, and every request routed to it times out
-// while the node still passes health checks. The timeline:
+// to 3x its steady CPU demand), because that is what makes a slow node
+// dangerous in practice: its work takes 10x the core-micros, its queue
+// outgrows the RPC timeout, and every request routed to it times out while
+// the node still passes health checks. The timeline:
 //
 //   window 0-1  steady state
 //   window 2-3  slow node: the cache-bearing node 0 runs --slow x slower
@@ -22,8 +22,8 @@
 //
 // Each architecture runs the timeline three ways:
 //   none     retries/timeouts only — the fig9 baseline posture
-//   breaker  + per-destination circuit breakers (PR 4's defense; binary,
-//            blind to slow-but-answering nodes)
+//   breaker  + per-destination circuit breakers (binary, blind to
+//            slow-but-answering nodes)
 //   full     + deterministic health monitoring with outlier ejection and
 //            probing re-admission, and cache replication --rf with
 //            replica-fallback reads and write-all fan-out
@@ -36,40 +36,19 @@
 // bill (fan-out CPU, probe traffic) against the provisioning headroom
 // you'd need to ride the gray window out bare. Every cell is seeded from
 // (--seed, cell index) alone, so output is byte-identical at any --jobs.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/cost_model.hpp"
-#include "core/matrix.hpp"
-#include "sim/fault.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/synthetic.hpp"
 
 using namespace dcache;
 
 namespace {
 
-// Sweep roster: the kDisaggregated tail rides behind the --disagg gate
-// (bench::sweepArchitectures strips it, restoring the original cells).
-constexpr core::Architecture kArchs[] = {
-    core::Architecture::kBase, core::Architecture::kRemote,
-    core::Architecture::kLinked, core::Architecture::kLinkedVersion,
-    core::Architecture::kDisaggregated};
+enum Posture : std::size_t { kNone = 0, kBreaker = 1, kFull = 2 };
 
-enum class Posture : std::size_t { kNone = 0, kBreaker = 1, kFull = 2 };
-constexpr std::size_t kPostures = 3;
-constexpr const char* kPostureNames[kPostures] = {"none", "breaker", "full"};
-
-constexpr std::size_t kWindows = 8;
-constexpr const char* kPhases[kWindows] = {"steady",    "steady", "slow",
-                                           "slow",      "partition", "flaky",
-                                           "recover",   "recover"};
 constexpr std::size_t kSlowFrom = 2, kSlowUntil = 4;   // windows [2,4)
 constexpr std::size_t kPartitionWindow = 4;            // window  [4,5)
 constexpr std::size_t kFlakyWindow = 5;                // window  [5,6)
@@ -84,105 +63,16 @@ struct Fig11Options {
 /// were already consumed by parseBenchOptions.
 Fig11Options parseFig11Options(int argc, char** argv) {
   Fig11Options options;
-  const auto value = [&](int& i, std::string_view arg,
-                         std::string_view flag) -> const char* {
-    if (arg == flag) {
-      if (i + 1 < argc) return argv[++i];
-      return nullptr;
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return argv[i] + flag.size() + 1;
-    }
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (const char* v = value(i, arg, "--slow")) {
+    if (const char* v = bench::flagValue(argc, argv, i, "--slow")) {
       options.slowFactor = std::strtod(v, nullptr);
-    } else if (const char* v = value(i, arg, "--flakyp")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--flakyp")) {
       options.flakyDrop = std::strtod(v, nullptr);
-    } else if (const char* v = value(i, arg, "--rf")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--rf")) {
       options.replicationFactor = std::strtoull(v, nullptr, 10);
     }
   }
   return options;
-}
-
-/// Op counts, honoring the DCACHE_GOLDEN_OPS fast mode.
-struct OpBudget {
-  std::uint64_t warmupOps;
-  std::uint64_t windowOps;
-  std::uint64_t calibrateWarmOps;
-  std::uint64_t calibrateOps;
-};
-
-OpBudget opBudget() {
-  if (const std::uint64_t cap = core::goldenOpsCap(); cap > 0) {
-    return {cap * 4, cap, cap, cap};
-  }
-  return {120000, 30000, 60000, 30000};
-}
-
-/// Provisioning headroom the capacities are calibrated to. Higher than
-/// fig10's 2x on purpose: when a node is ejected its replica absorbs the
-/// displaced traffic, so surviving a single-node gray failure needs the
-/// remaining nodes to run doubled load below saturation.
-constexpr double kHeadroomFactor = 3.0;
-
-/// Per-tier steady CPU demand, measured against an unconstrained
-/// deployment — the denominator the capacities are provisioned from.
-struct TierDemand {
-  double appMicrosPerSec = 0.0;
-  double remoteMicrosPerSec = 0.0;
-  double sqlMicrosPerSec = 0.0;
-  double kvMicrosPerSec = 0.0;
-};
-
-TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  core::Deployment deployment(config);
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
-  };
-  for (std::uint64_t i = 0; i < budget.calibrateWarmOps; ++i) serveOne();
-  deployment.clearMeters();
-  for (std::uint64_t i = 0; i < budget.calibrateOps; ++i) serveOne();
-
-  const double seconds =
-      static_cast<double>(budget.calibrateOps) / bench::kSyntheticQps;
-  TierDemand demand;
-  for (const sim::Tier* tier : deployment.tiers()) {
-    const double perNodeMicrosPerSec = tier->aggregateCpu().totalMicros() /
-                                 seconds /
-                                 static_cast<double>(tier->size());
-    switch (tier->kind()) {
-      case sim::TierKind::kAppServer:
-        demand.appMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kRemoteCache:
-        demand.remoteMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kSqlFrontend:
-        demand.sqlMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kKvStorage:
-        demand.kvMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      default:
-        break;
-    }
-  }
-  return demand;
 }
 
 /// Tier whose node 0 the gray faults target: wherever this architecture
@@ -196,235 +86,114 @@ TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
   }
 }
 
-struct WindowRow {
-  double p50Micros = 0.0;
-  double p99Micros = 0.0;
-  double goodput = 1.0;  // fraction of ops whose client leg answered
-  double hitRatio = 0.0;
-  std::uint64_t degradedReads = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t failedOps = 0;
-  std::uint64_t breakerShortCircuits = 0;
-  std::uint64_t ejected = 0;            // ejections detected this window
-  std::uint64_t replicaFallbacks = 0;
-  std::uint64_t staleReplicaReads = 0;
-  std::uint64_t replicaWriteFanout = 0;
-  double detectionLagMicros = 0.0;
-  util::Money cost;  // this window's bill at the monthly rate
-};
-
-struct CellResult {
-  std::string architecture;
-  Posture posture = Posture::kNone;
-  std::vector<WindowRow> windows;
-  std::uint64_t totalEjections = 0;
-  std::uint64_t readmissions = 0;
-  std::uint64_t probesGranted = 0;
-  obs::TraceSummary trace;  // final window only (clearMeters resets it)
-};
-
-CellResult runGrayCell(std::size_t index, std::uint64_t rootSeed,
-                       const Fig11Options& options, const OpBudget& budget,
-                       const std::vector<core::Architecture>& archs) {
-  const core::Architecture arch = archs[index % archs.size()];
-  const Posture posture = static_cast<Posture>(index / archs.size());
-  const TierDemand demand = calibrateDemand(arch, budget);
-
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  config.faultSeed = core::cellSeed(rootSeed, index);
-  config.overload.appCapacityMicrosPerSec =
-      demand.appMicrosPerSec * kHeadroomFactor;
-  config.overload.remoteCacheCapacityMicrosPerSec =
-      demand.remoteMicrosPerSec * kHeadroomFactor;
-  config.overload.sqlCapacityMicrosPerSec =
-      demand.sqlMicrosPerSec * kHeadroomFactor;
-  config.overload.kvCapacityMicrosPerSec =
-      demand.kvMicrosPerSec * kHeadroomFactor;
-  if (posture == Posture::kBreaker || posture == Posture::kFull) {
-    // Breakers alone (no tier capacities): the PR 4 defense at its best.
-    config.overload.breakersEnabled = true;
-    config.overload.breaker.openMicros = 20000.0;
-  }
-  if (posture == Posture::kFull) {
-    config.health.enabled = true;
-    config.cacheReplicationFactor = options.replicationFactor;
-  }
-  config = bench::withBenchTrace(config);
-  core::Deployment deployment(config);
-
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
+[[nodiscard]] core::TimelineSpec timelineSpec(const Fig11Options& options) {
+  core::TimelineSpec spec;
+  spec.name = "fig11";
+  spec.architectures.assign(std::begin(core::kAllArchitectures),
+                            std::end(core::kAllArchitectures));
+  spec.postures = {"none", "breaker", "full"};
+  spec.phases = {"steady",    "steady", "slow",    "slow",
+                 "partition", "flaky",  "recover", "recover"};
+  // Higher than fig10's 2x on purpose: when a node is ejected its replica
+  // absorbs the displaced traffic, so surviving a single-node gray failure
+  // needs the remaining nodes to run doubled load below saturation.
+  spec.headroom = 3.0;
+  spec.configure = [options](const core::TimelineCell& cell,
+                             core::DeploymentConfig& config) {
+    if (cell.posture == kBreaker || cell.posture == kFull) {
+      config.overload.breakersEnabled = true;
+      config.overload.breaker.openMicros = 20000.0;
+    }
+    if (cell.posture == kFull) {
+      config.health.enabled = true;
+      config.cacheReplicationFactor = options.replicationFactor;
+    }
   };
-  auto windowStartMicros = [&](std::size_t window) {
-    return static_cast<std::uint64_t>(
-        microsPerOp *
-        static_cast<double>(budget.warmupOps + window * budget.windowOps));
+  spec.faults = [options](const core::TimelineCell& cell,
+                          sim::FaultSchedule& faults) {
+    const sim::TierKind tier = grayTier(cell.architecture);
+    faults.slowNode(cell.windowStartMicros(kSlowFrom),
+                    cell.windowStartMicros(kSlowUntil), tier, 0,
+                    options.slowFactor);
+    // Remote: requests toward the cache are lost while replies still flow,
+    // so the cache looks healthy from its own side. Disaggregated: one-sided
+    // reads toward the healthy far-memory pool are lost. Others: SQL -> KV
+    // requests are lost, stalling the miss path (and Base's every read)
+    // while a warm cache shields whatever it already holds.
+    sim::TierKind from = sim::TierKind::kSqlFrontend;
+    sim::TierKind to = sim::TierKind::kKvStorage;
+    if (cell.architecture == core::Architecture::kRemote ||
+        cell.architecture == core::Architecture::kDisaggregated) {
+      from = sim::TierKind::kAppServer;
+      to = tier;
+    }
+    faults.partialPartition(cell.windowStartMicros(kPartitionWindow),
+                            cell.windowStartMicros(kPartitionWindow + 1),
+                            from, to);
+    faults.flakyNode(cell.windowStartMicros(kFlakyWindow),
+                     cell.windowStartMicros(kFlakyWindow + 1), tier, 0,
+                     options.flakyDrop);
   };
-
-  for (std::uint64_t i = 0; i < budget.warmupOps; ++i) serveOne();
-
-  sim::FaultSchedule faults;
-  const sim::TierKind tier = grayTier(arch);
-  faults.slowNode(windowStartMicros(kSlowFrom), windowStartMicros(kSlowUntil),
-                  tier, 0, options.slowFactor);
-  if (arch == core::Architecture::kRemote) {
-    // Requests toward the cache are lost; replies still flow — the cache
-    // looks healthy from its own side while every client call times out.
-    faults.partialPartition(windowStartMicros(kPartitionWindow),
-                            windowStartMicros(kPartitionWindow + 1),
-                            sim::TierKind::kAppServer,
-                            sim::TierKind::kRemoteCache);
-  } else if (arch == core::Architecture::kDisaggregated) {
-    // One-sided reads toward the far-memory pool are lost; the pool itself
-    // is healthy, so only the clients see the outage.
-    faults.partialPartition(windowStartMicros(kPartitionWindow),
-                            windowStartMicros(kPartitionWindow + 1),
-                            sim::TierKind::kAppServer,
-                            sim::TierKind::kFarMemory);
-  } else {
-    // SQL -> KV requests are lost: the miss path (and Base's every read)
-    // stalls while a warm cache shields whatever it already holds.
-    faults.partialPartition(windowStartMicros(kPartitionWindow),
-                            windowStartMicros(kPartitionWindow + 1),
-                            sim::TierKind::kSqlFrontend,
-                            sim::TierKind::kKvStorage);
-  }
-  faults.flakyNode(windowStartMicros(kFlakyWindow),
-                   windowStartMicros(kFlakyWindow + 1), tier, 0,
-                   options.flakyDrop);
-  deployment.installFaultSchedule(std::move(faults));
-
-  const core::ExperimentConfig experiment;  // pricing + utilization defaults
-  const core::CostModel model(experiment.pricing,
-                              experiment.targetUtilization);
-  const double windowSeconds =
-      static_cast<double>(budget.windowOps) / bench::kSyntheticQps;
-
-  CellResult cell;
-  cell.architecture = std::string(core::architectureName(arch));
-  cell.posture = posture;
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    deployment.clearMeters();
-    for (std::uint64_t i = 0; i < budget.windowOps; ++i) serveOne();
-    const core::ServeCounters& c = deployment.counters();
-    WindowRow row;
-    row.p50Micros = deployment.latencies().p50();
-    row.p99Micros = deployment.latencies().p99();
-    const double ops = static_cast<double>(budget.windowOps);
-    row.goodput = (ops - static_cast<double>(c.failedOps)) / ops;
-    row.hitRatio = c.hitRatio();
-    row.degradedReads = c.degradedReads;
-    row.retries = c.retries;
-    row.timeouts = c.timeouts;
-    row.failedOps = c.failedOps;
-    row.breakerShortCircuits = c.breakerShortCircuits;
-    row.ejected = c.ejectedNodes;
-    row.replicaFallbacks = c.replicaFallbackReads;
-    row.staleReplicaReads = c.staleReplicaReads;
-    row.replicaWriteFanout = c.replicaWriteFanout;
-    row.detectionLagMicros = c.detectionLagMicros;
-    row.cost = model
-                   .breakdown(deployment.tiers(), windowSeconds,
-                              deployment.db().totalStoredBytes(),
-                              config.replicationFactor)
-                   .totalCost;
-    cell.windows.push_back(row);
-  }
-  if (const core::HealthMonitor* monitor = deployment.healthMonitor()) {
-    cell.totalEjections = monitor->totalEjections();
-    cell.readmissions = monitor->readmissions();
-    cell.probesGranted = monitor->probesGranted();
-  }
-  if (const obs::Tracer* tracer = deployment.tracer()) {
-    cell.trace = tracer->summary();
-  }
-  return cell;
+  return spec;
 }
 
-void printCell(const CellResult& cell, const OpBudget& budget) {
+void printCell(const core::TimelineSpec& spec,
+               const core::TimelineResult& cell, std::size_t index) {
   util::TablePrinter table({"window", "phase", "p50_us", "p99_us", "goodput",
                             "hit_ratio", "degraded", "retries", "timeouts",
                             "failed", "brk_sc", "eject", "fallback", "stale",
                             "fanout", "window_cost"});
   for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-    const WindowRow& row = cell.windows[w];
-    table.row(static_cast<unsigned long long>(w), kPhases[w], row.p50Micros,
-              row.p99Micros, row.goodput, row.hitRatio,
-              static_cast<unsigned long long>(row.degradedReads),
-              static_cast<unsigned long long>(row.retries),
-              static_cast<unsigned long long>(row.timeouts),
-              static_cast<unsigned long long>(row.failedOps),
-              static_cast<unsigned long long>(row.breakerShortCircuits),
-              static_cast<unsigned long long>(row.ejected),
-              static_cast<unsigned long long>(row.replicaFallbacks),
-              static_cast<unsigned long long>(row.staleReplicaReads),
-              static_cast<unsigned long long>(row.replicaWriteFanout),
-              row.cost.str());
+    const core::ExperimentResult& window = cell.windows[w];
+    const core::ServeCounters& c = window.counters;
+    const double ops = static_cast<double>(c.reads + c.writes);
+    table.row(w, spec.phases[w], window.latencies.p50(),
+              window.p99LatencyMicros,
+              (ops - static_cast<double>(c.failedOps)) / ops, c.hitRatio(),
+              c.degradedReads, c.retries, c.timeouts, c.failedOps,
+              c.breakerShortCircuits, c.ejectedNodes, c.replicaFallbackReads,
+              c.staleReplicaReads, c.replicaWriteFanout,
+              window.cost.totalCost.str());
   }
   char title[160];
   std::snprintf(
       title, sizeof title,
       "\nFigure 11 [%s, defenses=%s]: gray-failure timeline (%lluK-op "
       "windows)",
-      cell.architecture.c_str(),
-      kPostureNames[static_cast<std::size_t>(cell.posture)],
-      static_cast<unsigned long long>(budget.windowOps / 1000));
+      cell.windows.front().architecture.c_str(),
+      spec.postures[index / spec.architectures.size()].c_str(),
+      static_cast<unsigned long long>(spec.budget.windowOps / 1000));
   table.print(title);
 }
 
 /// Steady-state reference latency: window 1 (window 0 still carries a
 /// little residual warmup drift in some cells).
-double steadyP99(const CellResult& cell) { return cell.windows[1].p99Micros; }
-
-/// Worst tail across the *slow-node* windows 2-3 only — the headline gray
-/// failure (the partition window is a partial outage, a different story).
-double worstSlowP99(const CellResult& cell) {
-  double worst = 0.0;
-  for (std::size_t w = kSlowFrom; w < kSlowUntil && w < cell.windows.size();
-       ++w) {
-    worst = std::max(worst, cell.windows[w].p99Micros);
-  }
-  return worst;
+[[nodiscard]] double steadyP99(const core::TimelineResult& cell) {
+  return cell.windows[1].p99LatencyMicros;
 }
 
-double totalDetectionLagMicros(const CellResult& cell) {
-  double total = 0.0;
-  for (const WindowRow& row : cell.windows) total += row.detectionLagMicros;
-  return total;
+/// How far the slow-node windows drag p99 off the cell's steady state —
+/// the headline gray failure (the partition window is a partial outage, a
+/// different story).
+[[nodiscard]] std::string slowDrag(const core::TimelineResult& cell) {
+  const double steady = steadyP99(cell);
+  const double worst = bench::worstWindow(
+      cell, kSlowFrom, kSlowUntil,
+      [](const core::ExperimentResult& w) { return w.p99LatencyMicros; });
+  return bench::ratioCell(steady > 0.0 ? worst / steady : 0.0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions benchOptions =
-      bench::parseBenchOptions(argc, argv);
+  const bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
   const Fig11Options fig11 = parseFig11Options(argc, argv);
-  const core::MatrixOptions& options = benchOptions.matrix;
-  const OpBudget budget = opBudget();
+  const core::TimelineSpec spec = timelineSpec(fig11);
+  const std::vector<core::TimelineResult> cells =
+      core::runTimeline(spec, options.matrix, options.trace);
+  const std::size_t archs = spec.architectures.size();
 
-  util::ThreadPool pool(options.jobs);
-  const std::vector<core::Architecture> archs =
-      bench::sweepArchitectures(kArchs);
-  const std::size_t cellCount = kPostures * archs.size();
-  const std::vector<CellResult> cells =
-      util::mapOrdered(pool, cellCount,
-                       [&options, &fig11, &budget, &archs](std::size_t i) {
-                         return runGrayCell(i, options.rootSeed, fig11,
-                                            budget, archs);
-                       });
-  pool.wait();
-
-  for (const CellResult& cell : cells) printCell(cell, budget);
+  for (std::size_t i = 0; i < cells.size(); ++i) printCell(spec, cells[i], i);
 
   // The tail-drag verdict: how far the slow node drags p99 off each
   // posture's own steady state. The acceptance story: bare, several-fold;
@@ -432,27 +201,23 @@ int main(int argc, char** argv) {
   util::TablePrinter verdict({"architecture", "p99_steady", "drag_none",
                               "drag_breaker", "drag_full", "ejections",
                               "readmits", "detect_ms"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& none = cells[a];
-    const CellResult& breaker = cells[a + archs.size()];
-    const CellResult& full = cells[a + 2 * archs.size()];
-    const auto drag = [](const CellResult& cell) {
-      const double steady = steadyP99(cell);
-      return steady > 0.0 ? worstSlowP99(cell) / steady : 0.0;
-    };
-    char dragNone[24], dragBreaker[24], dragFull[24], detect[24];
-    std::snprintf(dragNone, sizeof dragNone, "%.2fx", drag(none));
-    std::snprintf(dragBreaker, sizeof dragBreaker, "%.2fx", drag(breaker));
-    std::snprintf(dragFull, sizeof dragFull, "%.2fx", drag(full));
-    const double lagMicros = totalDetectionLagMicros(full);
+  for (std::size_t a = 0; a < archs; ++a) {
+    const core::TimelineResult& none = cells[a];
+    const core::TimelineResult& full = cells[a + kFull * archs];
+    double lagMicros = 0.0;
+    for (const core::ExperimentResult& w : full.windows) {
+      lagMicros += w.counters.detectionLagMicros;
+    }
+    char detect[24];
     std::snprintf(detect, sizeof detect, "%.1f",
                   full.totalEjections > 0
                       ? lagMicros / 1000.0 /
                             static_cast<double>(full.totalEjections)
                       : 0.0);
-    verdict.row(none.architecture, steadyP99(none), dragNone, dragBreaker,
-                dragFull, static_cast<unsigned long long>(full.totalEjections),
-                static_cast<unsigned long long>(full.readmissions), detect);
+    verdict.row(none.windows.front().architecture, steadyP99(none),
+                slowDrag(none), slowDrag(cells[a + kBreaker * archs]),
+                slowDrag(full), full.totalEjections, full.readmissions,
+                detect);
   }
   char verdictTitle[200];
   std::snprintf(verdictTitle, sizeof verdictTitle,
@@ -467,93 +232,20 @@ int main(int argc, char** argv) {
   // bill — the headroom an auto-scaler would provision for — spikes.
   util::TablePrinter nines({"architecture", "steady_bare", "steady_full",
                             "nines_premium", "peak_bare", "bare_headroom"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& none = cells[a];
-    const CellResult& full = cells[a + 2 * archs.size()];
-    const util::Money steadyBare = none.windows[1].cost;
-    const util::Money steadyFull = full.windows[1].cost;
-    util::Money peakBare = steadyBare;
-    for (const WindowRow& row : none.windows) {
-      if (row.cost.micros() > peakBare.micros()) peakBare = row.cost;
-    }
-    const auto deltaPct = [](const util::Money& base,
-                             const util::Money& other) {
-      return base.micros() > 0
-                 ? (static_cast<double>(other.micros()) /
-                        static_cast<double>(base.micros()) -
-                    1.0) * 100.0
-                 : 0.0;
-    };
-    char premium[24], headroom[24];
-    std::snprintf(premium, sizeof premium, "+%.1f%%",
-                  deltaPct(steadyBare, steadyFull));
-    std::snprintf(headroom, sizeof headroom, "+%.1f%%",
-                  deltaPct(steadyBare, peakBare));
-    nines.row(none.architecture, steadyBare.str(), steadyFull.str(), premium,
-              peakBare.str(), headroom);
+  for (std::size_t a = 0; a < archs; ++a) {
+    const core::TimelineResult& none = cells[a];
+    const util::Money steadyBare = none.windows[1].cost.totalCost;
+    const util::Money steadyFull =
+        cells[a + kFull * archs].windows[1].cost.totalCost;
+    const util::Money peakBare =
+        none.windows[bench::costliestWindow(none)].cost.totalCost;
+    nines.row(none.windows.front().architecture, steadyBare.str(),
+              steadyFull.str(), bench::premiumCell(steadyBare, steadyFull),
+              peakBare.str(), bench::premiumCell(steadyBare, peakBare));
   }
   nines.print("\nFigure 11 cost of the nines: always-on defense premium vs "
               "the headroom a bare deployment provisions for its worst "
               "gray window");
-
-  if (benchOptions.trace.enabled()) {
-    // clearMeters resets the tracer per window, so the summary covers the
-    // final (recover) window.
-    for (const CellResult& cell : cells) {
-      core::ExperimentResult result;
-      result.architecture =
-          cell.architecture + "." +
-          kPostureNames[static_cast<std::size_t>(cell.posture)];
-      result.trace = cell.trace;
-      std::printf("\n%s",
-                  core::traceTreeReport(result,
-                                        "trace fig11." + result.architecture +
-                                            " (final window)",
-                                        /*maxTraces=*/1)
-                      .c_str());
-    }
-  }
-  if (!benchOptions.metricsOut.empty()) {
-    obs::MetricsRegistry registry;
-    for (const CellResult& cell : cells) {
-      const std::string prefix =
-          "fig11." + cell.architecture + "." +
-          kPostureNames[static_cast<std::size_t>(cell.posture)] + ".";
-      for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        const WindowRow& row = cell.windows[w];
-        const std::string base = prefix + "window_" + std::to_string(w) + ".";
-        registry.setGauge(base + "p50_us", row.p50Micros);
-        registry.setGauge(base + "p99_us", row.p99Micros);
-        registry.setGauge(base + "goodput", row.goodput);
-        registry.setGauge(base + "hit_ratio", row.hitRatio);
-        registry.setCounter(base + "degraded_reads", row.degradedReads);
-        registry.setCounter(base + "retries", row.retries);
-        registry.setCounter(base + "timeouts", row.timeouts);
-        registry.setCounter(base + "failed_ops", row.failedOps);
-        registry.setCounter(base + "breaker_short_circuits",
-                            row.breakerShortCircuits);
-        registry.setCounter(base + "ejected_nodes", row.ejected);
-        registry.setCounter(base + "replica_fallback_reads",
-                            row.replicaFallbacks);
-        registry.setCounter(base + "stale_replica_reads",
-                            row.staleReplicaReads);
-        registry.setCounter(base + "replica_write_fanout",
-                            row.replicaWriteFanout);
-        registry.setGauge(base + "detection_lag_micros",
-                          row.detectionLagMicros);
-        registry.setGauge(base + "window_cost_usd", row.cost.dollars());
-      }
-      registry.setCounter(prefix + "total_ejections", cell.totalEjections);
-      registry.setCounter(prefix + "readmissions", cell.readmissions);
-      registry.setCounter(prefix + "probes_granted", cell.probesGranted);
-    }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
-  }
-  if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
-  }
+  bench::finishTimeline(spec, cells);
   return 0;
 }

@@ -31,39 +31,17 @@
 // handoff pays during churn vs the peak-window bill a cold deployment must
 // overprovision for. Every cell is seeded from (--seed, cell index) alone,
 // so output is byte-identical at any --jobs.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/cost_model.hpp"
-#include "core/matrix.hpp"
-#include "core/membership.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/synthetic.hpp"
 
 using namespace dcache;
 
 namespace {
 
-// Sweep roster: the kDisaggregated tail rides behind the --disagg gate
-// (bench::sweepArchitectures strips it, restoring the original cells).
-constexpr core::Architecture kArchs[] = {
-    core::Architecture::kBase, core::Architecture::kRemote,
-    core::Architecture::kLinked, core::Architecture::kLinkedVersion,
-    core::Architecture::kDisaggregated};
-
-enum class Posture : std::size_t { kCold = 0, kWarm = 1 };
-constexpr std::size_t kPostures = 2;
-constexpr const char* kPostureNames[kPostures] = {"cold", "warm"};
-
-constexpr std::size_t kWindows = 8;
-constexpr const char* kPhases[kWindows] = {"steady",   "steady",  "restart",
-                                           "restart",  "scaleout", "drain",
-                                           "recover",  "recover"};
 constexpr std::size_t kRestartFrom = 2;   // windows [2,4): the deploy train
 constexpr std::size_t kScaleOutWindow = 4;
 constexpr std::size_t kDrainWindow = 5;
@@ -81,103 +59,14 @@ struct Fig12Options {
 /// already consumed by parseBenchOptions.
 Fig12Options parseFig12Options(int argc, char** argv) {
   Fig12Options options;
-  const auto value = [&](int& i, std::string_view arg,
-                         std::string_view flag) -> const char* {
-    if (arg == flag) {
-      if (i + 1 < argc) return argv[++i];
-      return nullptr;
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return argv[i] + flag.size() + 1;
-    }
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (const char* v = value(i, arg, "--hkeys")) {
+    if (const char* v = bench::flagValue(argc, argv, i, "--hkeys")) {
       options.handoffKeysPerBatch = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value(i, arg, "--hinterval")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--hinterval")) {
       options.handoffBatchIntervalMicros = std::strtoull(v, nullptr, 10);
     }
   }
   return options;
-}
-
-/// Op counts, honoring the DCACHE_GOLDEN_OPS fast mode.
-struct OpBudget {
-  std::uint64_t warmupOps;
-  std::uint64_t windowOps;
-  std::uint64_t calibrateWarmOps;
-  std::uint64_t calibrateOps;
-};
-
-OpBudget opBudget() {
-  if (const std::uint64_t cap = core::goldenOpsCap(); cap > 0) {
-    return {cap * 4, cap, cap, cap};
-  }
-  return {120000, 30000, 60000, 30000};
-}
-
-/// Provisioning headroom the tier capacities are calibrated to (as in
-/// fig10/fig11). 2x is enough to serve steady state comfortably but turns
-/// a cold reshard's miss storm into real queueing at SQL/KV — which is
-/// exactly why operators overprovision through deploy trains.
-constexpr double kHeadroomFactor = 2.0;
-
-/// Per-tier steady CPU demand, measured against an unconstrained
-/// deployment — the denominator the capacities are provisioned from.
-struct TierDemand {
-  double appMicrosPerSec = 0.0;
-  double remoteMicrosPerSec = 0.0;
-  double sqlMicrosPerSec = 0.0;
-  double kvMicrosPerSec = 0.0;
-};
-
-TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  core::Deployment deployment(config);
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
-  };
-  for (std::uint64_t i = 0; i < budget.calibrateWarmOps; ++i) serveOne();
-  deployment.clearMeters();
-  for (std::uint64_t i = 0; i < budget.calibrateOps; ++i) serveOne();
-
-  const double seconds =
-      static_cast<double>(budget.calibrateOps) / bench::kSyntheticQps;
-  TierDemand demand;
-  for (const sim::Tier* tier : deployment.tiers()) {
-    const double perNodeMicrosPerSec = tier->aggregateCpu().totalMicros() /
-                                 seconds /
-                                 static_cast<double>(tier->size());
-    switch (tier->kind()) {
-      case sim::TierKind::kAppServer:
-        demand.appMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kRemoteCache:
-        demand.remoteMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kSqlFrontend:
-        demand.sqlMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kKvStorage:
-        demand.kvMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      default:
-        break;
-    }
-  }
-  return demand;
 }
 
 /// Tier the churn timeline runs against: wherever this architecture keeps
@@ -191,248 +80,144 @@ TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
   }
 }
 
-struct WindowRow {
-  double p50Micros = 0.0;
-  double p99Micros = 0.0;
-  double hitRatio = 0.0;
-  double storageAmp = 0.0;  // storage reads per read — the miss-storm metric
-  std::uint64_t joins = 0;
-  std::uint64_t leaves = 0;
-  std::uint64_t migratedKeys = 0;
-  std::uint64_t migratedBytes = 0;
-  std::uint64_t fallbackReads = 0;
-  std::uint64_t epochFences = 0;
-  util::Money cost;  // this window's bill at the monthly rate
-};
-
-struct CellResult {
-  std::string architecture;
-  Posture posture = Posture::kCold;
-  std::vector<WindowRow> windows;
-  obs::TraceSummary trace;  // final window only (clearMeters resets it)
-};
-
-CellResult runChurnCell(std::size_t index, std::uint64_t rootSeed,
-                        const Fig12Options& options, const OpBudget& budget,
-                        const std::vector<core::Architecture>& archs) {
-  const core::Architecture arch = archs[index % archs.size()];
-  const Posture posture = static_cast<Posture>(index / archs.size());
-  const sim::TierKind tier = churnTier(arch);
-  const TierDemand demand = calibrateDemand(arch, budget);
-
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  config.faultSeed = core::cellSeed(rootSeed, index);
-  // Finite tier capacities (identical for both postures): a cold reshard's
-  // miss storm has to queue at SQL/KV, which is what drags the tail.
-  config.overload.appCapacityMicrosPerSec =
-      demand.appMicrosPerSec * kHeadroomFactor;
-  config.overload.remoteCacheCapacityMicrosPerSec =
-      demand.remoteMicrosPerSec * kHeadroomFactor;
-  config.overload.sqlCapacityMicrosPerSec =
-      demand.sqlMicrosPerSec * kHeadroomFactor;
-  config.overload.kvCapacityMicrosPerSec =
-      demand.kvMicrosPerSec * kHeadroomFactor;
-  // The churn tier carries one provisioned-but-absent spare (index 3) for
-  // the scale-out step; the base fleet is nodes 0-2.
-  switch (tier) {
-    case sim::TierKind::kRemoteCache: config.remoteCacheNodes = 4; break;
-    case sim::TierKind::kFarMemory: config.farMemoryNodes = 4; break;
-    default: config.appServers = 4; break;
-  }
-  config = bench::withBenchTrace(config);
-  core::Deployment deployment(config);
-
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  const std::uint64_t windowMicros =
-      static_cast<std::uint64_t>(microsPerOp *
-                                 static_cast<double>(budget.windowOps));
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
+[[nodiscard]] core::TimelineSpec timelineSpec(const Fig12Options& options) {
+  core::TimelineSpec spec;
+  spec.name = "fig12";
+  spec.architectures.assign(std::begin(core::kAllArchitectures),
+                            std::end(core::kAllArchitectures));
+  spec.postures = {"cold", "warm"};
+  spec.phases = {"steady",   "steady", "restart", "restart",
+                 "scaleout", "drain",  "recover", "recover"};
+  // 2x serves steady state comfortably but turns a cold reshard's miss
+  // storm into real queueing at SQL/KV — which is exactly why operators
+  // overprovision through deploy trains.
+  spec.headroom = 2.0;
+  spec.configure = [](const core::TimelineCell& cell,
+                      core::DeploymentConfig& config) {
+    // The churn tier carries one provisioned-but-absent spare (index 3) for
+    // the scale-out step; the base fleet is nodes 0-2.
+    switch (churnTier(cell.architecture)) {
+      case sim::TierKind::kRemoteCache: config.remoteCacheNodes = 4; break;
+      case sim::TierKind::kFarMemory: config.farMemoryNodes = 4; break;
+      default: config.appServers = 4; break;
+    }
   };
-  auto windowStartMicros = [&](std::size_t window) {
-    return static_cast<std::uint64_t>(
-        microsPerOp *
-        static_cast<double>(budget.warmupOps + window * budget.windowOps));
+  // The handoff window is a quarter of a bench window — half the
+  // rolling-restart downtime, so a draining node is fully retired before
+  // its replacement rejoins.
+  spec.membership = [options](const core::TimelineCell& cell,
+                              core::MembershipSchedule& schedule,
+                              core::HandoffConfig& handoff) {
+    const sim::TierKind tier = churnTier(cell.architecture);
+    const std::uint64_t windowMicros = cell.windowMicros();
+    schedule.startAbsent(tier, 3);
+    schedule.rollingRestart(cell.windowStartMicros(kRestartFrom), tier,
+                            /*firstNode=*/0, /*count=*/2,
+                            /*stepMicros=*/windowMicros,
+                            /*downMicros=*/windowMicros / 2);
+    schedule.join(cell.windowStartMicros(kScaleOutWindow), tier, 3);
+    schedule.leave(cell.windowStartMicros(kDrainWindow), tier, 2);
+    handoff.enabled = cell.posture == 1;  // warm
+    handoff.windowMicros = windowMicros / 4;
+    handoff.keysPerBatch = options.handoffKeysPerBatch;
+    handoff.batchIntervalMicros = options.handoffBatchIntervalMicros;
   };
-
-  // The churn timeline. The handoff window is a quarter of a bench window —
-  // half the rolling-restart downtime, so a draining node is fully retired
-  // before its replacement rejoins.
-  core::MembershipSchedule schedule;
-  schedule.startAbsent(tier, 3);
-  schedule.rollingRestart(windowStartMicros(kRestartFrom), tier,
-                          /*firstNode=*/0, /*count=*/2,
-                          /*stepMicros=*/windowMicros,
-                          /*downMicros=*/windowMicros / 2);
-  schedule.join(windowStartMicros(kScaleOutWindow), tier, 3);
-  schedule.leave(windowStartMicros(kDrainWindow), tier, 2);
-  core::HandoffConfig handoff;
-  handoff.enabled = posture == Posture::kWarm;
-  handoff.windowMicros = windowMicros / 4;
-  handoff.keysPerBatch = options.handoffKeysPerBatch;
-  handoff.batchIntervalMicros = options.handoffBatchIntervalMicros;
-  deployment.installMembershipSchedule(std::move(schedule), handoff);
-
-  for (std::uint64_t i = 0; i < budget.warmupOps; ++i) serveOne();
-
-  const core::ExperimentConfig experiment;  // pricing + utilization defaults
-  const core::CostModel model(experiment.pricing,
-                              experiment.targetUtilization);
-  const double windowSeconds =
-      static_cast<double>(budget.windowOps) / bench::kSyntheticQps;
-
-  CellResult cell;
-  cell.architecture = std::string(core::architectureName(arch));
-  cell.posture = posture;
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    deployment.clearMeters();
-    for (std::uint64_t i = 0; i < budget.windowOps; ++i) serveOne();
-    const core::ServeCounters& c = deployment.counters();
-    WindowRow row;
-    row.p50Micros = deployment.latencies().p50();
-    row.p99Micros = deployment.latencies().p99();
-    row.hitRatio = c.hitRatio();
-    row.storageAmp = c.reads > 0 ? static_cast<double>(c.storageReads) /
-                                       static_cast<double>(c.reads)
-                                 : 0.0;
-    row.joins = c.plannedJoins;
-    row.leaves = c.plannedLeaves;
-    row.migratedKeys = c.migratedKeys;
-    row.migratedBytes = c.migratedBytes;
-    row.fallbackReads = c.handoffFallbackReads;
-    row.epochFences = c.epochFences;
-    row.cost = model
-                   .breakdown(deployment.tiers(), windowSeconds,
-                              deployment.db().totalStoredBytes(),
-                              config.replicationFactor)
-                   .totalCost;
-    cell.windows.push_back(row);
-  }
-  if (const obs::Tracer* tracer = deployment.tracer()) {
-    cell.trace = tracer->summary();
-  }
-  return cell;
+  return spec;
 }
 
-void printCell(const CellResult& cell, const OpBudget& budget) {
+/// Storage reads per read — the miss-storm metric.
+[[nodiscard]] double storageAmp(const core::ExperimentResult& window) {
+  const core::ServeCounters& c = window.counters;
+  return c.reads > 0 ? static_cast<double>(c.storageReads) /
+                           static_cast<double>(c.reads)
+                     : 0.0;
+}
+
+[[nodiscard]] double p99(const core::ExperimentResult& window) {
+  return window.p99LatencyMicros;
+}
+
+void printCell(const core::TimelineSpec& spec,
+               const core::TimelineResult& cell, std::size_t index) {
   util::TablePrinter table({"window", "phase", "p50_us", "p99_us",
                             "hit_ratio", "storage_amp", "joins", "leaves",
                             "migr_keys", "migr_kb", "fallback", "fences",
                             "window_cost"});
   for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-    const WindowRow& row = cell.windows[w];
-    table.row(static_cast<unsigned long long>(w), kPhases[w], row.p50Micros,
-              row.p99Micros, row.hitRatio, row.storageAmp,
-              static_cast<unsigned long long>(row.joins),
-              static_cast<unsigned long long>(row.leaves),
-              static_cast<unsigned long long>(row.migratedKeys),
-              static_cast<unsigned long long>(row.migratedBytes / 1024),
-              static_cast<unsigned long long>(row.fallbackReads),
-              static_cast<unsigned long long>(row.epochFences),
-              row.cost.str());
+    const core::ExperimentResult& window = cell.windows[w];
+    const core::ServeCounters& c = window.counters;
+    table.row(w, spec.phases[w], window.latencies.p50(),
+              window.p99LatencyMicros, c.hitRatio(), storageAmp(window),
+              c.plannedJoins, c.plannedLeaves, c.migratedKeys,
+              c.migratedBytes / 1024, c.handoffFallbackReads, c.epochFences,
+              window.cost.totalCost.str());
   }
   char title[160];
   std::snprintf(
       title, sizeof title,
       "\nFigure 12 [%s, posture=%s]: membership-churn timeline (%lluK-op "
       "windows)",
-      cell.architecture.c_str(),
-      kPostureNames[static_cast<std::size_t>(cell.posture)],
-      static_cast<unsigned long long>(budget.windowOps / 1000));
+      cell.windows.front().architecture.c_str(),
+      spec.postures[index / spec.architectures.size()].c_str(),
+      static_cast<unsigned long long>(spec.budget.windowOps / 1000));
   table.print(title);
 }
 
-/// Steady-state reference: window 1 (window 0 still carries residual
-/// warmup drift in some cells).
-double steadyP99(const CellResult& cell) { return cell.windows[1].p99Micros; }
+/// Churn-window p99 over the steady reference: window 1 (window 0 still
+/// carries residual warmup drift in some cells).
+[[nodiscard]] std::string churnDrag(const core::TimelineResult& cell) {
+  const double steady = cell.windows[1].p99LatencyMicros;
+  return bench::ratioCell(
+      steady > 0.0 ? bench::worstWindow(cell, kChurnFrom, kChurnUntil, p99) /
+                         steady
+                   : 0.0);
+}
 
-double worstChurnP99(const CellResult& cell) {
-  double worst = 0.0;
-  for (std::size_t w = kChurnFrom; w < kChurnUntil; ++w) {
-    worst = std::max(worst, cell.windows[w].p99Micros);
+/// Sum of one counter over every window.
+template <typename Counter>
+[[nodiscard]] std::uint64_t total(const core::TimelineResult& cell,
+                                  Counter counter) {
+  std::uint64_t sum = 0;
+  for (const core::ExperimentResult& w : cell.windows) {
+    sum += counter(w.counters);
   }
-  return worst;
-}
-
-double worstChurnAmp(const CellResult& cell) {
-  double worst = 0.0;
-  for (std::size_t w = kChurnFrom; w < kChurnUntil; ++w) {
-    worst = std::max(worst, cell.windows[w].storageAmp);
-  }
-  return worst;
-}
-
-std::uint64_t totalMigratedKeys(const CellResult& cell) {
-  std::uint64_t total = 0;
-  for (const WindowRow& row : cell.windows) total += row.migratedKeys;
-  return total;
-}
-
-std::uint64_t totalMigratedBytes(const CellResult& cell) {
-  std::uint64_t total = 0;
-  for (const WindowRow& row : cell.windows) total += row.migratedBytes;
-  return total;
-}
-
-std::uint64_t totalFallbacks(const CellResult& cell) {
-  std::uint64_t total = 0;
-  for (const WindowRow& row : cell.windows) total += row.fallbackReads;
-  return total;
+  return sum;
 }
 
 /// Churn premium in $/K-ops: how much the churn windows' bill exceeds the
 /// same posture's steady-state bill, normalized per thousand served ops.
-double churnPremiumPerKop(const CellResult& cell, const OpBudget& budget) {
+[[nodiscard]] std::string churnPremiumPerKop(const core::TimelineSpec& spec,
+                                             const core::TimelineResult& cell) {
   const double steadyMicros =
-      static_cast<double>(cell.windows[1].cost.micros());
+      static_cast<double>(cell.windows[1].cost.totalCost.micros());
   double excessMicros = 0.0;
   for (std::size_t w = kChurnFrom; w < kChurnUntil; ++w) {
     excessMicros +=
-        static_cast<double>(cell.windows[w].cost.micros()) - steadyMicros;
+        static_cast<double>(cell.windows[w].cost.totalCost.micros()) -
+        steadyMicros;
   }
-  const double kops = static_cast<double>(budget.windowOps) *
+  const double kops = static_cast<double>(spec.budget.windowOps) *
                       static_cast<double>(kChurnUntil - kChurnFrom) / 1000.0;
-  return kops > 0.0 ? excessMicros / 1e6 / kops : 0.0;
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%.6f",
+                kops > 0.0 ? excessMicros / 1e6 / kops : 0.0);
+  return buf;
 }
 
-util::Money peakWindowCost(const CellResult& cell) {
-  util::Money peak = cell.windows[0].cost;
-  for (const WindowRow& row : cell.windows) {
-    if (row.cost.micros() > peak.micros()) peak = row.cost;
-  }
-  return peak;
+[[nodiscard]] std::string peakCost(const core::TimelineResult& cell) {
+  return cell.windows[bench::costliestWindow(cell)].cost.totalCost.str();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions benchOptions =
-      bench::parseBenchOptions(argc, argv);
-  const Fig12Options fig12 = parseFig12Options(argc, argv);
-  const core::MatrixOptions& options = benchOptions.matrix;
-  const OpBudget budget = opBudget();
+  const bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
+  const core::TimelineSpec spec = timelineSpec(parseFig12Options(argc, argv));
+  const std::vector<core::TimelineResult> cells =
+      core::runTimeline(spec, options.matrix, options.trace);
+  const std::size_t archs = spec.architectures.size();
 
-  util::ThreadPool pool(options.jobs);
-  const std::vector<core::Architecture> archs =
-      bench::sweepArchitectures(kArchs);
-  const std::size_t cellCount = kPostures * archs.size();
-  const std::vector<CellResult> cells =
-      util::mapOrdered(pool, cellCount,
-                       [&options, &fig12, &budget, &archs](std::size_t i) {
-                         return runChurnCell(i, options.rootSeed, fig12,
-                                             budget, archs);
-                       });
-  pool.wait();
-
-  for (const CellResult& cell : cells) printCell(cell, budget);
+  for (std::size_t i = 0; i < cells.size(); ++i) printCell(spec, cells[i], i);
 
   // The churn verdict: how far the deploy train + scale events drag p99
   // and storage amplification off each posture's own steady state. The
@@ -441,21 +226,19 @@ int main(int argc, char** argv) {
   util::TablePrinter verdict({"architecture", "p99_steady", "drag_cold",
                               "drag_warm", "amp_steady", "amp_cold",
                               "amp_warm", "migr_keys", "fallback"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& cold = cells[a];
-    const CellResult& warm = cells[a + archs.size()];
-    const auto drag = [](const CellResult& cell) {
-      const double steady = steadyP99(cell);
-      return steady > 0.0 ? worstChurnP99(cell) / steady : 0.0;
-    };
-    char dragCold[24], dragWarm[24];
-    std::snprintf(dragCold, sizeof dragCold, "%.2fx", drag(cold));
-    std::snprintf(dragWarm, sizeof dragWarm, "%.2fx", drag(warm));
-    verdict.row(cold.architecture, steadyP99(cold), dragCold, dragWarm,
-                cold.windows[1].storageAmp, worstChurnAmp(cold),
-                worstChurnAmp(warm),
-                static_cast<unsigned long long>(totalMigratedKeys(warm)),
-                static_cast<unsigned long long>(totalFallbacks(warm)));
+  for (std::size_t a = 0; a < archs; ++a) {
+    const core::TimelineResult& cold = cells[a];
+    const core::TimelineResult& warm = cells[a + archs];
+    verdict.row(
+        cold.windows.front().architecture, cold.windows[1].p99LatencyMicros,
+        churnDrag(cold), churnDrag(warm), storageAmp(cold.windows[1]),
+        bench::worstWindow(cold, kChurnFrom, kChurnUntil, storageAmp),
+        bench::worstWindow(warm, kChurnFrom, kChurnUntil, storageAmp),
+        total(warm,
+              [](const core::ServeCounters& c) { return c.migratedKeys; }),
+        total(warm, [](const core::ServeCounters& c) {
+          return c.handoffFallbackReads;
+        }));
   }
   verdict.print(
       "\nFigure 12 verdict: churn-window p99 drag and storage amplification "
@@ -468,75 +251,23 @@ int main(int argc, char** argv) {
   // window's bill at the monthly rate.
   util::TablePrinter bill({"architecture", "migr_mb", "warm_usd_per_kop",
                            "cold_usd_per_kop", "peak_cold", "peak_warm"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& cold = cells[a];
-    const CellResult& warm = cells[a + archs.size()];
-    char migrMb[24], warmPrem[24], coldPrem[24];
+  for (std::size_t a = 0; a < archs; ++a) {
+    const core::TimelineResult& cold = cells[a];
+    const core::TimelineResult& warm = cells[a + archs];
+    char migrMb[24];
     std::snprintf(migrMb, sizeof migrMb, "%.1f",
-                  static_cast<double>(totalMigratedBytes(warm)) /
+                  static_cast<double>(total(
+                      warm, [](const core::ServeCounters& c) {
+                        return c.migratedBytes;
+                      })) /
                       (1024.0 * 1024.0));
-    std::snprintf(warmPrem, sizeof warmPrem, "%.6f",
-                  churnPremiumPerKop(warm, budget));
-    std::snprintf(coldPrem, sizeof coldPrem, "%.6f",
-                  churnPremiumPerKop(cold, budget));
-    bill.row(cold.architecture, migrMb, warmPrem, coldPrem,
-             peakWindowCost(cold).str(), peakWindowCost(warm).str());
+    bill.row(cold.windows.front().architecture, migrMb,
+             churnPremiumPerKop(spec, warm), churnPremiumPerKop(spec, cold),
+             peakCost(cold), peakCost(warm));
   }
   bill.print(
       "\nFigure 12 handoff bill: migration volume and the churn-window cost "
       "premium per posture ($/K-ops over own steady state)");
-
-  if (benchOptions.trace.enabled()) {
-    // clearMeters resets the tracer per window, so the summary covers the
-    // final (recover) window.
-    for (const CellResult& cell : cells) {
-      core::ExperimentResult result;
-      result.architecture =
-          cell.architecture + "." +
-          kPostureNames[static_cast<std::size_t>(cell.posture)];
-      result.trace = cell.trace;
-      std::printf("\n%s",
-                  core::traceTreeReport(result,
-                                        "trace fig12." + result.architecture +
-                                            " (final window)",
-                                        /*maxTraces=*/1)
-                      .c_str());
-    }
-  }
-  if (!benchOptions.metricsOut.empty()) {
-    obs::MetricsRegistry registry;
-    for (const CellResult& cell : cells) {
-      const std::string prefix =
-          "fig12." + cell.architecture + "." +
-          kPostureNames[static_cast<std::size_t>(cell.posture)] + ".";
-      for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        const WindowRow& row = cell.windows[w];
-        const std::string base = prefix + "window_" + std::to_string(w) + ".";
-        registry.setGauge(base + "p50_us", row.p50Micros);
-        registry.setGauge(base + "p99_us", row.p99Micros);
-        registry.setGauge(base + "hit_ratio", row.hitRatio);
-        registry.setGauge(base + "storage_amp", row.storageAmp);
-        registry.setCounter(base + "planned_joins", row.joins);
-        registry.setCounter(base + "planned_leaves", row.leaves);
-        registry.setCounter(base + "migrated_keys", row.migratedKeys);
-        registry.setCounter(base + "migrated_bytes", row.migratedBytes);
-        registry.setCounter(base + "handoff_fallback_reads",
-                            row.fallbackReads);
-        registry.setCounter(base + "epoch_fences", row.epochFences);
-        registry.setGauge(base + "window_cost_usd", row.cost.dollars());
-      }
-      registry.setCounter(prefix + "migrated_keys_total",
-                          totalMigratedKeys(cell));
-      registry.setCounter(prefix + "handoff_fallback_reads_total",
-                          totalFallbacks(cell));
-    }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
-  }
-  if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
-  }
+  bench::finishTimeline(spec, cells);
   return 0;
 }

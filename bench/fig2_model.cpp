@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   figure2a(pool);
   figure2b(pool);
   takeaways(pool);
-  if (benchOptions.disagg) disaggPanel(pool);
+  disaggPanel(pool);
   if (!benchOptions.metricsOut.empty()) {
     // Analytic bench: no deployments, so export the model's headline
     // numbers (per-alpha savings) directly.
@@ -180,13 +180,10 @@ int main(int argc, char** argv) {
       std::snprintf(name, sizeof name, "fig2a.alpha_%.1f.saving", alpha);
       registry.setGauge(name, base / linked);
     }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
+    bench::writeMetrics(registry);
   }
   if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
+    bench::writeBenchJson(benchOptions);
   }
   return 0;
 }

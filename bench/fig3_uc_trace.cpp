@@ -145,13 +145,10 @@ int main(int argc, char** argv) {
                       util::exactQuantile(readStats.sizes, 0.99));
     registry.setGauge("fig3.rank_frequency_slope",
                       util::logLogSlope(ranks, counts));
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
+    bench::writeMetrics(registry);
   }
   if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
+    bench::writeBenchJson(benchOptions);
   }
   return 0;
 }

@@ -18,8 +18,6 @@ using namespace dcache;
 
 namespace {
 
-// Sweep roster: the kDisaggregated tail rides behind the --disagg gate
-// (bench::sweepArchitectures strips it, restoring the original columns).
 constexpr core::Architecture kArchs[] = {core::Architecture::kBase,
                                          core::Architecture::kRemote,
                                          core::Architecture::kLinked,
@@ -37,7 +35,7 @@ core::ExperimentConfig experimentConfig() {
 }
 
 void addPanelCells(core::ExperimentMatrix& matrix,
-                   const std::vector<core::Architecture>& archs) {
+                   std::span<const core::Architecture> archs) {
   for (const double readRatio : kReadRatios) {
     workload::SyntheticConfig workload;
     workload.readRatio = readRatio;
@@ -62,7 +60,7 @@ void addPanelCells(core::ExperimentMatrix& matrix,
 
 /// Headers: one cost column per architecture, then a saving-vs-Base column
 /// per non-Base architecture.
-std::vector<std::string> headerRow(const std::vector<core::Architecture>& archs,
+std::vector<std::string> headerRow(std::span<const core::Architecture> archs,
                                    const char* sweepColumn) {
   std::vector<std::string> headers{sweepColumn};
   for (const core::Architecture arch : archs) {
@@ -92,7 +90,7 @@ void addArchRow(util::TablePrinter& table,
 
 void figure4a(const std::vector<core::ExperimentResult>& results,
               std::size_t offset,
-              const std::vector<core::Architecture>& archs) {
+              std::span<const core::Architecture> archs) {
   util::TablePrinter table(headerRow(archs, "read_ratio"));
   std::size_t cell = offset;
   for (const double readRatio : kReadRatios) {
@@ -106,7 +104,7 @@ void figure4a(const std::vector<core::ExperimentResult>& results,
 
 void figure4b(const std::vector<core::ExperimentResult>& results,
               std::size_t offset,
-              const std::vector<core::Architecture>& archs) {
+              std::span<const core::Architecture> archs) {
   util::TablePrinter table(headerRow(archs, "value_size"));
   std::size_t cell = offset;
   for (const std::uint64_t valueSize : kValueSizes) {
@@ -123,8 +121,7 @@ void figure4b(const std::vector<core::ExperimentResult>& results,
 
 int main(int argc, char** argv) {
   core::ExperimentMatrix matrix(bench::parseBenchOptions(argc, argv).matrix);
-  const std::vector<core::Architecture> archs =
-      bench::sweepArchitectures(kArchs);
+  const std::span<const core::Architecture> archs = kArchs;
   addPanelCells(matrix, archs);
   const std::vector<core::ExperimentResult> results = matrix.run();
   figure4a(results, 0, archs);

@@ -37,15 +37,9 @@ std::size_t addPoint(core::ExperimentMatrix& matrix, core::Architecture arch,
 
 void tierShares(core::Architecture arch,
                 const std::vector<core::ExperimentResult>& results,
-                std::size_t offset, bool includeFarColumn) {
-  // The far-memory column only exists while the --disagg gate is open, so
-  // the gate-closed table stays byte-identical to the four-arch original.
-  std::vector<std::string> headers{"value_size", "app%", "remote_cache%"};
-  if (includeFarColumn) headers.emplace_back("far_mem%");
-  for (const char* h : {"sql%", "kv%", "db_query_proc%", "mem_share%"}) {
-    headers.emplace_back(h);
-  }
-  util::TablePrinter table(std::move(headers));
+                std::size_t offset) {
+  util::TablePrinter table({"value_size", "app%", "remote_cache%", "far_mem%",
+                            "sql%", "kv%", "db_query_proc%", "mem_share%"});
   std::size_t cell = offset;
   for (const std::uint64_t valueSize : kValueSizes) {
     const auto& result = results[cell++];
@@ -77,14 +71,8 @@ void tierShares(core::Architecture arch,
     char memShare[16];
     std::snprintf(memShare, sizeof memShare, "%.1f",
                   100.0 * core::memoryCostShare(result));
-    std::vector<std::string> row{util::Bytes::of(valueSize).str(), pct(app),
-                                 pct(remote)};
-    if (includeFarColumn) row.push_back(pct(farMem));
-    row.push_back(pct(sql));
-    row.push_back(pct(kv));
-    row.emplace_back(queryProc);
-    row.emplace_back(memShare);
-    table.addRow(std::move(row));
+    table.addRow({util::Bytes::of(valueSize).str(), pct(app), pct(remote),
+                  pct(farMem), pct(sql), pct(kv), queryProc, memShare});
   }
   table.print(std::string("\nFigure 6 — ") +
               std::string(core::architectureName(arch)) +
@@ -130,7 +118,7 @@ int main(int argc, char** argv) {
   // One cell per (architecture, value size); panel rows index into this
   // block, and the Linked/Linked+Version @16KB cells double as the
   // decomposition and full-breakdown inputs.
-  const std::vector<core::Architecture> archs = bench::sweepArchitectures();
+  const std::span<const core::Architecture> archs = core::kAllArchitectures;
   std::vector<std::size_t> panelOffsets;
   std::size_t linked16k = 0;
   std::size_t linkedVersion16k = 0;
@@ -152,8 +140,7 @@ int main(int argc, char** argv) {
   const std::vector<core::ExperimentResult> results = matrix.run();
 
   for (std::size_t i = 0; i < archs.size(); ++i) {
-    tierShares(archs[i], results, panelOffsets[i],
-               bench::benchOptions().disagg);
+    tierShares(archs[i], results, panelOffsets[i]);
   }
   linkedAppDecomposition(results[linked16k], 16384, 0.93);
   linkedAppDecomposition(results[linkedWriteHeavy], 16384, 0.50);

@@ -68,7 +68,7 @@ std::size_t addKvCell(core::ExperimentMatrix& matrix,
 
 int main(int argc, char** argv) {
   core::ExperimentMatrix matrix(bench::parseBenchOptions(argc, argv).matrix);
-  const std::vector<core::Architecture> archs = bench::sweepArchitectures();
+  const std::span<const core::Architecture> archs = core::kAllArchitectures;
   for (const core::Architecture arch : archs) {
     addObjectCell(matrix, arch);
   }

@@ -93,13 +93,10 @@ int main(int argc, char** argv) {
       registry.setGauge(base + "anomaly_rate_unfenced", row.unfencedRate);
       registry.setGauge(base + "anomaly_rate_fenced", row.fencedRate);
     }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
+    bench::writeMetrics(registry);
   }
   if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
+    bench::writeBenchJson(benchOptions);
   }
   return 0;
 }

@@ -22,36 +22,19 @@
 // cache. Every cell is seeded from (--seed, cell index) alone, so output
 // is byte-identical for any --jobs value.
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/cost_model.hpp"
-#include "core/matrix.hpp"
-#include "sim/fault.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
-#include "workload/synthetic.hpp"
 
 using namespace dcache;
 
 namespace {
 
-constexpr core::Architecture kArchs[] = {
-    core::Architecture::kBase, core::Architecture::kRemote,
-    core::Architecture::kLinked, core::Architecture::kLinkedVersion};
-
-constexpr std::uint64_t kWarmupOps = 120000;
-constexpr std::uint64_t kWindowOps = 30000;
-constexpr std::size_t kWindows = 8;
 constexpr std::size_t kCrashWindow = 2;
 constexpr std::size_t kRestartWindow = 5;
 constexpr double kDegradeLatencyFactor = 2.0;
 constexpr double kDegradeDropProbability = 0.01;
-
-constexpr const char* kPhases[kWindows] = {
-    "steady",  "steady", "crash+degrade", "down",
-    "down",    "restart(cold)", "rewarm", "rewarm"};
 
 /// Tier whose node 0 the schedule crashes: wherever this architecture
 /// keeps its cache.
@@ -70,212 +53,79 @@ constexpr const char* kPhases[kWindows] = {
   return sim::TierKind::kKvStorage;  // Base: the block cache is the cache
 }
 
-struct WindowRow {
-  double hitRatio = 0.0;
-  std::uint64_t storageReads = 0;
-  double amplification = 1.0;  // storage reads vs steady window 0
-  double p99Micros = 0.0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t failedCalls = 0;
-  std::uint64_t degradedReads = 0;
-  std::uint64_t coalescedMisses = 0;
-  double wastedCpuMicros = 0.0;
-  util::Money cost;  // this window's bill at the monthly rate
-};
-
-struct CellResult {
-  std::string architecture;
-  std::vector<WindowRow> windows;
-  obs::TraceSummary trace;  // final window only (clearMeters resets it)
-};
-
-CellResult runTimelineCell(std::size_t index, std::uint64_t rootSeed) {
-  const core::Architecture arch = kArchs[index];
-  core::DeploymentConfig deploymentConfig;
-  deploymentConfig.architecture = arch;
-  deploymentConfig.faultSeed = core::cellSeed(rootSeed, index);
-  deploymentConfig = bench::withBenchTrace(deploymentConfig);
-  core::Deployment deployment(deploymentConfig);
-
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
+[[nodiscard]] core::TimelineSpec timelineSpec() {
+  core::TimelineSpec spec;
+  spec.name = "fig9";
+  spec.architectures = {
+      core::Architecture::kBase, core::Architecture::kRemote,
+      core::Architecture::kLinked, core::Architecture::kLinkedVersion};
+  spec.phases = {"steady", "steady",        "crash+degrade", "down",
+                 "down",   "restart(cold)", "rewarm",        "rewarm"};
+  spec.faults = [](const core::TimelineCell& cell, sim::FaultSchedule& faults) {
+    const sim::TierKind tier = crashTier(cell.architecture);
+    faults.crashNode(cell.windowStartMicros(kCrashWindow), tier, 0);
+    faults.restartNode(cell.windowStartMicros(kRestartWindow), tier, 0);
+    faults.degradeNetwork(cell.windowStartMicros(kCrashWindow),
+                          cell.windowStartMicros(kCrashWindow + 1),
+                          kDegradeLatencyFactor, kDegradeDropProbability);
   };
-  auto windowStartMicros = [&](std::size_t window) {
-    return static_cast<std::uint64_t>(
-        microsPerOp *
-        static_cast<double>(kWarmupOps + window * kWindowOps));
-  };
-
-  for (std::uint64_t i = 0; i < kWarmupOps; ++i) serveOne();
-
-  sim::FaultSchedule faults;
-  const sim::TierKind tier = crashTier(arch);
-  faults.crashNode(windowStartMicros(kCrashWindow), tier, 0);
-  faults.restartNode(windowStartMicros(kRestartWindow), tier, 0);
-  faults.degradeNetwork(windowStartMicros(kCrashWindow),
-                        windowStartMicros(kCrashWindow + 1),
-                        kDegradeLatencyFactor, kDegradeDropProbability);
-  deployment.installFaultSchedule(std::move(faults));
-
-  const core::ExperimentConfig experiment;  // pricing + utilization defaults
-  const core::CostModel model(experiment.pricing,
-                              experiment.targetUtilization);
-  const double windowSeconds =
-      static_cast<double>(kWindowOps) / bench::kSyntheticQps;
-
-  CellResult cell;
-  cell.architecture = std::string(core::architectureName(arch));
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    deployment.clearMeters();
-    for (std::uint64_t i = 0; i < kWindowOps; ++i) serveOne();
-    const core::ServeCounters& c = deployment.counters();
-    WindowRow row;
-    row.hitRatio = c.hitRatio();
-    row.storageReads = c.storageReads;
-    row.p99Micros = deployment.latencies().p99();
-    row.retries = c.retries;
-    row.timeouts = c.timeouts;
-    row.failedCalls = c.failedCalls;
-    row.degradedReads = c.degradedReads;
-    row.coalescedMisses = c.coalescedMisses;
-    row.wastedCpuMicros = c.wastedCpuMicros;
-    row.cost = model
-                   .breakdown(deployment.tiers(), windowSeconds,
-                              deployment.db().totalStoredBytes(),
-                              deploymentConfig.replicationFactor)
-                   .totalCost;
-    cell.windows.push_back(row);
-  }
-  if (const obs::Tracer* tracer = deployment.tracer()) {
-    cell.trace = tracer->summary();
-  }
-  const double steadyReads =
-      static_cast<double>(cell.windows.front().storageReads);
-  for (WindowRow& row : cell.windows) {
-    row.amplification = steadyReads > 0.0
-                            ? static_cast<double>(row.storageReads) /
-                                  steadyReads
-                            : 1.0;
-  }
-  return cell;
+  return spec;
 }
 
-void printTimeline(const CellResult& cell) {
+void printTimeline(const core::TimelineSpec& spec,
+                   const core::TimelineResult& cell) {
   util::TablePrinter table({"window", "phase", "hit_ratio", "storage_reads",
                             "amp", "p99_us", "retries", "timeouts", "failed",
                             "degraded", "coalesced", "wasted_cpu_us",
                             "window_cost"});
+  // Storage-read amplification vs steady window 0.
+  const double steadyReads =
+      static_cast<double>(cell.windows.front().counters.storageReads);
   for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-    const WindowRow& row = cell.windows[w];
-    table.row(static_cast<unsigned long long>(w), kPhases[w], row.hitRatio,
-              static_cast<unsigned long long>(row.storageReads),
-              row.amplification, row.p99Micros,
-              static_cast<unsigned long long>(row.retries),
-              static_cast<unsigned long long>(row.timeouts),
-              static_cast<unsigned long long>(row.failedCalls),
-              static_cast<unsigned long long>(row.degradedReads),
-              static_cast<unsigned long long>(row.coalescedMisses),
-              row.wastedCpuMicros, row.cost.str());
+    const core::ExperimentResult& window = cell.windows[w];
+    const core::ServeCounters& c = window.counters;
+    table.row(w, spec.phases[w], c.hitRatio(), c.storageReads,
+              steadyReads > 0.0
+                  ? static_cast<double>(c.storageReads) / steadyReads
+                  : 1.0,
+              window.p99LatencyMicros, c.retries, c.timeouts, c.failedCalls,
+              c.degradedReads, c.coalescedMisses, c.wastedCpuMicros,
+              window.cost.totalCost.str());
   }
-  table.print("\nFigure 9 [" + cell.architecture +
-              "]: failure timeline (30K-op windows at 120K QPS)");
+  char title[128];
+  std::snprintf(title, sizeof title,
+                "\nFigure 9 [%s]: failure timeline (%lluK-op windows at "
+                "%.0fK QPS)",
+                cell.label.c_str(),
+                static_cast<unsigned long long>(spec.budget.windowOps / 1000),
+                core::kTimelineQps / 1000.0);
+  table.print(title);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions benchOptions =
-      bench::parseBenchOptions(argc, argv);
-  const core::MatrixOptions& options = benchOptions.matrix;
-  util::ThreadPool pool(options.jobs);
-  const std::vector<CellResult> cells = util::mapOrdered(
-      pool, std::size(kArchs),
-      [&options](std::size_t i) {
-        return runTimelineCell(i, options.rootSeed);
-      });
-  pool.wait();
+  const bench::BenchOptions options = bench::parseBenchOptions(argc, argv);
+  const core::TimelineSpec spec = timelineSpec();
+  const std::vector<core::TimelineResult> cells =
+      core::runTimeline(spec, options.matrix, options.trace);
 
-  for (const CellResult& cell : cells) printTimeline(cell);
+  for (const core::TimelineResult& cell : cells) printTimeline(spec, cell);
 
   // Provisioned-cost headroom: if the platform provisions for the worst
   // window instead of steady state (auto-scalers trigger on CPU), this is
   // the premium each architecture pays for its failure mode.
   util::TablePrinter summary({"architecture", "steady_cost", "peak_cost",
                               "peak_phase", "headroom_delta"});
-  for (const CellResult& cell : cells) {
-    const util::Money steady = cell.windows.front().cost;
-    util::Money peak = steady;
-    std::size_t peakWindow = 0;
-    for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-      if (cell.windows[w].cost.micros() > peak.micros()) {
-        peak = cell.windows[w].cost;
-        peakWindow = w;
-      }
-    }
-    const double delta =
-        steady.micros() > 0
-            ? (static_cast<double>(peak.micros()) /
-                   static_cast<double>(steady.micros()) -
-               1.0) * 100.0
-            : 0.0;
-    char deltaCell[32];
-    std::snprintf(deltaCell, sizeof deltaCell, "+%.1f%%", delta);
-    summary.row(cell.architecture, steady.str(), peak.str(),
-                kPhases[peakWindow], deltaCell);
+  for (const core::TimelineResult& cell : cells) {
+    const util::Money steady = cell.windows.front().cost.totalCost;
+    const std::size_t peak = bench::costliestWindow(cell);
+    const util::Money peakCost = cell.windows[peak].cost.totalCost;
+    summary.row(cell.label, steady.str(), peakCost.str(), spec.phases[peak],
+                bench::premiumCell(steady, peakCost));
   }
   summary.print("\nFigure 9 summary: provisioning for the worst window "
                 "(peak vs steady headroom)");
-  if (benchOptions.trace.enabled()) {
-    // clearMeters resets the tracer per window, so the summary covers the
-    // final (rewarm) window — the interesting recovery-path spans.
-    for (const CellResult& cell : cells) {
-      core::ExperimentResult result;
-      result.architecture = cell.architecture;
-      result.trace = cell.trace;
-      std::printf("\n%s",
-                  core::traceTreeReport(result,
-                                        "trace fig9." + cell.architecture +
-                                            " (final window)",
-                                        /*maxTraces=*/1)
-                      .c_str());
-    }
-  }
-  if (!benchOptions.metricsOut.empty()) {
-    // Windowed bench: export the per-window timeline instead of the usual
-    // per-cell experiment snapshot.
-    obs::MetricsRegistry registry;
-    for (const CellResult& cell : cells) {
-      for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        const WindowRow& row = cell.windows[w];
-        const std::string base = "fig9." + cell.architecture + ".window_" +
-                                 std::to_string(w) + ".";
-        registry.setGauge(base + "hit_ratio", row.hitRatio);
-        registry.setCounter(base + "storage_reads", row.storageReads);
-        registry.setGauge(base + "amplification", row.amplification);
-        registry.setGauge(base + "p99_us", row.p99Micros);
-        registry.setCounter(base + "retries", row.retries);
-        registry.setCounter(base + "timeouts", row.timeouts);
-        registry.setCounter(base + "degraded_reads", row.degradedReads);
-        registry.setGauge(base + "wasted_cpu_micros", row.wastedCpuMicros);
-        registry.setGauge(base + "window_cost_usd", row.cost.dollars());
-      }
-    }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
-  }
-  if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
-  }
+  bench::finishTimeline(spec, cells);
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "workload/uc_trace.hpp"
 
@@ -50,15 +51,24 @@ ExperimentResult ExperimentRunner::run(Deployment& deployment,
   deployment.clearMeters();
   for (std::uint64_t i = 0; i < config_.operations; ++i) serveOne();
 
+  return snapshotExperiment(
+      deployment, workload.name(),
+      config_.qps > 0.0 ? static_cast<double>(config_.operations) / config_.qps
+                        : 1.0,
+      config_);
+}
+
+ExperimentResult snapshotExperiment(Deployment& deployment,
+                                    std::string workload,
+                                    double simulatedSeconds,
+                                    const ExperimentConfig& config) {
   ExperimentResult result;
   result.architecture =
       std::string(architectureName(deployment.config().architecture));
-  result.workload = workload.name();
-  result.simulatedSeconds =
-      config_.qps > 0.0 ? static_cast<double>(config_.operations) / config_.qps
-                        : 1.0;
+  result.workload = std::move(workload);
+  result.simulatedSeconds = simulatedSeconds;
 
-  const CostModel model(config_.pricing, config_.targetUtilization);
+  const CostModel model(config.pricing, config.targetUtilization);
   result.cost = model.breakdown(
       deployment.tiers(), result.simulatedSeconds,
       deployment.db().totalStoredBytes(),

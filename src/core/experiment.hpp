@@ -65,6 +65,14 @@ class ExperimentRunner {
   ExperimentConfig config_;
 };
 
+/// Snapshot `deployment`'s meters since its last clearMeters() as one
+/// result priced over `simulatedSeconds` (counters, cost, latencies,
+/// trace). ExperimentRunner::run ends with this; the timeline harness calls
+/// it once per window.
+[[nodiscard]] ExperimentResult snapshotExperiment(
+    Deployment& deployment, std::string workload, double simulatedSeconds,
+    const ExperimentConfig& config = {});
+
 /// Convenience: build a deployment for `arch`, populate it for `workload`,
 /// run, and return the result. `deploymentConfig.architecture` is
 /// overridden by `arch`.

@@ -47,91 +47,40 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # per-cell deployments, ordered result collection.
 "$BUILD_DIR/bench/fig4_synthetic" --jobs 8 > /dev/null
 
-# Disaggregated lane: the fifth architecture's one-sided read path, hot
-# caches and invalidation fan-out run under ASan explicitly (fig2's
-# analytic panel + fig4's experiment cells), and the --disagg gate itself
-# holds the determinism contract in both positions — the gate-closed runs
-# must also be byte-identical across worker counts.
-"$BUILD_DIR/bench/fig2_model" --disagg 1 > /dev/null
-DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-  "$BUILD_DIR/bench/fig4_synthetic" --disagg 1 --jobs 8 > /dev/null
-for bench in fig2_model fig4_synthetic; do
-  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-    "$BUILD_DIR/bench/$bench" --disagg 0 --jobs 1 > "$BUILD_DIR/${bench}_off_j1.txt"
-  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-    "$BUILD_DIR/bench/$bench" --disagg 0 --jobs 8 > "$BUILD_DIR/${bench}_off_j8.txt"
-  if ! diff -q "$BUILD_DIR/${bench}_off_j1.txt" "$BUILD_DIR/${bench}_off_j8.txt" > /dev/null; then
-    echo "check.sh: $bench --disagg 0 output differs between --jobs 1 and --jobs 8" >&2
-    diff "$BUILD_DIR/${bench}_off_j1.txt" "$BUILD_DIR/${bench}_off_j8.txt" >&2 || true
-    exit 1
-  fi
-done
-
 # Determinism diff: every deterministic bench must emit byte-identical
 # stdout for --jobs 1 and --jobs 8. The golden-op cap keeps the sanitized
 # runs fast while still driving the full matrix (same cells, same seeds).
-# fig9/fig10 additionally run at full scale below, because their fault and
-# overload paths only saturate with the complete timeline.
-DET_BENCHES=(fig2_model fig3_uc_trace fig4_synthetic fig5_kv_workloads
-             fig6_breakdown fig7_rich_objects fig8_delayed_writes
-             ablation_cache_alloc ablation_consistency ext_workloads)
-for bench in "${DET_BENCHES[@]}"; do
-  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-    "$BUILD_DIR/bench/$bench" --jobs 1 > "$BUILD_DIR/${bench}_j1.txt"
-  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-    "$BUILD_DIR/bench/$bench" --jobs 8 > "$BUILD_DIR/${bench}_j8.txt"
+# The timeline benches run at full scale below, because their fault,
+# overload, gray-failure and churn paths only saturate with the complete
+# timeline.
+jobs_diff() {
+  local bench="$1"
+  "$BUILD_DIR/bench/$bench" --jobs 1 > "$BUILD_DIR/${bench}_j1.txt"
+  "$BUILD_DIR/bench/$bench" --jobs 8 > "$BUILD_DIR/${bench}_j8.txt"
   if ! diff -q "$BUILD_DIR/${bench}_j1.txt" "$BUILD_DIR/${bench}_j8.txt" > /dev/null; then
     echo "check.sh: $bench output differs between --jobs 1 and --jobs 8" >&2
     diff "$BUILD_DIR/${bench}_j1.txt" "$BUILD_DIR/${bench}_j8.txt" >&2 || true
     exit 1
   fi
+}
+DET_BENCHES=(fig2_model fig3_uc_trace fig4_synthetic fig5_kv_workloads
+             fig6_breakdown fig7_rich_objects fig8_delayed_writes
+             ablation_cache_alloc ablation_consistency ext_workloads)
+for bench in "${DET_BENCHES[@]}"; do
+  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" jobs_diff "$bench"
 done
 
-# The failure-timeline bench exercises the fault-injection paths (crashes,
-# resharding, RPC retries, single-flight coalescing) under the sanitizers,
-# and its output must be byte-identical regardless of worker count.
-"$BUILD_DIR/bench/fig9_failure_timeline" --jobs 1 > "$BUILD_DIR/fig9_j1.txt"
-"$BUILD_DIR/bench/fig9_failure_timeline" --jobs 8 > "$BUILD_DIR/fig9_j8.txt"
-if ! diff -q "$BUILD_DIR/fig9_j1.txt" "$BUILD_DIR/fig9_j8.txt" > /dev/null; then
-  echo "check.sh: fig9_failure_timeline output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig9_j1.txt" "$BUILD_DIR/fig9_j8.txt" >&2 || true
-  exit 1
-fi
-
-# The overload bench exercises the queueing model, load shedding, circuit
-# breakers, hedged requests and deadline budgets under the sanitizers, with
-# the same byte-identical --jobs contract.
-"$BUILD_DIR/bench/fig10_overload" --jobs 1 > "$BUILD_DIR/fig10_j1.txt"
-"$BUILD_DIR/bench/fig10_overload" --jobs 8 > "$BUILD_DIR/fig10_j8.txt"
-if ! diff -q "$BUILD_DIR/fig10_j1.txt" "$BUILD_DIR/fig10_j8.txt" > /dev/null; then
-  echo "check.sh: fig10_overload output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig10_j1.txt" "$BUILD_DIR/fig10_j8.txt" >&2 || true
-  exit 1
-fi
-
-# The gray-failure bench exercises slow-node / partial-partition / flaky
-# injection, the health monitor's ejection + probing loop, and replica
-# fallback routing under the sanitizers. Full scale for the same reason as
-# fig9/fig10: the detection and recovery dynamics need the whole timeline.
-"$BUILD_DIR/bench/fig11_gray_failures" --jobs 1 > "$BUILD_DIR/fig11_j1.txt"
-"$BUILD_DIR/bench/fig11_gray_failures" --jobs 8 > "$BUILD_DIR/fig11_j8.txt"
-if ! diff -q "$BUILD_DIR/fig11_j1.txt" "$BUILD_DIR/fig11_j8.txt" > /dev/null; then
-  echo "check.sh: fig11_gray_failures output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig11_j1.txt" "$BUILD_DIR/fig11_j8.txt" >&2 || true
-  exit 1
-fi
-
-# The membership-churn bench replays planned join/leave timelines with the
-# warm-handoff pump, dual-read fallback and epoch fencing under the
-# sanitizers. Full scale so the transfer windows actually span the
-# rolling-restart wave, and byte-diffed across worker counts like the rest.
-"$BUILD_DIR/bench/fig12_churn" --jobs 1 > "$BUILD_DIR/fig12_j1.txt"
-"$BUILD_DIR/bench/fig12_churn" --jobs 8 > "$BUILD_DIR/fig12_j8.txt"
-if ! diff -q "$BUILD_DIR/fig12_j1.txt" "$BUILD_DIR/fig12_j8.txt" > /dev/null; then
-  echo "check.sh: fig12_churn output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig12_j1.txt" "$BUILD_DIR/fig12_j8.txt" >&2 || true
-  exit 1
-fi
+# The timeline benches (one core::Timeline harness) drive crashes and
+# degraded networks (fig9), the queueing model with shedding, breakers,
+# hedging and deadline budgets (fig10), gray faults with health-monitor
+# ejection and replica fallback (fig11), and planned churn with the
+# warm-handoff pump and epoch fencing (fig12) under the sanitizers, at full
+# scale so every transfer and detection window spans its timeline.
+TIMELINE_BENCHES=(fig9_failure_timeline fig10_overload fig11_gray_failures
+                  fig12_churn)
+for bench in "${TIMELINE_BENCHES[@]}"; do
+  jobs_diff "$bench"
+done
 
 echo "check.sh: lint, all tests, the parallel benches, and the determinism gates passed under ASan/UBSan"
 
