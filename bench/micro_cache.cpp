@@ -1,7 +1,7 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the cache library: per-operation costs of the
-// eviction policies, sharding, consistent hashing, Zipf sampling and the
-// Mattson profiler — the structures every simulated request crosses.
+// eviction policies, consistent hashing, Zipf sampling and the Mattson
+// profiler — the structures every simulated request crosses.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -11,7 +11,6 @@
 #include "cache/hash_ring.hpp"
 #include "cache/kv_cache.hpp"
 #include "cache/mrc.hpp"
-#include "cache/sharded.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 #include "workload/zipf.hpp"
@@ -27,20 +26,10 @@ std::vector<std::string> makeKeys(std::size_t n) {
   return keys;
 }
 
-std::string backendLabel(cache::EvictionPolicy policy,
-                         cache::CacheBackend backend) {
-  std::string label(cache::evictionPolicyName(policy));
-  label += '/';
-  label += cache::cacheBackendName(backend);
-  return label;
-}
-
-// Each policy benchmark runs as a node/flat pair interleaved in one process,
-// so the backend comparison is immune to machine-load drift between runs.
+// Each policy benchmark runs one row per EvictionPolicy value (0..5).
 void BM_PolicyGetHit(benchmark::State& state) {
   const auto policy = static_cast<cache::EvictionPolicy>(state.range(0));
-  const auto backend = static_cast<cache::CacheBackend>(state.range(1));
-  auto cache = cache::makeCache(policy, util::Bytes::mb(64), backend);
+  auto cache = cache::makeCache(policy, util::Bytes::mb(64));
   const auto keys = makeKeys(10000);
   for (const auto& key : keys) {
     cache->put(key, cache::CacheEntry::sized(100));
@@ -50,39 +39,35 @@ void BM_PolicyGetHit(benchmark::State& state) {
     benchmark::DoNotOptimize(cache->get(keys[i]));
     i = (i + 7919) % keys.size();
   }
-  state.SetLabel(backendLabel(policy, backend));
+  state.SetLabel(std::string(cache::evictionPolicyName(policy)));
 }
-BENCHMARK(BM_PolicyGetHit)
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 2}});  // policy x {kNode, kFlat}
+BENCHMARK(BM_PolicyGetHit)->DenseRange(0, 5);
 
 void BM_PolicyPutWithEviction(benchmark::State& state) {
   const auto policy = static_cast<cache::EvictionPolicy>(state.range(0));
-  const auto backend = static_cast<cache::CacheBackend>(state.range(1));
   // Capacity for ~1000 entries; inserts from a 10x keyspace force evictions.
-  auto cache = cache::makeCache(policy, util::Bytes::of(1000 * 200), backend);
+  auto cache = cache::makeCache(policy, util::Bytes::of(1000 * 200));
   const auto keys = makeKeys(10000);
   std::size_t i = 0;
   for (auto _ : state) {
     cache->put(keys[i], cache::CacheEntry::sized(100));
     i = (i + 7919) % keys.size();
   }
-  state.SetLabel(backendLabel(policy, backend));
+  state.SetLabel(std::string(cache::evictionPolicyName(policy)));
 }
-BENCHMARK(BM_PolicyPutWithEviction)
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 2}});
+BENCHMARK(BM_PolicyPutWithEviction)->DenseRange(0, 5);
 
 // Cold fill: construct a cache and insert 10k distinct entries per
 // iteration. This is the allocation-dominated path the slab/arena storage
-// targets — the node backends pay three heap allocations per insert, the
-// flat backend bump-allocates from chunked slabs. Millisecond-scale
-// iterations also make this the most machine-noise-immune cache benchmark
-// in the suite.
+// targets — the flat policies bump-allocate from chunked slabs, while the
+// node-based LFU and S3-FIFO pay heap allocations per insert.
+// Millisecond-scale iterations also make this the most machine-noise-immune
+// cache benchmark in the suite.
 void BM_PolicyColdFill(benchmark::State& state) {
   const auto policy = static_cast<cache::EvictionPolicy>(state.range(0));
-  const auto backend = static_cast<cache::CacheBackend>(state.range(1));
   const auto keys = makeKeys(10000);
   for (auto _ : state) {
-    auto cache = cache::makeCache(policy, util::Bytes::mb(64), backend);
+    auto cache = cache::makeCache(policy, util::Bytes::mb(64));
     for (const auto& key : keys) {
       cache->put(key, cache::CacheEntry::sized(100));
     }
@@ -90,25 +75,9 @@ void BM_PolicyColdFill(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(keys.size()));
-  state.SetLabel(backendLabel(policy, backend));
+  state.SetLabel(std::string(cache::evictionPolicyName(policy)));
 }
-BENCHMARK(BM_PolicyColdFill)
-    ->ArgsProduct({{0, 1, 2, 3}, {1, 2}});
-
-void BM_ShardedGet(benchmark::State& state) {
-  cache::ShardedCache cache(util::Bytes::mb(64),
-                            static_cast<std::size_t>(state.range(0)));
-  const auto keys = makeKeys(10000);
-  for (const auto& key : keys) {
-    cache.put(key, cache::CacheEntry::sized(100));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get(keys[i]));
-    i = (i + 7919) % keys.size();
-  }
-}
-BENCHMARK(BM_ShardedGet)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_PolicyColdFill)->DenseRange(0, 5);
 
 void BM_HashRingOwner(benchmark::State& state) {
   cache::HashRing ring;

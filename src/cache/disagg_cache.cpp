@@ -179,34 +179,4 @@ void DisaggCache::dropShard(std::size_t nodeIndex) {
   farShards_[nodeIndex]->clear();
 }
 
-CacheStats DisaggCache::farStats() const noexcept {
-  CacheStats total;
-  for (const auto& shard : farShards_) {
-    total.hits += shard->stats().hits;
-    total.misses += shard->stats().misses;
-    total.insertions += shard->stats().insertions;
-    total.overwrites += shard->stats().overwrites;
-    total.evictions += shard->stats().evictions;
-  }
-  return total;
-}
-
-CacheStats DisaggCache::hotStats() const noexcept {
-  CacheStats total;
-  for (const auto& shard : hotShards_) {
-    total.hits += shard->stats().hits;
-    total.misses += shard->stats().misses;
-    total.insertions += shard->stats().insertions;
-    total.overwrites += shard->stats().overwrites;
-    total.evictions += shard->stats().evictions;
-  }
-  return total;
-}
-
-util::Bytes DisaggCache::farBytesUsed() const noexcept {
-  util::Bytes total;
-  for (const auto& shard : farShards_) total += shard->bytesUsed();
-  return total;
-}
-
 }  // namespace dcache::cache

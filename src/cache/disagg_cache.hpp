@@ -87,9 +87,6 @@ class DisaggCache {
   /// directory on the access path, which is exactly why pool transitions
   /// must be fenced with a hot-cache flush (the deployment owns that).
   void enableMembership();
-  [[nodiscard]] bool membershipActive() const noexcept {
-    return membershipOn_;
-  }
   /// Planned join/leave (idempotent: a replayed event is a no-op).
   /// leaveNode keeps the pool node's slots — the handoff window migrates
   /// them; dropShard retires whatever remains.
@@ -115,9 +112,6 @@ class DisaggCache {
     return farTier_->node(nodeIndex).isUp();
   }
 
-  [[nodiscard]] CacheStats farStats() const noexcept;
-  [[nodiscard]] CacheStats hotStats() const noexcept;
-  [[nodiscard]] util::Bytes farBytesUsed() const noexcept;
   [[nodiscard]] const sim::Tier& farTier() const noexcept { return *farTier_; }
   [[nodiscard]] const DisaggCosts& costs() const noexcept { return costs_; }
   [[nodiscard]] KvCache& farShardForNode(std::size_t i) noexcept {

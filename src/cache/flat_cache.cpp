@@ -263,8 +263,8 @@ void FlatCache::forEachEntry(
     const {
   if (mode_ == FlatMode::kClock) {
     // Node-index order over occupied nodes — index allocation follows the
-    // same LIFO-freelist/bump discipline as ClockCache's slot vector, so
-    // the visit sequence matches the node backend exactly.
+    // same LIFO-freelist/bump discipline as the reference ClockCache's slot
+    // vector, so the visit sequence matches it exactly.
     for (std::uint32_t i = 0; i < slab_.highWater(); ++i) {
       if (flags_[i] & kOccupiedBit) {
         const Node& node = slab_[i];

@@ -1,19 +1,18 @@
-// MICA-style flat cache backend: one open-addressing index (power-of-two,
-// linear probing, stored 64-bit hashes, backward-shift deletion) over a
-// chunked node slab with intrusive uint32 recency links — zero per-entry
-// heap allocations on the serve path. Implements LRU, FIFO and Clock behind
-// the KvCache interface, sequence-identical to the node-based policies in
-// lru.cpp/fifo.cpp/clock.cpp: the differential fuzz suite
-// (tests/test_cache_differential.cpp) drives both backends in lockstep and
-// the golden benches are byte-identical under either.
+// MICA-style flat cache: one open-addressing index (power-of-two, linear
+// probing, stored 64-bit hashes, backward-shift deletion) over a chunked
+// node slab with intrusive uint32 recency links — zero per-entry heap
+// allocations on the serve path. The simulator's only LRU, FIFO and Clock
+// (SLRU runs on two flat LRU segments). The differential fuzz suite
+// (tests/test_cache_differential.cpp) drives it in lockstep with the
+// textbook list/map oracles in tests/reference/.
 //
 // Sequence-identity notes:
 //  - LRU/FIFO eviction order is carried entirely by the intrusive list, so
 //    slot-allocation order cannot affect behaviour.
-//  - Clock replicates ClockCache exactly: node indices are handed out with
-//    the same LIFO-freelist/bump discipline as ClockCache's slot vector, and
-//    the hand sweeps `(hand + 1) % highWater` over occupied nodes with the
-//    same second-chance bit.
+//  - Clock matches the reference ClockCache exactly: node indices are
+//    handed out with the same LIFO-freelist/bump discipline as its slot
+//    vector, and the hand sweeps `(hand + 1) % highWater` over occupied
+//    nodes with the same second-chance bit.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +57,7 @@ class FlatCache final : public KvCache {
   [[nodiscard]] FlatMode mode() const noexcept { return mode_; }
 
   /// Next eviction candidate for LRU/FIFO (empty when the cache is empty or
-  /// in clock mode) — parity with LruCache::victim for tests.
+  /// in clock mode) — victim parity with the reference LRU in tests.
   [[nodiscard]] std::string_view victim() const noexcept;
 
  private:

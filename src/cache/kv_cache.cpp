@@ -2,12 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "cache/clock.hpp"
-#include "cache/fifo.hpp"
 #include "cache/flat_cache.hpp"
-#include "cache/lru.hpp"
 #include "cache/lfu.hpp"
 #include "cache/s3fifo.hpp"
 #include "cache/slru.hpp"
@@ -26,76 +22,29 @@ std::string_view evictionPolicyName(EvictionPolicy p) noexcept {
   return "unknown";
 }
 
-std::string_view cacheBackendName(CacheBackend b) noexcept {
-  switch (b) {
-    case CacheBackend::kAuto: return "auto";
-    case CacheBackend::kNode: return "node";
-    case CacheBackend::kFlat: return "flat";
-  }
-  return "unknown";
-}
-
 void cacheInvariantFailure(const char* policy, const char* what) {
   std::fprintf(stderr, "dcache cache invariant violated [%s]: %s\n", policy,
                what);
   std::abort();
 }
 
-namespace {
-
-/// DCACHE_CACHE_BACKEND=node|flat forces one backend for every kAuto
-/// construction site; unset or unrecognized means flat where implemented.
-/// Read once: the override must not change mid-run.
-[[nodiscard]] CacheBackend envBackendOverride() {
-  static const CacheBackend cached = [] {
-    const char* env = std::getenv("DCACHE_CACHE_BACKEND");
-    if (env != nullptr) {
-      if (std::strcmp(env, "node") == 0) return CacheBackend::kNode;
-      if (std::strcmp(env, "flat") == 0) return CacheBackend::kFlat;
-    }
-    return CacheBackend::kFlat;
-  }();
-  return cached;
-}
-
-}  // namespace
-
-CacheBackend defaultCacheBackend() noexcept { return envBackendOverride(); }
-
-std::unique_ptr<KvCache> makeCache(EvictionPolicy policy, util::Bytes capacity,
-                                   CacheBackend backend) {
-  if (backend == CacheBackend::kAuto) backend = defaultCacheBackend();
-  if (backend == CacheBackend::kFlat) {
-    switch (policy) {
-      case EvictionPolicy::kLru:
-        return std::make_unique<FlatCache>(FlatMode::kLru, capacity);
-      case EvictionPolicy::kFifo:
-        return std::make_unique<FlatCache>(FlatMode::kFifo, capacity);
-      case EvictionPolicy::kClock:
-        return std::make_unique<FlatCache>(FlatMode::kClock, capacity);
-      case EvictionPolicy::kSlru:
-        // SLRU rides the flat backend through its LRU segments.
-        return std::make_unique<SlruCache>(capacity, 0.8, backend);
-      case EvictionPolicy::kLfu:
-      case EvictionPolicy::kS3Fifo:
-        break;  // not ported yet: fall through to the node backend
-    }
-  }
+std::unique_ptr<KvCache> makeCache(EvictionPolicy policy,
+                                   util::Bytes capacity) {
   switch (policy) {
     case EvictionPolicy::kLru:
-      return std::make_unique<LruCache>(capacity);
+      return std::make_unique<FlatCache>(FlatMode::kLru, capacity);
     case EvictionPolicy::kFifo:
-      return std::make_unique<FifoCache>(capacity);
+      return std::make_unique<FlatCache>(FlatMode::kFifo, capacity);
     case EvictionPolicy::kClock:
-      return std::make_unique<ClockCache>(capacity);
+      return std::make_unique<FlatCache>(FlatMode::kClock, capacity);
     case EvictionPolicy::kSlru:
-      return std::make_unique<SlruCache>(capacity, 0.8, CacheBackend::kNode);
+      return std::make_unique<SlruCache>(capacity);
     case EvictionPolicy::kLfu:
       return std::make_unique<LfuCache>(capacity);
     case EvictionPolicy::kS3Fifo:
       return std::make_unique<S3FifoCache>(capacity);
   }
-  return std::make_unique<LruCache>(capacity);
+  return std::make_unique<FlatCache>(FlatMode::kLru, capacity);
 }
 
 }  // namespace dcache::cache

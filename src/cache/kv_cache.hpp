@@ -34,8 +34,8 @@ struct CacheEntry {
   }
 };
 
-/// Counter semantics, shared by every policy and backend so identical op
-/// streams produce identical stats:
+/// Counter semantics, shared by every policy so identical op streams
+/// produce identical stats:
 ///   - `hits`/`misses` count `get` calls only; `peek` never touches stats.
 ///   - `insertions` counts puts admitted as a NEW resident key.
 ///   - `overwrites` counts puts that replaced an already-resident entry.
@@ -107,10 +107,9 @@ class KvCache {
 
   /// Enumerate every resident entry (bulk operations: membership handoff
   /// snapshots, audits). Like peek, never touches recency or stats. The
-  /// visit order is policy-defined but deterministic, and identical between
-  /// the node and flat backends for the policies both implement — the
-  /// golden benches stay byte-identical under DCACHE_CACHE_BACKEND either
-  /// way. The callback must not mutate the cache.
+  /// visit order is policy-defined but deterministic — membership handoff
+  /// migrates keys in this order, so it is part of the golden output. The
+  /// callback must not mutate the cache.
   virtual void forEachEntry(
       const std::function<void(std::string_view, const CacheEntry&)>& fn)
       const = 0;
@@ -139,27 +138,10 @@ enum class EvictionPolicy : std::uint8_t {
 
 [[nodiscard]] std::string_view evictionPolicyName(EvictionPolicy p) noexcept;
 
-/// Storage backend selector. `kNode` is the original std::list +
-/// std::unordered_map implementation (one heap allocation per entry);
-/// `kFlat` is the slab/arena + open-addressing backend (flat_cache.hpp),
-/// sequence-identical to kNode for LRU/FIFO/Clock. `kAuto` picks kFlat for
-/// the policies the flat backend implements (LRU/FIFO/Clock, and SLRU via
-/// flat LRU segments) and kNode for the rest, honoring the
-/// DCACHE_CACHE_BACKEND=node|flat environment override.
-enum class CacheBackend : std::uint8_t {
-  kAuto,
-  kNode,
-  kFlat,
-};
-
-[[nodiscard]] std::string_view cacheBackendName(CacheBackend b) noexcept;
-
-/// Resolve kAuto against the DCACHE_CACHE_BACKEND override (parsed once).
-[[nodiscard]] CacheBackend defaultCacheBackend() noexcept;
-
-/// Build a cache of the given policy and byte capacity.
-[[nodiscard]] std::unique_ptr<KvCache> makeCache(
-    EvictionPolicy policy, util::Bytes capacity,
-    CacheBackend backend = CacheBackend::kAuto);
+/// Build a cache of the given policy and byte capacity. LRU, FIFO and Clock
+/// are a FlatCache (flat_cache.hpp) and SLRU runs on two flat LRU segments;
+/// LFU and S3-FIFO keep their node-based structures.
+[[nodiscard]] std::unique_ptr<KvCache> makeCache(EvictionPolicy policy,
+                                                 util::Bytes capacity);
 
 }  // namespace dcache::cache

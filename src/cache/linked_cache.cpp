@@ -9,10 +9,7 @@ namespace dcache::cache {
 LinkedCache::LinkedCache(sim::Tier& appTier, util::Bytes perNodeCapacity,
                          rpc::Channel& channel, EvictionPolicy policy,
                          CacheOpCosts costs)
-    : tier_(&appTier),
-      channel_(&channel),
-      costs_(costs),
-      perNodeCapacity_(perNodeCapacity) {
+    : tier_(&appTier), channel_(&channel), costs_(costs) {
   shards_.reserve(appTier.size());
   for (std::size_t i = 0; i < appTier.size(); ++i) {
     shards_.push_back(makeCache(policy, perNodeCapacity));
@@ -143,24 +140,6 @@ void LinkedCache::addServer(std::size_t serverIndex) {
   if (ring_.contains(serverIndex)) return;
   shards_[serverIndex]->clear();  // cold restart: nothing survives
   ring_.addMember(serverIndex);
-}
-
-CacheStats LinkedCache::aggregateStats() const noexcept {
-  CacheStats total;
-  for (const auto& shard : shards_) {
-    total.hits += shard->stats().hits;
-    total.misses += shard->stats().misses;
-    total.insertions += shard->stats().insertions;
-    total.overwrites += shard->stats().overwrites;
-    total.evictions += shard->stats().evictions;
-  }
-  return total;
-}
-
-util::Bytes LinkedCache::bytesUsed() const noexcept {
-  util::Bytes total;
-  for (const auto& shard : shards_) total += shard->bytesUsed();
-  return total;
 }
 
 std::size_t LinkedCache::itemCount() const noexcept {

@@ -102,14 +102,9 @@ class LinkedCache {
   double invalidateAt(std::size_t writerIndex, std::size_t ownerIndex,
                       std::string_view key);
 
-  [[nodiscard]] CacheStats aggregateStats() const noexcept;
-  [[nodiscard]] util::Bytes bytesUsed() const noexcept;
   [[nodiscard]] const CacheOpCosts& costs() const noexcept { return costs_; }
   /// Total entries across shards (TTL bookkeeping boundedness checks).
   [[nodiscard]] std::size_t itemCount() const noexcept;
-  [[nodiscard]] util::Bytes provisionedPerNode() const noexcept {
-    return perNodeCapacity_;
-  }
   [[nodiscard]] KvCache& shard(std::size_t i) noexcept { return *shards_[i]; }
   [[nodiscard]] const sim::Tier& tier() const noexcept { return *tier_; }
 
@@ -117,7 +112,6 @@ class LinkedCache {
   sim::Tier* tier_;
   rpc::Channel* channel_;
   CacheOpCosts costs_;
-  util::Bytes perNodeCapacity_;
   HashRing ring_;
   std::vector<std::unique_ptr<KvCache>> shards_;
 };

@@ -177,10 +177,4 @@ CacheStats RemoteCache::aggregateStats() const noexcept {
   return total;
 }
 
-util::Bytes RemoteCache::bytesUsed() const noexcept {
-  util::Bytes total;
-  for (const auto& shard : shards_) total += shard->bytesUsed();
-  return total;
-}
-
 }  // namespace dcache::cache

@@ -88,9 +88,6 @@ class RemoteCache {
   /// per event instead of remapping almost everything the way a modulo
   /// resize would.
   void enableMembership();
-  [[nodiscard]] bool membershipActive() const noexcept {
-    return membershipOn_;
-  }
   /// Planned join/leave (idempotent: a replayed event is a no-op). Both
   /// mirror into the replica ring when replication is armed. leaveNode
   /// keeps the pod's shard contents — the handoff window migrates them;
@@ -123,7 +120,6 @@ class RemoteCache {
   }
 
   [[nodiscard]] CacheStats aggregateStats() const noexcept;
-  [[nodiscard]] util::Bytes bytesUsed() const noexcept;
   [[nodiscard]] const CacheOpCosts& costs() const noexcept { return costs_; }
   [[nodiscard]] const sim::Tier& tier() const noexcept { return *tier_; }
   [[nodiscard]] KvCache& shardForNode(std::size_t i) noexcept {

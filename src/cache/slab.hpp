@@ -1,10 +1,11 @@
-// Slab/arena storage primitives for the flat cache backend (flat_cache.hpp).
+// Slab/arena storage primitives for the flat cache (flat_cache.hpp).
 //
 // NodeSlab hands out stable uint32 indices into chunked node storage with a
 // LIFO free list — the chunking means a grow never moves existing nodes, so
 // `get()` results stay valid across later insertions, and the LIFO reuse
-// discipline matches ClockCache's slot free list exactly (required for the
-// flat clock backend to be sequence-identical to the node one).
+// discipline matches the slot free list of the reference ClockCache in
+// tests/reference/ exactly (required for flat Clock to stay
+// sequence-identical to that oracle).
 //
 // KeyArena packs variable-length key bytes into chunked buffers with
 // size-class free lists, so cache churn recycles key storage instead of
@@ -134,7 +135,7 @@ class KeyArena {
 /// Chunked slab of default-constructible nodes addressed by uint32 index.
 /// Reuse is LIFO; `highWater()` is the total number of indices ever handed
 /// out (free or not) — the flat clock hand sweeps modulo this, mirroring
-/// ClockCache's `slots_.size()`.
+/// the reference ClockCache's `slots_.size()`.
 template <typename T>
 class NodeSlab {
  public:

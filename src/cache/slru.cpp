@@ -1,114 +1,103 @@
-// dcache-lint: allow-file(hot-path-alloc, segments are built once in the constructor; per-op work is delegated to the segment caches)
 #include "cache/slru.hpp"
 
 #include <algorithm>
 #include <cmath>
 
-#include "cache/flat_cache.hpp"
-#include "cache/lru.hpp"
-
 namespace dcache::cache {
 
 namespace {
 
-[[nodiscard]] std::unique_ptr<KvCache> makeSegment(util::Bytes bytes,
-                                                   CacheBackend backend) {
-  if (backend == CacheBackend::kAuto) backend = defaultCacheBackend();
-  if (backend == CacheBackend::kFlat) {
-    return std::make_unique<FlatCache>(FlatMode::kLru, bytes);
-  }
-  return std::make_unique<LruCache>(bytes);
+/// The protected segment's share of `capacity`. Clamped to the total:
+/// `capacity * fraction` goes through a double, so for huge capacities
+/// rounding could overshoot it and leave the probation segment with a
+/// wrapped (or zero) capacity.
+[[nodiscard]] util::Bytes protectedShare(util::Bytes capacity,
+                                         double protectedFraction) {
+  const double fraction = std::isfinite(protectedFraction)
+                              ? std::clamp(protectedFraction, 0.0, 1.0)
+                              : 0.8;
+  return std::min(capacity * fraction, capacity);
 }
 
 }  // namespace
 
-SlruCache::SlruCache(util::Bytes capacity, double protectedFraction,
-                     CacheBackend backend)
-    : capacity_(capacity) {
-  // Clamp in integer space: `capacity * fraction` goes through a double, so
-  // for huge capacities rounding could overshoot the total and leave the
-  // probation segment with a wrapped (or zero) capacity.
-  const double fraction = std::isfinite(protectedFraction)
-                              ? std::clamp(protectedFraction, 0.0, 1.0)
-                              : 0.8;
-  std::uint64_t protectedBytes = (capacity * fraction).count();
-  protectedBytes = std::min(protectedBytes, capacity.count());
-  probation_ =
-      makeSegment(util::Bytes::of(capacity.count() - protectedBytes), backend);
-  protected_ = makeSegment(util::Bytes::of(protectedBytes), backend);
-}
+SlruCache::SlruCache(util::Bytes capacity, double protectedFraction)
+    : capacity_(capacity),
+      probation_(FlatMode::kLru,
+                 capacity - protectedShare(capacity, protectedFraction)),
+      protected_(FlatMode::kLru, protectedShare(capacity, protectedFraction)) {}
 
 const CacheEntry* SlruCache::get(std::string_view key) {
   // Protected first: the hot set lives there.
-  if (const CacheEntry* hit = protected_->peek(key)) {
-    const CacheEntry* refreshed = protected_->get(key);  // bump recency
+  if (const CacheEntry* hit = protected_.peek(key)) {
+    const CacheEntry* refreshed = protected_.get(key);  // bump recency
     ++stats_.hits;
     return refreshed ? refreshed : hit;
   }
-  if (const CacheEntry* hit = probation_->peek(key)) {
+  if (const CacheEntry* hit = probation_.peek(key)) {
     ++stats_.hits;
     // Second touch: promote to protected. Protected may evict its own LRU
     // victim; the demoted key falls out entirely (standard SLRU variant).
     // Entries too large for the protected segment stay in probation.
-    if (chargedSize(key, *hit) > protected_->capacity().count()) {
-      return probation_->get(key);  // refresh recency in place
+    if (chargedSize(key, *hit) > protected_.capacity().count()) {
+      return probation_.get(key);  // refresh recency in place
     }
     CacheEntry copy = *hit;
-    probation_->erase(key);
-    protected_->put(key, std::move(copy));
-    return protected_->peek(key);
+    probation_.erase(key);
+    protected_.put(key, std::move(copy));
+    return protected_.peek(key);
   }
   ++stats_.misses;
   return nullptr;
 }
 
 const CacheEntry* SlruCache::peek(std::string_view key) const {
-  if (const CacheEntry* hit = protected_->peek(key)) return hit;
-  return probation_->peek(key);
+  if (const CacheEntry* hit = protected_.peek(key)) return hit;
+  return probation_.peek(key);
 }
 
 void SlruCache::put(std::string_view key, CacheEntry entry) {
   const std::uint64_t need = chargedSize(key, entry);
-  if (protected_->peek(key) != nullptr) {
+  if (protected_.peek(key) != nullptr) {
     // Update in place. The segment rejects entries larger than its whole
     // capacity, leaving the old entry resident — that counts as neither
     // insertion nor overwrite (see CacheStats).
-    if (need <= protected_->capacity().count()) ++stats_.overwrites;
-    protected_->put(key, std::move(entry));
+    if (need <= protected_.capacity().count()) ++stats_.overwrites;
+    protected_.put(key, std::move(entry));
     return;
   }
-  const bool resident = probation_->peek(key) != nullptr;
+  const bool resident = probation_.peek(key) != nullptr;
   // New entries go to probation; entries the probation segment cannot hold
   // (tiny split, large object) are admitted straight to protected rather
   // than silently dropped.
-  if (need > probation_->capacity().count()) {
-    probation_->erase(key);
-    if (need <= protected_->capacity().count()) {
+  if (need > probation_.capacity().count()) {
+    probation_.erase(key);
+    if (need <= protected_.capacity().count()) {
       resident ? ++stats_.overwrites : ++stats_.insertions;
     }
-    protected_->put(key, std::move(entry));
+    protected_.put(key, std::move(entry));
     return;
   }
   resident ? ++stats_.overwrites : ++stats_.insertions;
-  probation_->put(key, std::move(entry));
+  probation_.put(key, std::move(entry));
 }
 
 bool SlruCache::erase(std::string_view key) {
-  const bool a = protected_->erase(key);
-  const bool b = probation_->erase(key);
+  const bool a = protected_.erase(key);
+  const bool b = probation_.erase(key);
   return a || b;
 }
 
 void SlruCache::clear() {
-  probation_->clear();
-  protected_->clear();
+  probation_.clear();
+  protected_.clear();
 }
 
 void SlruCache::forEachEntry(
     const std::function<void(std::string_view, const CacheEntry&)>& fn)
     const {
-  probation_->forEachEntry(fn);
-  protected_->forEachEntry(fn);
+  probation_.forEachEntry(fn);
+  protected_.forEachEntry(fn);
 }
 
 }  // namespace dcache::cache

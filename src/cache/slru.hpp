@@ -1,12 +1,11 @@
 // Segmented LRU: a probation segment admits new entries; a second hit
 // promotes into a protected segment. Scan-resistant, which matters for
 // workloads that mix a hot set with one-touch traffic (the Meta trace has
-// exactly this shape). The segment split is configurable for the ablation
-// bench.
+// exactly this shape). Both segments are flat LRU caches; the split is
+// configurable for the ablation bench.
 #pragma once
 
-#include <memory>
-
+#include "cache/flat_cache.hpp"
 #include "cache/kv_cache.hpp"
 
 namespace dcache::cache {
@@ -19,8 +18,7 @@ class SlruCache final : public KvCache {
   /// `capacity` exactly — the fraction math is done in integers so a
   /// floating-point overshoot can never push the protected segment past the
   /// total (and the probation capacity can never wrap).
-  explicit SlruCache(util::Bytes capacity, double protectedFraction = 0.8,
-                     CacheBackend backend = CacheBackend::kAuto);
+  explicit SlruCache(util::Bytes capacity, double protectedFraction = 0.8);
 
   [[nodiscard]] const CacheEntry* get(std::string_view key) override;
   void put(std::string_view key, CacheEntry entry) override;
@@ -32,26 +30,26 @@ class SlruCache final : public KvCache {
       const override;
 
   [[nodiscard]] std::size_t itemCount() const noexcept override {
-    return probation_->itemCount() + protected_->itemCount();
+    return probation_.itemCount() + protected_.itemCount();
   }
   [[nodiscard]] util::Bytes bytesUsed() const noexcept override {
-    return probation_->bytesUsed() + protected_->bytesUsed();
+    return probation_.bytesUsed() + protected_.bytesUsed();
   }
   [[nodiscard]] util::Bytes capacity() const noexcept override {
     return capacity_;
   }
 
-  [[nodiscard]] const KvCache& probationSegment() const noexcept {
-    return *probation_;
+  [[nodiscard]] const FlatCache& probationSegment() const noexcept {
+    return probation_;
   }
-  [[nodiscard]] const KvCache& protectedSegment() const noexcept {
-    return *protected_;
+  [[nodiscard]] const FlatCache& protectedSegment() const noexcept {
+    return protected_;
   }
 
  private:
   util::Bytes capacity_;
-  std::unique_ptr<KvCache> probation_;
-  std::unique_ptr<KvCache> protected_;
+  FlatCache probation_;
+  FlatCache protected_;
 };
 
 }  // namespace dcache::cache

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "cache/lru.hpp"
+#include "cache/flat_cache.hpp"
 #include "consistency/lease.hpp"
 #include "rpc/channel.hpp"
 #include "sim/event_loop.hpp"
@@ -19,8 +19,9 @@ DelayedWriteOutcome runDelayedWriteScenario(const DelayedWriteConfig& config) {
 
   sim::EventLoop loop;
   storage::KvEngine engine;
-  cache::LruCache cacheA(util::Bytes::mb(1));  // owner before the reshard
-  cache::LruCache cacheB(util::Bytes::mb(1));  // owner after the reshard
+  // Shards of the owner before (A) and after (B) the reshard.
+  cache::FlatCache cacheA(cache::FlatMode::kLru, util::Bytes::mb(1));
+  cache::FlatCache cacheB(cache::FlatMode::kLru, util::Bytes::mb(1));
 
   const std::string key = "acct:42";
   std::uint64_t storageEpoch = 1;  // ownership epoch known to storage
@@ -82,8 +83,9 @@ DelayedWriteOutcome runFaultInjectedReshardScenario(
 
   sim::EventLoop loop;
   storage::KvEngine engine;
-  cache::LruCache cacheA(util::Bytes::mb(1));  // shard of the doomed owner
-  cache::LruCache cacheB(util::Bytes::mb(1));  // shard of the successor
+  // Shards of the doomed owner (A) and of its successor (B).
+  cache::FlatCache cacheA(cache::FlatMode::kLru, util::Bytes::mb(1));
+  cache::FlatCache cacheB(cache::FlatMode::kLru, util::Bytes::mb(1));
 
   // Real fencing machinery: node 0 owns the key's partition under a lease
   // granted by the storage authority; the crash revokes it.

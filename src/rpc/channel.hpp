@@ -227,13 +227,6 @@ class Channel {
                               sim::CpuComponent framingComponent =
                                   sim::CpuComponent::kRpcFraming) noexcept;
 
-  /// Convenience for typed messages exposing encodedSize().
-  template <typename Request, typename Response>
-  CallResult callTyped(sim::Node& client, sim::Node& server,
-                       const Request& request, const Response& response) {
-    return call(client, server, request.encodedSize(), response.encodedSize());
-  }
-
   /// Arm the fault path: seeds the drop/jitter RNG and makes call()
   /// delegate to callWithPolicy(`policy`). Never armed by default, so the
   /// fast path (and its accounting) is byte-identical to a channel built
@@ -280,9 +273,6 @@ class Channel {
   /// an installed observer never fires.
   void setCallObserver(CallObserver* observer) noexcept {
     observer_ = observer;
-  }
-  [[nodiscard]] CallObserver* callObserver() const noexcept {
-    return observer_;
   }
 
   /// Arm hedged requests (callHedged falls back to callWithPolicy when

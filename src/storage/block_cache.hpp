@@ -6,8 +6,7 @@
 // immediately following read is cheap — write-invalidate would overstate
 // disk traffic).
 //
-// Runs on the flat slab/open-addressing backend (flat_cache.hpp), which is
-// sequence-identical to the node ClockCache it replaced.
+// Runs on FlatCache's Clock mode (flat_cache.hpp).
 #pragma once
 
 #include <cstdint>

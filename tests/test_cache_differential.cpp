@@ -1,10 +1,10 @@
-// Differential fuzz between the node-based and flat (slab + open-addressing)
-// cache backends: both are driven in lockstep over seeded op streams and
-// must agree on every observable — hit/miss per get, stats counters, item
-// counts, byte accounting and (for LRU/FIFO) the next eviction victim. This
-// is the lock that lets the flat backend claim sequence-identity, plus the
-// SlruCache constructor-clamp regressions and the accounting-invariant
-// death test from the same bugfix sweep.
+// Differential fuzz between the production caches built by makeCache and
+// the textbook list/map oracles in tests/reference/: both are driven in
+// lockstep over seeded op streams and must agree on every observable —
+// hit/miss per get, stats counters, item counts, byte accounting and (for
+// LRU) the next eviction victim. This is the lock that lets FlatCache claim
+// sequence-identity, plus the SlruCache constructor-clamp regressions and
+// the accounting-invariant death test from the same bugfix sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,35 +15,37 @@
 
 #include "cache/flat_cache.hpp"
 #include "cache/kv_cache.hpp"
-#include "cache/lru.hpp"
 #include "cache/slru.hpp"
+#include "reference/clock.hpp"
+#include "reference/fifo.hpp"
+#include "reference/lru.hpp"
 #include "util/rng.hpp"
 
 namespace dcache::cache {
 namespace {
 
-void expectSameState(const KvCache& node, const KvCache& flat,
+void expectSameState(const KvCache& oracle, const KvCache& flat,
                      std::size_t step) {
-  ASSERT_EQ(node.itemCount(), flat.itemCount()) << "step " << step;
-  ASSERT_EQ(node.bytesUsed().count(), flat.bytesUsed().count())
+  ASSERT_EQ(oracle.itemCount(), flat.itemCount()) << "step " << step;
+  ASSERT_EQ(oracle.bytesUsed().count(), flat.bytesUsed().count())
       << "step " << step;
-  const CacheStats& ns = node.stats();
+  const CacheStats& os = oracle.stats();
   const CacheStats& fs = flat.stats();
-  ASSERT_EQ(ns.hits, fs.hits) << "step " << step;
-  ASSERT_EQ(ns.misses, fs.misses) << "step " << step;
-  ASSERT_EQ(ns.insertions, fs.insertions) << "step " << step;
-  ASSERT_EQ(ns.overwrites, fs.overwrites) << "step " << step;
-  ASSERT_EQ(ns.evictions, fs.evictions) << "step " << step;
+  ASSERT_EQ(os.hits, fs.hits) << "step " << step;
+  ASSERT_EQ(os.misses, fs.misses) << "step " << step;
+  ASSERT_EQ(os.insertions, fs.insertions) << "step " << step;
+  ASSERT_EQ(os.overwrites, fs.overwrites) << "step " << step;
+  ASSERT_EQ(os.evictions, fs.evictions) << "step " << step;
 }
 
-/// Drives both backends with an identical seeded stream of get/put/erase/
-/// peek ops over a keyspace sized to force constant eviction churn.
+/// Drives the oracle and makeCache(policy) with an identical seeded stream
+/// of get/put/erase/peek ops over a keyspace sized to force constant
+/// eviction churn.
+template <typename Oracle>
 void runDifferential(EvictionPolicy policy, std::uint64_t seed,
                      std::size_t ops) {
-  auto node = makeCache(policy, util::Bytes::of(40 * 200),
-                        CacheBackend::kNode);
-  auto flat = makeCache(policy, util::Bytes::of(40 * 200),
-                        CacheBackend::kFlat);
+  Oracle oracle(util::Bytes::of(40 * 200));
+  auto flat = makeCache(policy, util::Bytes::of(40 * 200));
   util::Pcg32 rng(seed, 7);
 
   for (std::size_t step = 0; step < ops; ++step) {
@@ -54,7 +56,7 @@ void runDifferential(EvictionPolicy policy, std::uint64_t seed,
       case 1:
       case 2:
       case 3: {  // get dominates, as in the serve path
-        const CacheEntry* a = node->get(key);
+        const CacheEntry* a = oracle.get(key);
         const CacheEntry* b = flat->get(key);
         ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
         if (a != nullptr) {
@@ -66,64 +68,58 @@ void runDifferential(EvictionPolicy policy, std::uint64_t seed,
       case 4:
       case 5: {  // put with varying sizes to exercise accounting
         const std::uint64_t size = 50 + rng.next() % 150;
-        node->put(key, CacheEntry::sized(size, step));
+        oracle.put(key, CacheEntry::sized(size, step));
         flat->put(key, CacheEntry::sized(size, step));
         break;
       }
       case 6: {
-        ASSERT_EQ(node->erase(key), flat->erase(key)) << "step " << step;
+        ASSERT_EQ(oracle.erase(key), flat->erase(key)) << "step " << step;
         break;
       }
-      default: {  // peek must not touch stats on either backend
-        const CacheEntry* a = node->peek(key);
+      default: {  // peek must not touch stats on either side
+        const CacheEntry* a = oracle.peek(key);
         const CacheEntry* b = flat->peek(key);
         ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
         break;
       }
     }
-    expectSameState(*node, *flat, step);
+    expectSameState(oracle, *flat, step);
   }
   // Conservation: replaying the resident set must account to bytesUsed.
-  ASSERT_LE(node->bytesUsed().count(), node->capacity().count());
+  ASSERT_LE(oracle.bytesUsed().count(), oracle.capacity().count());
   ASSERT_LE(flat->bytesUsed().count(), flat->capacity().count());
 }
 
 TEST(CacheDifferential, LruLockstep) {
-  runDifferential(EvictionPolicy::kLru, 0x1234, 20000);
-  runDifferential(EvictionPolicy::kLru, 0xbeef, 20000);
+  runDifferential<LruCache>(EvictionPolicy::kLru, 0x1234, 20000);
+  runDifferential<LruCache>(EvictionPolicy::kLru, 0xbeef, 20000);
 }
 
 TEST(CacheDifferential, FifoLockstep) {
-  runDifferential(EvictionPolicy::kFifo, 0x5678, 20000);
-  runDifferential(EvictionPolicy::kFifo, 0xcafe, 20000);
+  runDifferential<FifoCache>(EvictionPolicy::kFifo, 0x5678, 20000);
+  runDifferential<FifoCache>(EvictionPolicy::kFifo, 0xcafe, 20000);
 }
 
 TEST(CacheDifferential, ClockLockstep) {
-  runDifferential(EvictionPolicy::kClock, 0x9abc, 20000);
-  runDifferential(EvictionPolicy::kClock, 0xf00d, 20000);
-}
-
-TEST(CacheDifferential, SlruLockstep) {
-  // SLRU composes two LRU segments; flat mode swaps both segments to the
-  // flat backend, so the whole promotion dance must agree too.
-  runDifferential(EvictionPolicy::kSlru, 0xdef0, 20000);
+  runDifferential<ClockCache>(EvictionPolicy::kClock, 0x9abc, 20000);
+  runDifferential<ClockCache>(EvictionPolicy::kClock, 0xf00d, 20000);
 }
 
 TEST(CacheDifferential, LruVictimParity) {
-  LruCache node(util::Bytes::of(10 * 200));
+  LruCache oracle(util::Bytes::of(10 * 200));
   FlatCache flat(FlatMode::kLru, util::Bytes::of(10 * 200));
   util::Pcg32 rng(42, 3);
   for (std::size_t step = 0; step < 5000; ++step) {
     const std::string key =
         "victim-key-" + std::to_string(rng.next() % 40);
     if (rng.next() % 3 == 0) {
-      (void)node.get(key);
+      (void)oracle.get(key);
       (void)flat.get(key);
     } else {
-      node.put(key, CacheEntry::sized(100));
+      oracle.put(key, CacheEntry::sized(100));
       flat.put(key, CacheEntry::sized(100));
     }
-    ASSERT_EQ(node.victim(), flat.victim()) << "step " << step;
+    ASSERT_EQ(oracle.victim(), flat.victim()) << "step " << step;
   }
 }
 
@@ -194,17 +190,15 @@ TEST(CacheInvariantDeathTest, ViolationAborts) {
 }
 
 TEST(CacheInvariantDeathTest, HoldsOnHealthyChurn) {
-  // The eviction invariant stays quiet across heavy churn on every backend.
-  for (const auto backend : {CacheBackend::kNode, CacheBackend::kFlat}) {
-    for (const auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
-                              EvictionPolicy::kClock}) {
-      auto cache = makeCache(policy, util::Bytes::of(5 * 200), backend);
-      for (int i = 0; i < 2000; ++i) {
-        cache->put("churn-" + std::to_string(i % 50),
-                   CacheEntry::sized(static_cast<std::uint64_t>(40 + i % 100)));
-      }
-      EXPECT_LE(cache->bytesUsed().count(), cache->capacity().count());
+  // The eviction invariant stays quiet across heavy churn.
+  for (const auto policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo,
+                            EvictionPolicy::kClock}) {
+    auto cache = makeCache(policy, util::Bytes::of(5 * 200));
+    for (int i = 0; i < 2000; ++i) {
+      cache->put("churn-" + std::to_string(i % 50),
+                 CacheEntry::sized(static_cast<std::uint64_t>(40 + i % 100)));
     }
+    EXPECT_LE(cache->bytesUsed().count(), cache->capacity().count());
   }
 }
 

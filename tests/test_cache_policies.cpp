@@ -1,19 +1,16 @@
-// Eviction policy tests: exact LRU semantics against a reference model,
-// policy-specific behaviours (CLOCK second chance, SLRU promotion, FIFO
-// recency-blindness, TTL expiry), and a parameterized contract suite run
-// over every policy.
+// Eviction policy tests on the production caches: exact LRU semantics
+// against a reference model, policy-specific behaviours (CLOCK second
+// chance, SLRU promotion, FIFO recency-blindness), and a parameterized
+// contract suite run over every policy.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
 #include <string>
 
-#include "cache/clock.hpp"
-#include "cache/fifo.hpp"
+#include "cache/flat_cache.hpp"
 #include "cache/kv_cache.hpp"
-#include "cache/lru.hpp"
 #include "cache/slru.hpp"
-#include "cache/ttl.hpp"
 #include "util/rng.hpp"
 
 namespace dcache::cache {
@@ -29,7 +26,7 @@ namespace {
 }
 
 TEST(Lru, EvictsLeastRecentlyUsed) {
-  LruCache cache(capacityFor(3));
+  FlatCache cache(FlatMode::kLru, capacityFor(3));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   cache.put(key(3), CacheEntry::sized(1));
@@ -42,7 +39,7 @@ TEST(Lru, EvictsLeastRecentlyUsed) {
 }
 
 TEST(Lru, VictimIsOldest) {
-  LruCache cache(capacityFor(10));
+  FlatCache cache(FlatMode::kLru, capacityFor(10));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   EXPECT_EQ(cache.victim(), key(1));
@@ -52,7 +49,7 @@ TEST(Lru, VictimIsOldest) {
 
 TEST(Lru, MatchesReferenceModelOnRandomTrace) {
   constexpr std::size_t kCap = 8;
-  LruCache cache(capacityFor(kCap));
+  FlatCache cache(FlatMode::kLru, capacityFor(kCap));
   std::deque<std::string> model;  // front = MRU
   util::Pcg32 rng(21, 1);
 
@@ -80,7 +77,7 @@ TEST(Lru, MatchesReferenceModelOnRandomTrace) {
 }
 
 TEST(Lru, ByteCapacityCountsEntrySizes) {
-  LruCache cache(util::Bytes::of(3000));
+  FlatCache cache(FlatMode::kLru, util::Bytes::of(3000));
   cache.put("big1", CacheEntry::sized(1200));
   cache.put("big2", CacheEntry::sized(1200));
   EXPECT_EQ(cache.itemCount(), 2u);
@@ -91,14 +88,14 @@ TEST(Lru, ByteCapacityCountsEntrySizes) {
 }
 
 TEST(Lru, OversizedEntryNotAdmitted) {
-  LruCache cache(util::Bytes::of(500));
+  FlatCache cache(FlatMode::kLru, util::Bytes::of(500));
   cache.put("huge", CacheEntry::sized(1000));
   EXPECT_EQ(cache.itemCount(), 0u);
   EXPECT_EQ(cache.peek("huge"), nullptr);
 }
 
 TEST(Lru, UpdateInPlaceAdjustsBytes) {
-  LruCache cache(util::Bytes::of(10000));
+  FlatCache cache(FlatMode::kLru, util::Bytes::of(10000));
   cache.put("k", CacheEntry::sized(100));
   const auto before = cache.bytesUsed();
   cache.put("k", CacheEntry::sized(200));
@@ -107,7 +104,7 @@ TEST(Lru, UpdateInPlaceAdjustsBytes) {
 }
 
 TEST(Lru, PeekDoesNotAffectRecencyOrStats) {
-  LruCache cache(capacityFor(2));
+  FlatCache cache(FlatMode::kLru, capacityFor(2));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   const auto statsBefore = cache.stats();
@@ -118,7 +115,7 @@ TEST(Lru, PeekDoesNotAffectRecencyOrStats) {
 }
 
 TEST(Fifo, IgnoresRecency) {
-  FifoCache cache(capacityFor(3));
+  FlatCache cache(FlatMode::kFifo, capacityFor(3));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   cache.put(key(3), CacheEntry::sized(1));
@@ -129,7 +126,7 @@ TEST(Fifo, IgnoresRecency) {
 }
 
 TEST(Fifo, OverwriteKeepsQueuePosition) {
-  FifoCache cache(capacityFor(2));
+  FlatCache cache(FlatMode::kFifo, capacityFor(2));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   cache.put(key(1), CacheEntry::sized(1));  // overwrite, still oldest
@@ -139,7 +136,7 @@ TEST(Fifo, OverwriteKeepsQueuePosition) {
 }
 
 TEST(Clock, SecondChanceSparesReferencedEntries) {
-  ClockCache cache(capacityFor(3));
+  FlatCache cache(FlatMode::kClock, capacityFor(3));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   cache.put(key(3), CacheEntry::sized(1));
@@ -153,7 +150,7 @@ TEST(Clock, SecondChanceSparesReferencedEntries) {
 }
 
 TEST(Clock, SlotReuseAfterErase) {
-  ClockCache cache(capacityFor(4));
+  FlatCache cache(FlatMode::kClock, capacityFor(4));
   cache.put(key(1), CacheEntry::sized(1));
   cache.put(key(2), CacheEntry::sized(1));
   EXPECT_TRUE(cache.erase(key(1)));
@@ -182,84 +179,6 @@ TEST(Slru, ScanResistance) {
     cache.put(key(i), CacheEntry::sized(1));  // scan traffic
   }
   EXPECT_NE(cache.peek("hot"), nullptr);
-}
-
-TEST(Ttl, ExpiresAfterDeadline) {
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(10)), 1000);
-  cache.put("k", CacheEntry::sized(1), /*now=*/0);
-  EXPECT_NE(cache.get("k", 500), nullptr);
-  EXPECT_EQ(cache.get("k", 1000), nullptr);  // expired exactly at deadline
-  EXPECT_EQ(cache.expirations(), 1u);
-  EXPECT_EQ(cache.inner().itemCount(), 0u);  // reclaimed
-}
-
-TEST(Ttl, PutRefreshesDeadline) {
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(10)), 1000);
-  cache.put("k", CacheEntry::sized(1), 0);
-  cache.put("k", CacheEntry::sized(1), 900);
-  EXPECT_NE(cache.get("k", 1500), nullptr);  // deadline moved to 1900
-}
-
-TEST(Ttl, SweepReclaimsEagerly) {
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(10)), 100);
-  cache.put("a", CacheEntry::sized(1), 0);
-  cache.put("b", CacheEntry::sized(1), 50);
-  cache.put("c", CacheEntry::sized(1), 200);
-  EXPECT_EQ(cache.sweep(160), 2u);  // a and b expired
-  EXPECT_EQ(cache.inner().itemCount(), 1u);
-}
-
-// ---- Regressions: deadlines of inner-policy eviction victims. The TTL
-// wrapper never sees the inner policy evict, so it must reconcile its
-// deadline map lazily instead of trusting it. ----
-
-TEST(Ttl, InnerEvictionIsNotAnExpiration) {
-  // LRU evicts "a" silently; its stale deadline must not surface later as
-  // a phantom TTL expiration.
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(2)), 1000);
-  cache.put(key(1), CacheEntry::sized(1), 0);
-  cache.put(key(2), CacheEntry::sized(1), 0);
-  cache.put(key(3), CacheEntry::sized(1), 0);  // evicts key(1) inside LRU
-  ASSERT_EQ(cache.inner().peek(key(1)), nullptr);
-  EXPECT_EQ(cache.get(key(1), 1500), nullptr);  // past the old deadline
-  EXPECT_EQ(cache.expirations(), 0u);           // eviction, not expiration
-  EXPECT_EQ(cache.trackedDeadlines(), 2u);      // stale entry pruned
-}
-
-TEST(Ttl, SweepIgnoresDeadlinesOfEvictedKeys) {
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(2)), 100);
-  cache.put(key(1), CacheEntry::sized(1), 0);
-  cache.put(key(2), CacheEntry::sized(1), 0);
-  cache.put(key(3), CacheEntry::sized(1), 0);  // evicts key(1) inside LRU
-  // Only the two resident keys count as reclaimed; key(1)'s orphaned
-  // deadline is dropped without inflating the expiration stats.
-  EXPECT_EQ(cache.sweep(200), 2u);
-  EXPECT_EQ(cache.expirations(), 2u);
-  EXPECT_EQ(cache.trackedDeadlines(), 0u);
-  EXPECT_EQ(cache.inner().itemCount(), 0u);
-}
-
-TEST(Ttl, EvictedVictimReinsertGetsFreshDeadline) {
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(2)), 1000);
-  cache.put(key(1), CacheEntry::sized(1), 0);  // deadline 1000
-  cache.put(key(2), CacheEntry::sized(1), 0);
-  cache.put(key(3), CacheEntry::sized(1), 0);  // evicts key(1)
-  cache.put(key(1), CacheEntry::sized(1), 1500);  // re-insert after eviction
-  // The re-inserted entry must live a full TTL (until 2500), not inherit
-  // the long-dead deadline from its first life.
-  EXPECT_NE(cache.get(key(1), 2400), nullptr);
-  EXPECT_EQ(cache.get(key(1), 2500), nullptr);
-  EXPECT_EQ(cache.expirations(), 1u);
-}
-
-TEST(Ttl, DeadlineMapStaysBounded) {
-  // A small inner cache under a large churning keyspace: the deadline map
-  // must track the resident set, not every key ever inserted.
-  TtlCache cache(std::make_unique<LruCache>(capacityFor(4)), 1'000'000'000);
-  for (int i = 0; i < 10000; ++i) {
-    cache.put(key(i), CacheEntry::sized(1), static_cast<std::uint64_t>(i));
-  }
-  EXPECT_LE(cache.trackedDeadlines(), 2 * cache.inner().itemCount() + 64);
 }
 
 // ---- Contract suite: every policy must satisfy these. ----

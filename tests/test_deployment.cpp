@@ -1,10 +1,12 @@
 // Integration tests: full deployments of all four architectures serving
 // real workload streams — hit ratios, cost ordering, component charging,
-// version-check behaviour and the rich-object serving mode.
+// version-check behaviour, TTL freshness and the rich-object serving mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "core/deployment.hpp"
 #include "core/experiment.hpp"
@@ -222,6 +224,104 @@ TEST(Deployment, TtlBookkeepingTracksCacheOccupancyNotKeyspace) {
   EXPECT_GT(deployment.counters().cacheMisses, 10000u);  // real churn
   EXPECT_LE(deployment.ttlBookkeepingSize(),
             std::max<std::size_t>(1024, 2 * items) + 1);
+}
+
+// ---- TTL freshness (DeploymentConfig::ttlFreshnessMicros), key by key at
+// explicit sim times ----
+
+class LinkedTtl : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kTtl = 1'000;
+  static constexpr std::uint64_t kKey = 7;
+
+  /// Linked deployment with a kTtl freshness bound, storage populated.
+  void start(bool writeThrough = true,
+             util::Bytes perNode = util::Bytes::mb(64)) {
+    DeploymentConfig config = smallDeployment(Architecture::kLinked);
+    config.ttlFreshnessMicros = kTtl;
+    config.writeThroughCache = writeThrough;
+    config.appCachePerNode = perNode;
+    deployment_ = std::make_unique<Deployment>(config);
+    deployment_->populateKv(workload::SyntheticWorkload(smallWorkload()));
+  }
+  /// Read `keyIndex` at sim time `atMicros`; true when the cache served it.
+  bool readHits(std::uint64_t atMicros, std::uint64_t keyIndex = kKey) {
+    return serveAt(atMicros, workload::OpType::kRead, keyIndex).cacheHit;
+  }
+  void writeAt(std::uint64_t atMicros) {
+    serveAt(atMicros, workload::OpType::kWrite, kKey);
+  }
+  [[nodiscard]] std::uint64_t expirations() const {
+    return deployment_->counters().ttlExpirations;
+  }
+
+  std::unique_ptr<Deployment> deployment_;
+
+ private:
+  Deployment::OpResult serveAt(std::uint64_t atMicros, workload::OpType type,
+                               std::uint64_t keyIndex) {
+    deployment_->setSimTimeMicros(atMicros);
+    return deployment_->serve(workload::Op{type, keyIndex, 1024});
+  }
+};
+
+TEST_F(LinkedTtl, DeadlineIsInclusiveAndHitsDoNotExtendIt) {
+  start();
+  EXPECT_FALSE(readHits(10'000));  // miss: filled at 10'000
+  EXPECT_TRUE(readHits(10'000 + kTtl - 1));
+  EXPECT_EQ(expirations(), 0u);
+  const std::uint64_t storageReads = deployment_->counters().storageReads;
+  EXPECT_FALSE(readHits(10'000 + kTtl));  // expired exactly at the deadline
+  EXPECT_EQ(expirations(), 1u);
+  EXPECT_EQ(deployment_->counters().storageReads, storageReads + 1);
+  // The revalidation refilled the entry with a full TTL of its own.
+  EXPECT_TRUE(readHits(10'000 + 2 * kTtl - 1));
+  EXPECT_EQ(expirations(), 1u);
+}
+
+TEST_F(LinkedTtl, WriteThroughRestartsTheClock) {
+  start();
+  EXPECT_FALSE(readHits(0));
+  writeAt(600);
+  EXPECT_TRUE(readHits(kTtl));  // past the fill's deadline, not the write's
+  EXPECT_TRUE(readHits(600 + kTtl - 1));
+  EXPECT_FALSE(readHits(600 + kTtl));
+  EXPECT_EQ(expirations(), 1u);
+}
+
+TEST_F(LinkedTtl, InvalidatingWriteDropsEntryAndFillTime) {
+  start(/*writeThrough=*/false);
+  EXPECT_FALSE(readHits(0));
+  EXPECT_EQ(deployment_->ttlBookkeepingSize(), 1u);
+  writeAt(100);
+  EXPECT_EQ(deployment_->linkedCache()->itemCount(), 0u);
+  EXPECT_EQ(deployment_->ttlBookkeepingSize(), 0u);
+  // The next read is a plain miss, and its refill starts a fresh deadline.
+  EXPECT_FALSE(readHits(5'000));
+  EXPECT_EQ(expirations(), 0u);
+  EXPECT_TRUE(readHits(5'000 + kTtl - 1));
+  EXPECT_FALSE(readHits(5'000 + kTtl));
+  EXPECT_EQ(expirations(), 1u);
+}
+
+TEST_F(LinkedTtl, EvictionIsNotAnExpirationAndRefillGetsFreshDeadline) {
+  start(/*writeThrough=*/true, util::Bytes::of(4 * 1200));  // ~4 per shard
+  cache::LinkedCache& linked = *deployment_->linkedCache();
+  const std::string key = workload::keyName(kKey);
+  const std::size_t owner = linked.ownerOf(key);
+  EXPECT_FALSE(readHits(0));
+  // Fill the owner's shard with other keys until LRU pressure evicts kKey.
+  for (std::uint64_t k = kKey + 1;
+       k < 100 && linked.shard(owner).peek(key) != nullptr; ++k) {
+    if (linked.ownerOf(workload::keyName(k)) == owner) readHits(1, k);
+  }
+  ASSERT_EQ(linked.shard(owner).peek(key), nullptr);
+  // Long past the first fill's deadline: a plain miss, not an expiration.
+  EXPECT_FALSE(readHits(5 * kTtl));
+  EXPECT_EQ(expirations(), 0u);
+  EXPECT_TRUE(readHits(6 * kTtl - 1));
+  EXPECT_FALSE(readHits(6 * kTtl));
+  EXPECT_EQ(expirations(), 1u);
 }
 
 TEST(Deployment, TotalCacheMemoryProvisioned) {

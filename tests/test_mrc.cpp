@@ -1,13 +1,13 @@
 // Miss-ratio curve machinery: exact Mattson stack distances, agreement with
-// a real LRU cache, Che approximation sanity, and the Zipf analytic curve
-// the Section-4 model builds on.
+// the production LRU cache, Che approximation sanity, and the Zipf analytic
+// curve the Section-4 model builds on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <string>
 
-#include "cache/lru.hpp"
+#include "cache/flat_cache.hpp"
 #include "cache/mrc.hpp"
 #include "util/rng.hpp"
 #include "workload/zipf.hpp"
@@ -56,7 +56,7 @@ TEST_P(MattsonVsLru, PredictionMatchesSimulation) {
   const std::string sampleKey = "k0000";
   const std::uint64_t perEntry =
       kEntryOverheadBytes + sampleKey.size() + 1;
-  LruCache cache(util::Bytes::of(capacityItems * perEntry));
+  FlatCache cache(FlatMode::kLru, util::Bytes::of(capacityItems * perEntry));
   MattsonProfiler profiler;
 
   util::Pcg32 rng(23, 1);

@@ -519,9 +519,9 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
 
   for (const SourceFile& f : in.files) {
     // The serve-path whitelist: the slab/arena storage, the flat cache, and
-    // the SLRU wrapper whose segments are flat caches. The node-based
-    // reference backends (lru.cpp, clock.cpp, ...) allocate per entry by
-    // design and are deliberately out of scope.
+    // the SLRU wrapper whose segments are flat caches. The node-based LFU
+    // and S3-FIFO and the test-only oracle in tests/reference/ allocate per
+    // entry by design and are deliberately out of scope.
     if (!fileIs(f, {"src/cache/slab.hpp", "src/cache/flat_cache.hpp",
                     "src/cache/flat_cache.cpp", "src/cache/slru.cpp"})) {
       continue;
