@@ -255,7 +255,7 @@ double Deployment::clientLeg(sim::Node& app, std::size_t appIndex,
         break;
       }
     }
-    const rpc::PolicyCallResult hedged = channel_->callHedged(
+    const rpc::CallResult hedged = channel_->callHedged(
         client_->node(0), app, backup, requestBytes, responseBytes,
         config_.rpcPolicy, /*marshal=*/true, sim::CpuComponent::kClientComm);
     if (!hedged.ok && countFailure) ++counters_.failedOps;

@@ -26,8 +26,6 @@ class ChannelTest : public ::testing::Test {
 
 TEST_F(ChannelTest, UnaryCallChargesAllFourLegs) {
   const auto result = channel_.call(client_, server_, 100, 1000);
-  EXPECT_EQ(result.requestBytes, 100u);
-  EXPECT_EQ(result.responseBytes, 1000u);
   EXPECT_GT(result.latencyMicros, 0.0);
 
   const SerializationModel& s = channel_.serializer();
