@@ -7,9 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
-#include "rpc/batch.hpp"
 #include "rpc/messages.hpp"
 #include "rpc/wire.hpp"
 
@@ -75,67 +73,6 @@ void BM_VarintDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_VarintDecode);
-
-// Batched request buffers vs per-op message objects: the same 64 cache ops
-// shipped as one RequestBatch (arena reused across iterations — the serve
-// loop's steady state) against 64 individually constructed GetRequests each
-// with its own encoder. This is the allocation ablation behind the batch
-// subsystem.
-void BM_BatchEncode(benchmark::State& state) {
-  const int ops = static_cast<int>(state.range(0));
-  std::vector<std::string> keys;
-  keys.reserve(static_cast<std::size_t>(ops));
-  for (int i = 0; i < ops; ++i) keys.push_back("user:" + std::to_string(i));
-  rpc::RequestBatch batch;
-  for (auto _ : state) {
-    batch.clear();  // keeps the arena: zero allocations at steady state
-    for (const auto& key : keys) batch.appendGet(key);
-    benchmark::DoNotOptimize(batch.encodedSize());
-  }
-  state.SetItemsProcessed(state.iterations() * ops);
-}
-BENCHMARK(BM_BatchEncode)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_PerOpEncode(benchmark::State& state) {
-  const int ops = static_cast<int>(state.range(0));
-  std::vector<std::string> keys;
-  keys.reserve(static_cast<std::size_t>(ops));
-  for (int i = 0; i < ops; ++i) keys.push_back("user:" + std::to_string(i));
-  for (auto _ : state) {
-    std::uint64_t total = 0;
-    for (const auto& key : keys) {
-      rpc::GetRequest req;
-      req.key = key;
-      rpc::WireEncoder enc;
-      req.encode(enc);
-      total += enc.size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * ops);
-}
-BENCHMARK(BM_PerOpEncode)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_BatchDecode(benchmark::State& state) {
-  const int ops = static_cast<int>(state.range(0));
-  rpc::RequestBatch batch;
-  for (int i = 0; i < ops; ++i) {
-    batch.appendPut("user:" + std::to_string(i), "payload-bytes",
-                    static_cast<std::uint64_t>(i));
-  }
-  rpc::WireEncoder enc;
-  batch.encode(enc);
-  const std::string bytes(enc.view());
-  for (auto _ : state) {
-    auto reader = rpc::BatchReader::decode(bytes);
-    std::uint64_t sum = 0;
-    rpc::BatchItem item;
-    while (reader && reader->next(item)) sum += item.key.size();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * ops);
-}
-BENCHMARK(BM_BatchDecode)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_SqlRequestRoundtrip(benchmark::State& state) {
   const rpc::SqlRequest req{

@@ -6,7 +6,6 @@
 #include <limits>
 #include <string>
 
-#include "rpc/batch.hpp"
 #include "rpc/messages.hpp"
 #include "rpc/wire.hpp"
 #include "rpc/wire_size.hpp"
@@ -304,122 +303,6 @@ TEST_P(WireSizeEquivalence, HelpersMatchRealMessages) {
 INSTANTIATE_TEST_SUITE_P(Lengths, WireSizeEquivalence,
                          ::testing::Values(0, 1, 7, 127, 128, 129, 300, 16383,
                                            16384, 65536));
-
-// --- Batched request buffers ---
-
-TEST(Batch, RoundTripMixedOps) {
-  RequestBatch batch;
-  batch.appendGet("alpha");
-  batch.appendPut("beta", "value-bytes", 42);
-  batch.appendInvalidate("gamma");
-  batch.appendPut("", "", 0);  // empty key/value is legal on the wire
-  ASSERT_EQ(batch.size(), 4u);
-
-  WireEncoder enc;
-  batch.encode(enc);
-  EXPECT_EQ(enc.size(), batch.encodedSize());
-
-  auto reader = BatchReader::decode(enc.view());
-  ASSERT_TRUE(reader.has_value());
-  EXPECT_EQ(reader->expectedCount(), 4u);
-
-  BatchItem item;
-  ASSERT_TRUE(reader->next(item));
-  EXPECT_EQ(item.op, BatchOp::kGet);
-  EXPECT_EQ(item.key, "alpha");
-
-  ASSERT_TRUE(reader->next(item));
-  EXPECT_EQ(item.op, BatchOp::kPut);
-  EXPECT_EQ(item.key, "beta");
-  EXPECT_EQ(item.value, "value-bytes");
-  EXPECT_EQ(item.version, 42u);
-
-  ASSERT_TRUE(reader->next(item));
-  EXPECT_EQ(item.op, BatchOp::kInvalidate);
-  EXPECT_EQ(item.key, "gamma");
-
-  ASSERT_TRUE(reader->next(item));
-  EXPECT_EQ(item.op, BatchOp::kPut);
-  EXPECT_TRUE(item.key.empty());
-  EXPECT_TRUE(item.value.empty());
-  EXPECT_EQ(item.version, 0u);
-
-  EXPECT_FALSE(reader->next(item));
-  EXPECT_TRUE(reader->ok());
-  EXPECT_EQ(reader->consumed(), 4u);
-}
-
-TEST(Batch, ClearKeepsNothingButReuses) {
-  RequestBatch batch;
-  batch.appendGet("one");
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  batch.appendInvalidate("two");
-  WireEncoder enc;
-  batch.encode(enc);
-  auto reader = BatchReader::decode(enc.view());
-  ASSERT_TRUE(reader.has_value());
-  BatchItem item;
-  ASSERT_TRUE(reader->next(item));
-  EXPECT_EQ(item.op, BatchOp::kInvalidate);
-  EXPECT_EQ(item.key, "two");
-  EXPECT_FALSE(reader->next(item));
-}
-
-TEST(Batch, PerOpSizeHelpersMatchArenaGrowth) {
-  RequestBatch batch;
-  std::uint64_t predicted = 0;
-  const std::string shortKey = "k";
-  const std::string longKey(300, 'K');  // multi-byte varint length
-  const std::string value(200, 'v');
-
-  batch.appendGet(shortKey);
-  predicted += batchKeyOpWireSize(shortKey.size());
-  batch.appendInvalidate(longKey);
-  predicted += batchKeyOpWireSize(longKey.size());
-  batch.appendPut(longKey, value, 7);
-  predicted += batchPutOpWireSize(longKey.size(), value.size());
-
-  EXPECT_EQ(batch.records().size(), predicted);
-}
-
-TEST(Batch, DecodeRejectsMalformedBytes) {
-  RequestBatch batch;
-  batch.appendPut("key", "value", 1);
-  WireEncoder enc;
-  batch.encode(enc);
-  const std::string bytes(enc.view());
-
-  // Truncations anywhere must fail cleanly: either decode() refuses or the
-  // reader stops with ok() == false — never UB, never a fabricated record.
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    const auto reader = BatchReader::decode(bytes.substr(0, cut));
-    if (!reader.has_value()) continue;
-    BatchReader r = *reader;
-    BatchItem item;
-    std::uint32_t yielded = 0;
-    while (r.next(item)) ++yielded;
-    EXPECT_TRUE(yielded == 0 || !r.ok() || yielded < r.expectedCount())
-        << "cut " << cut;
-  }
-
-  // A batch whose claimed count exceeds what one byte per record allows is
-  // rejected up front.
-  WireEncoder lying;
-  lying.writeUint(1, 100);
-  lying.writeBytes(2, "xx");
-  EXPECT_FALSE(BatchReader::decode(lying.view()).has_value());
-
-  // An op byte outside the enum poisons the reader.
-  WireEncoder badOp;
-  badOp.writeUint(1, 1);
-  badOp.writeBytes(2, std::string(1, '\x7f'));
-  auto reader = BatchReader::decode(badOp.view());
-  ASSERT_TRUE(reader.has_value());
-  BatchItem item;
-  EXPECT_FALSE(reader->next(item));
-  EXPECT_FALSE(reader->ok());
-}
 
 }  // namespace
 }  // namespace dcache::rpc
