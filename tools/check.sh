@@ -8,9 +8,12 @@
 #   2. ASan+UBSan build of everything, full ctest, parallel benches, and a
 #      byte-identical --jobs 1 vs --jobs 8 diff of every deterministic
 #      bench (micro_* are wall-clock and carry lint allows instead).
-#   3. ThreadSanitizer build running the `tsan`-labeled tests and a traced
+#   3. The benchmark's own correctness gate: hostbench/run.py at tiny size,
+#      checking every cell's simulated-output digest against
+#      hostbench/reference.json.
+#   4. ThreadSanitizer build running the `tsan`-labeled tests and a traced
 #      parallel bench.
-#   4. (opt-in) clang-tidy over src/ when RUN_CLANG_TIDY=1; skipped
+#   5. (opt-in) clang-tidy over src/ when RUN_CLANG_TIDY=1; skipped
 #      gracefully when clang-tidy is not installed.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-asan)
@@ -83,6 +86,34 @@ for bench in "${TIMELINE_BENCHES[@]}"; do
 done
 
 echo "check.sh: lint, all tests, the parallel benches, and the determinism gates passed under ASan/UBSan"
+
+# Benchmark correctness lane: hostbench/run.py builds its own plain tree
+# and compares each cell's simulated-output digest with the committed
+# reference. kv-churn arms health monitoring, so every Remote, Linked and
+# Disagg call there runs rpc::Channel's retry ladder: all 41 input sets.
+# meta-kv and uc-object run the no-fault paths: input sets 0-2. run.py
+# exits 0 even when the gate fails, so the lane reads its verdict line.
+hostbench_gate() {
+  local workload="$1" seed="$2" verdict
+  if ! verdict=$(python3 hostbench/run.py --workload "$workload" \
+                   --seed "$seed" --seconds 0 --size tiny | tail -n 1); then
+    echo "check.sh: hostbench $workload input set $seed exited non-zero" >&2
+    exit 1
+  fi
+  if [[ "$verdict" != *'"correct": true'* ]]; then
+    echo "check.sh: hostbench $workload input set $seed failed its correctness gate" >&2
+    exit 1
+  fi
+}
+for seed in $(seq 0 40); do
+  hostbench_gate kv-churn "$seed"
+done
+for workload in meta-kv uc-object; do
+  for seed in 0 1 2; do
+    hostbench_gate "$workload" "$seed"
+  done
+done
+echo "check.sh: hostbench correctness gate passed (kv-churn input sets 0-40, meta-kv and uc-object 0-2)"
 
 # ThreadSanitizer lane: TSan cannot be combined with ASan, so it gets its
 # own build tree and runs only the tests labeled `tsan` — the ones that

@@ -433,9 +433,10 @@ void ruleRaceCapture(const LintInput& in, const Index& index,
 
 void ruleChargePath(const LintInput& in, const Index& index,
                     std::vector<Finding>& out) {
+  // The billing primitives plus every public rpc::Channel entry point.
   static const std::set<std::string> kFunnel = {
-      "charge",      "transfer",       "onBytesMoved", "call",
-      "callWithPolicy", "callHedged",  "oneSidedRead"};
+      "charge",         "transfer",   "onBytesMoved", "call",
+      "callWithPolicy", "callHedged", "oneSidedRead", "oneWay"};
 
   for (const FunctionDecl& fn : index.functions) {
     const SourceFile& f = in.files[fn.fileIndex];
