@@ -290,6 +290,39 @@ TEST_F(OverloadChannelTest, GenerousDeadlineChangesNothing) {
   EXPECT_EQ(b.faultCounters().budgetExhausted, 0u);
 }
 
+TEST(DeadlineBudget, NoCallOnEitherTransportFinishesPastTheDeadline) {
+  // fig10's budget (2.5 timeouts) under a 50 % drop window: the third
+  // attempt's backoff always outlasts what the first two left, so this is
+  // exactly where an attempt could start with an empty budget.
+  rpc::CallPolicy policy;
+  policy.deadlineMicros = policy.timeoutMicros * 2.5;
+  const rpc::OneSidedParams oneSided;
+  std::uint64_t stoppedByBudget = 0;
+  std::uint64_t budgetExhausted = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    sim::NetworkModel network;
+    network.setDegradation(1.0, 0.5);
+    rpc::Channel channel(network, rpc::SerializationModel{});
+    channel.enableFaults(seed, policy);
+    sim::Node client("client", sim::TierKind::kAppServer);
+    sim::Node server("server", sim::TierKind::kRemoteCache);
+    sim::Node far("far", sim::TierKind::kFarMemory);
+
+    const rpc::CallResult calls[] = {
+        channel.callWithPolicy(client, server, 64, 4096, policy),
+        channel.oneSidedRead(client, far, 4096, oneSided)};
+    for (const rpc::CallResult& call : calls) {
+      EXPECT_LE(call.latencyMicros, policy.deadlineMicros) << "seed " << seed;
+      // A failed call that did not use every attempt was stopped by the
+      // budget, and is counted as such.
+      if (!call.ok && call.attempts < policy.maxAttempts) ++stoppedByBudget;
+    }
+    budgetExhausted += channel.faultCounters().budgetExhausted;
+  }
+  EXPECT_GT(stoppedByBudget, 0u);
+  EXPECT_EQ(budgetExhausted, stoppedByBudget);
+}
+
 TEST_F(OverloadChannelTest, QueueBacklogAddsWaitToLatency) {
   server_.queue().configure({1e6, 1e5});
   server_.queue().addWork(300.0);  // 300 µs of standing backlog
@@ -329,6 +362,38 @@ TEST_F(OverloadChannelTest, FullQueueRejectsWithoutServerWork) {
   EXPECT_GT(channel_.faultCounters().queueRejections, 0u);
   // Rejection bounces at the listener: no request work enters the backlog.
   EXPECT_DOUBLE_EQ(server_.queue().backlogMicros(), 2000.0);
+}
+
+TEST_F(OverloadChannelTest, LostAnswerNeverOutlastsTheDeadline) {
+  // Every answer is lost. The second attempt starts with a sliver of
+  // budget left, and its request leg alone takes longer than that.
+  network_.cutLink(server_.tier(), client_.tier());
+  rpc::CallPolicy policy;
+  policy.jitterFraction = 0.0;
+  policy.backoffBaseMicros = 450.0;
+  policy.deadlineMicros = policy.timeoutMicros * 1.25;
+  const auto result =
+      channel_.callWithPolicy(client_, server_, 64, 64, policy);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_DOUBLE_EQ(result.latencyMicros, policy.deadlineMicros);
+  EXPECT_EQ(channel_.faultCounters().budgetExhausted, 1u);
+}
+
+TEST_F(OverloadChannelTest, RejectionBounceNeverOutlastsTheDeadline) {
+  server_.queue().configure({1e6, /*maxWaitMicros=*/1000.0});
+  server_.queue().addWork(2000.0);
+  channel_.setNowMicros(0);
+  rpc::CallPolicy policy;
+  // Less budget than the bounce's round trip: the caller gives up first.
+  policy.deadlineMicros = network_.params().oneWayLatencyMicros;
+  const auto result =
+      channel_.callWithPolicy(client_, server_, 64, 64, policy);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.attempts, 1u);
+  EXPECT_DOUBLE_EQ(result.latencyMicros, policy.deadlineMicros);
+  EXPECT_EQ(channel_.faultCounters().queueRejections, 1u);
+  EXPECT_EQ(channel_.faultCounters().budgetExhausted, 1u);
 }
 
 TEST_F(OverloadChannelTest, BreakerOpensThenShortCircuitsWithoutWire) {
