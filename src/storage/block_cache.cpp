@@ -1,19 +1,17 @@
 #include "storage/block_cache.hpp"
 
-#include "util/hash.hpp"
-
 namespace dcache::storage {
 
 std::string BlockCache::blockIdFor(std::string_view key) {
   std::string out;
-  blockIdTo(key, out);
+  blockIdTo(util::hashKey(key), out);
   return out;
 }
 
-void BlockCache::blockIdTo(std::string_view key, std::string& out) {
+void BlockCache::blockIdTo(std::uint64_t keyHash, std::string& out) {
   // Group 16 hash buckets per block: preserves the "over-read" property of
   // block storage (a hot key drags its block neighbours into memory).
-  std::uint64_t block = util::hashKey(key) >> 4;
+  std::uint64_t block = keyHash >> 4;
   char buf[17];
   buf[0] = 'b';
   static constexpr char kHex[] = "0123456789abcdef";
@@ -24,20 +22,20 @@ void BlockCache::blockIdTo(std::string_view key, std::string& out) {
   out.assign(buf, sizeof buf);
 }
 
-bool BlockCache::touchRead(std::string_view key, std::uint64_t rowBytes) {
-  blockIdTo(key, idScratch_);
+bool BlockCache::touchRead(std::uint64_t keyHash, std::uint64_t rowBytes) {
+  blockIdTo(keyHash, idScratch_);
   if (cache_.get(idScratch_) != nullptr) return true;
   cache_.put(idScratch_, cache::CacheEntry::sized(blockSizeFor(rowBytes)));
   return false;
 }
 
-void BlockCache::touchWrite(std::string_view key, std::uint64_t rowBytes) {
-  blockIdTo(key, idScratch_);
+void BlockCache::touchWrite(std::uint64_t keyHash, std::uint64_t rowBytes) {
+  blockIdTo(keyHash, idScratch_);
   cache_.put(idScratch_, cache::CacheEntry::sized(blockSizeFor(rowBytes)));
 }
 
-void BlockCache::invalidate(std::string_view key) {
-  blockIdTo(key, idScratch_);
+void BlockCache::invalidate(std::uint64_t keyHash) {
+  blockIdTo(keyHash, idScratch_);
   cache_.erase(idScratch_);
 }
 

@@ -14,6 +14,7 @@
 #include <string_view>
 
 #include "cache/flat_cache.hpp"
+#include "util/hash.hpp"
 
 namespace dcache::storage {
 
@@ -24,16 +25,26 @@ class BlockCache {
   explicit BlockCache(util::Bytes capacity)
       : cache_(cache::FlatMode::kClock, capacity) {}
 
-  /// Probe for the block containing `key` (a row of `rowBytes`). On a miss
-  /// the block is loaded (inserted); the caller charges the disk path.
+  // Operations take `keyHash` == util::hashKey(key), which the database
+  // already has from picking the node; the key-taking forms hash first.
+
+  /// Probe for the block containing the key (a row of `rowBytes`). On a
+  /// miss the block is loaded (inserted); the caller charges the disk path.
   /// Returns true on hit.
-  bool touchRead(std::string_view key, std::uint64_t rowBytes);
+  bool touchRead(std::uint64_t keyHash, std::uint64_t rowBytes);
+  bool touchRead(std::string_view key, std::uint64_t rowBytes) {
+    return touchRead(util::hashKey(key), rowBytes);
+  }
 
   /// Apply a write: the row's block is refreshed in cache.
-  void touchWrite(std::string_view key, std::uint64_t rowBytes);
+  void touchWrite(std::uint64_t keyHash, std::uint64_t rowBytes);
+  void touchWrite(std::string_view key, std::uint64_t rowBytes) {
+    touchWrite(util::hashKey(key), rowBytes);
+  }
 
-  /// Drop the block containing `key` (compaction, explicit invalidation).
-  void invalidate(std::string_view key);
+  /// Drop the block containing the key (compaction, explicit invalidation).
+  void invalidate(std::uint64_t keyHash);
+  void invalidate(std::string_view key) { invalidate(util::hashKey(key)); }
 
   /// Drop everything — a storage-node crash/restart comes back cold.
   void clear() { cache_.clear(); }
@@ -50,8 +61,8 @@ class BlockCache {
 
   /// Block identifier for a key: 16 adjacent hash buckets share a block.
   [[nodiscard]] static std::string blockIdFor(std::string_view key);
-  /// blockIdFor into a caller-provided scratch buffer (per-read hot path).
-  static void blockIdTo(std::string_view key, std::string& out);
+  /// blockIdFor by key hash into a caller-provided scratch buffer.
+  static void blockIdTo(std::uint64_t keyHash, std::string& out);
   /// Bytes charged for a block holding a row of `rowBytes`.
   [[nodiscard]] static std::uint64_t blockSizeFor(std::uint64_t rowBytes) noexcept {
     return rowBytes > kBlockBytes ? rowBytes : kBlockBytes;

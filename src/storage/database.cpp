@@ -6,7 +6,6 @@
 #include "sim/trace_hook.hpp"
 #include "storage/executor.hpp"
 #include "storage/sql_parser.hpp"
-#include "util/hash.hpp"
 
 namespace dcache::storage {
 namespace {
@@ -41,39 +40,27 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
 // ---- key layout ----
 
 std::string Database::rowKey(std::string_view table, std::string_view pk) {
-  std::string key;
-  key.reserve(2 + table.size() + 3 + pk.size());
-  key.append("t/").append(table).append("/r/").append(pk);
-  return key;
+  return rowPrefix(table).append(pk);
 }
 
 std::string Database::rowPrefix(std::string_view table) {
-  std::string key;
-  key.append("t/").append(table).append("/r/");
-  return key;
+  return std::string("t/").append(table).append("/r/");
 }
 
 std::string Database::indexKey(std::string_view table, std::string_view column,
                                std::string_view value, std::string_view pk) {
-  std::string key = indexPrefix(table, column, value);
-  key.append(pk);
-  return key;
+  return indexPrefix(table, column, value).append(pk);
 }
 
 std::string Database::indexPrefix(std::string_view table,
                                   std::string_view column,
                                   std::string_view value) {
-  std::string key;
-  key.append("t/").append(table).append("/i/").append(column).append("/");
-  key.append(value).append("/");
-  return key;
+  return std::string("t/").append(table).append("/i/").append(column)
+      .append("/").append(value).append("/");
 }
 
 std::string Database::kvKey(std::string_view key) {
-  std::string out;
-  out.reserve(3 + key.size());
-  out.append("kv/").append(key);
-  return out;
+  return std::string("kv/").append(key);
 }
 
 // ---- schema / population ----
@@ -81,6 +68,7 @@ std::string Database::kvKey(std::string_view key) {
 void Database::createTable(TableSchema schema) {
   std::string name = schema.name();
   schemas_.insert_or_assign(std::move(name), std::move(schema));
+  plans_.clear();  // a new table or index can change any plan
 }
 
 const TableSchema* Database::schema(std::string_view table) const {
@@ -127,7 +115,8 @@ void Database::syncMemoryMeters(std::size_t nodeIndex) {
 
 const StoredValue* Database::engineGet(std::string_view key,
                                        ExecTrace& trace) {
-  const std::size_t idx = nodeFor(key);
+  const std::uint64_t keyHash = util::hashKey(key);
+  const std::size_t idx = keyHash % engines_.size();
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
 
@@ -147,7 +136,7 @@ const StoredValue* Database::engineGet(std::string_view key,
   node.charge(sim::CpuComponent::kKvExecution, execMicros);
   trace.latencyMicros += execMicros;
 
-  if (!blockCaches_[idx]->touchRead(key, stored->size)) {
+  if (!blockCaches_[idx]->touchRead(keyHash, stored->size)) {
     const std::uint64_t blockBytes = BlockCache::blockSizeFor(stored->size);
     node.charge(sim::CpuComponent::kDiskIo,
                 costs.diskFixedMicros +
@@ -167,7 +156,8 @@ const StoredValue* Database::engineGet(std::string_view key,
 
 bool Database::enginePut(std::string_view key, StoredValue value,
                          ExecTrace& trace) {
-  const std::size_t idx = nodeFor(key);
+  const std::uint64_t keyHash = util::hashKey(key);
+  const std::size_t idx = keyHash % engines_.size();
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
   const std::uint64_t bytes = value.size + key.size();
@@ -180,7 +170,7 @@ bool Database::enginePut(std::string_view key, StoredValue value,
   const std::uint64_t rowSize = value.size;
   if (!engines_[idx].put(key, std::move(value), ++ts_)) return false;
   trace.latencyMicros += execMicros + raft_.replicate(idx, bytes);
-  blockCaches_[idx]->touchWrite(key, rowSize);
+  blockCaches_[idx]->touchWrite(keyHash, rowSize);
   syncMemoryMeters(idx);
 
   ++trace.rowsWritten;
@@ -190,7 +180,8 @@ bool Database::enginePut(std::string_view key, StoredValue value,
 }
 
 bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
-  const std::size_t idx = nodeFor(key);
+  const std::uint64_t keyHash = util::hashKey(key);
+  const std::size_t idx = keyHash % engines_.size();
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
 
@@ -198,32 +189,22 @@ bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
               costs.execPerRowMicros + costs.memtableMicros);
   if (!engines_[idx].erase(key, ++ts_)) return false;
   trace.latencyMicros += raft_.replicate(idx, key.size());
-  blockCaches_[idx]->invalidate(key);
+  blockCaches_[idx]->invalidate(keyHash);
   ++trace.rowsWritten;
   return true;
 }
 
-void Database::engineScanPrefix(
-    std::string_view prefix, ExecTrace& trace,
-    const std::function<bool(std::string_view, const StoredValue&)>& fn) {
+void Database::chargeScannedRow(std::size_t idx, std::uint64_t size,
+                                ExecTrace& trace) {
   const StorageCosts& costs = config_.costs;
-  for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
-    sim::Node& node = kvTier_->node(idx);
-    if (config_.consistentReads) raft_.validateLease(idx);
-    engines_[idx].scanPrefix(
-        prefix, KvEngine::kLatest,
-        [&](std::string_view key, const StoredValue& stored) {
-          const double execMicros =
-              costs.execPerRowMicros +
-              costs.execPerByteMicros * static_cast<double>(stored.size);
-          node.charge(sim::CpuComponent::kKvExecution, execMicros);
-          trace.latencyMicros += execMicros;
-          ++trace.rowsRead;
-          trace.bytesRead += stored.size;
-          trace.nodeBytes[idx] += stored.size;
-          return fn(key, stored);
-        });
-  }
+  const double execMicros =
+      costs.execPerRowMicros +
+      costs.execPerByteMicros * static_cast<double>(size);
+  kvTier_->node(idx).charge(sim::CpuComponent::kKvExecution, execMicros);
+  trace.latencyMicros += execMicros;
+  ++trace.rowsRead;
+  trace.bytesRead += size;
+  trace.nodeBytes[idx] += size;
 }
 
 // ---- statement front-end ----
@@ -254,22 +235,32 @@ double Database::settleRpc(sim::Node& client, sim::Node& frontend,
   return kvLatency + clientCall.latencyMicros;
 }
 
+const QueryPlan* Database::planFor(std::string_view sql, std::string& error) {
+  if (const auto it = plans_.find(sql); it != plans_.end()) return &it->second;
+  ParseResult parsed = parseSql(sql);
+  if (const auto* err = std::get_if<ParseError>(&parsed)) {
+    error = "parse error: " + err->message;
+    return nullptr;
+  }
+  PlanResult planned = planner_.plan(std::get<Statement>(parsed));
+  if (const auto* err = std::get_if<PlanError>(&planned)) {
+    error = "plan error: " + err->message;
+    return nullptr;
+  }
+  if (plans_.size() >= kMaxCachedPlans) plans_.clear();
+  auto& plan = std::get<QueryPlan>(planned);
+  return &plans_.emplace(std::string(sql), std::move(plan)).first->second;
+}
+
 Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
                                      std::span<const Value> params) {
   sim::SpanGuard span("sql.exec", sim::TierKind::kSqlFrontend);
   QueryResult result;
+  // Parse and plan are charged in full even when the plan is cached.
   sim::Node& frontend = frontendForStatement();
 
-  ParseResult parsed = parseSql(sql);
-  if (const auto* err = std::get_if<ParseError>(&parsed)) {
-    result.error = "parse error: " + err->message;
-    result.latencyMicros =
-        settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
-    return result;
-  }
-  PlanResult planned = planner_.plan(std::get<Statement>(parsed));
-  if (const auto* err = std::get_if<PlanError>(&planned)) {
-    result.error = "plan error: " + err->message;
+  const QueryPlan* plan = planFor(sql, result.error);
+  if (plan == nullptr) {
     result.latencyMicros =
         settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
     return result;
@@ -277,8 +268,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
 
   ExecTrace trace;
   Executor executor(*this);
-  Executor::Outcome outcome =
-      executor.run(std::get<QueryPlan>(planned), params, trace);
+  Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
     result.latencyMicros =
@@ -291,10 +281,9 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
                       static_cast<double>(outcome.rows.size()));
 
   std::uint64_t requestBytes = sql.size();
-  for (const Value& p : params) requestBytes += valueToString(p).size() + 2;
+  for (const Value& p : params) requestBytes += valueStringSize(p) + 2;
   std::uint64_t responseBytes = 16;
-  const TableSchema* outSchema =
-      std::get<QueryPlan>(planned).primary.schema;
+  const TableSchema* outSchema = plan->primary.schema;
   for (const Row& row : outcome.rows) {
     // Projection can mix schemas; approximate with the primary schema's
     // encoding, which the projected rows were sized from.
@@ -353,6 +342,18 @@ Database::WriteResult Database::writeValue(sim::Node& client,
 
 Database::VersionResult Database::versionCheck(sim::Node& client,
                                                std::string_view key) {
+  return versionCheckKey(client, kvKey(key), key.size());
+}
+
+Database::VersionResult Database::versionCheckRow(sim::Node& client,
+                                                  std::string_view table,
+                                                  std::string_view pk) {
+  return versionCheckKey(client, rowKey(table, pk), pk.size());
+}
+
+Database::VersionResult Database::versionCheckKey(sim::Node& client,
+                                                  std::string_view storedKey,
+                                                  std::size_t requestKeyBytes) {
   sim::SpanGuard span("db.vcheck", sim::TierKind::kSqlFrontend);
   VersionResult result;
   // §5.5: the version check traverses the full read path — SQL front-end
@@ -361,32 +362,14 @@ Database::VersionResult Database::versionCheck(sim::Node& client,
   sim::Node& frontend = frontendForStatement();
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(kvKey(key), trace);
+  const StoredValue* stored = engineGet(storedKey, trace);
   result.found = stored != nullptr;
   result.version = stored ? stored->version : 0;
 
   result.latencyMicros =
       trace.latencyMicros +
-      settleRpc(client, frontend, rpc::versionCheckRequestWireSize(key.size()),
-                rpc::versionCheckResponseWireSize(), trace);
-  return result;
-}
-
-Database::VersionResult Database::versionCheckRow(sim::Node& client,
-                                                  std::string_view table,
-                                                  std::string_view pk) {
-  sim::SpanGuard span("db.vcheck", sim::TierKind::kSqlFrontend);
-  VersionResult result;
-  sim::Node& frontend = frontendForStatement();
-
-  ExecTrace trace;
-  const StoredValue* stored = engineGet(rowKey(table, pk), trace);
-  result.found = stored != nullptr;
-  result.version = stored ? stored->version : 0;
-
-  result.latencyMicros =
-      trace.latencyMicros +
-      settleRpc(client, frontend, rpc::versionCheckRequestWireSize(pk.size()),
+      settleRpc(client, frontend,
+                rpc::versionCheckRequestWireSize(requestKeyBytes),
                 rpc::versionCheckResponseWireSize(), trace);
   return result;
 }
@@ -394,17 +377,13 @@ Database::VersionResult Database::versionCheckRow(sim::Node& client,
 std::optional<std::uint64_t> Database::peekRowVersion(
     std::string_view table, std::string_view pk) const {
   const std::string key = rowKey(table, pk);
-  const StoredValue* stored = engines_[nodeFor(key)].get(key);
-  if (!stored) return std::nullopt;
-  return stored->version;
+  return engines_[nodeFor(key)].latestVersion(key);
 }
 
 std::optional<std::uint64_t> Database::peekValueVersion(
     std::string_view key) const {
   const std::string k = kvKey(key);
-  const StoredValue* stored = engines_[nodeFor(k)].get(k);
-  if (!stored) return std::nullopt;
-  return stored->version;
+  return engines_[nodeFor(k)].latestVersion(k);
 }
 
 void Database::dropBlockCache(std::size_t nodeIndex) {
@@ -417,12 +396,6 @@ void Database::dropBlockCache(std::size_t nodeIndex) {
 util::Bytes Database::totalStoredBytes() const {
   util::Bytes total;
   for (const KvEngine& engine : engines_) total += engine.liveBytes();
-  return total;
-}
-
-util::Bytes Database::blockCacheProvisioned() const {
-  util::Bytes total;
-  for (const auto& bc : blockCaches_) total += bc->capacity();
   return total;
 }
 

@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "rpc/channel.hpp"
@@ -28,6 +29,7 @@
 #include "storage/raft.hpp"
 #include "storage/row.hpp"
 #include "storage/schema.hpp"
+#include "util/hash.hpp"
 
 namespace dcache::storage {
 
@@ -135,9 +137,17 @@ class Database {
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
   bool engineDelete(std::string_view key, ExecTrace& trace);
   /// Ordered scan over all shards; fn returns false to stop that shard.
-  void engineScanPrefix(
-      std::string_view prefix, ExecTrace& trace,
-      const std::function<bool(std::string_view, const StoredValue&)>& fn);
+  template <typename Fn>
+  void engineScanPrefix(std::string_view prefix, ExecTrace& trace, Fn&& fn) {
+    for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
+      if (config_.consistentReads) raft_.validateLease(idx);
+      engines_[idx].scanPrefix(prefix, KvEngine::kLatest,
+                               [&](std::string_view key, const StoredValue& v) {
+                                 chargeScannedRow(idx, v.size, trace);
+                                 return fn(key, v);
+                               });
+    }
+  }
 
   /// Fault injection: a KV node crashed and restarted — its block cache is
   /// cold. Data survives (Raft replication), so reads keep working; they
@@ -146,14 +156,10 @@ class Database {
 
   // ---- introspection ----
   [[nodiscard]] util::Bytes totalStoredBytes() const;  // pre-replication
-  [[nodiscard]] util::Bytes blockCacheProvisioned() const;
   [[nodiscard]] std::uint64_t blockCacheHits() const;
   [[nodiscard]] std::uint64_t blockCacheMisses() const;
-  [[nodiscard]] std::uint64_t commitTimestamp() const noexcept { return ts_; }
   [[nodiscard]] const RaftReplicator& raft() const noexcept { return raft_; }
   [[nodiscard]] sim::Tier& kvTier() noexcept { return *kvTier_; }
-  [[nodiscard]] sim::Tier& sqlTier() noexcept { return *sqlTier_; }
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
   std::size_t runGc(std::size_t keepVersions = 2);
 
   // ---- key layout ----
@@ -170,7 +176,19 @@ class Database {
   [[nodiscard]] static std::string kvKey(std::string_view key);
 
  private:
+  static constexpr std::size_t kMaxCachedPlans = 256;  // see planFor
+
   [[nodiscard]] std::size_t nodeFor(std::string_view key) const noexcept;
+  /// KV-side execution charge for one row a prefix scan visits on `idx`.
+  void chargeScannedRow(std::size_t idx, std::uint64_t size, ExecTrace& trace);
+  /// The cached plan for `sql`, parsed and planned on first use; a full
+  /// cache is emptied first. Errors are not cached: each call returns
+  /// nullptr with `error` set.
+  [[nodiscard]] const QueryPlan* planFor(std::string_view sql,
+                                         std::string& error);
+  /// The full-path version check behind versionCheck/versionCheckRow.
+  VersionResult versionCheckKey(sim::Node& client, std::string_view storedKey,
+                                std::size_t requestKeyBytes);
   /// Charge the front-end constants common to every statement and return
   /// the chosen front-end node.
   sim::Node& frontendForStatement();
@@ -189,6 +207,11 @@ class Database {
   std::vector<std::unique_ptr<BlockCache>> blockCaches_;
   std::map<std::string, TableSchema, std::less<>> schemas_;
   Planner planner_;
+  /// Host-side plans by statement text; exec() still charges parse and
+  /// plan. Plans point into schemas_, so createTable() clears the cache.
+  std::unordered_map<std::string, QueryPlan, util::TransparentStringHash,
+                     std::equal_to<>>
+      plans_;
   std::uint64_t ts_ = 0;
 };
 

@@ -153,53 +153,18 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
 }
 
 void Executor::fetchJoinMatches(const JoinPlan& join, const Value& key,
-                                ExecTrace& trace, std::vector<Row>& out) {
-  const TableSchema& schema = *join.schema;
-  const std::string keyString = valueToString(key);
-
-  switch (join.path) {
-    case AccessPath::kPointGet: {
-      const StoredValue* stored =
-          db_->engineGet(Database::rowKey(schema.name(), keyString), trace);
-      if (!stored) return;
-      if (auto row = decodeRow(schema, stored->payload)) {
-        out.push_back(std::move(*row));
-      }
-      return;
-    }
-    case AccessPath::kIndexLookup: {
-      const std::string& columnName = schema.columns()[join.rightColumn].name;
-      std::vector<std::string> pks;
-      const std::string prefix =
-          Database::indexPrefix(schema.name(), columnName, keyString);
-      db_->engineScanPrefix(prefix, trace,
-                            [&](std::string_view k, const StoredValue&) {
-                              pks.emplace_back(k.substr(prefix.size()));
-                              return true;
-                            });
-      for (const std::string& pk : pks) {
-        const StoredValue* stored =
-            db_->engineGet(Database::rowKey(schema.name(), pk), trace);
-        if (!stored) continue;
-        if (auto row = decodeRow(schema, stored->payload)) {
-          out.push_back(std::move(*row));
-        }
-      }
-      return;
-    }
-    case AccessPath::kTableScan: {
-      db_->engineScanPrefix(
-          Database::rowPrefix(schema.name()), trace,
-          [&](std::string_view, const StoredValue& stored) {
-            auto row = decodeRow(schema, stored.payload);
-            if (row && valueEquals(row->values[join.rightColumn], key)) {
-              out.push_back(std::move(*row));
-            }
-            return true;
-          });
-      return;
-    }
+                                ExecTrace& trace,
+                                std::vector<FetchedRow>& out) {
+  // The join key binds like a WHERE parameter on the right table's column.
+  const BoundCondition cond{join.rightColumn, BoundRhs{std::nullopt, 0}};
+  TableAccessPlan access{join.schema, join.path, std::nullopt, {}};
+  if (join.path == AccessPath::kTableScan) {
+    access.residual.push_back(cond);
+  } else {
+    access.key = cond;
   }
+  std::string error;  // a corrupt right row just ends the matches
+  fetchPrimary(access, std::span(&key, 1), std::nullopt, trace, out, error);
 }
 
 Executor::Outcome Executor::runSelect(const QueryPlan& plan,
@@ -235,12 +200,12 @@ Executor::Outcome Executor::runSelect(const QueryPlan& plan,
       outcome.rows.push_back(project(fetched.row, nullptr));
       continue;
     }
-    std::vector<Row> matches;
+    std::vector<FetchedRow> matches;
     fetchJoinMatches(*plan.join, fetched.row.values[plan.join->leftColumn],
                      trace, matches);
-    for (const Row& right : matches) {
+    for (const FetchedRow& right : matches) {
       if (plan.limit && outcome.rows.size() >= *plan.limit) break;
-      outcome.rows.push_back(project(fetched.row, &right));
+      outcome.rows.push_back(project(fetched.row, &right.row));
     }
   }
   outcome.ok = true;

@@ -45,9 +45,10 @@ class Executor {
                     std::optional<std::uint64_t> limit, ExecTrace& trace,
                     std::vector<FetchedRow>& out, std::string& error);
 
-  /// Fetch right-table rows matching `key` for a join.
+  /// Fetch right-table rows matching `key` for a join, through the same
+  /// access paths as fetchPrimary.
   void fetchJoinMatches(const JoinPlan& join, const Value& key,
-                        ExecTrace& trace, std::vector<Row>& out);
+                        ExecTrace& trace, std::vector<FetchedRow>& out);
 
   bool writeRow(const TableSchema& schema, const Row& row, ExecTrace& trace);
   void deleteRowIndexes(const TableSchema& schema, const Row& row,

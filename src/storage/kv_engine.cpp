@@ -2,45 +2,45 @@
 
 #include <algorithm>
 
+#include "util/hash.hpp"
+
 namespace dcache::storage {
 
-KvEngine::Chain* KvEngine::findChain(std::uint64_t hash,
-                                     std::string_view key) const {
-  if (index_.empty()) return nullptr;
+const StoredValue* KvEngine::visibleAt(const Entry& entry,
+                                       std::uint64_t snapshotTs) noexcept {
+  const StoredValue* v = &entry.newest;
+  for (auto rit = entry.older.rbegin(); v->version > snapshotTs; ++rit) {
+    if (rit == entry.older.rend()) return nullptr;
+    v = &*rit;
+  }
+  return v->tombstone ? nullptr : v;
+}
+
+std::uint32_t KvEngine::find(std::uint64_t hash,
+                             std::string_view key) const noexcept {
+  if (index_.empty()) return kNoEntry;
   std::size_t pos = static_cast<std::size_t>(hash) & indexMask_;
-  while (index_[pos].chain != nullptr) {
-    if (index_[pos].hash == hash && *index_[pos].key == key) {
-      return index_[pos].chain;
+  while (index_[pos].id != kNoEntry) {
+    if (index_[pos].hash == hash && entries_[index_[pos].id].key == key) {
+      return index_[pos].id;
     }
     pos = (pos + 1) & indexMask_;
   }
-  return nullptr;
+  return kNoEntry;
 }
 
-void KvEngine::indexInsert(std::uint64_t hash, const std::string* key,
-                           Chain* chain) {
-  maybeGrowIndex();
+void KvEngine::place(std::uint64_t hash, std::uint32_t id) noexcept {
   std::size_t pos = static_cast<std::size_t>(hash) & indexMask_;
-  while (index_[pos].chain != nullptr) pos = (pos + 1) & indexMask_;
-  index_[pos] = IndexSlot{hash, key, chain};
+  while (index_[pos].id != kNoEntry) pos = (pos + 1) & indexMask_;
+  index_[pos] = Slot{hash, id};
 }
 
-void KvEngine::maybeGrowIndex() {
-  // Grow at 70% load; chains_.size() is the number of occupied slots.
-  if (!index_.empty() && (chains_.size() + 1) * 10 <= index_.size() * 7) {
-    return;
-  }
-  rebuildIndex(index_.empty() ? 1024 : index_.size() * 2);
-}
-
-void KvEngine::rebuildIndex(std::size_t slots) {
-  index_.assign(slots, IndexSlot{});
+void KvEngine::growIndex(std::size_t slots) {
+  std::vector<Slot> old(slots);
+  old.swap(index_);
   indexMask_ = slots - 1;
-  for (auto& [key, chain] : chains_) {
-    const std::uint64_t h = util::fastHash64(key);
-    std::size_t pos = static_cast<std::size_t>(h) & indexMask_;
-    while (index_[pos].chain != nullptr) pos = (pos + 1) & indexMask_;
-    index_[pos] = IndexSlot{h, &key, &chain};
+  for (const Slot& slot : old) {
+    if (slot.id != kNoEntry) place(slot.hash, slot.id);
   }
 }
 
@@ -48,91 +48,74 @@ void KvEngine::reserveKeys(std::size_t expectedKeys) {
   std::size_t slots = 1024;
   // Size so `expectedKeys` stays under the 70% growth threshold.
   while (expectedKeys * 10 > slots * 7) slots *= 2;
-  if (slots > index_.size()) rebuildIndex(slots);
+  if (slots > index_.size()) growIndex(slots);
 }
 
 bool KvEngine::put(std::string_view key, StoredValue value,
                    std::uint64_t commitTs) {
   const std::uint64_t h = util::fastHash64(key);
-  Chain* found = findChain(h, key);
-  if (found == nullptr) {
-    auto it = chains_.emplace(std::string(key), Chain{}).first;
-    found = &it->second;
-    indexInsert(h, &it->first, found);
-  }
-  Chain& chain = *found;
-  if (!chain.empty() && chain.back().version >= commitTs) {
-    return false;  // stale write: a newer version is already committed
-  }
-  if (!chain.empty() && !chain.back().tombstone) {
-    liveBytes_ -= chain.back().size;
+  std::uint32_t id = find(h, key);
+  if (id == kNoEntry) {
+    // Grow at 70% load: the index doubles, so growth is amortized O(1).
+    if ((entries_.highWater() + 1) * 10 > index_.size() * 7) {
+      growIndex(index_.empty() ? 1024 : index_.size() * 2);
+    }
+    id = entries_.acquire();
+    place(h, id);
+    entries_[id].key = key;
+  } else {
+    Entry& entry = entries_[id];
+    if (entry.newest.version >= commitTs) {
+      return false;  // stale write: a newer version is already committed
+    }
+    if (!entry.newest.tombstone) liveBytes_ -= entry.newest.size;
+    // dcache-lint: allow(hot-path-alloc, MVCC keeps one version per write; gc() bounds the history and its capacity is reused)
+    entry.older.push_back(std::move(entry.newest));
   }
   value.version = commitTs;
   if (!value.tombstone) liveBytes_ += value.size;
-  chain.push_back(std::move(value));
+  entries_[id].newest = std::move(value);
   ++writes_;
   return true;
 }
 
-bool KvEngine::erase(std::string_view key, std::uint64_t commitTs) {
-  StoredValue tomb;
-  tomb.tombstone = true;
-  return put(key, std::move(tomb), commitTs);
-}
-
 const StoredValue* KvEngine::get(std::string_view key,
                                  std::uint64_t snapshotTs) const {
-  const Chain* found = findChain(util::fastHash64(key), key);
-  if (found == nullptr) return nullptr;
-  const Chain& chain = *found;
-  // Newest version with version <= snapshotTs.
-  for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
-    if (rit->version <= snapshotTs) {
-      return rit->tombstone ? nullptr : &*rit;
-    }
-  }
-  return nullptr;
+  const std::uint32_t id = find(util::fastHash64(key), key);
+  return id == kNoEntry ? nullptr : visibleAt(entries_[id], snapshotTs);
 }
 
-std::optional<std::uint64_t> KvEngine::latestVersion(
-    std::string_view key) const {
-  const StoredValue* v = get(key);
-  if (!v) return std::nullopt;
-  return v->version;
-}
-
-std::size_t KvEngine::scanPrefix(
-    std::string_view prefix, std::uint64_t snapshotTs,
-    const std::function<bool(std::string_view, const StoredValue&)>& fn) const {
-  std::size_t visited = 0;
-  for (auto it = chains_.lower_bound(prefix); it != chains_.end(); ++it) {
-    const std::string& key = it->first;
-    if (key.compare(0, prefix.size(), prefix) != 0) break;
-    // Find visible version inline to avoid a second map lookup.
-    const StoredValue* visible = nullptr;
-    for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-      if (rit->version <= snapshotTs) {
-        if (!rit->tombstone) visible = &*rit;
-        break;
-      }
+std::size_t KvEngine::lowerBound(std::string_view prefix) const {
+  const auto merged = static_cast<std::uint32_t>(sorted_.size());
+  if (merged < entries_.highWater()) {
+    for (std::uint32_t id = merged; id < entries_.highWater(); ++id) {
+      const std::string& key = entries_[id].key;
+      const auto size = static_cast<std::uint32_t>(key.size());
+      // dcache-lint: allow(hot-path-alloc, once per new key, at the first scan after it; capacity doubles)
+      sorted_.push_back({key.data(), size, id});
     }
-    if (visible) {
-      ++visited;
-      if (!fn(key, *visible)) break;
-    }
+    const auto byKey = [](const SortedKey& a, const SortedKey& b) {
+      return a.key() < b.key();
+    };
+    const auto tail = sorted_.begin() + merged;
+    std::sort(tail, sorted_.end(), byKey);
+    std::inplace_merge(sorted_.begin(), tail, sorted_.end(), byKey);
   }
-  return visited;
+  const auto it = std::lower_bound(
+      sorted_.begin(), sorted_.end(), prefix,
+      [](const SortedKey& s, std::string_view p) { return s.key() < p; });
+  return static_cast<std::size_t>(it - sorted_.begin());
 }
 
 std::size_t KvEngine::gc(std::size_t keep) {
   if (keep == 0) keep = 1;
+  const auto keptOlder = static_cast<std::ptrdiff_t>(keep - 1);
   std::size_t reclaimed = 0;
-  for (auto& [key, chain] : chains_) {
-    if (chain.size() > keep) {
-      reclaimed += chain.size() - keep;
-      chain.erase(chain.begin(),
-                  chain.begin() + static_cast<std::ptrdiff_t>(chain.size() - keep));
-    }
+  for (std::uint32_t id = 0; id < entries_.highWater(); ++id) {
+    std::vector<StoredValue>& older = entries_[id].older;
+    if (older.size() < keep) continue;  // the newest is one of `keep`
+    reclaimed += older.size() - static_cast<std::size_t>(keptOlder);
+    older.erase(older.begin(), older.end() - keptOlder);
   }
   return reclaimed;
 }

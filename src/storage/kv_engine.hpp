@@ -1,22 +1,25 @@
-// MVCC key-value engine — the TiKV stand-in. Keys map to version chains
-// ordered by commit timestamp; reads see the latest version at or below
-// their snapshot, writes append, deletes write tombstones, and GC trims
-// history. The map is ordered so secondary-index prefix scans work. Values
-// carry a logical size separate from the optional payload for the same
-// reason the caches do: simulating 1 MB values must not cost 1 MB of host
-// RAM each.
+// MVCC key-value engine — the TiKV stand-in. Each key holds a version chain
+// ordered by commit timestamp: reads see the newest version at or below
+// their snapshot, writes append, deletes write tombstones, GC trims history.
+// Values carry a logical size apart from the optional payload, so simulating
+// 1 MB values does not cost 1 MB of host RAM each.
+//
+// Layout: entries (key, newest version inline, older versions spilled) sit
+// in a NodeSlab, so they never move, behind one open-addressing {hash, id}
+// point index that grows by re-placing stored hashes. Prefix scans
+// binary-search `sorted_`, the keys in order. New keys wait in a pending
+// tail (ids past sorted_.size()) that the next scan sorts and merges, so
+// point-only users never pay for ordering.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cache/slab.hpp"
 #include "util/bytes.hpp"
-#include "util/hash.hpp"
 
 namespace dcache::storage {
 
@@ -45,60 +48,92 @@ class KvEngine {
   bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
 
   /// Tombstone write.
-  bool erase(std::string_view key, std::uint64_t commitTs);
+  bool erase(std::string_view key, std::uint64_t commitTs) {
+    return put(key, StoredValue{0, 0, {}, true}, commitTs);
+  }
 
   /// Latest visible version at `snapshotTs` (kLatest = newest). Returns
-  /// nullptr for missing keys and tombstones.
+  /// nullptr for missing keys and tombstones. The pointer is valid until
+  /// the next write to this key or the next gc().
   [[nodiscard]] const StoredValue* get(std::string_view key,
                                        std::uint64_t snapshotTs = kLatest) const;
 
   /// Version of the newest visible value; nullopt if absent/deleted.
   [[nodiscard]] std::optional<std::uint64_t> latestVersion(
-      std::string_view key) const;
+      std::string_view key) const {
+    const StoredValue* v = get(key);
+    return v ? std::optional(v->version) : std::nullopt;
+  }
 
-  /// Ordered scan over keys with the given prefix; `fn` returns false to
-  /// stop early. Returns rows visited.
-  std::size_t scanPrefix(
-      std::string_view prefix, std::uint64_t snapshotTs,
-      const std::function<bool(std::string_view, const StoredValue&)>& fn) const;
+  /// Ordered scan over keys with the given prefix; `fn(key, value)` returns
+  /// false to stop early. Returns rows visited. `fn` must not write to this
+  /// engine.
+  template <typename Fn>
+  std::size_t scanPrefix(std::string_view prefix, std::uint64_t snapshotTs,
+                         Fn&& fn) const {
+    std::size_t visited = 0;
+    for (std::size_t i = lowerBound(prefix); i < sorted_.size(); ++i) {
+      const std::string_view key = sorted_[i].key();
+      if (!key.starts_with(prefix)) break;
+      const StoredValue* value =
+          visibleAt(entries_[sorted_[i].id], snapshotTs);
+      if (value == nullptr) continue;
+      ++visited;
+      if (!fn(key, *value)) break;
+    }
+    return visited;
+  }
 
   /// Drop all but the newest `keep` versions of every key. Returns number
   /// of versions reclaimed.
   std::size_t gc(std::size_t keep = 2);
 
-  /// Pre-size the point index for `expectedKeys` keys, avoiding the
-  /// rehash cascade when a deployment bulk-loads its keyspace.
+  /// Pre-size the point index for `expectedKeys` keys, so a deployment's
+  /// bulk load never regrows it.
   void reserveKeys(std::size_t expectedKeys);
 
-  [[nodiscard]] std::size_t keyCount() const noexcept { return chains_.size(); }
+  [[nodiscard]] std::size_t keyCount() const noexcept {
+    return entries_.highWater();
+  }
   [[nodiscard]] util::Bytes liveBytes() const noexcept {
     return util::Bytes::of(liveBytes_);
   }
   [[nodiscard]] std::uint64_t writeCount() const noexcept { return writes_; }
 
  private:
-  using Chain = std::vector<StoredValue>;  // ascending by version
-
-  /// Open-addressing point index over `chains_`. Point gets/puts dominate
-  /// the serve path, and an RB-tree descent per lookup was the single
-  /// hottest function in the whole simulator; the ordered map is kept only
-  /// for scanPrefix. Safe because nothing ever erases a chains_ node (GC
-  /// trims chains in place), so the cached key/chain pointers stay valid.
-  struct IndexSlot {
-    std::uint64_t hash = 0;
-    const std::string* key = nullptr;
-    Chain* chain = nullptr;  // nullptr == empty slot
+  static constexpr std::uint32_t kNoEntry = UINT32_MAX;
+  struct Entry {
+    std::string key;
+    StoredValue newest;              // every entry holds >= 1 version
+    std::vector<StoredValue> older;  // ascending by version
+  };
+  struct Slot { std::uint64_t hash = 0; std::uint32_t id = kNoEntry; };
+  /// A key in scan order. Its bytes never move: keys are immutable and
+  /// entries stay put, so a short key's inline buffer is stable too.
+  struct SortedKey {
+    const char* data;
+    std::uint32_t size;
+    std::uint32_t id;
+    [[nodiscard]] std::string_view key() const noexcept {
+      return {data, size};
+    }
   };
 
-  [[nodiscard]] Chain* findChain(std::uint64_t hash,
-                                 std::string_view key) const;
-  void indexInsert(std::uint64_t hash, const std::string* key, Chain* chain);
-  void maybeGrowIndex();
-  void rebuildIndex(std::size_t slots);
+  /// Newest version at or below `snapshotTs`; nullptr if none or tombstone.
+  [[nodiscard]] static const StoredValue* visibleAt(
+      const Entry& entry, std::uint64_t snapshotTs) noexcept;
+  [[nodiscard]] std::uint32_t find(std::uint64_t hash,
+                                   std::string_view key) const noexcept;
+  void place(std::uint64_t hash, std::uint32_t id) noexcept;
+  void growIndex(std::size_t slots);
+  /// First position in sorted_ whose key is >= `prefix`, after merging the
+  /// pending tail.
+  [[nodiscard]] std::size_t lowerBound(std::string_view prefix) const;
 
-  std::map<std::string, Chain, std::less<>> chains_;
-  std::vector<IndexSlot> index_;  // power-of-two linear probing
+  cache::NodeSlab<Entry> entries_;  // ids 0, 1, 2, ...; never released
+  std::vector<Slot> index_;  // power-of-two linear probing, <= 70 % full
   std::size_t indexMask_ = 0;
+  mutable std::vector<SortedKey> sorted_;  // see lowerBound
   std::uint64_t liveBytes_ = 0;  // newest non-tombstone version per key
   std::uint64_t writes_ = 0;
 };

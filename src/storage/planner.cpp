@@ -1,5 +1,7 @@
 #include "storage/planner.hpp"
 
+#include <algorithm>
+
 namespace dcache::storage {
 namespace {
 
@@ -33,43 +35,45 @@ std::optional<TableAccessPlan> Planner::planAccess(
     bound.push_back(BoundCondition{*col, bindRhs(cond)});
   }
 
-  // Primary key equality beats everything.
-  for (std::size_t i = 0; i < bound.size(); ++i) {
-    if (bound[i].columnIndex == schema.primaryKeyColumn()) {
-      access.path = AccessPath::kPointGet;
-      access.key = bound[i];
-      bound.erase(bound.begin() + static_cast<std::ptrdiff_t>(i));
-      access.residual = std::move(bound);
-      return access;
-    }
+  // Primary key equality beats everything, then any secondary-index
+  // equality; the other conditions stay residual.
+  auto it = std::find_if(bound.begin(), bound.end(), [&](const auto& c) {
+    return c.columnIndex == schema.primaryKeyColumn();
+  });
+  access.path = AccessPath::kPointGet;
+  if (it == bound.end()) {
+    it = std::find_if(bound.begin(), bound.end(), [&](const auto& c) {
+      return schema.hasIndexOn(c.columnIndex);
+    });
+    access.path = it == bound.end() ? AccessPath::kTableScan
+                                    : AccessPath::kIndexLookup;
   }
-  // Then any secondary-index equality.
-  for (std::size_t i = 0; i < bound.size(); ++i) {
-    if (schema.hasIndexOn(bound[i].columnIndex)) {
-      access.path = AccessPath::kIndexLookup;
-      access.key = bound[i];
-      bound.erase(bound.begin() + static_cast<std::ptrdiff_t>(i));
-      access.residual = std::move(bound);
-      return access;
-    }
+  if (it != bound.end()) {
+    access.key = *it;
+    bound.erase(it);
   }
-  access.path = AccessPath::kTableScan;
   access.residual = std::move(bound);
   return access;
 }
 
+std::optional<PlanError> Planner::planPrimary(
+    const std::string& table, const std::vector<Condition>& where,
+    QueryPlan& plan) const {
+  const TableSchema* schema = catalog_(table);
+  if (!schema) return PlanError{"unknown table: " + table};
+  auto access = planAccess(*schema, where, table);
+  if (!access) return PlanError{"unknown column in WHERE of " + table};
+  plan.primary = std::move(*access);
+  return std::nullopt;
+}
+
 PlanResult Planner::planSelect(const Statement& statement) const {
   const SelectStatement& sel = statement.select;
-  const TableSchema* schema = catalog_(sel.table);
-  if (!schema) return PlanError{"unknown table: " + sel.table};
-
   QueryPlan plan;
   plan.kind = StatementKind::kSelect;
   plan.limit = sel.limit;
-
-  auto access = planAccess(*schema, sel.where, sel.table);
-  if (!access) return PlanError{"unknown column in WHERE of " + sel.table};
-  plan.primary = std::move(*access);
+  if (auto err = planPrimary(sel.table, sel.where, plan)) return *err;
+  const TableSchema* schema = plan.primary.schema;
 
   const TableSchema* joinSchema = nullptr;
   if (sel.join) {
@@ -123,17 +127,11 @@ PlanResult Planner::planInsert(const Statement& statement) const {
 
 PlanResult Planner::planUpdate(const Statement& statement) const {
   const UpdateStatement& upd = statement.update;
-  const TableSchema* schema = catalog_(upd.table);
-  if (!schema) return PlanError{"unknown table: " + upd.table};
-
   QueryPlan plan;
   plan.kind = StatementKind::kUpdate;
-  auto access = planAccess(*schema, upd.where, upd.table);
-  if (!access) return PlanError{"unknown column in WHERE of " + upd.table};
-  plan.primary = std::move(*access);
-
+  if (auto err = planPrimary(upd.table, upd.where, plan)) return *err;
   for (const auto& [name, rhs] : upd.assignments) {
-    const auto col = schema->columnIndex(name);
+    const auto col = plan.primary.schema->columnIndex(name);
     if (!col) return PlanError{"unknown column: " + name};
     plan.assignments.emplace_back(*col, BoundRhs{rhs.literal, rhs.paramIndex});
   }
@@ -141,15 +139,11 @@ PlanResult Planner::planUpdate(const Statement& statement) const {
 }
 
 PlanResult Planner::planDelete(const Statement& statement) const {
-  const DeleteStatement& del = statement.del;
-  const TableSchema* schema = catalog_(del.table);
-  if (!schema) return PlanError{"unknown table: " + del.table};
-
   QueryPlan plan;
   plan.kind = StatementKind::kDelete;
-  auto access = planAccess(*schema, del.where, del.table);
-  if (!access) return PlanError{"unknown column in WHERE of " + del.table};
-  plan.primary = std::move(*access);
+  if (auto err = planPrimary(statement.del.table, statement.del.where, plan)) {
+    return *err;
+  }
   return plan;
 }
 

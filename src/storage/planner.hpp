@@ -88,6 +88,10 @@ class Planner {
   [[nodiscard]] std::optional<TableAccessPlan> planAccess(
       const TableSchema& schema, const std::vector<Condition>& where,
       std::string_view tableName) const;
+  /// Look up `table` and plan its access into `plan.primary`.
+  [[nodiscard]] std::optional<PlanError> planPrimary(
+      const std::string& table, const std::vector<Condition>& where,
+      QueryPlan& plan) const;
 
   CatalogLookup catalog_;
 };

@@ -1,6 +1,8 @@
 #include "storage/row.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 
 #include "rpc/messages.hpp"
 #include "rpc/wire.hpp"
@@ -11,6 +13,18 @@ std::string valueToString(const Value& v) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return std::to_string(*i);
   if (const auto* d = std::get_if<double>(&v)) return std::to_string(*d);
   return std::get<std::string>(v);
+}
+
+std::size_t valueStringSize(const Value& v) noexcept {
+  if (const auto* i = std::get_if<std::int64_t>(&v)) {
+    char buf[20];  // fits INT64_MIN
+    return static_cast<std::size_t>(std::to_chars(buf, buf + 20, *i).ptr - buf);
+  }
+  if (const auto* d = std::get_if<double>(&v)) {
+    // std::to_string(double) is specified as "%f".
+    return static_cast<std::size_t>(std::snprintf(nullptr, 0, "%f", *d));
+  }
+  return std::get<std::string>(v).size();
 }
 
 std::int64_t valueToInt(const Value& v) noexcept {
@@ -68,13 +82,14 @@ std::optional<Row> decodeRow(const TableSchema& schema,
                              std::string_view bytes) {
   rpc::WireDecoder dec(bytes);
   Row row;
-  row.values.resize(schema.columnCount(), std::int64_t{0});
-  // Default-initialize strings for string columns.
-  for (std::size_t c = 0; c < schema.columnCount(); ++c) {
-    if (schema.columns()[c].type == ColumnType::kString) {
-      row.values[c] = std::string{};
-    } else if (schema.columns()[c].type == ColumnType::kDouble) {
-      row.values[c] = 0.0;
+  row.values.reserve(schema.columnCount());
+  for (const Column& column : schema.columns()) {  // typed defaults
+    if (column.type == ColumnType::kString) {
+      row.values.emplace_back(std::string{});
+    } else if (column.type == ColumnType::kDouble) {
+      row.values.emplace_back(0.0);
+    } else {
+      row.values.emplace_back(std::int64_t{0});
     }
   }
   while (!dec.done()) {
@@ -130,7 +145,7 @@ std::uint64_t encodedRowSize(const TableSchema& schema, const Row& row) {
         size += 9;
         break;
       case ColumnType::kString:
-        size += rpc::bytesFieldSize(valueToString(row.values[c]).size());
+        size += rpc::bytesFieldSize(valueStringSize(row.values[c]));
         break;
     }
   }

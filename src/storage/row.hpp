@@ -17,6 +17,8 @@ namespace dcache::storage {
 using Value = std::variant<std::int64_t, double, std::string>;
 
 [[nodiscard]] std::string valueToString(const Value& v);
+/// valueToString(v).size(), without building the string.
+[[nodiscard]] std::size_t valueStringSize(const Value& v) noexcept;
 [[nodiscard]] std::int64_t valueToInt(const Value& v) noexcept;
 
 /// Compare for WHERE equality; int/double compare numerically.

@@ -13,6 +13,7 @@ enum class TokenKind : std::uint8_t {
   kSymbol,  // ( ) , = . *
   kParam,   // ?
   kEnd,
+  kBad,     // unterminated string literal: no rule accepts it
 };
 
 struct Token {
@@ -26,52 +27,43 @@ class Lexer {
   explicit Lexer(std::string_view sql) : sql_(sql) {}
 
   Token next() {
-    while (pos_ < sql_.size() &&
-           std::isspace(static_cast<unsigned char>(sql_[pos_]))) {
-      ++pos_;
-    }
+    skipWhile([](unsigned char ch) { return std::isspace(ch) != 0; });
     if (pos_ >= sql_.size()) return {TokenKind::kEnd, "", pos_};
     const std::size_t start = pos_;
-    const char c = sql_[pos_];
-    if (c == '?') {
-      ++pos_;
-      return {TokenKind::kParam, "?", start};
-    }
+    const auto c = static_cast<unsigned char>(sql_[pos_++]);
+    const auto text = [&] {
+      return std::string(sql_.substr(start, pos_ - start));
+    };
+    if (c == '?') return {TokenKind::kParam, "?", start};
     if (c == '\'') {
-      ++pos_;
-      std::string text;
-      while (pos_ < sql_.size() && sql_[pos_] != '\'') {
-        text += sql_[pos_++];
-      }
-      if (pos_ < sql_.size()) ++pos_;  // closing quote
-      return {TokenKind::kString, std::move(text), start};
+      skipWhile([](unsigned char ch) { return ch != '\''; });
+      if (pos_ == sql_.size()) return {TokenKind::kBad, text(), start};
+      ++pos_;  // closing quote
+      const std::string_view body = sql_.substr(start + 1, pos_ - start - 2);
+      return {TokenKind::kString, std::string(body), start};
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && pos_ + 1 < sql_.size() &&
-         std::isdigit(static_cast<unsigned char>(sql_[pos_ + 1])))) {
-      std::string text(1, c);
-      ++pos_;
-      while (pos_ < sql_.size() &&
-             (std::isdigit(static_cast<unsigned char>(sql_[pos_])) ||
-              sql_[pos_] == '.')) {
-        text += sql_[pos_++];
-      }
-      return {TokenKind::kNumber, std::move(text), start};
+    const bool negative = c == '-' && pos_ < sql_.size() &&
+                          std::isdigit(static_cast<unsigned char>(sql_[pos_]));
+    if (std::isdigit(c) || negative) {
+      skipWhile([](unsigned char ch) { return std::isdigit(ch) || ch == '.'; });
+      return {TokenKind::kNumber, text(), start};
     }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string text;
-      while (pos_ < sql_.size() &&
-             (std::isalnum(static_cast<unsigned char>(sql_[pos_])) ||
-              sql_[pos_] == '_')) {
-        text += sql_[pos_++];
-      }
-      return {TokenKind::kIdent, std::move(text), start};
+    if (std::isalpha(c) || c == '_') {
+      skipWhile([](unsigned char ch) { return std::isalnum(ch) || ch == '_'; });
+      return {TokenKind::kIdent, text(), start};
     }
-    ++pos_;
-    return {TokenKind::kSymbol, std::string(1, c), start};
+    return {TokenKind::kSymbol, text(), start};
   }
 
  private:
+  template <typename Pred>
+  void skipWhile(Pred pred) {
+    while (pos_ < sql_.size() &&
+           pred(static_cast<unsigned char>(sql_[pos_]))) {
+      ++pos_;
+    }
+  }
+
   std::string_view sql_;
   std::size_t pos_ = 0;
 };
@@ -105,7 +97,18 @@ class Parser {
   void advance() { current_ = lexer_.next(); }
 
   [[nodiscard]] ParseError fail(std::string message) const {
+    if (current_.kind == TokenKind::kBad) message = "unterminated literal";
     return ParseError{std::move(message), current_.position};
+  }
+
+  /// Every statement ends the same way: an optional ';', then the end.
+  ParseResult finish(Statement statement) {
+    acceptSymbol(';');
+    if (current_.kind != TokenKind::kEnd) {
+      return fail("unexpected trailing tokens");
+    }
+    statement.paramCount = paramCount_;
+    return statement;
   }
 
   bool accept(std::string_view keyword) {
@@ -162,7 +165,9 @@ class Parser {
     return false;
   }
 
+  /// [WHERE cond (AND cond)*]; false only for a malformed clause.
   bool parseWhere(std::vector<Condition>& where) {
+    if (!accept("WHERE")) return true;
     do {
       Condition cond;
       if (!takeQualifiedColumn(cond.table, cond.column)) return false;
@@ -217,19 +222,13 @@ class Parser {
       sel.join = std::move(join);
     }
 
-    if (accept("WHERE") && !parseWhere(sel.where)) {
-      return fail("malformed WHERE clause");
-    }
+    if (!parseWhere(sel.where)) return fail("malformed WHERE clause");
     if (accept("LIMIT")) {
       if (current_.kind != TokenKind::kNumber) return fail("expected limit");
       sel.limit = std::strtoull(current_.text.c_str(), nullptr, 10);
       advance();
     }
-    if (current_.kind != TokenKind::kEnd && !acceptSymbol(';')) {
-      return fail("unexpected trailing tokens");
-    }
-    statement.paramCount = paramCount_;
-    return statement;
+    return finish(std::move(statement));
   }
 
   ParseResult parseInsert() {
@@ -249,8 +248,7 @@ class Parser {
       ins.values.push_back(std::move(spec));
     } while (acceptSymbol(','));
     if (!acceptSymbol(')')) return fail("expected ')'");
-    statement.paramCount = paramCount_;
-    return statement;
+    return finish(std::move(statement));
   }
 
   ParseResult parseUpdate() {
@@ -270,11 +268,8 @@ class Parser {
       }
       upd.assignments.emplace_back(std::move(column), std::move(rhs));
     } while (acceptSymbol(','));
-    if (accept("WHERE") && !parseWhere(upd.where)) {
-      return fail("malformed WHERE clause");
-    }
-    statement.paramCount = paramCount_;
-    return statement;
+    if (!parseWhere(upd.where)) return fail("malformed WHERE clause");
+    return finish(std::move(statement));
   }
 
   ParseResult parseDelete() {
@@ -284,11 +279,8 @@ class Parser {
     statement.kind = StatementKind::kDelete;
     DeleteStatement& del = statement.del;
     if (!takeIdent(del.table)) return fail("expected table name");
-    if (accept("WHERE") && !parseWhere(del.where)) {
-      return fail("malformed WHERE clause");
-    }
-    statement.paramCount = paramCount_;
-    return statement;
+    if (!parseWhere(del.where)) return fail("malformed WHERE clause");
+    return finish(std::move(statement));
   }
 
   Lexer lexer_;

@@ -10,6 +10,9 @@
 //   cond   := qcol = value        qcol := ident | ident.ident
 //   value  := ? | int | 'string'
 //   cols   := * | ident (, ident)*
+//
+// A statement may end in one ';' and nothing may follow it. An unterminated
+// string literal is an error.
 #pragma once
 
 #include <string>

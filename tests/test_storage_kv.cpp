@@ -210,5 +210,15 @@ TEST(ValueHelpers, CrossTypeEquality) {
   EXPECT_EQ(valueToString(Value{std::int64_t{7}}), "7");
 }
 
+TEST(ValueHelpers, StringSizeMatchesValueToString) {
+  for (const Value& v :
+       {Value{std::int64_t{0}}, Value{std::int64_t{-7}},
+        Value{std::int64_t{1234567}}, Value{INT64_MIN}, Value{INT64_MAX},
+        Value{0.0}, Value{-3.25}, Value{1e20}, Value{std::string()},
+        Value{std::string("securable")}}) {
+    EXPECT_EQ(valueStringSize(v), valueToString(v).size()) << valueToString(v);
+  }
+}
+
 }  // namespace
 }  // namespace dcache::storage

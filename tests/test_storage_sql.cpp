@@ -4,6 +4,7 @@
 // maintenance, deletes, parameters, limits).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "rpc/channel.hpp"
@@ -95,11 +96,23 @@ TEST(Parser, ErrorsReported) {
   for (const char* bad :
        {"", "DROP TABLE users", "SELECT FROM", "SELECT * users",
         "INSERT INTO t (1,2)", "UPDATE t WHERE x = 1",
-        "SELECT * FROM t WHERE x >" , "SELECT * FROM t LIMIT ?"}) {
+        "SELECT * FROM t WHERE x >" , "SELECT * FROM t LIMIT ?",
+        "SELECT * FROM t WHERE name = 'abc",
+        "INSERT INTO t VALUES ('x', 1) garbage",
+        "UPDATE t SET a = 1 WHERE id = ? LIMIT 5",
+        "DELETE FROM t WHERE id = 1 trailing junk"}) {
     const ParseResult r = parseSql(bad);
     EXPECT_TRUE(std::holds_alternative<ParseError>(r)) << bad;
   }
   EXPECT_THROW((void)parseSqlOrThrow("garbage"), std::invalid_argument);
+  EXPECT_EQ(std::get<ParseError>(parseSql("SELECT * FROM t WHERE a = 'x"))
+                .message,
+            "unterminated literal");
+  // One trailing ';' is fine; anything after it is not.
+  EXPECT_TRUE(std::holds_alternative<Statement>(
+      parseSql("DELETE FROM t WHERE id = 1;")));
+  EXPECT_TRUE(std::holds_alternative<ParseError>(
+      parseSql("SELECT * FROM t; SELECT * FROM t")));
 }
 
 // ---- Planner ----
@@ -285,6 +298,71 @@ TEST_F(SqlExecution, ParseAndPlanErrorsSurfaceToClient) {
   auto unknown = exec("SELECT * FROM missing WHERE id = 1");
   EXPECT_FALSE(unknown.ok);
   EXPECT_NE(unknown.error.find("plan error"), std::string::npos);
+}
+
+// ---- Plan cache: host-side only, so the charges must not change ----
+
+TEST_F(SqlExecution, CachedPlanChargesTheSameFrontEndWork) {
+  exec("INSERT INTO users VALUES (1, 10, 'amy')");
+  const auto frontEnd = [&] {
+    const auto& cpu = sqlTier_.aggregateCpu();
+    return std::array<double, 3>{
+        cpu.micros(sim::CpuComponent::kConnectionMgmt),
+        cpu.micros(sim::CpuComponent::kQueryParse),
+        cpu.micros(sim::CpuComponent::kQueryPlan)};
+  };
+  std::array<double, 3> charged[2];
+  for (auto& delta : charged) {
+    const auto before = frontEnd();
+    ASSERT_TRUE(exec("SELECT * FROM users WHERE id = ?", {std::int64_t{1}}).ok);
+    const auto after = frontEnd();
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] = after[i] - before[i];
+  }
+  EXPECT_GT(charged[0][1], 0.0);
+  EXPECT_EQ(charged[0], charged[1]);
+}
+
+TEST_F(SqlExecution, CreateTableReplansCachedText) {
+  // `team` starts unindexed: the first run scans the whole table.
+  const auto makeMembers = [&](std::vector<std::size_t> indexed) {
+    db_.createTable(TableSchema("members",
+                                {Column{"id", ColumnType::kInt},
+                                 Column{"team", ColumnType::kInt}},
+                                0, std::move(indexed)));
+    for (std::int64_t id = 0; id < 30; ++id) {
+      db_.loadRow("members", Row{{id, id % 10}});
+    }
+  };
+  const auto kvRowsCharged = [&] {
+    const double before =
+        kvTier_.aggregateCpu().micros(sim::CpuComponent::kKvExecution);
+    const auto sel =
+        exec("SELECT * FROM members WHERE team = ?", {std::int64_t{3}});
+    EXPECT_TRUE(sel.ok) << sel.error;
+    EXPECT_EQ(sel.rows.size(), 3u);
+    return kvTier_.aggregateCpu().micros(sim::CpuComponent::kKvExecution) -
+           before;
+  };
+  makeMembers({});
+  const double scanned = kvRowsCharged();
+  makeMembers({1});  // same text, now with an index on `team`
+  const double looked = kvRowsCharged();
+  // Index lookup: 3 index entries + 3 rows, against all 30 rows.
+  EXPECT_LT(looked * 2, scanned);
+}
+
+TEST_F(SqlExecution, ErrorsAreReportedOnEveryCall) {
+  for (int run = 0; run < 3; ++run) {
+    auto bad = exec("SELEC nothing");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("parse error"), std::string::npos) << run;
+    auto unknown = exec("SELECT * FROM missing WHERE id = 1");
+    EXPECT_FALSE(unknown.ok);
+    EXPECT_NE(unknown.error.find("plan error"), std::string::npos) << run;
+  }
+  // The failed plan was not cached: once the table exists the text runs.
+  db_.createTable(TableSchema("missing", {Column{"id", ColumnType::kInt}}, 0));
+  EXPECT_TRUE(exec("SELECT * FROM missing WHERE id = 1").ok);
 }
 
 TEST_F(SqlExecution, ChargesFrontendAndStorage) {

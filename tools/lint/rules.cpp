@@ -518,12 +518,15 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
       "push_back", "emplace_back", "resize", "reserve", "assign", "insert"};
 
   for (const SourceFile& f : in.files) {
-    // The serve-path whitelist: the slab/arena storage, the flat cache, and
-    // the SLRU wrapper whose segments are flat caches. The node-based LFU
-    // and S3-FIFO and the test-only oracle in tests/reference/ allocate per
-    // entry by design and are deliberately out of scope.
+    // The serve-path whitelist: the slab/arena storage, the flat cache, the
+    // SLRU wrapper whose segments are flat caches, and the flat MVCC
+    // engine. The node-based LFU and S3-FIFO and the test-only oracles in
+    // tests/reference/ allocate per entry by design and are deliberately
+    // out of scope.
     if (!fileIs(f, {"src/cache/slab.hpp", "src/cache/flat_cache.hpp",
-                    "src/cache/flat_cache.cpp", "src/cache/slru.cpp"})) {
+                    "src/cache/flat_cache.cpp", "src/cache/slru.cpp",
+                    "src/storage/kv_engine.hpp",
+                    "src/storage/kv_engine.cpp"})) {
       continue;
     }
     const Tokens& t = f.tokens;
