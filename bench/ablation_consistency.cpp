@@ -69,8 +69,8 @@ core::ExperimentResult runLinkedLease(std::uint64_t& renewalsOut) {
   auto serveOne = [&](std::uint64_t opIndex, const workload::Op& op) {
     const std::uint64_t now = simNow(opIndex);
     if (op.isRead() && deployment.linkedCache()) {
-      const std::size_t owner =
-          deployment.linkedCache()->ownerOf(workload::keyName(op.keyIndex));
+      const std::size_t owner = deployment.linkedCache()->shards().ownerOf(
+          workload::keyName(op.keyIndex));
       leases.renew(owner, now);
       leases.canServeLocally(owner, now);  // consistent-read epoch check
     }

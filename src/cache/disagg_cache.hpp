@@ -13,10 +13,8 @@
 #include <string_view>
 #include <vector>
 
-#include "cache/hash_ring.hpp"
-#include "cache/kv_cache.hpp"
+#include "cache/sharded_tier.hpp"
 #include "rpc/channel.hpp"
-#include "sim/tier.hpp"
 
 namespace dcache::cache {
 
@@ -66,71 +64,33 @@ class DisaggCache {
   /// Epoch fence: drop every hot copy at once (pool membership changed —
   /// client-driven placement would otherwise read slots that moved).
   void clearHotCaches();
+  [[nodiscard]] KvCache& hotShard(std::size_t appIndex) noexcept {
+    return *hotShards_[appIndex];
+  }
 
-  // ---- far pool (one-sided access) ----
-  [[nodiscard]] std::size_t nodeForKey(std::string_view key) const noexcept;
-  GetResult farGet(sim::Node& initiator, std::string_view key);
-  GetResult farGetAt(sim::Node& initiator, std::size_t nodeIndex,
-                     std::string_view key);
+  // ---- far pool (one-sided access to pool node `node`) ----
+  GetResult farGet(sim::Node& initiator, std::size_t node,
+                   std::string_view key);
   /// One-sided write of the value into its slot (same cost shape as the
   /// read: issue + per-byte push + completion at the initiator only).
-  double farPut(sim::Node& initiator, std::string_view key,
+  double farPut(sim::Node& initiator, std::size_t node, std::string_view key,
                 std::uint64_t size, std::uint64_t version);
   /// One-sided tombstone: a header-sized write that clears the slot.
-  double farInvalidate(sim::Node& initiator, std::string_view key);
+  double farInvalidate(sim::Node& initiator, std::size_t node,
+                       std::string_view key);
 
-  // ---- planned pool membership (churn survival) ----
-  /// Arm membership-aware slot placement: keys map onto a consistent-hash
-  /// ring over the pool indices (every node joins up front). Default-off so
-  /// the legacy modulo placement stays byte-exact. Client-driven placement
-  /// means every app server recomputes the ring locally — there is still no
-  /// directory on the access path, which is exactly why pool transitions
-  /// must be fenced with a hot-cache flush (the deployment owns that).
-  void enableMembership();
-  /// Planned join/leave (idempotent: a replayed event is a no-op).
-  /// leaveNode keeps the pool node's slots — the handoff window migrates
-  /// them; dropShard retires whatever remains.
-  void joinNode(std::size_t nodeIndex);
-  void leaveNode(std::size_t nodeIndex);
-  /// Ring membership once armed; every valid pool index before that.
-  [[nodiscard]] bool isMember(std::size_t nodeIndex) const noexcept {
-    return membershipOn_ ? memberRing_.contains(nodeIndex)
-                         : nodeIndex < farShards_.size();
-  }
-  /// Current membership size (the membership director refuses to drain
-  /// the last member — keys would have no owner to move to).
-  [[nodiscard]] std::size_t memberCount() const noexcept {
-    return membershipOn_ ? memberRing_.memberCount() : farShards_.size();
-  }
-
-  /// Crash handling: a pool node's contents die with the process.
-  void dropShard(std::size_t nodeIndex);
-  [[nodiscard]] bool nodeUpFor(std::string_view key) const noexcept {
-    return farTier_->node(nodeForKey(key)).isUp();
-  }
-  [[nodiscard]] bool nodeUp(std::size_t nodeIndex) const noexcept {
-    return farTier_->node(nodeIndex).isUp();
-  }
-
-  [[nodiscard]] const sim::Tier& farTier() const noexcept { return *farTier_; }
+  /// The pool's placement, membership and slots. Every app server computes
+  /// placement itself (no directory), so the deployment fences pool
+  /// transitions with a hot-cache flush.
+  [[nodiscard]] ShardedTier& shards() noexcept { return far_; }
   [[nodiscard]] const DisaggCosts& costs() const noexcept { return costs_; }
-  [[nodiscard]] KvCache& farShardForNode(std::size_t i) noexcept {
-    return *farShards_[i];
-  }
-  [[nodiscard]] KvCache& hotShardForNode(std::size_t i) noexcept {
-    return *hotShards_[i];
-  }
 
  private:
-  sim::Tier* farTier_;
+  ShardedTier far_;
   sim::Tier* appTier_;
   rpc::Channel* channel_;
   DisaggCosts costs_;
-  std::vector<std::unique_ptr<KvCache>> farShards_;  // one per pool node
   std::vector<std::unique_ptr<KvCache>> hotShards_;  // one per app server
-  /// Pool membership ring (empty until enableMembership).
-  HashRing memberRing_;
-  bool membershipOn_ = false;
 };
 
 }  // namespace dcache::cache

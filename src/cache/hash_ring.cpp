@@ -20,13 +20,8 @@ bool HashRing::removeMember(std::size_t member) {
   const auto it = std::find(members_.begin(), members_.end(), member);
   if (it == members_.end()) return false;
   members_.erase(it);
-  for (auto ringIt = ring_.begin(); ringIt != ring_.end();) {
-    if (ringIt->second == member) {
-      ringIt = ring_.erase(ringIt);
-    } else {
-      ++ringIt;
-    }
-  }
+  std::erase_if(ring_,
+                [&](const auto& point) { return point.second == member; });
   return true;
 }
 

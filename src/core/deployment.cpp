@@ -1,5 +1,6 @@
 #include "core/deployment.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "rpc/wire_size.hpp"
@@ -31,6 +32,17 @@ void tablePkTo(std::uint64_t tableId, std::string& out) {
 constexpr double kShedTriageMicros = 0.5;
 /// Encoded size of the "try again later" error response.
 constexpr std::uint64_t kShedResponseBytes = 16;
+/// An object write ships a fixed-size column patch, not the object.
+constexpr std::uint64_t kObjectPatchBytes = 256;
+
+/// An object read back from a Remote pod or a far slot is encoded bytes:
+/// materializing the object graph is app logic — the cost a linked or hot
+/// hit avoids. The transport already charged the transfer itself.
+void compose(sim::Node& app, const richobject::AppCosts& costs,
+             std::uint64_t bytes) {
+  app.charge(sim::CpuComponent::kAppLogic,
+             costs.composePerByteMicros * static_cast<double>(bytes));
+}
 
 }  // namespace
 
@@ -67,12 +79,14 @@ Deployment::Deployment(DeploymentConfig config) : config_(config) {
       remote_ = std::make_unique<cache::RemoteCache>(
           *remoteTier_, config_.remoteCachePerNode, *channel_,
           config_.evictionPolicy, cal.cacheOps);
+      ring_ = &remote_->shards();
       break;
     case Architecture::kLinked:
     case Architecture::kLinkedVersion:
       linked_ = std::make_unique<cache::LinkedCache>(
           *app_, config_.appCachePerNode, *channel_, config_.evictionPolicy,
           cal.cacheOps);
+      ring_ = &linked_->shards();
       break;
     case Architecture::kDisaggregated: {
       farTier_ = std::make_unique<sim::Tier>(
@@ -80,6 +94,7 @@ Deployment::Deployment(DeploymentConfig config) : config_(config) {
       disagg_ = std::make_unique<cache::DisaggCache>(
           *farTier_, config_.farMemoryPerNode, *app_, config_.hotCachePerNode,
           *channel_, config_.evictionPolicy, cal.disagg);
+      ring_ = &disagg_->shards();
       // DiFache-style decentralized coherence: every app server subscribes
       // its own hot cache; a writer fans invalidations straight to its
       // peers — no coordinator on the path. Subscriber id == app index
@@ -95,7 +110,6 @@ Deployment::Deployment(DeploymentConfig config) : config_(config) {
       break;
     }
   }
-  versionChecker_ = std::make_unique<consistency::VersionChecker>(*db_);
   if (config_.trace.enabled()) {
     tracer_ = std::make_unique<obs::Tracer>(config_.trace);
   }
@@ -142,7 +156,7 @@ Deployment::Deployment(DeploymentConfig config) : config_(config) {
   }
   if (config_.cacheReplicationFactor > 1 && (remote_ || linked_)) {
     replicationOn_ = true;
-    if (remote_) remote_->enableReplication(config_.cacheReplicationFactor);
+    ring_->armRing();  // replica sets are successor walks on the ring
   }
 }
 
@@ -165,21 +179,41 @@ void Deployment::populateCatalog(const workload::UcTraceWorkload& trace,
       *catalogStore_, config_.calibration.app);
 }
 
+/// One op in flight through the shared serve path. `object` marks a UC
+/// object op: its value is assembled by SQL, versioned by its `tables` row,
+/// encoded before it is stored in a Remote pod or far slot and composed
+/// after it is read back from one.
+struct Deployment::OpCtx {
+  const std::string& key;
+  const workload::Op& op;
+  bool object;
+  std::size_t appIndex;
+  sim::Node& app;
+  OpResult result;
+  std::uint64_t servedBytes;  // value bytes a read returns to the client
+};
+
+/// What a cache lookup found. A miss is `degraded` when the cache could
+/// not be reached at all.
+struct Deployment::Lookup {
+  bool hit = false;
+  bool degraded = false;
+  std::uint64_t size = 0;
+  std::uint64_t version = 0;
+};
+
 bool Deployment::replicaUsable(sim::TierKind tier, std::size_t index) {
-  sim::Tier* t = tierFor(tier);
-  if (!t || index >= t->size() || !t->node(index).isUp()) return false;
-  if (monitor_ && !monitor_->allowRequest(tier, index, simNowMicros_)) {
-    return false;
-  }
-  return true;
+  const sim::Node* node = nodeAt(tier, index);
+  return node != nullptr && node->isUp() &&
+         (!monitor_ || monitor_->allowRequest(tier, index, simNowMicros_));
 }
 
 std::size_t Deployment::chooseLinkedReplica(const std::string& key,
                                             bool& fallback) {
   const auto replicas =
-      linked_->replicasOf(key, config_.cacheReplicationFactor);
+      ring_->replicasOf(key, config_.cacheReplicationFactor);
   fallback = false;
-  if (replicas.empty()) return linked_->ownerOf(key);
+  if (replicas.empty()) return ring_->ownerOf(key);
   for (std::size_t r = 0; r < replicas.size(); ++r) {
     if (replicaUsable(sim::TierKind::kAppServer, replicas[r])) {
       fallback = r > 0;
@@ -189,44 +223,40 @@ std::size_t Deployment::chooseLinkedReplica(const std::string& key,
   return replicas[0];  // nothing usable: the primary's failure is counted
 }
 
-void Deployment::noteReplicaStaleness(const std::string& key,
-                                      std::uint64_t version) {
+void Deployment::noteReplicaStaleness(OpCtx& op, std::uint64_t version) {
   // peek*, not read*: anomaly accounting is the experimenter's x-ray, it
   // must not charge CPU or change cache state.
-  const auto stored = db_->peekValueVersion(key);
+  const auto stored = committedVersion(op);
   if (stored && *stored != version) ++counters_.staleReplicaReads;
+}
+
+std::optional<std::uint64_t> Deployment::committedVersion(OpCtx& op) {
+  if (!op.object) return db_->peekValueVersion(op.key);
+  tablePkTo(op.op.keyIndex, pkScratch_);
+  return db_->peekRowVersion("tables", pkScratch_);
 }
 
 std::size_t Deployment::appIndexFor(const std::string& key) {
   linkedPickValid_ = false;
   if (linked_ && config_.affinityRouting) {
+    // Replica-aware affinity (rf > 1 only: one copy leaves no choice): the
+    // client leg lands on the shard the probe will use, so an ejected or
+    // slow owner is bypassed end to end.
     if (replicationOn_) {
-      // Replica-aware affinity: the client leg lands on the shard the
-      // probe will use, so an ejected/slow owner is bypassed end to end.
       linkedPick_ = chooseLinkedReplica(key, linkedPickFallback_);
       linkedPickValid_ = true;
-      if (!dynamicTopology() || app_->node(linkedPick_).isUp()) {
-        return linkedPick_;
-      }
+      if (app_->node(linkedPick_).isUp()) return linkedPick_;
     }
-    const std::size_t owner = linked_->ownerOf(key);
-    if (!dynamicTopology() || app_->node(owner).isUp()) {
-      return owner;  // Slicer-style affinity
-    }
+    const std::size_t owner = ring_->ownerOf(key);
+    if (app_->node(owner).isUp()) return owner;  // Slicer-style affinity
     // The ring still names a down node (a tier outage doesn't reshard —
     // the shards' contents survive); spray over the live servers below.
-  }
-  if (!dynamicTopology() && !monitor_) {
-    const std::size_t idx = rrApp_ % app_->size();
-    ++rrApp_;
-    return idx;
   }
   // Load-balancer health checks: round-robin over live servers only, and —
   // with the health monitor on — skip ejected servers too (an ejected node
   // still gets its periodic probe request routed through here).
   for (std::size_t probe = 0; probe < app_->size(); ++probe) {
-    const std::size_t idx = rrApp_ % app_->size();
-    ++rrApp_;
+    const std::size_t idx = rrApp_++ % app_->size();
     if (!app_->node(idx).isUp()) continue;
     if (monitor_ &&
         !monitor_->allowRequest(sim::TierKind::kAppServer, idx,
@@ -280,110 +310,400 @@ bool Deployment::shouldShedRead(sim::Node& app) {
   return true;
 }
 
-double Deployment::readFromStorageAndFill(sim::Node& app,
-                                          std::size_t appIndex,
-                                          const std::string& key) {
-  sim::SpanGuard span("storage.fill", sim::TierKind::kKvStorage);
-  app.charge(sim::CpuComponent::kRequestPrep,
-             config_.calibration.app.requestPrepMicros);
+Deployment::OpResult Deployment::serve(const workload::Op& op) {
+  return serveOp(op, /*object=*/false);
+}
+
+Deployment::OpResult Deployment::serveObject(const workload::Op& op) {
+  return serveOp(op, /*object=*/true);
+}
+
+Deployment::OpResult Deployment::serveOp(const workload::Op& op,
+                                         bool object) {
+  if (object) {
+    objectKeyTo(op.keyIndex, keyScratch_);
+  } else {
+    workload::keyNameTo(op.keyIndex, keyScratch_);
+  }
+  const bool read = op.isRead();
+  obs::RequestScope scope(tracer_.get(), object ? (read ? "object.read"
+                                                        : "object.write")
+                                                : (read ? "read" : "write"));
+  const std::uint64_t degradedBefore = counters_.degradedReads;
+  const std::uint64_t shedBefore = counters_.sheddedRequests;
+  const std::uint64_t fallbackBefore = counters_.replicaFallbackReads;
+  const std::size_t appIndex = appIndexFor(keyScratch_);
+  OpCtx ctx{keyScratch_, op, object, appIndex, app_->node(appIndex), {},
+            op.valueSize};
+  if (read) {
+    serveRead(ctx);
+    scope.setOutcome(counters_.sheddedRequests > shedBefore
+                         ? sim::SpanOutcome::kShed
+                     : counters_.degradedReads > degradedBefore
+                         ? sim::SpanOutcome::kDegraded
+                     : counters_.replicaFallbackReads > fallbackBefore
+                         ? sim::SpanOutcome::kReplicaFallback
+                     : ctx.result.cacheHit ? sim::SpanOutcome::kHit
+                                           : sim::SpanOutcome::kMiss);
+  } else {
+    serveWrite(ctx);
+  }
+  latency_.record(ctx.result.latencyMicros);
+  if (faultsInstalled_ || overloadInstalled_ || monitor_) syncFaultCounters();
+  if (membershipInstalled_) syncMembershipCounters();
+  return ctx.result;
+}
+
+void Deployment::serveRead(OpCtx& op) {
+  ++counters_.reads;
+  double& latency = op.result.latencyMicros;
+  if (shouldShedRead(op.app)) {
+    latency += clientLeg(op.app, op.appIndex,
+                         rpc::getRequestWireSize(op.key.size()),
+                         kShedResponseBytes, /*countFailure=*/false);
+    return;
+  }
+
+  if (ring_ == nullptr) {
+    // Base: no cache, so every read goes to storage.
+    if (!op.object) {
+      op.app.charge(sim::CpuComponent::kRequestPrep,
+                    config_.calibration.app.requestPrepMicros);
+    }
+    const auto value = produce(op);
+    latency += value.latencyMicros;
+    if (!op.object) op.servedBytes = value.size;
+  } else {
+    Lookup hit = remote_   ? lookupRemote(op)
+                 : linked_ ? lookupLinked(op)
+                           : lookupDisagg(op);
+    if (hit.hit && ttlExpired(op.key)) {
+      // Bounded-staleness mode: the entry outlived its freshness bound;
+      // revalidate from storage (far cheaper than per-read version checks,
+      // but only TTL-consistent).
+      ++counters_.ttlExpirations;
+      hit.hit = false;
+    }
+    if (hit.hit) {
+      op.servedBytes = hit.size;
+      // §5.5: Linked+Version validates every hit against storage.
+      hit.hit = config_.architecture != Architecture::kLinkedVersion ||
+                versionCurrent(op, hit.version);
+    }
+    if (hit.hit) {
+      ++counters_.cacheHits;
+      op.result.cacheHit = true;
+    } else {
+      // An unreachable cache degrades the op to the storage path:
+      // availability is preserved, the cost moves.
+      if (hit.degraded) ++counters_.degradedReads;
+      ++counters_.cacheMisses;
+      // A KV miss adds its storage read and fill to the op as one sum, an
+      // object miss adds each step as it lands: the summation orders every
+      // recorded latency was built with.
+      double kvWait = 0.0;
+      fillFromStorage(op, op.object ? latency : kvWait);
+      latency += kvWait;
+    }
+  }
+
+  latency += clientLeg(op.app, op.appIndex,
+                       rpc::getRequestWireSize(op.key.size()),
+                       rpc::getResponseWireSize() + op.servedBytes);
+}
+
+Deployment::Lookup Deployment::lookupRemote(OpCtx& op) {
+  cache::RemoteCache::GetResult got;
+  bool contacted = !replicationOn_;
+  if (replicationOn_) {
+    // Walk the replica set primary-first; skip down/ejected pods and fall
+    // through a failed call to the next replica.
+    const auto replicas =
+        ring_->replicasOf(op.key, config_.cacheReplicationFactor);
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+      if (!replicaUsable(sim::TierKind::kRemoteCache, replicas[r])) continue;
+      got = remote_->get(op.app, replicas[r], op.key);
+      op.result.latencyMicros += got.latencyMicros;
+      contacted = true;
+      if (!got.failed) {
+        if (r > 0) ++counters_.replicaFallbackReads;
+        break;
+      }
+    }
+  } else {
+    // One copy: the client calls its owner even when the pod is down, and
+    // the timeout it pays there is the outage's cost.
+    got = remote_->get(op.app, ring_->ownerOf(op.key), op.key);
+    op.result.latencyMicros += got.latencyMicros;
+  }
+  if (!got.hit) return {false, !contacted || got.failed};
+  // Only a replica can miss a write (write-all skips unusable ones).
+  if (replicationOn_) noteReplicaStaleness(op, got.version);
+  if (op.object) compose(op.app, config_.calibration.app, got.size);
+  return {true, false, got.size, got.version};
+}
+
+Deployment::Lookup Deployment::lookupLinked(OpCtx& op) {
+  std::size_t owner = 0;
+  bool fallback = false;
+  if (!replicationOn_) {
+    owner = ring_->ownerOf(op.key);  // one copy: no replica gate to spend
+  } else if (linkedPickValid_) {
+    // Probe the shard the routing layer picked (appIndexFor stashes its
+    // choice so probe slots aren't granted twice per op).
+    owner = linkedPick_;
+    fallback = linkedPickFallback_;
+    linkedPickValid_ = false;
+  } else {
+    owner = chooseLinkedReplica(op.key, fallback);
+  }
+  const auto got = linked_->get(op.appIndex, owner, op.key);
+  if (fallback) ++counters_.replicaFallbackReads;
+  // Only a replica can miss a write (write-all skips unusable ones).
+  if (got.hit && replicationOn_) noteReplicaStaleness(op, got.version);
+  op.result.latencyMicros += got.latencyMicros;
+  return {got.hit, false, got.size, got.version};
+}
+
+Deployment::Lookup Deployment::lookupDisagg(OpCtx& op) {
+  // Hot cache first: an in-process hit never touches far memory, and it
+  // holds the live object graph (no decode, no wire).
+  const auto hot = disagg_->hotGet(op.appIndex, op.key);
+  op.result.latencyMicros += hot.latencyMicros;
+  if (hot.hit) {
+    ++counters_.hotCacheHits;
+    return {true, false, hot.size, hot.version};
+  }
+  // Cold: one one-sided read against the key's pool slot. The gate is the
+  // same replica gate the other tiers use — a down or ejected pool node
+  // degrades the op to the storage path instead of burning the retry
+  // budget.
+  const std::size_t farIdx = ring_->ownerOf(op.key);
+  if (!replicaUsable(sim::TierKind::kFarMemory, farIdx)) return {false, true};
+  const auto far = disagg_->farGet(op.app, farIdx, op.key);
+  op.result.latencyMicros += far.latencyMicros;
+  ++counters_.farMemoryReads;
+  counters_.farMemoryBytes += far.wireBytes;
+  if (!far.hit) return {false, far.failed};
+  if (op.object) compose(op.app, config_.calibration.app, far.size);
+  disagg_->hotFill(op.appIndex, op.key, far.size, far.version);
+  return {true, false, far.size, far.version};
+}
+
+bool Deployment::versionCurrent(OpCtx& op, std::uint64_t cachedVersion) {
+  storage::Database::VersionResult check;
+  if (op.object) {
+    tablePkTo(op.op.keyIndex, pkScratch_);
+    check = db_->versionCheckRow(op.app, "tables", pkScratch_);
+  } else {
+    check = db_->versionCheck(op.app, op.key);
+  }
+  ++counters_.versionChecks;
+  op.result.latencyMicros += check.latencyMicros;
+  const bool current = check.found && check.version == cachedVersion;
+  if (!current) ++counters_.versionMismatches;
+  return current;
+}
+
+void Deployment::fillFromStorage(OpCtx& op, double& wait) {
+  // A KV miss is traced as a storage fill and pays request prep; the
+  // assembler traces and charges an object miss's statements itself.
+  std::optional<sim::SpanGuard> span;
+  if (!op.object) {
+    span.emplace("storage.fill", sim::TierKind::kKvStorage);
+    op.app.charge(sim::CpuComponent::kRequestPrep,
+                  config_.calibration.app.requestPrepMicros);
+  }
   if (membershipInstalled_ && membership_->anyWindowActive()) {
     // Dual-read fallback: the key's ownership just moved and the old owner
     // may still hold it — rescue the entry from there instead of paying a
     // storage round trip (the storage-amplification saving warm handoff is
     // measured on).
-    const auto fb = membership_->tryFallback(appIndex, key);
+    const auto fb = membership_->tryFallback(op.appIndex, op.key);
     if (fb.hit) {
-      span.setOutcome(sim::SpanOutcome::kCoalesced);
-      return fb.latencyMicros;
+      if (span) span->setOutcome(sim::SpanOutcome::kCoalesced);
+      wait += fb.latencyMicros;
+      return;
     }
   }
+  // Single-flight is the restart-herd defense, so it runs only when the
+  // topology can change; a fault-free miss keeps its own storage read.
   if (dynamicTopology()) {
-    // Single-flight: a miss whose storage read is already in flight joins
-    // it instead of issuing a duplicate — a cold restart must not turn the
-    // miss storm into a storage-QPS storm. The follower only pays the
-    // remaining wait.
-    const auto it = inflight_.find(key);
+    // A miss whose storage read is already in flight joins it instead of
+    // issuing a duplicate; the follower only pays the remaining wait.
+    const auto it = inflight_.find(op.key);
     if (it != inflight_.end() && it->second > simNowMicros_) {
       ++counters_.coalescedMisses;
-      span.setOutcome(sim::SpanOutcome::kCoalesced);
-      return static_cast<double>(it->second - simNowMicros_);
+      if (span) span->setOutcome(sim::SpanOutcome::kCoalesced);
+      wait += static_cast<double>(it->second - simNowMicros_);
+      return;
     }
   }
-  const auto read = db_->readValue(app, key);
-  ++counters_.storageReads;
-  if (dynamicTopology()) {
-    inflight_[key] =
-        simNowMicros_ + static_cast<std::uint64_t>(read.latencyMicros);
+  const auto value = produce(op);
+  wait += value.latencyMicros;
+  if (dynamicTopology()) {  // the leader's completion, for its followers
+    inflight_[op.key] =
+        simNowMicros_ + static_cast<std::uint64_t>(value.latencyMicros);
     pruneInflight();
   }
-  if (!read.found) return read.latencyMicros;
+  if (value.found) wait += fill(op, value.size, value.version);
+}
+
+storage::Database::ReadResult Deployment::produce(OpCtx& op) {
+  if (!op.object) {
+    ++counters_.storageReads;
+    return db_->readValue(op.app, op.key);
+  }
+  const auto assembled = assembler_->getTable(op.app, op.op.keyIndex);
+  counters_.statementsIssued += assembled.statementsIssued;
+  if (!assembled.ok) return {false, 0, 0, assembled.latencyMicros};
+  op.servedBytes = assembled.object.approximateSize();
+  return {true, op.servedBytes, committedVersion(op).value_or(0),
+          assembled.latencyMicros};
+}
+
+double Deployment::fill(OpCtx& op, std::uint64_t size,
+                        std::uint64_t version) {
+  // Remote pods and far slots store the *encoded* object; encoding it is
+  // app work.
+  if (op.object && !linked_) {
+    channel_->serializer().chargeSerialize(op.app, size);
+  }
   if (remote_) {
-    if (replicationOn_) {
-      // Write-all fill: every usable replica gets the value. The copies
-      // ship in parallel, so the op pays the slowest one; the extra
-      // copies' CPU/bytes land on the meters and replicaWriteFanout.
-      double maxLat = 0.0;
-      std::size_t copies = 0;
-      for (const std::size_t idx : remote_->replicasForKey(key)) {
-        if (!replicaUsable(sim::TierKind::kRemoteCache, idx)) continue;
-        const double lat = remote_->putAt(app, idx, key, read.size,
-                                          read.version);
-        if (lat > maxLat) maxLat = lat;
-        ++copies;
-      }
-      if (copies > 1) counters_.replicaWriteFanout += copies - 1;
-      return read.latencyMicros + maxLat;
-    }
-    if (dynamicTopology() && !remote_->nodeUpFor(key)) {
-      // Circuit breaker: don't burn a timed-out retry budget filling a
-      // pod known to be dead; the value simply isn't cached this round.
-      return read.latencyMicros;
-    }
-    return read.latencyMicros +
-           remote_->put(app, key, read.size, read.version);
+    return eachReplica(op.key, /*skipDead=*/true, [&](std::size_t node) {
+      return remote_->put(op.app, node, op.key, size, version);
+    });
   }
   if (disagg_) {
-    // The hot copy is in-process and always fillable; the far slot is
-    // skipped when its pool node is known dead (same breaker idiom as the
-    // remote tier — don't burn a timed-out retry budget on a corpse).
-    disagg_->hotFill(appIndex, key, read.size, read.version);
-    if (!dynamicTopology() || disagg_->nodeUpFor(key)) {
-      return read.latencyMicros +
-             disagg_->farPut(app, key, read.size, read.version);
-    }
-    return read.latencyMicros;
+    // The hot copy is in-process and always fillable. A KV miss fills it
+    // before the far slot, an object miss after.
+    if (!op.object) disagg_->hotFill(op.appIndex, op.key, size, version);
+    const double wait =
+        eachReplica(op.key, /*skipDead=*/true, [&](std::size_t node) {
+          return disagg_->farPut(op.app, node, op.key, size, version);
+        });
+    if (op.object) disagg_->hotFill(op.appIndex, op.key, size, version);
+    return wait;
   }
-  if (linked_) {
-    if (replicationOn_) {
-      double maxLat = 0.0;
-      std::size_t copies = 0;
-      const auto replicas =
-          linked_->replicasOf(key, config_.cacheReplicationFactor);
-      for (const std::size_t idx : replicas) {
-        if (!replicaUsable(sim::TierKind::kAppServer, idx)) continue;
-        if (config_.affinityRouting && idx == appIndex) {
-          linked_->fillAt(idx, key, read.size, read.version);
-        } else {
-          const double lat =
-              linked_->updateAt(appIndex, idx, key, read.size, read.version);
-          if (lat > maxLat) maxLat = lat;
+  const double wait =
+      eachReplica(op.key, /*skipDead=*/false, [&](std::size_t shard) {
+        // With affinity routing the serving server fills its own shard (at
+        // rf = 1 the owner's, charged to the owner); any other shard gets a
+        // marshalled transfer that only write-all replication waits for.
+        if (config_.affinityRouting &&
+            (shard == op.appIndex || !replicationOn_)) {
+          linked_->fill(shard, op.key, size, version);
+          return 0.0;
         }
-        ++copies;
-      }
-      if (copies > 1) counters_.replicaWriteFanout += copies - 1;
-      noteFill(key);
-      return read.latencyMicros + maxLat;
-    }
-    if (config_.affinityRouting) {
-      linked_->fill(key, read.size, read.version);
-    } else {
-      // The receiving server read the value; shipping it to the owning
-      // shard is a marshalled intra-tier transfer.
-      linked_->update(appIndex, key, read.size, read.version);
-    }
-    noteFill(key);
+        const double lat =
+            linked_->update(op.appIndex, shard, op.key, size, version);
+        return replicationOn_ ? lat : 0.0;
+      });
+  noteFill(op.key);
+  return wait;
+}
+
+template <typename Act>
+double Deployment::eachReplica(const std::string& key, bool skipDead,
+                               Act&& act) {
+  if (!replicationOn_) {
+    // One copy, no replica gate (it spends health-probe slots); the
+    // breaker idiom skips an owner known to be dead rather than burn a
+    // timed-out retry budget on it.
+    const std::size_t owner = ring_->ownerOf(key);
+    if (skipDead && !ring_->nodeUp(owner)) return 0.0;
+    return act(owner);
   }
-  return read.latencyMicros;
+  // Write-all: every usable replica gets the copy in parallel, so the op
+  // pays the slowest one; the extra copies' CPU/bytes land on the meters
+  // and replicaWriteFanout. A skipped replica goes stale, which fallback
+  // reads surface as staleReplicaReads.
+  double slowest = 0.0;
+  std::size_t copies = 0;
+  for (const std::size_t node :
+       ring_->replicasOf(key, config_.cacheReplicationFactor)) {
+    if (!replicaUsable(ring_->tier().kind(), node)) continue;
+    slowest = std::max(slowest, act(node));
+    ++copies;
+  }
+  if (copies > 1) counters_.replicaWriteFanout += copies - 1;
+  return slowest;
+}
+
+void Deployment::serveWrite(OpCtx& op) {
+  ++counters_.writes;
+  double& latency = op.result.latencyMicros;
+  std::uint64_t version = 0;
+  if (op.object) {
+    latency += assembler_->updateTable(op.app, op.op.keyIndex);
+    counters_.statementsIssued += 2;  // read + update statements
+    version = committedVersion(op).value_or(0);
+  } else {
+    op.app.charge(sim::CpuComponent::kRequestPrep,
+                  config_.calibration.app.requestPrepMicros);
+    const auto write = db_->writeValue(op.app, op.key, op.op.valueSize);
+    latency += write.latencyMicros;
+    version = write.version;
+  }
+
+  // Write-through refreshes every cached copy, otherwise the write
+  // invalidates them. An object is refreshed only where a Linked shard
+  // already holds the live graph: re-assembling it inline costs more than
+  // dropping it.
+  const bool refresh =
+      config_.writeThroughCache &&
+      (!op.object ||
+       (linked_ &&
+        ring_->shard(ring_->ownerOf(op.key)).peek(op.key) != nullptr));
+  const std::uint64_t size = op.op.valueSize;
+  if (remote_) {
+    latency += eachReplica(op.key, /*skipDead=*/false, [&](std::size_t node) {
+      return refresh ? remote_->put(op.app, node, op.key, size, version)
+                     : remote_->invalidate(op.app, node, op.key);
+    });
+  } else if (linked_) {
+    latency += eachReplica(op.key, /*skipDead=*/false, [&](std::size_t node) {
+      return refresh
+                 ? linked_->update(op.appIndex, node, op.key, size, version)
+                 : linked_->invalidate(op.appIndex, node, op.key);
+    });
+    if (refresh) {
+      noteFill(op.key);
+    } else {
+      fillTimes_.erase(op.key);
+    }
+  } else if (disagg_) {
+    // Writer updates (or tombstones) the far slot and its own hot copy,
+    // then fans the invalidation to its peers itself — DiFache-style, no
+    // coordinator on the coherence path. Peers drop their hot copies via
+    // the bus handler; the next read re-pulls from the far pool.
+    latency += eachReplica(op.key, /*skipDead=*/true, [&](std::size_t node) {
+      return refresh ? disagg_->farPut(op.app, node, op.key, size, version)
+                     : disagg_->farInvalidate(op.app, node, op.key);
+    });
+    if (refresh) {
+      disagg_->hotFill(op.appIndex, op.key, size, version);
+    } else {
+      disagg_->hotInvalidate(op.appIndex, op.key);
+    }
+    const std::uint64_t deliveredBefore = invalidationBus_->delivered();
+    latency += invalidationBus_->publish(op.app, op.key, version, op.appIndex);
+    counters_.clientInvalidations +=
+        invalidationBus_->delivered() - deliveredBefore;
+  }
+
+  if (membershipInstalled_ && membership_->anyWindowActive()) {
+    // The write landed at the key's *new* owner; erase any copy the old
+    // owner still holds so a later migration batch (or dual read) can't
+    // resurrect the overwritten value.
+    membership_->fenceWrite(op.appIndex, op.key);
+  }
+
+  latency += clientLeg(
+      op.app, op.appIndex,
+      rpc::putRequestWireSize(op.key.size()) +
+          (op.object ? kObjectPatchBytes : op.op.valueSize),
+      rpc::putResponseWireSize());
 }
 
 bool Deployment::ttlExpired(const std::string& key) const {
@@ -406,24 +726,15 @@ void Deployment::maybeSweepFillTimes() {
   // change any decision (ttlExpired is only consulted after a cache *hit*),
   // so sweep dead entries whenever the map outgrows occupancy 2x. The
   // floor keeps the sweep amortized O(1) per fill for small runs.
-  if (!linked_) return;
   if (fillTimes_.size() < 1024) return;
-  if (fillTimes_.size() <= 2 * linked_->itemCount()) return;
-  bool anyServer = false;
-  for (std::size_t i = 0; i < app_->size(); ++i) {
-    if (linked_->hasServer(i)) {
-      anyServer = true;
-      break;
-    }
-  }
-  if (!anyServer) {  // ring empty mid-outage: everything is un-cached
+  if (fillTimes_.size() <= 2 * ring_->itemCount()) return;
+  if (ring_->memberCount() == 0) {  // ring empty mid-outage: all un-cached
     fillTimes_.clear();
     return;
   }
   // dcache-lint: allow(unordered-iter, erase-only sweep dropping fill times whose key left the resharded ring; per-entry predicate, order cannot leak into serving or accounting)
   for (auto it = fillTimes_.begin(); it != fillTimes_.end();) {
-    const std::size_t owner = linked_->ownerOf(it->first);
-    if (linked_->shard(owner).peek(it->first) == nullptr) {
+    if (ring_->shard(ring_->ownerOf(it->first)).peek(it->first) == nullptr) {
       it = fillTimes_.erase(it);
     } else {
       ++it;
@@ -431,523 +742,13 @@ void Deployment::maybeSweepFillTimes() {
   }
 }
 
-Deployment::OpResult Deployment::serve(const workload::Op& op) {
-  workload::keyNameTo(op.keyIndex, keyScratch_);
-  const std::string& key = keyScratch_;
-  obs::RequestScope scope(tracer_.get(), op.isRead() ? "read" : "write");
-  const std::uint64_t degradedBefore = counters_.degradedReads;
-  const std::uint64_t shedBefore = counters_.sheddedRequests;
-  const std::uint64_t fallbackBefore = counters_.replicaFallbackReads;
-  OpResult result =
-      op.isRead() ? serveRead(key, op) : serveWrite(key, op);
-  if (op.isRead()) {
-    scope.setOutcome(counters_.sheddedRequests > shedBefore
-                         ? sim::SpanOutcome::kShed
-                     : counters_.degradedReads > degradedBefore
-                         ? sim::SpanOutcome::kDegraded
-                     : counters_.replicaFallbackReads > fallbackBefore
-                         ? sim::SpanOutcome::kReplicaFallback
-                     : result.cacheHit ? sim::SpanOutcome::kHit
-                                       : sim::SpanOutcome::kMiss);
-  }
-  latency_.record(result.latencyMicros);
-  if (faultsInstalled_ || overloadInstalled_ || monitor_) syncFaultCounters();
-  if (membershipInstalled_) syncMembershipCounters();
-  return result;
-}
-
-Deployment::OpResult Deployment::serveRead(const std::string& key,
-                                           const workload::Op& op) {
-  ++counters_.reads;
-  OpResult result;
-  const std::size_t appIndex = appIndexFor(key);
-  sim::Node& app = app_->node(appIndex);
-  std::uint64_t servedBytes = op.valueSize;
-
-  if (shouldShedRead(app)) {
-    result.latencyMicros +=
-        clientLeg(app, appIndex, rpc::getRequestWireSize(key.size()),
-                  kShedResponseBytes,
-                  /*countFailure=*/false);
-    return result;
-  }
-
-  switch (config_.architecture) {
-    case Architecture::kBase: {
-      app.charge(sim::CpuComponent::kRequestPrep,
-                 config_.calibration.app.requestPrepMicros);
-      const auto read = db_->readValue(app, key);
-      ++counters_.storageReads;
-      servedBytes = read.size;
-      result.latencyMicros += read.latencyMicros;
-      break;
-    }
-    case Architecture::kRemote: {
-      cache::RemoteCache::GetResult hit;
-      bool contacted = false;
-      if (replicationOn_) {
-        // Walk the replica set primary-first; skip down/ejected pods and
-        // fall through a failed call to the next replica.
-        const auto replicas = remote_->replicasForKey(key);
-        for (std::size_t r = 0; r < replicas.size(); ++r) {
-          if (!replicaUsable(sim::TierKind::kRemoteCache, replicas[r])) {
-            continue;
-          }
-          hit = remote_->getAt(app, replicas[r], key);
-          result.latencyMicros += hit.latencyMicros;
-          contacted = true;
-          if (!hit.failed) {
-            if (r > 0) ++counters_.replicaFallbackReads;
-            break;
-          }
-        }
-      } else {
-        hit = remote_->get(app, key);
-        result.latencyMicros += hit.latencyMicros;
-        contacted = true;
-      }
-      if (hit.hit) {
-        ++counters_.cacheHits;
-        result.cacheHit = true;
-        servedBytes = hit.size;
-        if (replicationOn_) noteReplicaStaleness(key, hit.version);
-      } else {
-        // A failed call (pod down / every retry dropped) degrades to the
-        // storage path — availability is preserved, the cost moves.
-        if (!contacted || hit.failed) ++counters_.degradedReads;
-        ++counters_.cacheMisses;
-        result.latencyMicros += readFromStorageAndFill(app, appIndex, key);
-      }
-      break;
-    }
-    case Architecture::kLinked:
-    case Architecture::kLinkedVersion: {
-      cache::LinkedCache::GetResult hit;
-      if (replicationOn_) {
-        // Probe the shard the routing layer picked (appIndexFor stashes
-        // its choice so probe slots aren't granted twice per op).
-        bool fallback = false;
-        std::size_t owner;
-        if (linkedPickValid_) {
-          owner = linkedPick_;
-          fallback = linkedPickFallback_;
-          linkedPickValid_ = false;
-        } else {
-          owner = chooseLinkedReplica(key, fallback);
-        }
-        hit = linked_->getAt(appIndex, owner, key);
-        if (fallback) ++counters_.replicaFallbackReads;
-        if (hit.hit) noteReplicaStaleness(key, hit.version);
-      } else {
-        hit = linked_->get(appIndex, key);
-      }
-      result.latencyMicros += hit.latencyMicros;
-      if (hit.hit && ttlExpired(key)) {
-        // Bounded-staleness mode: the entry outlived its freshness bound;
-        // revalidate from storage (far cheaper than per-read version
-        // checks, but only TTL-consistent).
-        ++counters_.ttlExpirations;
-        ++counters_.cacheMisses;
-        result.latencyMicros += readFromStorageAndFill(app, appIndex, key);
-        break;
-      }
-      if (hit.hit) {
-        servedBytes = hit.size;
-        bool consistent = true;
-        if (config_.architecture == Architecture::kLinkedVersion) {
-          // §5.5: every read validates the cached version against storage.
-          const auto check = versionChecker_->check(app, key, hit.version);
-          ++counters_.versionChecks;
-          result.latencyMicros += check.latencyMicros;
-          if (!check.consistent) {
-            ++counters_.versionMismatches;
-            consistent = false;
-            result.latencyMicros +=
-                readFromStorageAndFill(app, appIndex, key);
-          }
-        }
-        if (consistent) {
-          ++counters_.cacheHits;
-          result.cacheHit = true;
-        } else {
-          ++counters_.cacheMisses;
-        }
-      } else {
-        ++counters_.cacheMisses;
-        result.latencyMicros += readFromStorageAndFill(app, appIndex, key);
-      }
-      break;
-    }
-    case Architecture::kDisaggregated: {
-      // Hot cache first: an in-process hit never touches far memory.
-      const auto hot = disagg_->hotGet(appIndex, key);
-      result.latencyMicros += hot.latencyMicros;
-      if (hot.hit) {
-        ++counters_.cacheHits;
-        ++counters_.hotCacheHits;
-        result.cacheHit = true;
-        servedBytes = hot.size;
-        break;
-      }
-      // Cold: one one-sided read against the key's pool slot. The gate is
-      // the same replica gate the other tiers use — a down or ejected pool
-      // node degrades the op to the storage path instead of burning the
-      // retry budget.
-      const std::size_t farIdx = disagg_->nodeForKey(key);
-      cache::DisaggCache::GetResult far;
-      bool contacted = false;
-      if (replicaUsable(sim::TierKind::kFarMemory, farIdx)) {
-        far = disagg_->farGetAt(app, farIdx, key);
-        result.latencyMicros += far.latencyMicros;
-        ++counters_.farMemoryReads;
-        counters_.farMemoryBytes += far.wireBytes;
-        contacted = true;
-      }
-      if (far.hit) {
-        ++counters_.cacheHits;
-        result.cacheHit = true;
-        servedBytes = far.size;
-        disagg_->hotFill(appIndex, key, far.size, far.version);
-      } else {
-        if (!contacted || far.failed) ++counters_.degradedReads;
-        ++counters_.cacheMisses;
-        result.latencyMicros += readFromStorageAndFill(app, appIndex, key);
-      }
-      break;
-    }
-  }
-
-  result.latencyMicros +=
-      clientLeg(app, appIndex, rpc::getRequestWireSize(key.size()),
-                rpc::getResponseWireSize() + servedBytes);
-  return result;
-}
-
-Deployment::OpResult Deployment::serveWrite(const std::string& key,
-                                            const workload::Op& op) {
-  ++counters_.writes;
-  OpResult result;
-  const std::size_t appIndex = appIndexFor(key);
-  sim::Node& app = app_->node(appIndex);
-
-  app.charge(sim::CpuComponent::kRequestPrep,
-             config_.calibration.app.requestPrepMicros);
-  const auto write = db_->writeValue(app, key, op.valueSize);
-  result.latencyMicros += write.latencyMicros;
-
-  if (remote_) {
-    if (replicationOn_) {
-      // Write-all: every usable replica is refreshed (or invalidated) in
-      // parallel; a skipped replica goes stale, which fallback reads will
-      // surface as staleReplicaReads.
-      double maxLat = 0.0;
-      std::size_t copies = 0;
-      for (const std::size_t idx : remote_->replicasForKey(key)) {
-        if (!replicaUsable(sim::TierKind::kRemoteCache, idx)) continue;
-        const double lat =
-            config_.writeThroughCache
-                ? remote_->putAt(app, idx, key, op.valueSize, write.version)
-                : remote_->invalidateAt(app, idx, key);
-        if (lat > maxLat) maxLat = lat;
-        ++copies;
-      }
-      if (copies > 1) counters_.replicaWriteFanout += copies - 1;
-      result.latencyMicros += maxLat;
-    } else {
-      result.latencyMicros +=
-          config_.writeThroughCache
-              ? remote_->put(app, key, op.valueSize, write.version)
-              : remote_->invalidate(app, key);
-    }
-  } else if (linked_) {
-    if (replicationOn_) {
-      double maxLat = 0.0;
-      std::size_t copies = 0;
-      const auto replicas =
-          linked_->replicasOf(key, config_.cacheReplicationFactor);
-      for (const std::size_t idx : replicas) {
-        if (!replicaUsable(sim::TierKind::kAppServer, idx)) continue;
-        const double lat =
-            config_.writeThroughCache
-                ? linked_->updateAt(appIndex, idx, key, op.valueSize,
-                                    write.version)
-                : linked_->invalidateAt(appIndex, idx, key);
-        if (lat > maxLat) maxLat = lat;
-        ++copies;
-      }
-      if (copies > 1) counters_.replicaWriteFanout += copies - 1;
-      result.latencyMicros += maxLat;
-      if (config_.writeThroughCache) {
-        noteFill(key);
-      } else {
-        fillTimes_.erase(key);
-      }
-    } else if (config_.writeThroughCache) {
-      result.latencyMicros +=
-          linked_->update(appIndex, key, op.valueSize, write.version);
-      noteFill(key);
-    } else {
-      result.latencyMicros += linked_->invalidate(appIndex, key);
-      fillTimes_.erase(key);
-    }
-  } else if (disagg_) {
-    // Writer updates (or tombstones) the far slot and its own hot copy,
-    // then fans the invalidation to its peers itself — DiFache-style, no
-    // coordinator on the coherence path. Peers drop their hot copies via
-    // the bus handler; the next read re-pulls from the far pool.
-    if (config_.writeThroughCache) {
-      if (!dynamicTopology() || disagg_->nodeUpFor(key)) {
-        result.latencyMicros +=
-            disagg_->farPut(app, key, op.valueSize, write.version);
-      }
-      disagg_->hotFill(appIndex, key, op.valueSize, write.version);
-    } else {
-      if (!dynamicTopology() || disagg_->nodeUpFor(key)) {
-        result.latencyMicros += disagg_->farInvalidate(app, key);
-      }
-      disagg_->hotInvalidate(appIndex, key);
-    }
-    const std::uint64_t deliveredBefore = invalidationBus_->delivered();
-    result.latencyMicros +=
-        invalidationBus_->publish(app, key, write.version, appIndex);
-    counters_.clientInvalidations +=
-        invalidationBus_->delivered() - deliveredBefore;
-  }
-
-  if (membershipInstalled_ && membership_->anyWindowActive()) {
-    // The write landed at the key's *new* owner; erase any copy the old
-    // owner still holds so a later migration batch (or dual read) can't
-    // resurrect the overwritten value.
-    membership_->fenceWrite(appIndex, key);
-  }
-
-  result.latencyMicros += clientLeg(
-      app, appIndex, rpc::putRequestWireSize(key.size()) + op.valueSize,
-      rpc::putResponseWireSize());
-  return result;
-}
-
-Deployment::OpResult Deployment::serveObject(const workload::Op& op) {
-  obs::RequestScope scope(tracer_.get(),
-                          op.isRead() ? "object.read" : "object.write");
-  const std::uint64_t degradedBefore = counters_.degradedReads;
-  const std::uint64_t shedBefore = counters_.sheddedRequests;
-  OpResult result = op.isRead() ? serveObjectRead(op) : serveObjectWrite(op);
-  if (op.isRead()) {
-    scope.setOutcome(counters_.sheddedRequests > shedBefore
-                         ? sim::SpanOutcome::kShed
-                     : counters_.degradedReads > degradedBefore
-                         ? sim::SpanOutcome::kDegraded
-                     : result.cacheHit ? sim::SpanOutcome::kHit
-                                       : sim::SpanOutcome::kMiss);
-  }
-  latency_.record(result.latencyMicros);
-  if (faultsInstalled_ || overloadInstalled_ || monitor_) syncFaultCounters();
-  if (membershipInstalled_) syncMembershipCounters();
-  return result;
-}
-
-Deployment::OpResult Deployment::serveObjectRead(const workload::Op& op) {
-  ++counters_.reads;
-  OpResult result;
-  objectKeyTo(op.keyIndex, keyScratch_);
-  const std::string& key = keyScratch_;
-  const std::size_t appIndex = appIndexFor(key);
-  sim::Node& app = app_->node(appIndex);
-  std::uint64_t servedBytes = op.valueSize;
-
-  if (shouldShedRead(app)) {
-    result.latencyMicros +=
-        clientLeg(app, appIndex, rpc::getRequestWireSize(key.size()),
-                  kShedResponseBytes,
-                  /*countFailure=*/false);
-    return result;
-  }
-
-  auto assembleAndFill = [&]() {
-    const auto assembled = assembler_->getTable(app, op.keyIndex);
-    counters_.statementsIssued += assembled.statementsIssued;
-    result.latencyMicros += assembled.latencyMicros;
-    if (!assembled.ok) return;
-    servedBytes = assembled.object.approximateSize();
-    tablePkTo(op.keyIndex, pkScratch_);
-    const auto version = db_->peekRowVersion("tables", pkScratch_).value_or(0);
-    if (remote_) {
-      // The remote cache stores the *encoded* object; encoding it is real
-      // work charged at the app before the cache RPC ships it.
-      channel_->serializer().chargeSerialize(app, servedBytes);
-      result.latencyMicros += remote_->put(app, key, servedBytes, version);
-    } else if (linked_) {
-      linked_->fill(key, servedBytes, version);
-    } else if (disagg_) {
-      // The far slot stores the *encoded* object (encoding is app work,
-      // like the remote fill); the hot cache keeps the live in-process
-      // graph alongside, so hot hits skip the decode entirely.
-      channel_->serializer().chargeSerialize(app, servedBytes);
-      if (!dynamicTopology() || disagg_->nodeUpFor(key)) {
-        result.latencyMicros +=
-            disagg_->farPut(app, key, servedBytes, version);
-      }
-      disagg_->hotFill(appIndex, key, servedBytes, version);
-    }
-  };
-
-  switch (config_.architecture) {
-    case Architecture::kBase:
-      assembleAndFill();  // no cache to fill: plain assembly
-      break;
-    case Architecture::kRemote: {
-      const auto hit = remote_->get(app, key);
-      result.latencyMicros += hit.latencyMicros;
-      if (hit.hit) {
-        ++counters_.cacheHits;
-        result.cacheHit = true;
-        servedBytes = hit.size;
-        // The app must decode the cached object before using it — the cost
-        // a linked cache avoids. The channel already charged the transfer
-        // deserialization; object graph materialization is app logic.
-        app.charge(sim::CpuComponent::kAppLogic,
-                   config_.calibration.app.composePerByteMicros *
-                       static_cast<double>(hit.size));
-      } else {
-        if (hit.failed) ++counters_.degradedReads;
-        ++counters_.cacheMisses;
-        assembleAndFill();
-      }
-      break;
-    }
-    case Architecture::kLinked:
-    case Architecture::kLinkedVersion: {
-      const auto hit = linked_->get(appIndex, key);
-      result.latencyMicros += hit.latencyMicros;
-      if (hit.hit) {
-        servedBytes = hit.size;
-        bool consistent = true;
-        if (config_.architecture == Architecture::kLinkedVersion) {
-          tablePkTo(op.keyIndex, pkScratch_);
-          const auto check = db_->versionCheckRow(app, "tables", pkScratch_);
-          ++counters_.versionChecks;
-          result.latencyMicros += check.latencyMicros;
-          if (!check.found || check.version != hit.version) {
-            ++counters_.versionMismatches;
-            consistent = false;
-            assembleAndFill();
-          }
-        }
-        if (consistent) {
-          ++counters_.cacheHits;
-          result.cacheHit = true;
-        } else {
-          ++counters_.cacheMisses;
-        }
-      } else {
-        ++counters_.cacheMisses;
-        assembleAndFill();
-      }
-      break;
-    }
-    case Architecture::kDisaggregated: {
-      const auto hot = disagg_->hotGet(appIndex, key);
-      result.latencyMicros += hot.latencyMicros;
-      if (hot.hit) {
-        // The hot cache holds the live object graph: no decode, no wire.
-        ++counters_.cacheHits;
-        ++counters_.hotCacheHits;
-        result.cacheHit = true;
-        servedBytes = hot.size;
-        break;
-      }
-      const std::size_t farIdx = disagg_->nodeForKey(key);
-      cache::DisaggCache::GetResult far;
-      bool contacted = false;
-      if (replicaUsable(sim::TierKind::kFarMemory, farIdx)) {
-        far = disagg_->farGetAt(app, farIdx, key);
-        result.latencyMicros += far.latencyMicros;
-        ++counters_.farMemoryReads;
-        counters_.farMemoryBytes += far.wireBytes;
-        contacted = true;
-      }
-      if (far.hit) {
-        ++counters_.cacheHits;
-        result.cacheHit = true;
-        servedBytes = far.size;
-        // The one-sided read pulled the encoded bytes; materializing the
-        // object graph is app logic — the cost a hot (or linked) hit
-        // avoids.
-        app.charge(sim::CpuComponent::kAppLogic,
-                   config_.calibration.app.composePerByteMicros *
-                       static_cast<double>(far.size));
-        disagg_->hotFill(appIndex, key, far.size, far.version);
-      } else {
-        if (!contacted || far.failed) ++counters_.degradedReads;
-        ++counters_.cacheMisses;
-        assembleAndFill();
-      }
-      break;
-    }
-  }
-
-  result.latencyMicros +=
-      clientLeg(app, appIndex, rpc::getRequestWireSize(key.size()),
-                rpc::getResponseWireSize() + servedBytes);
-  return result;
-}
-
-Deployment::OpResult Deployment::serveObjectWrite(const workload::Op& op) {
-  ++counters_.writes;
-  OpResult result;
-  objectKeyTo(op.keyIndex, keyScratch_);
-  const std::string& key = keyScratch_;
-  const std::size_t appIndex = appIndexFor(key);
-  sim::Node& app = app_->node(appIndex);
-
-  result.latencyMicros += assembler_->updateTable(app, op.keyIndex);
-  counters_.statementsIssued += 2;  // read + update statements
-
-  tablePkTo(op.keyIndex, pkScratch_);
-  const auto version = db_->peekRowVersion("tables", pkScratch_).value_or(0);
-  if (remote_) {
-    result.latencyMicros += remote_->invalidate(app, key);
-  } else if (linked_) {
-    if (config_.writeThroughCache &&
-        linked_->shard(linked_->ownerOf(key)).peek(key) != nullptr) {
-      result.latencyMicros +=
-          linked_->update(appIndex, key, op.valueSize, version);
-    } else {
-      result.latencyMicros += linked_->invalidate(appIndex, key);
-    }
-  } else if (disagg_) {
-    // Object writes invalidate rather than refresh (assembly is too
-    // expensive to redo inline), then fan the drop to the peers.
-    if (!dynamicTopology() || disagg_->nodeUpFor(key)) {
-      result.latencyMicros += disagg_->farInvalidate(app, key);
-    }
-    disagg_->hotInvalidate(appIndex, key);
-    const std::uint64_t deliveredBefore = invalidationBus_->delivered();
-    result.latencyMicros +=
-        invalidationBus_->publish(app, key, version, appIndex);
-    counters_.clientInvalidations +=
-        invalidationBus_->delivered() - deliveredBefore;
-  }
-
-  if (membershipInstalled_ && membership_->anyWindowActive()) {
-    membership_->fenceWrite(appIndex, key);
-  }
-
-  result.latencyMicros +=
-      clientLeg(app, appIndex, rpc::putRequestWireSize(key.size()) + 256,
-                rpc::putResponseWireSize());
-  return result;
-}
-
 void Deployment::installMembershipSchedule(MembershipSchedule schedule,
                                            HandoffConfig handoff) {
   membershipInstalled_ = true;
-  // Ring tiers switch to explicit membership so joins/leaves move key
-  // ownership instead of being invisible to placement. (The linked ring
-  // already supports add/remove/drain natively.)
-  if (remote_) remote_->enableMembership();
-  if (disagg_) disagg_->enableMembership();
+  // The cache tier switches to its ring so joins/leaves move key ownership
+  // instead of being invisible to modulo placement (Linked is armed from
+  // the start).
+  if (ring_) ring_->armRing();
   if (linked_ && !leases_) {
     // Same fencing authority as the crash path: leases are revoked when a
     // planned transition moves ownership (see advanceMembership).
@@ -958,17 +759,13 @@ void Deployment::installMembershipSchedule(MembershipSchedule schedule,
     // Scale-out spares start absent: the monitor must not probe a node
     // that was never placed (it registers again at its join event).
     for (const MembershipEvent& e : schedule.absentAtStart()) {
-      sim::Tier* tier = tierFor(e.tier);
-      if (tier && e.nodeIndex < tier->size()) {
-        monitor_->deregisterNode(tier->node(e.nodeIndex), e.tier,
-                                 e.nodeIndex);
+      if (sim::Node* node = nodeAt(e.tier, e.nodeIndex)) {
+        monitor_->deregisterNode(*node, e.tier, e.nodeIndex);
       }
     }
   }
   MembershipDirector::Hooks hooks;
   hooks.appTier = app_.get();
-  hooks.remoteTier = remoteTier_.get();
-  hooks.farTier = farTier_.get();
   hooks.linked = linked_.get();
   hooks.remote = remote_.get();
   hooks.disagg = disagg_.get();
@@ -990,29 +787,22 @@ void Deployment::advanceMembership() {
     // Deployment-owned fencing. The director already moved the ring and
     // (warm) opened the transfer window; what's left is the machinery the
     // director deliberately can't see.
-    const bool linkedRing = linked_ && e.tier == sim::TierKind::kAppServer;
-    const bool remoteRing = remote_ && e.tier == sim::TierKind::kRemoteCache;
-    const bool farRing = disagg_ && e.tier == sim::TierKind::kFarMemory;
-    if (linkedRing || remoteRing || farRing) {
+    if (ring_ && e.tier == ring_->tier().kind()) {
       // Ownership moved: in-flight writes carrying the old epoch are
-      // fenced exactly as on the crash path (Fig. 8).
+      // fenced exactly as on the crash path (Fig. 8); a linked owner's
+      // lease is revoked (only linked deployments hold leases).
       ++ownershipEpoch_;
+      if (leases_) leases_->revoke(e.nodeIndex);
     }
-    if (linkedRing && leases_) leases_->revoke(e.nodeIndex);
-    if (monitor_) {
-      sim::Tier* tier = tierFor(e.tier);
-      if (tier && e.nodeIndex < tier->size()) {
-        if (e.kind == MembershipKind::kLeave) {
-          // Planned leave: drop probe/ejection state immediately — ghost
-          // probes against a node that left on purpose would hold an
-          // ejection slot and pollute detection-lag accounting.
-          monitor_->deregisterNode(tier->node(e.nodeIndex), e.tier,
-                                   e.nodeIndex);
-        } else {
-          monitor_->registerNode(tier->node(e.nodeIndex), e.tier,
-                                 e.nodeIndex);
-        }
-      }
+    sim::Node* node = monitor_ ? nodeAt(e.tier, e.nodeIndex) : nullptr;
+    if (node == nullptr) continue;
+    if (e.kind == MembershipKind::kLeave) {
+      // Planned leave: drop probe/ejection state immediately — ghost
+      // probes against a node that left on purpose would hold an ejection
+      // slot and pollute detection-lag accounting.
+      monitor_->deregisterNode(*node, e.tier, e.nodeIndex);
+    } else {
+      monitor_->registerNode(*node, e.tier, e.nodeIndex);
     }
   }
   syncMembershipCounters();
@@ -1071,10 +861,10 @@ sim::Tier* Deployment::tierFor(sim::TierKind kind) noexcept {
   return nullptr;
 }
 
-void Deployment::setNodeUp(sim::TierKind kind, std::size_t index, bool up) {
+sim::Node* Deployment::nodeAt(sim::TierKind kind, std::size_t index) noexcept {
   sim::Tier* tier = tierFor(kind);
-  if (!tier || index >= tier->size()) return;
-  tier->node(index).setUp(up);
+  return tier != nullptr && index < tier->size() ? &tier->node(index)
+                                                 : nullptr;
 }
 
 void Deployment::applyFault(const sim::FaultEvent& event) {
@@ -1087,24 +877,27 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
         db_->dropBlockCache(event.nodeIndex);
         break;
       }
-      setNodeUp(event.tier, event.nodeIndex, false);
-      if (event.tier == sim::TierKind::kAppServer && linked_ &&
-          linked_->hasServer(event.nodeIndex)) {
+      if (sim::Node* node = nodeAt(event.tier, event.nodeIndex)) {
+        node->setUp(false);
+      }
+      if (ring_ == nullptr || event.tier != ring_->tier().kind()) break;
+      if (linked_) {
         // Reshard: the dead server's range moves to the survivors and any
         // lease it held is revoked, fencing its in-flight stale writes.
-        linked_->removeServer(event.nodeIndex);
+        if (!ring_->isMember(event.nodeIndex)) break;
+        ring_->retireMember(event.nodeIndex);
         ++ownershipEpoch_;
         if (leases_) leases_->revoke(event.nodeIndex);
+        break;
       }
-      if (event.tier == sim::TierKind::kRemoteCache && remote_) {
-        remote_->dropShard(event.nodeIndex);  // pod memory is gone
-      }
-      if (event.tier == sim::TierKind::kFarMemory && disagg_) {
-        // Pool memory dies with the node. Client-driven placement means no
-        // coordinator can quiesce readers, so fence coarsely: bump the
-        // ownership epoch and drop every hot copy — a stale hot hit for a
-        // key whose far slot just vanished is now impossible.
-        disagg_->dropShard(event.nodeIndex);
+      // A pod's or pool node's memory is gone; it stays a ring member, so
+      // its keys time out (or degrade) until it restarts.
+      ring_->dropShard(event.nodeIndex);
+      if (disagg_) {
+        // Client-driven placement means no coordinator can quiesce readers,
+        // so fence coarsely: bump the ownership epoch and drop every hot
+        // copy — a stale hot hit for a key whose far slot just vanished is
+        // now impossible.
         disagg_->clearHotCaches();
         ++ownershipEpoch_;
       }
@@ -1112,34 +905,28 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
     }
     case sim::FaultKind::kNodeRestart: {
       if (event.tier == sim::TierKind::kKvStorage) break;  // never left
-      setNodeUp(event.tier, event.nodeIndex, true);
+      if (sim::Node* node = nodeAt(event.tier, event.nodeIndex)) {
+        node->setUp(true);
+      }
       if (event.tier == sim::TierKind::kAppServer && linked_ &&
-          !linked_->hasServer(event.nodeIndex)) {
+          !ring_->isMember(event.nodeIndex)) {
         // Rejoin cold; ownership returns to the exact pre-crash partition
         // (vnode points depend only on the member index), and the epoch
         // bumps again — entries the survivors filled for this range are
         // now unreachable, which is the restart's hit-ratio cost.
-        linked_->addServer(event.nodeIndex);
+        ring_->admitMember(event.nodeIndex);
         ++ownershipEpoch_;
         if (leases_) leases_->revoke(event.nodeIndex);
       }
       break;
     }
-    case sim::FaultKind::kTierOutage: {
+    case sim::FaultKind::kTierOutage:
+    case sim::FaultKind::kTierRecover: {
       // Unreachable, not dead: state survives, so no reshard and no shard
       // drops — when the partition heals the caches are still warm.
       sim::Tier* tier = tierFor(event.tier);
-      if (!tier) break;
-      for (std::size_t i = 0; i < tier->size(); ++i) {
-        tier->node(i).setUp(false);
-      }
-      break;
-    }
-    case sim::FaultKind::kTierRecover: {
-      sim::Tier* tier = tierFor(event.tier);
-      if (!tier) break;
-      for (std::size_t i = 0; i < tier->size(); ++i) {
-        tier->node(i).setUp(true);
+      for (std::size_t i = 0; tier != nullptr && i < tier->size(); ++i) {
+        tier->node(i).setUp(event.kind == sim::FaultKind::kTierRecover);
       }
       break;
     }
@@ -1150,9 +937,9 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
       network_.clearDegradation();
       break;
     case sim::FaultKind::kNodeSlowBegin: {
-      sim::Tier* tier = tierFor(event.tier);
-      if (!tier || event.nodeIndex >= tier->size()) break;
-      tier->node(event.nodeIndex).setSlowFactor(event.latencyFactor);
+      sim::Node* node = nodeAt(event.tier, event.nodeIndex);
+      if (node == nullptr) break;
+      node->setSlowFactor(event.latencyFactor);
       ++activeSlowNodes_;
       network_.setAnySlowNodes(true);
       grayFaultStarts_.push_back(
@@ -1160,9 +947,9 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
       break;
     }
     case sim::FaultKind::kNodeSlowEnd: {
-      sim::Tier* tier = tierFor(event.tier);
-      if (!tier || event.nodeIndex >= tier->size()) break;
-      tier->node(event.nodeIndex).setSlowFactor(1.0);
+      sim::Node* node = nodeAt(event.tier, event.nodeIndex);
+      if (node == nullptr) break;
+      node->setSlowFactor(1.0);
       if (activeSlowNodes_ > 0) --activeSlowNodes_;
       network_.setAnySlowNodes(activeSlowNodes_ > 0);
       break;
@@ -1176,19 +963,18 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
       network_.healLink(event.tier, event.dstTier);
       break;
     case sim::FaultKind::kNodeFlakyBegin: {
-      sim::Tier* tier = tierFor(event.tier);
-      if (!tier || event.nodeIndex >= tier->size()) break;
-      tier->node(event.nodeIndex).setFlakyProbability(event.dropProbability);
+      sim::Node* node = nodeAt(event.tier, event.nodeIndex);
+      if (node == nullptr) break;
+      node->setFlakyProbability(event.dropProbability);
       grayFaultStarts_.push_back(
           {event.tier, event.nodeIndex, event.atMicros});
       break;
     }
-    case sim::FaultKind::kNodeFlakyEnd: {
-      sim::Tier* tier = tierFor(event.tier);
-      if (!tier || event.nodeIndex >= tier->size()) break;
-      tier->node(event.nodeIndex).setFlakyProbability(0.0);
+    case sim::FaultKind::kNodeFlakyEnd:
+      if (sim::Node* node = nodeAt(event.tier, event.nodeIndex)) {
+        node->setFlakyProbability(0.0);
+      }
       break;
-    }
   }
 }
 

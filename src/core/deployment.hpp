@@ -17,7 +17,6 @@
 #include "cache/remote_cache.hpp"
 #include "consistency/invalidation.hpp"
 #include "consistency/lease.hpp"
-#include "consistency/version_check.hpp"
 #include "core/architecture.hpp"
 #include "core/calibration.hpp"
 #include "core/health.hpp"
@@ -100,11 +99,11 @@ struct DeploymentConfig {
   /// default; enabling it arms the channel's policy path the way overload
   /// does, so latencies and drop draws match the fault-injection paths.
   HealthPolicy health{};
-  /// Cache-tier replica placement for the KV serve path: each key lives on
-  /// this many distinct cache shards (Remote pods / Linked app shards).
-  /// Reads fall back to the next usable replica when the primary is down
-  /// or ejected; fills/writes fan out to every usable replica. 1 = off —
-  /// the legacy single-owner routing stays byte-exact.
+  /// Cache-tier replica placement for KV and object ops alike: each key
+  /// lives on this many distinct cache shards (Remote pods / Linked app
+  /// shards). Reads fall back to the next usable replica when the primary
+  /// is down or ejected; fills/writes fan out to every usable replica.
+  /// 1 = off: one owner per key, placed by modulo on Remote.
   std::size_t cacheReplicationFactor = 1;
 
   Calibration calibration{};
@@ -335,10 +334,31 @@ class Deployment {
   [[nodiscard]] util::Bytes totalCacheMemoryProvisioned() const;
 
  private:
-  OpResult serveRead(const std::string& key, const workload::Op& op);
-  OpResult serveWrite(const std::string& key, const workload::Op& op);
-  OpResult serveObjectRead(const workload::Op& op);
-  OpResult serveObjectWrite(const workload::Op& op);
+  struct OpCtx;   // one op in flight through the shared serve path
+  struct Lookup;  // what a cache lookup found
+
+  /// The one serve path: KV and UC object ops differ only in their key,
+  /// their value source and the object-only charges. A read looks the key
+  /// up and, on a miss, produces the value and fills the cache; a write
+  /// commits, then refreshes or invalidates every cached copy.
+  OpResult serveOp(const workload::Op& op, bool object);
+  void serveRead(OpCtx& op);
+  void serveWrite(OpCtx& op);
+  /// The architectures' transports; each adds its own wait to the op.
+  Lookup lookupRemote(OpCtx& op);
+  Lookup lookupLinked(OpCtx& op);
+  Lookup lookupDisagg(OpCtx& op);
+  /// Miss path: handoff dual read, single-flight, then produce and fill.
+  void fillFromStorage(OpCtx& op, double& wait);
+  /// A KV read, or a catalog assembly whose size becomes the served bytes.
+  storage::Database::ReadResult produce(OpCtx& op);
+  double fill(OpCtx& op, std::uint64_t size, std::uint64_t version);
+  /// Run `act(node)` on the key's cache copies; returns the op's wait.
+  template <typename Act>
+  double eachReplica(const std::string& key, bool skipDead, Act&& act);
+  bool versionCurrent(OpCtx& op, std::uint64_t cachedVersion);
+  /// Uncharged storage version of the op's value (nullopt if absent).
+  [[nodiscard]] std::optional<std::uint64_t> committedVersion(OpCtx& op);
 
   /// App server handling this key under the active routing policy
   /// (affinity to the linked-cache owner; round-robin otherwise).
@@ -357,31 +377,22 @@ class Deployment {
   /// caches need.
   bool shouldShedRead(sim::Node& app);
 
-  /// Read through storage and fill the architecture's cache. With faults
-  /// installed, concurrent misses for one key are single-flight coalesced:
-  /// followers join the in-flight storage read instead of issuing their
-  /// own (a cold restart must not become a thundering herd).
-  double readFromStorageAndFill(sim::Node& app, std::size_t appIndex,
-                                const std::string& key);
-
   // ---- gray-failure machinery (replication + health monitoring) ----
   /// Routing gate for one replica: node up, and (when the monitor is on)
   /// not ejected — or ejected but due a probe, in which case the caller
   /// must route this request to it (allowRequest mutates probe state).
   [[nodiscard]] bool replicaUsable(sim::TierKind tier, std::size_t index);
-  /// First usable replica of the key's linked-cache replica set (primary
-  /// first); `fallback` reports whether a non-primary was picked. Called
-  /// at most once per op — replicaUsable grants probe slots.
+  /// First usable replica of the key's linked replica set; `fallback` says
+  /// whether it is not the primary. Once per op: it grants probe slots.
   [[nodiscard]] std::size_t chooseLinkedReplica(const std::string& key,
                                                 bool& fallback);
   /// Count a replica hit whose version trails storage (fallback-read
   /// staleness anomaly — counted, not fixed).
-  void noteReplicaStaleness(const std::string& key, std::uint64_t version);
+  void noteReplicaStaleness(OpCtx& op, std::uint64_t version);
 
   // ---- membership machinery ----
-  /// True when topology can change mid-run (faults or planned churn):
-  /// routing must re-check node liveness, misses must single-flight, and
-  /// cache front-ends must gate on their breaker idiom.
+  /// Faults or churn can change the topology mid-run: only then do misses
+  /// single-flight. (Without them every node is up.)
   [[nodiscard]] bool dynamicTopology() const noexcept {
     return faultsInstalled_ || membershipInstalled_;
   }
@@ -395,8 +406,9 @@ class Deployment {
   // ---- fault machinery ----
   void applyPendingFaults();
   void applyFault(const sim::FaultEvent& event);
+  /// The tier / node, or null when the deployment has no such tier / index.
   [[nodiscard]] sim::Tier* tierFor(sim::TierKind kind) noexcept;
-  void setNodeUp(sim::TierKind kind, std::size_t index, bool up);
+  [[nodiscard]] sim::Node* nodeAt(sim::TierKind kind, std::size_t i) noexcept;
   /// Mirror the channel's cumulative fault counters into counters_.
   void syncFaultCounters() noexcept;
   /// Drop expired single-flight entries once the map grows past its cap.
@@ -417,8 +429,8 @@ class Deployment {
   std::unique_ptr<cache::RemoteCache> remote_;
   std::unique_ptr<cache::LinkedCache> linked_;
   std::unique_ptr<cache::DisaggCache> disagg_;
+  cache::ShardedTier* ring_ = nullptr;  // the cache tier (null under Base)
   std::unique_ptr<consistency::InvalidationBus> invalidationBus_;
-  std::unique_ptr<consistency::VersionChecker> versionChecker_;
 
   std::unique_ptr<richobject::CatalogStore> catalogStore_;
   std::unique_ptr<richobject::Assembler> assembler_;
@@ -447,9 +459,9 @@ class Deployment {
 
   std::unique_ptr<HealthMonitor> monitor_;
   bool replicationOn_ = false;
-  /// Linked-replica pick made by appIndexFor (affinity routing) so the
-  /// serve path probes the same shard the client leg was routed to —
-  /// choosing twice would double-grant probe slots. Valid for one op.
+  /// Linked-replica pick made by appIndexFor (affinity routing) so the probe
+  /// hits the shard the client leg was routed to — choosing twice would
+  /// double-grant probe slots. Valid for one op.
   std::size_t linkedPick_ = 0;
   bool linkedPickFallback_ = false;
   bool linkedPickValid_ = false;

@@ -118,20 +118,16 @@ void markTouched(std::vector<std::size_t>& touched, std::size_t index) {
 /// the foreground queues, the way a deprioritized bulk stream behaves.
 class BackgroundPumpScope {
  public:
-  BackgroundPumpScope(sim::Tier* tier, sim::Node* initiator) noexcept
+  BackgroundPumpScope(sim::Tier& tier, sim::Node* initiator) noexcept
       : tier_(tier), initiator_(initiator) {
-    if (tier_ != nullptr) {
-      for (std::size_t i = 0; i < tier_->size(); ++i) {
-        tier_->node(i).setBackgroundWork(true);
-      }
+    for (std::size_t i = 0; i < tier_.size(); ++i) {
+      tier_.node(i).setBackgroundWork(true);
     }
     if (initiator_ != nullptr) initiator_->setBackgroundWork(true);
   }
   ~BackgroundPumpScope() {
-    if (tier_ != nullptr) {
-      for (std::size_t i = 0; i < tier_->size(); ++i) {
-        tier_->node(i).setBackgroundWork(false);
-      }
+    for (std::size_t i = 0; i < tier_.size(); ++i) {
+      tier_.node(i).setBackgroundWork(false);
     }
     if (initiator_ != nullptr) initiator_->setBackgroundWork(false);
   }
@@ -139,7 +135,7 @@ class BackgroundPumpScope {
   BackgroundPumpScope& operator=(const BackgroundPumpScope&) = delete;
 
  private:
-  sim::Tier* tier_;
+  sim::Tier& tier_;
   sim::Node* initiator_;
 };
 
@@ -152,105 +148,41 @@ MembershipDirector::MembershipDirector(MembershipSchedule schedule,
   // Scale-out spares: out of the ring and powered down before the first op,
   // uncounted (they never "left" — they haven't arrived yet).
   for (const MembershipEvent& e : schedule_.absentAtStart()) {
-    if (ringTier(e.tier)) {
-      if (e.tier == sim::TierKind::kAppServer) {
-        hooks_.linked->removeServer(e.nodeIndex);
-      } else if (e.tier == sim::TierKind::kRemoteCache) {
-        hooks_.remote->leaveNode(e.nodeIndex);
-        hooks_.remote->dropShard(e.nodeIndex);
-      } else {
-        hooks_.disagg->leaveNode(e.nodeIndex);
-        hooks_.disagg->dropShard(e.nodeIndex);
-      }
+    if (cache::ShardedTier* ring = ringOn(e.tier)) {
+      ring->retireMember(e.nodeIndex);
     }
-    if (sim::Tier* tier = tierFor(e.tier)) {
-      if (e.nodeIndex < tier->size()) tier->node(e.nodeIndex).setUp(false);
-    }
+    if (sim::Node* node = nodeOf(e)) node->setUp(false);
   }
 }
 
-bool MembershipDirector::ringTier(sim::TierKind tier) const noexcept {
-  switch (tier) {
-    case sim::TierKind::kAppServer:
-      return hooks_.linked != nullptr;
-    case sim::TierKind::kRemoteCache:
-      return hooks_.remote != nullptr;
-    case sim::TierKind::kFarMemory:
-      return hooks_.disagg != nullptr;
-    default:
-      return false;
-  }
-}
-
-bool MembershipDirector::isRingMember(sim::TierKind tier,
-                                      std::size_t index) const noexcept {
-  switch (tier) {
-    case sim::TierKind::kAppServer:
-      return hooks_.linked->hasServer(index);
-    case sim::TierKind::kRemoteCache:
-      return hooks_.remote->isMember(index);
-    default:
-      return hooks_.disagg->isMember(index);
-  }
-}
-
-std::size_t MembershipDirector::ringMemberCount(
+cache::ShardedTier* MembershipDirector::ringOn(
     sim::TierKind tier) const noexcept {
-  switch (tier) {
-    case sim::TierKind::kAppServer:
-      return hooks_.linked->serverCount();
-    case sim::TierKind::kRemoteCache:
-      return hooks_.remote->memberCount();
-    default:
-      return hooks_.disagg->memberCount();
+  if (tier == sim::TierKind::kAppServer && hooks_.linked != nullptr) {
+    return &hooks_.linked->shards();
   }
+  if (tier == sim::TierKind::kRemoteCache && hooks_.remote != nullptr) {
+    return &hooks_.remote->shards();
+  }
+  if (tier == sim::TierKind::kFarMemory && hooks_.disagg != nullptr) {
+    return &hooks_.disagg->shards();
+  }
+  return nullptr;
 }
 
-sim::Tier* MembershipDirector::tierFor(sim::TierKind tier) const noexcept {
-  switch (tier) {
-    case sim::TierKind::kAppServer:
-      return hooks_.appTier;
-    case sim::TierKind::kRemoteCache:
-      return hooks_.remoteTier;
-    case sim::TierKind::kFarMemory:
-      return hooks_.farTier;
-    default:
-      return nullptr;
-  }
+sim::Node* MembershipDirector::nodeOf(
+    const MembershipEvent& event) const noexcept {
+  cache::ShardedTier* ring = ringOn(event.tier);
+  sim::Tier* tier = ring != nullptr ? &ring->tier()
+                    : event.tier == sim::TierKind::kAppServer ? hooks_.appTier
+                                                               : nullptr;
+  if (tier == nullptr || event.nodeIndex >= tier->size()) return nullptr;
+  return &tier->node(event.nodeIndex);
 }
 
-cache::KvCache* MembershipDirector::shardFor(sim::TierKind tier,
-                                             std::size_t index) const {
-  switch (tier) {
-    case sim::TierKind::kAppServer:
-      return hooks_.linked ? &hooks_.linked->shard(index) : nullptr;
-    case sim::TierKind::kRemoteCache:
-      return hooks_.remote ? &hooks_.remote->shardForNode(index) : nullptr;
-    case sim::TierKind::kFarMemory:
-      return hooks_.disagg ? &hooks_.disagg->farShardForNode(index) : nullptr;
-    default:
-      return nullptr;
-  }
-}
-
-std::size_t MembershipDirector::ownerFor(sim::TierKind tier,
-                                         std::string_view key) const {
-  switch (tier) {
-    case sim::TierKind::kAppServer:
-      return hooks_.linked->ownerOf(key);
-    case sim::TierKind::kRemoteCache:
-      return hooks_.remote->ownerOf(key);
-    default:
-      return hooks_.disagg->nodeForKey(key);
-  }
-}
-
-void MembershipDirector::syncShardMemory(sim::TierKind tier,
-                                         std::size_t index) {
-  cache::KvCache* shard = shardFor(tier, index);
-  sim::Tier* t = tierFor(tier);
-  if (shard == nullptr || t == nullptr || index >= t->size()) return;
-  t->node(index).mem().use(shard->bytesUsed());
+const cache::CacheOpCosts& MembershipDirector::opCosts(
+    sim::TierKind tier) const noexcept {
+  return tier == sim::TierKind::kAppServer ? hooks_.linked->costs()
+                                           : hooks_.remote->costs();
 }
 
 bool MembershipDirector::hasWorkAt(std::uint64_t nowMicros) const noexcept {
@@ -279,9 +211,9 @@ void MembershipDirector::advanceTo(std::uint64_t nowMicros) {
 
 void MembershipDirector::applyEvent(const MembershipEvent& event,
                                     std::uint64_t nowMicros) {
-  if (event.kind == MembershipKind::kLeave && ringTier(event.tier) &&
-      isRingMember(event.tier, event.nodeIndex) &&
-      ringMemberCount(event.tier) <= 1) {
+  const cache::ShardedTier* ring = ringOn(event.tier);
+  if (event.kind == MembershipKind::kLeave && ring != nullptr &&
+      ring->isMember(event.nodeIndex) && ring->memberCount() <= 1) {
     // Refuse to drain the last ring member: its keys would have no owner
     // to move to and the placement would be empty. The event is dropped
     // whole — uncounted, no deployment-side fencing — the way an operator
@@ -299,49 +231,38 @@ void MembershipDirector::applyEvent(const MembershipEvent& event,
 void MembershipDirector::applyJoin(const MembershipEvent& event,
                                    std::uint64_t nowMicros) {
   ++counters_.plannedJoins;
-  sim::Tier* tier = tierFor(event.tier);
-  if (tier == nullptr || event.nodeIndex >= tier->size()) return;
-  tier->node(event.nodeIndex).setUp(true);
+  sim::Node* node = nodeOf(event);
+  if (node == nullptr) return;
+  node->setUp(true);
 
   // A (re)joining app server under disagg restarts its process: the hot
   // cache must come back cold (it missed every invalidation while away).
   if (event.tier == sim::TierKind::kAppServer && hooks_.disagg != nullptr) {
-    hooks_.disagg->hotShardForNode(event.nodeIndex).clear();
-    syncShardMemory(event.tier, event.nodeIndex);
+    hooks_.disagg->hotShard(event.nodeIndex).clear();
   }
 
-  if (!ringTier(event.tier)) return;
+  cache::ShardedTier* ring = ringOn(event.tier);
+  if (ring == nullptr) return;
   // Ring transition first — the join snapshot needs the *post-join*
-  // placement to know which keys the newcomer now owns.
-  if (event.tier == sim::TierKind::kAppServer) {
-    hooks_.linked->addServer(event.nodeIndex);  // idempotent; shard cold
-  } else if (event.tier == sim::TierKind::kRemoteCache) {
-    hooks_.remote->joinNode(event.nodeIndex);
-  } else {
-    hooks_.disagg->joinNode(event.nodeIndex);
-  }
+  // placement to know which keys the newcomer now owns. A rejoin inside
+  // the node's own leave window comes back cold here too.
+  ring->admitMember(event.nodeIndex);
   ++counters_.epochFences;  // ownership moved: one epoch fence per transition
 
   if (!handoff_.enabled) return;  // cold: the newcomer warms organically
-  Task task;
-  task.event = event;
-  task.windowEndMicros = nowMicros + handoff_.windowMicros;
-  task.nextBatchMicros = nowMicros + handoff_.batchIntervalMicros;
-  snapshotJoin(task);
-  buildIndex(task);
-  tasks_.push_back(std::move(task));
+  openTask(event, nowMicros);
 }
 
 void MembershipDirector::applyLeave(const MembershipEvent& event,
                                     std::uint64_t nowMicros) {
   ++counters_.plannedLeaves;
-  sim::Tier* tier = tierFor(event.tier);
-  if (tier == nullptr || event.nodeIndex >= tier->size()) return;
-
-  if (!ringTier(event.tier)) {
+  sim::Node* node = nodeOf(event);
+  if (node == nullptr) return;
+  cache::ShardedTier* ring = ringOn(event.tier);
+  if (ring == nullptr) {
     // Stateless tier (app servers under Base/Remote/Disagg): nothing to
     // migrate, the node just drains out of rotation.
-    tier->node(event.nodeIndex).setUp(false);
+    node->setUp(false);
     return;
   }
 
@@ -349,70 +270,39 @@ void MembershipDirector::applyLeave(const MembershipEvent& event,
 
   if (!handoff_.enabled) {
     // Cold reshard: ownership moves and the shard dies with the process.
-    if (event.tier == sim::TierKind::kAppServer) {
-      hooks_.linked->removeServer(event.nodeIndex);
-    } else if (event.tier == sim::TierKind::kRemoteCache) {
-      hooks_.remote->leaveNode(event.nodeIndex);
-      hooks_.remote->dropShard(event.nodeIndex);
-    } else {
-      hooks_.disagg->leaveNode(event.nodeIndex);
-      hooks_.disagg->dropShard(event.nodeIndex);
-    }
-    syncShardMemory(event.tier, event.nodeIndex);
-    tier->node(event.nodeIndex).setUp(false);
+    ring->retireMember(event.nodeIndex);
+    node->setUp(false);
     return;
   }
 
   // Warm drain: out of the ring immediately (no new keys land here), but
   // the process stays up through the transfer window so the pump and the
   // dual-read fallback can still read its shard.
-  if (event.tier == sim::TierKind::kAppServer) {
-    hooks_.linked->drainServer(event.nodeIndex);
-  } else if (event.tier == sim::TierKind::kRemoteCache) {
-    hooks_.remote->leaveNode(event.nodeIndex);
-  } else {
-    hooks_.disagg->leaveNode(event.nodeIndex);
-  }
+  ring->drainMember(event.nodeIndex);
+  openTask(event, nowMicros);
+}
+
+void MembershipDirector::openTask(const MembershipEvent& event,
+                                  std::uint64_t nowMicros) {
   Task task;
   task.event = event;
   task.windowEndMicros = nowMicros + handoff_.windowMicros;
   task.nextBatchMicros = nowMicros + handoff_.batchIntervalMicros;
-  snapshotLeave(task);
-  buildIndex(task);
-  tasks_.push_back(std::move(task));
-}
-
-void MembershipDirector::snapshotLeave(Task& task) {
-  cache::KvCache* source = shardFor(task.event.tier, task.event.nodeIndex);
-  if (source == nullptr) return;
-  const std::size_t from = task.event.nodeIndex;
-  source->forEachEntry(
-      [&](std::string_view key, const cache::CacheEntry& entry) {
-        task.pending.push_back(
-            {std::string(key), from, entry.size, entry.version});
-      });
-}
-
-void MembershipDirector::snapshotJoin(Task& task) {
-  const sim::TierKind tierKind = task.event.tier;
-  sim::Tier* tier = tierFor(tierKind);
-  if (tier == nullptr) return;
-  const std::size_t joiner = task.event.nodeIndex;
-  for (std::size_t i = 0; i < tier->size(); ++i) {
-    if (i == joiner) continue;
-    cache::KvCache* shard = shardFor(tierKind, i);
-    if (shard == nullptr) continue;
-    shard->forEachEntry(
+  cache::ShardedTier& ring = *ringOn(event.tier);
+  const std::size_t node = event.nodeIndex;
+  // A leave pushes every key off the node; a join pulls the keys the
+  // post-join placement hands it from everyone else.
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const bool leave = event.kind == MembershipKind::kLeave;
+    if (leave != (i == node)) continue;
+    ring.shard(i).forEachEntry(
         [&](std::string_view key, const cache::CacheEntry& entry) {
-          if (ownerFor(tierKind, key) == joiner) {
+          if (leave || ring.ownerOf(key) == node) {
             task.pending.push_back(
                 {std::string(key), i, entry.size, entry.version});
           }
         });
   }
-}
-
-void MembershipDirector::buildIndex(Task& task) {
   // Views into task.pending's key strings: pending is fully built by now
   // and never mutated afterwards (the pump only advances a cursor), so the
   // views stay valid for the task's lifetime.
@@ -420,6 +310,7 @@ void MembershipDirector::buildIndex(Task& task) {
   for (std::size_t i = 0; i < task.pending.size(); ++i) {
     task.byKey.emplace(std::string_view(task.pending[i].key), i);
   }
+  tasks_.push_back(std::move(task));
 }
 
 void MembershipDirector::pump(std::uint64_t nowMicros) {
@@ -444,11 +335,8 @@ void MembershipDirector::pump(std::uint64_t nowMicros) {
 
 void MembershipDirector::pumpTask(Task& task) {
   const sim::TierKind tierKind = task.event.tier;
-  sim::Tier* tier = tierFor(tierKind);
-  if (tier == nullptr) {
-    task.cursor = task.pending.size();
-    return;
-  }
+  cache::ShardedTier& ring = *ringOn(tierKind);
+  sim::Tier& tier = ring.tier();
   sim::SpanGuard span("membership.handoff", tierKind);
 
   std::vector<TransferGroup> groups;
@@ -470,31 +358,27 @@ void MembershipDirector::pumpTask(Task& task) {
     // A crash fault can take the source down mid-window; a dead process
     // cannot serve its keys, so the pump drops them (its shard died with
     // it anyway).
-    if (pk.fromIndex >= tier->size() || !tier->node(pk.fromIndex).isUp()) {
-      continue;
-    }
-    cache::KvCache* source = shardFor(tierKind, pk.fromIndex);
-    if (source == nullptr) continue;
-    const cache::CacheEntry* entry = source->peek(pk.key);
+    if (!ring.nodeUp(pk.fromIndex)) continue;
+    cache::KvCache& source = ring.shard(pk.fromIndex);
+    const cache::CacheEntry* entry = source.peek(pk.key);
     if (entry == nullptr) continue;  // evicted, fenced or already moved
-    const std::size_t dest = ownerFor(tierKind, pk.key);
+    const std::size_t dest = ring.ownerOf(pk.key);
     if (dest == pk.fromIndex) continue;  // ownership did not actually move
-    cache::KvCache* destShard = shardFor(tierKind, dest);
-    if (destShard == nullptr) continue;
-    const cache::CacheEntry* held = destShard->peek(pk.key);
+    cache::KvCache& destShard = ring.shard(dest);
+    const cache::CacheEntry* held = destShard.peek(pk.key);
     const std::uint64_t size = entry->size;
     const std::uint64_t version = entry->version;
     if (held != nullptr && held->version >= version) {
       // The new owner already holds a copy at least as fresh (a
       // write-through landed mid-window): transferring would resurrect a
       // stale value. Fence the old copy instead.
-      source->erase(pk.key);
+      source.erase(pk.key);
       markTouched(touched, pk.fromIndex);
       ++counters_.epochFences;
       continue;
     }
-    destShard->put(pk.key, cache::CacheEntry::sized(size, version));
-    source->erase(pk.key);
+    destShard.put(pk.key, cache::CacheEntry::sized(size, version));
+    source.erase(pk.key);
     markTouched(touched, pk.fromIndex);
     markTouched(touched, dest);
     // Per-key CPU at both ends of the move; the wire bytes ride in one
@@ -502,18 +386,11 @@ void MembershipDirector::pumpTask(Task& task) {
     if (far) {
       initiator->charge(sim::CpuComponent::kFarMemAccess,
                         hooks_.disagg->costs().lookupMicros);
-    } else if (tierKind == sim::TierKind::kAppServer) {
-      tier->node(pk.fromIndex)
-          .charge(sim::CpuComponent::kCacheOp,
-                  hooks_.linked->costs().probeMicros);
-      tier->node(dest).charge(sim::CpuComponent::kCacheOp,
-                              hooks_.linked->costs().insertMicros);
     } else {
-      tier->node(pk.fromIndex)
-          .charge(sim::CpuComponent::kCacheOp,
-                  hooks_.remote->costs().probeMicros);
-      tier->node(dest).charge(sim::CpuComponent::kCacheOp,
-                              hooks_.remote->costs().insertMicros);
+      tier.node(pk.fromIndex)
+          .charge(sim::CpuComponent::kCacheOp, opCosts(tierKind).probeMicros);
+      tier.node(dest).charge(sim::CpuComponent::kCacheOp,
+                             opCosts(tierKind).insertMicros);
     }
     accumulate(groups, pk.fromIndex, dest,
                rpc::putRequestWireSize(pk.key.size()) + size);
@@ -529,35 +406,29 @@ void MembershipDirector::pumpTask(Task& task) {
   for (const TransferGroup& g : groups) {
     if (far) {
       const auto& oneSided = hooks_.disagg->costs().oneSided;
-      hooks_.channel->oneSidedRead(*initiator, tier->node(g.from), g.bytes,
+      hooks_.channel->oneSidedRead(*initiator, tier.node(g.from), g.bytes,
                                    oneSided);
-      hooks_.channel->oneSidedRead(*initiator, tier->node(g.to), g.bytes,
+      hooks_.channel->oneSidedRead(*initiator, tier.node(g.to), g.bytes,
                                    oneSided);
     } else {
-      hooks_.channel->call(tier->node(g.from), tier->node(g.to), g.bytes,
+      hooks_.channel->call(tier.node(g.from), tier.node(g.to), g.bytes,
                            rpc::putResponseWireSize());
     }
   }
-  for (const std::size_t index : touched) syncShardMemory(tierKind, index);
+  for (const std::size_t index : touched) ring.syncMemory(index);
 }
 
 void MembershipDirector::finishTask(const Task& task) {
   if (task.event.kind != MembershipKind::kLeave) return;
+  cache::ShardedTier& ring = *ringOn(task.event.tier);
+  const std::size_t index = task.event.nodeIndex;
+  // A node that rejoined inside its own window is serving again: its
+  // process and its (cold-restarted) shard stay.
+  if (ring.isMember(index)) return;
   // Whatever the window didn't move is dropped with the process — the
   // window is a bound on transfer time, not a completeness promise.
-  const std::size_t index = task.event.nodeIndex;
-  if (task.event.tier == sim::TierKind::kAppServer) {
-    hooks_.linked->dropShard(index);
-  } else if (task.event.tier == sim::TierKind::kRemoteCache) {
-    hooks_.remote->dropShard(index);
-    syncShardMemory(task.event.tier, index);
-  } else {
-    hooks_.disagg->dropShard(index);
-    syncShardMemory(task.event.tier, index);
-  }
-  if (sim::Tier* tier = tierFor(task.event.tier)) {
-    if (index < tier->size()) tier->node(index).setUp(false);
-  }
+  ring.dropShard(index);
+  ring.tier().node(index).setUp(false);
 }
 
 MembershipDirector::FallbackResult MembershipDirector::tryFallback(
@@ -566,43 +437,36 @@ MembershipDirector::FallbackResult MembershipDirector::tryFallback(
   for (Task& task : tasks_) {
     const auto it = task.byKey.find(std::string_view(key));
     if (it == task.byKey.end()) continue;
-    const PendingKey& pk = task.pending[it->second];
+    const std::size_t from = task.pending[it->second].fromIndex;
     const sim::TierKind tierKind = task.event.tier;
-    sim::Tier* oldTier = tierFor(tierKind);
+    cache::ShardedTier& ring = *ringOn(tierKind);
     // No dual-read against a crashed old owner — its copy died with it.
-    if (oldTier == nullptr || pk.fromIndex >= oldTier->size() ||
-        !oldTier->node(pk.fromIndex).isUp()) {
-      continue;
-    }
-    cache::KvCache* source = shardFor(tierKind, pk.fromIndex);
-    if (source == nullptr || source->peek(key) == nullptr) continue;
-    if (ownerFor(tierKind, key) == pk.fromIndex) continue;
+    if (!ring.nodeUp(from) || ring.shard(from).peek(key) == nullptr) continue;
+    const std::size_t owner = ring.ownerOf(key);
+    if (owner == from) continue;
     sim::Node& app = hooks_.appTier->node(appIndex);
 
     if (tierKind == sim::TierKind::kAppServer) {
-      const auto got = hooks_.linked->getAt(appIndex, pk.fromIndex, key);
+      const auto got = hooks_.linked->get(appIndex, from, key);
       if (!got.hit) continue;
-      hooks_.linked->fillAt(hooks_.linked->ownerOf(key), key, got.size,
-                            got.version);
-      hooks_.linked->shard(pk.fromIndex).erase(key);
+      hooks_.linked->fill(owner, key, got.size, got.version);
       out = {true, got.latencyMicros, got.size, got.version};
     } else if (tierKind == sim::TierKind::kRemoteCache) {
-      const auto got = hooks_.remote->getAt(app, pk.fromIndex, key);
-      if (!got.hit) continue;
-      const double putLatency = hooks_.remote->putAt(
-          app, hooks_.remote->ownerOf(key), key, got.size, got.version);
-      hooks_.remote->shardForNode(pk.fromIndex).erase(key);
-      out = {true, got.latencyMicros + putLatency, got.size, got.version};
-    } else {
-      const auto got = hooks_.disagg->farGetAt(app, pk.fromIndex, key);
+      const auto got = hooks_.remote->get(app, from, key);
       if (!got.hit) continue;
       const double putLatency =
-          hooks_.disagg->farPut(app, key, got.size, got.version);
+          hooks_.remote->put(app, owner, key, got.size, got.version);
+      out = {true, got.latencyMicros + putLatency, got.size, got.version};
+    } else {
+      const auto got = hooks_.disagg->farGet(app, from, key);
+      if (!got.hit) continue;
+      const double putLatency =
+          hooks_.disagg->farPut(app, owner, key, got.size, got.version);
       hooks_.disagg->hotFill(appIndex, key, got.size, got.version);
-      hooks_.disagg->farShardForNode(pk.fromIndex).erase(key);
       out = {true, got.latencyMicros + putLatency, got.size, got.version};
     }
-    syncShardMemory(tierKind, pk.fromIndex);
+    ring.shard(from).erase(key);
+    ring.syncMemory(from);
     ++counters_.handoffFallbackReads;
     return out;
   }
@@ -614,30 +478,25 @@ void MembershipDirector::fenceWrite(std::size_t appIndex,
   for (Task& task : tasks_) {
     const auto it = task.byKey.find(std::string_view(key));
     if (it == task.byKey.end()) continue;
-    const PendingKey& pk = task.pending[it->second];
+    const std::size_t from = task.pending[it->second].fromIndex;
     const sim::TierKind tierKind = task.event.tier;
-    cache::KvCache* source = shardFor(tierKind, pk.fromIndex);
-    if (source == nullptr || source->peek(key) == nullptr) continue;
-    if (ownerFor(tierKind, key) == pk.fromIndex) continue;
+    cache::ShardedTier& ring = *ringOn(tierKind);
+    cache::KvCache& source = ring.shard(from);
+    if (source.peek(key) == nullptr || ring.ownerOf(key) == from) continue;
     // The write just landed at the new owner; the old owner's copy is now
     // stale and must never be served (dual-read) or migrated (pump).
-    source->erase(key);
-    syncShardMemory(tierKind, pk.fromIndex);
+    source.erase(key);
+    ring.syncMemory(from);
     ++counters_.epochFences;
 
     sim::Node& app = hooks_.appTier->node(appIndex);
-    sim::Tier* tier = tierFor(tierKind);
-    if (tier == nullptr || pk.fromIndex >= tier->size()) continue;
-    sim::Node& old = tier->node(pk.fromIndex);
+    sim::Node& old = ring.tier().node(from);
     if (tierKind == sim::TierKind::kFarMemory) {
       // One-sided tombstone, same shape as farInvalidate.
       hooks_.channel->oneSidedRead(app, old, cache::kFarSlotHeaderBytes,
                                    hooks_.disagg->costs().oneSided);
     } else {
-      const double probe = tierKind == sim::TierKind::kAppServer
-                               ? hooks_.linked->costs().probeMicros
-                               : hooks_.remote->costs().probeMicros;
-      old.charge(sim::CpuComponent::kCacheOp, probe);
+      old.charge(sim::CpuComponent::kCacheOp, opCosts(tierKind).probeMicros);
       if (&old != &app) {
         hooks_.channel->oneWay(app, old,
                                rpc::getRequestWireSize(key.size()));

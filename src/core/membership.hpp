@@ -13,16 +13,17 @@
 //    byte-identically at any --jobs.
 //  - HandoffConfig: the warm-handoff knobs (off = cold reshard).
 //  - MembershipDirector: the runtime. It applies due events to the
-//    architecture's placement ring, snapshots the keys whose ownership
-//    moved, pumps bounded migration batches that charge real CPU and wire
-//    bytes through sim::Node::charge and the rpc::Channel, answers
-//    dual-read fallbacks at the new owner during the window, and fences
-//    writes so an in-flight update can never be resurrected from a stale
-//    owner's copy by a later migration batch.
+//    architecture's cache::ShardedTier (admit/drain/retire one node),
+//    snapshots the keys whose ownership moved, pumps bounded migration
+//    batches that charge real CPU and wire bytes through sim::Node::charge
+//    and the rpc::Channel, answers dual-read fallbacks at the new owner
+//    during the window, and fences writes so an in-flight update can never
+//    be resurrected from a stale owner's copy by a later migration batch.
 //
 // The director is deliberately ignorant of core::Deployment — it sees only
-// the tiers, the cache front-ends and the channel (the Hooks struct), so
-// unit tests can drive it without a full deployment. Deployment-level
+// the app tier, the cache front-ends and the channel (the Hooks struct).
+// Each front-end contributes its ShardedTier; only the transport a dual
+// read or migration pays stays per architecture. Deployment-level
 // fencing (ownership-epoch bump, lease revocation, hot-cache flush, health
 // (de)registration) is driven by the deployment draining appliedEvents().
 #pragma once
@@ -144,8 +145,6 @@ class MembershipDirector {
   /// node up/down.
   struct Hooks {
     sim::Tier* appTier = nullptr;
-    sim::Tier* remoteTier = nullptr;
-    sim::Tier* farTier = nullptr;
     cache::LinkedCache* linked = nullptr;
     cache::RemoteCache* remote = nullptr;
     cache::DisaggCache* disagg = nullptr;
@@ -230,28 +229,17 @@ class MembershipDirector {
   void pump(std::uint64_t nowMicros);
   void pumpTask(Task& task);
   void finishTask(const Task& task);
-  /// Snapshot the keys a join pulls toward `event.nodeIndex` / a leave
-  /// pushes off it, then index them for the dual-read and write fences.
-  void snapshotJoin(Task& task);
-  void snapshotLeave(Task& task);
-  static void buildIndex(Task& task);
+  /// Open the event's transfer window: snapshot the keys it moves, then
+  /// index them for the dual-read and write fences.
+  void openTask(const MembershipEvent& event, std::uint64_t nowMicros);
 
-  /// True when the event's tier carries a placement ring under this
-  /// architecture (linked app tier, remote pods, far pool) — i.e. the
-  /// event actually moves key ownership.
-  [[nodiscard]] bool ringTier(sim::TierKind tier) const noexcept;
-  [[nodiscard]] bool isRingMember(sim::TierKind tier,
-                                  std::size_t index) const noexcept;
-  [[nodiscard]] std::size_t ringMemberCount(sim::TierKind tier) const noexcept;
-  [[nodiscard]] sim::Tier* tierFor(sim::TierKind tier) const noexcept;
-  /// Shard for (tier, index) — the raw KvCache behind the front-end.
-  [[nodiscard]] cache::KvCache* shardFor(sim::TierKind tier,
-                                         std::size_t index) const;
-  /// Current owner of `key` on the tier's ring.
-  [[nodiscard]] std::size_t ownerFor(sim::TierKind tier,
-                                     std::string_view key) const;
-  /// Refresh a shard node's memory meter after bulk erases/fills.
-  void syncShardMemory(sim::TierKind tier, std::size_t index);
+  /// The ring on `tier` (linked app shards, remote pods, far pool; null on
+  /// a stateless tier), the event's node (null: no such tier or index), and
+  /// a cache-process shard's per-key CPU (Linked, Remote).
+  [[nodiscard]] cache::ShardedTier* ringOn(sim::TierKind tier) const noexcept;
+  [[nodiscard]] sim::Node* nodeOf(const MembershipEvent& event) const noexcept;
+  [[nodiscard]] const cache::CacheOpCosts& opCosts(
+      sim::TierKind tier) const noexcept;
 
   MembershipSchedule schedule_;
   HandoffConfig handoff_;

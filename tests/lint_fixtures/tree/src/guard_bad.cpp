@@ -33,12 +33,12 @@ void backgroundNeverRestored(Node3& node) {
 }
 
 struct Ring {
-  void drainServer(unsigned long index);
-  void addServer(unsigned long index);
+  void drainMember(unsigned long index);
+  void admitMember(unsigned long index);
 };
 
 void drainWithoutRejoin(Ring& ring) {
-  ring.drainServer(3);
+  ring.drainMember(3);
   work();  // never re-added, never retired
 }
 

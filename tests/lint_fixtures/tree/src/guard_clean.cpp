@@ -44,19 +44,19 @@ class PumpScope {
 };
 
 struct Ring2 {
-  void drainServer(unsigned long index);
-  void addServer(unsigned long index);
+  void drainMember(unsigned long index);
+  void admitMember(unsigned long index);
   void dropShard(unsigned long index);
 };
 
 void drainAndRejoin(Ring2& ring) {
-  ring.drainServer(3);
+  ring.drainMember(3);
   work2();
-  ring.addServer(3);
+  ring.admitMember(3);
 }
 
 void drainAndRetire(Ring2& ring) {
-  ring.drainServer(4);
+  ring.drainMember(4);
   work2();
   ring.dropShard(4);  // retirement closes the drain window too
 }

@@ -220,7 +220,7 @@ TEST(Deployment, TtlBookkeepingTracksCacheOccupancyNotKeyspace) {
   // The fill-time map must track what the cache holds, not every key the
   // workload ever touched (~tens of thousands here): evicted keys' entries
   // are swept once the map outgrows occupancy 2x.
-  const std::size_t items = deployment.linkedCache()->itemCount();
+  const std::size_t items = deployment.linkedCache()->shards().itemCount();
   EXPECT_GT(deployment.counters().cacheMisses, 10000u);  // real churn
   EXPECT_LE(deployment.ttlBookkeepingSize(),
             std::max<std::size_t>(1024, 2 * items) + 1);
@@ -234,15 +234,24 @@ class LinkedTtl : public ::testing::Test {
   static constexpr std::uint64_t kTtl = 1'000;
   static constexpr std::uint64_t kKey = 7;
 
-  /// Linked deployment with a kTtl freshness bound, storage populated.
+  /// Linked deployment with a kTtl freshness bound, storage populated: KV
+  /// values, or (`objects`) a small UC catalog served as rich objects.
   void start(bool writeThrough = true,
-             util::Bytes perNode = util::Bytes::mb(64)) {
+             util::Bytes perNode = util::Bytes::mb(64), bool objects = false) {
     DeploymentConfig config = smallDeployment(Architecture::kLinked);
     config.ttlFreshnessMicros = kTtl;
     config.writeThroughCache = writeThrough;
     config.appCachePerNode = perNode;
     deployment_ = std::make_unique<Deployment>(config);
-    deployment_->populateKv(workload::SyntheticWorkload(smallWorkload()));
+    objects_ = objects;
+    if (objects) {
+      workload::UcTraceConfig catalog;
+      catalog.numTables = 100;
+      trace_ = std::make_unique<workload::UcTraceWorkload>(catalog);
+      deployment_->populateCatalog(*trace_);
+    } else {
+      deployment_->populateKv(workload::SyntheticWorkload(smallWorkload()));
+    }
   }
   /// Read `keyIndex` at sim time `atMicros`; true when the cache served it.
   bool readHits(std::uint64_t atMicros, std::uint64_t keyIndex = kKey) {
@@ -255,14 +264,23 @@ class LinkedTtl : public ::testing::Test {
     return deployment_->counters().ttlExpirations;
   }
 
+  /// Declared first so it outlives the deployment's catalog store.
+  std::unique_ptr<workload::UcTraceWorkload> trace_;
   std::unique_ptr<Deployment> deployment_;
 
  private:
   Deployment::OpResult serveAt(std::uint64_t atMicros, workload::OpType type,
                                std::uint64_t keyIndex) {
     deployment_->setSimTimeMicros(atMicros);
+    if (objects_) {
+      const bool read = type == workload::OpType::kRead;
+      return deployment_->serveObject(workload::Op{
+          read ? workload::OpType::kObjectRead : type, keyIndex, 1024});
+    }
     return deployment_->serve(workload::Op{type, keyIndex, 1024});
   }
+
+  bool objects_ = false;
 };
 
 TEST_F(LinkedTtl, DeadlineIsInclusiveAndHitsDoNotExtendIt) {
@@ -275,6 +293,22 @@ TEST_F(LinkedTtl, DeadlineIsInclusiveAndHitsDoNotExtendIt) {
   EXPECT_EQ(expirations(), 1u);
   EXPECT_EQ(deployment_->counters().storageReads, storageReads + 1);
   // The revalidation refilled the entry with a full TTL of its own.
+  EXPECT_TRUE(readHits(10'000 + 2 * kTtl - 1));
+  EXPECT_EQ(expirations(), 1u);
+}
+
+TEST_F(LinkedTtl, ObjectReadsExpireAtTheInclusiveDeadline) {
+  // Object ops share the KV read path, so the same bound covers them.
+  start(/*writeThrough=*/true, util::Bytes::mb(64), /*objects=*/true);
+  EXPECT_FALSE(readHits(10'000));  // miss: assembled and filled at 10'000
+  const std::uint64_t statements = deployment_->counters().statementsIssued;
+  EXPECT_GT(statements, 0u);
+  EXPECT_TRUE(readHits(10'000 + kTtl - 1));
+  EXPECT_EQ(expirations(), 0u);
+  EXPECT_FALSE(readHits(10'000 + kTtl));  // expired exactly at the deadline
+  EXPECT_EQ(expirations(), 1u);
+  // Revalidation re-assembled the object and refilled it with a fresh TTL.
+  EXPECT_GT(deployment_->counters().statementsIssued, statements);
   EXPECT_TRUE(readHits(10'000 + 2 * kTtl - 1));
   EXPECT_EQ(expirations(), 1u);
 }
@@ -294,7 +328,7 @@ TEST_F(LinkedTtl, InvalidatingWriteDropsEntryAndFillTime) {
   EXPECT_FALSE(readHits(0));
   EXPECT_EQ(deployment_->ttlBookkeepingSize(), 1u);
   writeAt(100);
-  EXPECT_EQ(deployment_->linkedCache()->itemCount(), 0u);
+  EXPECT_EQ(deployment_->linkedCache()->shards().itemCount(), 0u);
   EXPECT_EQ(deployment_->ttlBookkeepingSize(), 0u);
   // The next read is a plain miss, and its refill starts a fresh deadline.
   EXPECT_FALSE(readHits(5'000));
@@ -306,7 +340,7 @@ TEST_F(LinkedTtl, InvalidatingWriteDropsEntryAndFillTime) {
 
 TEST_F(LinkedTtl, EvictionIsNotAnExpirationAndRefillGetsFreshDeadline) {
   start(/*writeThrough=*/true, util::Bytes::of(4 * 1200));  // ~4 per shard
-  cache::LinkedCache& linked = *deployment_->linkedCache();
+  cache::ShardedTier& linked = deployment_->linkedCache()->shards();
   const std::string key = workload::keyName(kKey);
   const std::size_t owner = linked.ownerOf(key);
   EXPECT_FALSE(readHits(0));
@@ -323,6 +357,62 @@ TEST_F(LinkedTtl, EvictionIsNotAnExpirationAndRefillGetsFreshDeadline) {
   EXPECT_FALSE(readHits(6 * kTtl));
   EXPECT_EQ(expirations(), 1u);
 }
+
+// ---- planned churn: a node that rejoins inside its own leave window ----
+
+class RejoinInsideLeaveWindow : public ::testing::TestWithParam<Architecture> {
+ protected:
+  /// The architecture's sharded cache tier and its kind.
+  static cache::ShardedTier& ring(Deployment& d) {
+    if (d.remoteCache() != nullptr) return d.remoteCache()->shards();
+    if (d.linkedCache() != nullptr) return d.linkedCache()->shards();
+    return d.disaggCache()->shards();
+  }
+};
+
+TEST_P(RejoinInsideLeaveWindow, KeepsTheNodeUpAndServing) {
+  Deployment deployment(smallDeployment(GetParam()));
+  workload::SyntheticWorkload workload(smallWorkload());
+  deployment.populateKv(workload);
+  cache::ShardedTier& shards = ring(deployment);
+  const sim::TierKind tier = shards.tier().kind();
+
+  // Node 0 leaves at 10 ms and rejoins at 12 ms; its warm-handoff window
+  // runs to 30 ms. 10 us per op, 80 ms in all.
+  MembershipSchedule schedule;
+  schedule.leave(10'000, tier, 0);
+  schedule.join(12'000, tier, 0);
+  HandoffConfig handoff;
+  handoff.enabled = true;
+  handoff.windowMicros = 20'000;
+  deployment.installMembershipSchedule(std::move(schedule), handoff);
+  const auto serveUntil = [&](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t t = from; t < to; t += 10) {
+      deployment.setSimTimeMicros(t);
+      deployment.serve(workload.next());
+    }
+  };
+  serveUntil(0, 40'000);
+  EXPECT_EQ(deployment.counters().plannedJoins, 1u);
+  EXPECT_EQ(deployment.counters().plannedLeaves, 1u);
+
+  // The leave window closed at 30 ms without retiring the rejoined node.
+  deployment.clearMeters();
+  serveUntil(40'000, 80'000);
+  EXPECT_TRUE(shards.isMember(0));
+  EXPECT_TRUE(shards.tier().node(0).isUp());
+  EXPECT_GT(shards.shard(0).itemCount(), 0u);
+  EXPECT_EQ(deployment.counters().degradedReads, 0u);
+  EXPECT_EQ(deployment.counters().failedOps, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RingTiers, RejoinInsideLeaveWindow,
+    ::testing::Values(Architecture::kRemote, Architecture::kLinked,
+                      Architecture::kDisaggregated),
+    [](const ::testing::TestParamInfo<Architecture>& info) {
+      return std::string(architectureName(info.param));
+    });
 
 TEST(Deployment, TotalCacheMemoryProvisioned) {
   DeploymentConfig config = smallDeployment(Architecture::kLinked);

@@ -251,14 +251,15 @@ TEST_F(DisaggCacheTest, WireBytesAreHeaderPlusValueOnHitHeaderOnMiss) {
   sim::Node& app = appTier_.node(0);
   const std::string key = "wire-key";
   const std::uint64_t size = 1000;
+  const std::size_t slot = cache_.shards().ownerOf(key);
 
-  const auto miss = cache_.farGet(app, key);
+  const auto miss = cache_.farGet(app, slot, key);
   EXPECT_FALSE(miss.hit);
   EXPECT_FALSE(miss.failed);
   EXPECT_EQ(miss.wireBytes, cache::kFarSlotHeaderBytes);
 
-  cache_.farPut(app, key, size, /*version=*/7);
-  const auto hit = cache_.farGet(app, key);
+  cache_.farPut(app, slot, key, size, /*version=*/7);
+  const auto hit = cache_.farGet(app, slot, key);
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.size, size);
   EXPECT_EQ(hit.version, 7u);
@@ -375,7 +376,7 @@ TEST(DisaggDeployment, WriterInvalidationReachesEveryCachedCopy) {
   // Prime every app server's hot cache (apps 0, 1, 2 in rr order).
   for (int i = 0; i < 3; ++i) deployment.serve(readOp(keyIndex, size));
   for (std::size_t i = 0; i < 3; ++i) {
-    ASSERT_NE(cache.hotShardForNode(i).peek(key), nullptr) << "app " << i;
+    ASSERT_NE(cache.hotShard(i).peek(key), nullptr) << "app " << i;
   }
 
   // The write lands on app 0 (rr continues); it refreshes the far slot and
@@ -384,14 +385,14 @@ TEST(DisaggDeployment, WriterInvalidationReachesEveryCachedCopy) {
   EXPECT_EQ(deployment.counters().clientInvalidations, 2u);
   EXPECT_EQ(deployment.invalidationBus()->published(), 1u);
 
-  const cache::CacheEntry* writer = cache.hotShardForNode(0).peek(key);
+  const cache::CacheEntry* writer = cache.hotShard(0).peek(key);
   ASSERT_NE(writer, nullptr);
-  EXPECT_EQ(cache.hotShardForNode(1).peek(key), nullptr);
-  EXPECT_EQ(cache.hotShardForNode(2).peek(key), nullptr);
+  EXPECT_EQ(cache.hotShard(1).peek(key), nullptr);
+  EXPECT_EQ(cache.hotShard(2).peek(key), nullptr);
   // Far slot and the writer's hot copy agree on the new version — the
   // copies that could have gone stale are gone instead.
   const cache::CacheEntry* far =
-      cache.farShardForNode(cache.nodeForKey(key)).peek(key);
+      cache.shards().shard(cache.shards().ownerOf(key)).peek(key);
   ASSERT_NE(far, nullptr);
   EXPECT_EQ(far->version, writer->version);
 
@@ -399,7 +400,7 @@ TEST(DisaggDeployment, WriterInvalidationReachesEveryCachedCopy) {
   // a stale hit is impossible.
   for (int i = 0; i < 3; ++i) deployment.serve(readOp(keyIndex, size));
   for (std::size_t i = 0; i < 3; ++i) {
-    const cache::CacheEntry* hot = cache.hotShardForNode(i).peek(key);
+    const cache::CacheEntry* hot = cache.hotShard(i).peek(key);
     ASSERT_NE(hot, nullptr) << "app " << i;
     EXPECT_EQ(hot->version, far->version) << "app " << i;
   }
@@ -415,7 +416,7 @@ TEST(DisaggDeployment, PoolCrashFencesEpochAndFallsBackToStorage) {
   const std::uint64_t keyIndex = 11;
   const std::string key = workload::keyName(keyIndex);
   const std::uint64_t size = workload.valueSizeFor(keyIndex);
-  const std::size_t farIdx = cache.nodeForKey(key);
+  const std::size_t farIdx = cache.shards().ownerOf(key);
 
   for (int i = 0; i < 3; ++i) deployment.serve(readOp(keyIndex, size));
   const std::uint64_t epochBefore = deployment.ownershipEpoch();
@@ -429,7 +430,7 @@ TEST(DisaggDeployment, PoolCrashFencesEpochAndFallsBackToStorage) {
   // client-driven placement cannot read a slot that moved or died.
   EXPECT_EQ(deployment.ownershipEpoch(), epochBefore + 1);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(cache.hotShardForNode(i).peek(key), nullptr) << "app " << i;
+    EXPECT_EQ(cache.hotShard(i).peek(key), nullptr) << "app " << i;
   }
 
   // Reads for the dead node's keys degrade to storage — no far access is

@@ -322,7 +322,7 @@ TEST(DeploymentFaults, LinkedCrashShedsOwnershipAndHitRatio) {
 
   // The ring resharded: node 0 lost its shard, the epoch and its lease
   // fencing epoch bumped, and ~1/N of the working set went cold.
-  EXPECT_FALSE(deployment.linkedCache()->hasServer(0));
+  EXPECT_FALSE(deployment.linkedCache()->shards().isMember(0));
   EXPECT_GT(deployment.ownershipEpoch(), epochBefore);
   ASSERT_NE(deployment.leases(), nullptr);
   EXPECT_GE(deployment.leases()->epoch(0), 2u);
@@ -349,16 +349,16 @@ TEST(DeploymentFaults, LinkedRestartRestoresOwnershipCold) {
   deployment.installFaultSchedule(std::move(schedule));
 
   now = drive(deployment, workload, 3000, now);  // down period (30ms)
-  ASSERT_FALSE(deployment.linkedCache()->hasServer(0));
+  ASSERT_FALSE(deployment.linkedCache()->shards().isMember(0));
 
   deployment.setSimTimeMicros(now + 20000);  // restart event fires
-  EXPECT_TRUE(deployment.linkedCache()->hasServer(0));
+  EXPECT_TRUE(deployment.linkedCache()->shards().isMember(0));
   EXPECT_TRUE(deployment.appTier().node(0).isUp());
   // Cold restart: the shard comes back empty and re-warms from traffic.
-  EXPECT_EQ(deployment.linkedCache()->shard(0).itemCount(), 0u);
+  EXPECT_EQ(deployment.linkedCache()->shards().shard(0).itemCount(), 0u);
   deployment.clearMeters();
   drive(deployment, workload, 8000, now + 20000);
-  EXPECT_GT(deployment.linkedCache()->shard(0).itemCount(), 0u);
+  EXPECT_GT(deployment.linkedCache()->shards().shard(0).itemCount(), 0u);
   EXPECT_GT(deployment.counters().hitRatio(), 0.5);
 }
 
@@ -407,7 +407,8 @@ TEST(DeploymentFaults, SingleFlightCoalescesConcurrentMisses) {
   // Find a key owned by the dead pod: its fills are skipped (circuit
   // breaker), so every read misses and hits the storage path.
   std::uint64_t victim = 0;
-  while (deployment.remoteCache()->nodeUpFor(workload::keyName(victim))) {
+  const cache::ShardedTier& pods = deployment.remoteCache()->shards();
+  while (pods.nodeUp(pods.ownerOf(workload::keyName(victim)))) {
     ++victim;
   }
   workload::Op op;

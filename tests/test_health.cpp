@@ -13,6 +13,7 @@
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "workload/synthetic.hpp"
+#include "workload/uc_trace.hpp"
 
 namespace dcache {
 namespace {
@@ -258,6 +259,18 @@ std::uint64_t drive(core::Deployment& deployment,
   return startMicros + ops * kMicrosPerOp;
 }
 
+/// drive() for rich-object ops (UC catalog reads and writes).
+std::uint64_t driveObjects(core::Deployment& deployment,
+                           workload::UcTraceWorkload& trace, std::uint64_t ops,
+                           std::uint64_t startMicros) {
+  constexpr std::uint64_t kMicrosPerOp = 10;
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    deployment.setSimTimeMicros(startMicros + i * kMicrosPerOp);
+    deployment.serveObject(trace.next());
+  }
+  return startMicros + ops * kMicrosPerOp;
+}
+
 core::DeploymentConfig grayConfig(core::Architecture arch) {
   core::DeploymentConfig config;
   config.architecture = arch;
@@ -293,7 +306,7 @@ TEST(DeploymentHealth, FlakyNodeGetsEjectedAndCounted) {
   EXPECT_GE(deployment.healthMonitor()->totalEjections(), 1u);
   EXPECT_TRUE(
       deployment.healthMonitor()->ejected(sim::TierKind::kRemoteCache, 0));
-  EXPECT_TRUE(deployment.remoteCache()->nodeUp(0));  // up, just lossy
+  EXPECT_TRUE(deployment.remoteCache()->shards().nodeUp(0));  // up, just lossy
   const core::ServeCounters& counters = deployment.counters();
   EXPECT_GE(counters.ejectedNodes, 1u);
   // Detection lag is measured from the fault's onset to the ejection.
@@ -323,6 +336,24 @@ TEST(DeploymentHealth, ReplicaFallbackKeepsServingTheEjectedPodsKeys) {
   // hits, not storage degradations.
   EXPECT_GT(counters.replicaFallbackReads, 0u);
   EXPECT_GT(counters.hitRatio(), 0.5);
+
+  // Rich objects take the same read path, so the same posture serves the
+  // ejected pod's objects from their replicas too.
+  workload::UcTraceConfig catalog;
+  catalog.numTables = 300;
+  workload::UcTraceWorkload trace(catalog);
+  core::Deployment objects(config);
+  objects.populateCatalog(trace);
+  now = driveObjects(objects, trace, 6000, 0);
+  EXPECT_GT(objects.counters().replicaWriteFanout, 0u);
+  sim::FaultSchedule objectFaults;
+  objectFaults.flakyNode(now, now + 800000, sim::TierKind::kRemoteCache, 0,
+                         1.0);
+  objects.installFaultSchedule(std::move(objectFaults));
+  objects.clearMeters();
+  driveObjects(objects, trace, 6000, now);
+  EXPECT_GT(objects.counters().replicaFallbackReads, 0u);
+  EXPECT_GT(objects.counters().hitRatio(), 0.5);
 }
 
 TEST(DeploymentHealth, LinkedSlowNodeIsRoutedAroundViaReplicas) {

@@ -149,7 +149,7 @@ TEST(FailureInjection, ReshardDropsShardButServiceRecovers) {
   for (int i = 0; i < 10000; ++i) deployment.serve(workload.next());
   deployment.clearMeters();
   ASSERT_NE(deployment.linkedCache(), nullptr);
-  deployment.linkedCache()->removeServer(1);
+  deployment.linkedCache()->shards().retireMember(1);
 
   // Service continues; the lost shard's keys re-warm via misses.
   for (int i = 0; i < 10000; ++i) deployment.serve(workload.next());
@@ -170,7 +170,7 @@ TEST(FailureInjection, ReshardNeverServesStaleUnderVersionChecks) {
   workload::SyntheticWorkload workload(smallWorkload());
   deployment.populateKv(workload);
   for (int i = 0; i < 5000; ++i) deployment.serve(workload.next());
-  deployment.linkedCache()->removeServer(0);
+  deployment.linkedCache()->shards().retireMember(0);
   for (int i = 0; i < 5000; ++i) deployment.serve(workload.next());
   // Mismatches may occur (that is the check working); what may not happen
   // is a served stale hit: every mismatch was refilled, so hits + misses
@@ -234,8 +234,10 @@ TEST(Integration, RemoteCacheSharableAcrossAppServers) {
 
   const std::string key = workload::keyName(7);
   auto& appTier = deployment.appTier();
-  deployment.remoteCache()->put(appTier.node(0), key, 2048, 1);
-  const auto hit = deployment.remoteCache()->get(appTier.node(2), key);
+  cache::RemoteCache& remote = *deployment.remoteCache();
+  const std::size_t pod = remote.shards().ownerOf(key);
+  remote.put(appTier.node(0), pod, key, 2048, 1);
+  const auto hit = remote.get(appTier.node(2), pod, key);
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.size, 2048u);
 }

@@ -1,6 +1,6 @@
 // Consistent-hash ring tests: routing stability, load balance, minimal
-// disruption on membership change, and the remote/linked cache front-ends'
-// accounting.
+// disruption on membership change, the ShardedTier membership API in both
+// placements, and the remote/linked cache front-ends' accounting.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,6 +8,7 @@
 #include "cache/hash_ring.hpp"
 #include "cache/linked_cache.hpp"
 #include "cache/remote_cache.hpp"
+#include "cache/sharded_tier.hpp"
 #include "util/hash.hpp"
 
 namespace dcache::cache {
@@ -119,6 +120,112 @@ TEST(HashRing, ChurnRestoresExactReplicaSets) {
   }
 }
 
+// ---- ShardedTier: one placement, membership and replica API ----
+
+/// Each case runs in both placements a tier can be in when its first
+/// membership call lands: modulo (Remote and the far pool, not yet armed)
+/// and the ring (Linked, or after replication or churn armed it).
+class ShardedTierPlacement : public ::testing::TestWithParam<bool> {
+ protected:
+  ShardedTierPlacement()
+      : nodes_("cache", sim::TierKind::kRemoteCache, 4),
+        tier_(nodes_, util::Bytes::mb(64), EvictionPolicy::kLru, GetParam()),
+        fullRing_(nodes_, util::Bytes::mb(1), EvictionPolicy::kLru, true) {}
+
+  /// A key and its owner, stored on the owner's shard.
+  std::size_t store(const std::string& key) {
+    const std::size_t owner = tier_.ownerOf(key);
+    tier_.shard(owner).put(key, CacheEntry::sized(128, 1));
+    return owner;
+  }
+
+  sim::Tier nodes_;
+  ShardedTier tier_;
+  /// The same nodes, every one a ring member (the full-membership owners).
+  ShardedTier fullRing_;
+};
+
+TEST_P(ShardedTierPlacement, EveryNodeStartsAMember) {
+  EXPECT_EQ(tier_.ringArmed(), GetParam());
+  EXPECT_EQ(tier_.memberCount(), nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    EXPECT_TRUE(tier_.isMember(i));
+  }
+  EXPECT_FALSE(tier_.isMember(nodes_.size()));
+}
+
+TEST_P(ShardedTierPlacement, AdmittingAMemberIsANoOp) {
+  const std::size_t owner = store("k");
+  tier_.admitMember(owner);
+  EXPECT_EQ(tier_.ringArmed(), GetParam());  // nothing changed: not armed
+  EXPECT_EQ(tier_.ownerOf("k"), owner);
+  EXPECT_NE(tier_.shard(owner).peek("k"), nullptr);  // warm shard survives
+}
+
+TEST_P(ShardedTierPlacement, DrainMovesOwnershipAndKeepsTheShard) {
+  const std::size_t owner = store("k");
+  tier_.drainMember(owner);
+  tier_.drainMember(owner);  // replayed: no-op
+  EXPECT_TRUE(tier_.ringArmed());
+  EXPECT_FALSE(tier_.isMember(owner));
+  EXPECT_EQ(tier_.memberCount(), nodes_.size() - 1);
+  EXPECT_NE(tier_.ownerOf("k"), owner);
+  EXPECT_NE(tier_.shard(owner).peek("k"), nullptr);
+  tier_.retireMember(owner);  // a non-member: the draining shard survives
+  EXPECT_NE(tier_.shard(owner).peek("k"), nullptr);
+  tier_.dropShard(owner);  // the window closes
+  EXPECT_EQ(tier_.shard(owner).itemCount(), 0u);
+}
+
+TEST_P(ShardedTierPlacement, RetireDropsOnlyTheLeaversShard) {
+  const std::size_t owner = store("k");
+  const std::size_t other = (owner + 1) % nodes_.size();
+  tier_.shard(other).put("x", CacheEntry::sized(128, 1));
+  tier_.retireMember(owner);
+  EXPECT_FALSE(tier_.isMember(owner));
+  EXPECT_EQ(tier_.shard(owner).itemCount(), 0u);
+  EXPECT_NE(tier_.shard(other).peek("x"), nullptr);
+}
+
+TEST_P(ShardedTierPlacement, RejoinComesBackColdToTheFullRingPartition) {
+  const std::size_t owner = store("k");
+  tier_.drainMember(owner);
+  tier_.admitMember(owner);  // inside what would be its handoff window
+  EXPECT_TRUE(tier_.isMember(owner));
+  EXPECT_EQ(tier_.memberCount(), nodes_.size());
+  EXPECT_EQ(tier_.shard(owner).itemCount(), 0u);  // the process restarted
+  for (int k = 0; k < 200; ++k) {
+    const std::string key = "key" + std::to_string(k);
+    EXPECT_EQ(tier_.ownerOf(key), fullRing_.ownerOf(key));
+  }
+}
+
+TEST_P(ShardedTierPlacement, PrimaryReplicaIsTheOwnerAcrossChurn) {
+  const auto check = [&] {
+    for (int k = 0; k < 300; ++k) {
+      const std::string key = "key" + std::to_string(k);
+      const auto replicas = tier_.replicasOf(key, 1);
+      ASSERT_EQ(replicas.size(), 1u);
+      EXPECT_EQ(replicas[0], tier_.ownerOf(key));
+    }
+  };
+  check();
+  tier_.drainMember(1);
+  check();
+  tier_.retireMember(3);
+  check();
+  tier_.admitMember(1);
+  check();
+  tier_.admitMember(3);
+  check();
+}
+
+INSTANTIATE_TEST_SUITE_P(Placements, ShardedTierPlacement,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ring" : "modulo";
+                         });
+
 // ---- Remote / linked cache front-ends over the sim fabric ----
 
 class CacheFrontends : public ::testing::Test {
@@ -137,11 +244,12 @@ class CacheFrontends : public ::testing::Test {
 TEST_F(CacheFrontends, RemoteCacheMissThenHit) {
   RemoteCache remote(cacheTier_, util::Bytes::mb(64), channel_);
   sim::Node& app = appTier_.node(0);
+  const std::size_t owner = remote.shards().ownerOf("k");
 
-  auto miss = remote.get(app, "k");
+  auto miss = remote.get(app, owner, "k");
   EXPECT_FALSE(miss.hit);
-  remote.put(app, "k", 4096, 3);
-  auto hit = remote.get(app, "k");
+  remote.put(app, owner, "k", 4096, 3);
+  auto hit = remote.get(app, owner, "k");
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.size, 4096u);
   EXPECT_EQ(hit.version, 3u);
@@ -151,7 +259,7 @@ TEST_F(CacheFrontends, RemoteCacheMissThenHit) {
   EXPECT_GT(app.cpu().micros(sim::CpuComponent::kRpcFraming), 0.0);
   EXPECT_GT(app.cpu().micros(sim::CpuComponent::kDeserialization), 0.0);
   // And the owning cache node paid for the probe.
-  const CacheStats agg = remote.aggregateStats();
+  const CacheStats agg = remote.shards().aggregateStats();
   EXPECT_EQ(agg.hits, 1u);
   EXPECT_EQ(agg.misses, 1u);
 }
@@ -159,20 +267,21 @@ TEST_F(CacheFrontends, RemoteCacheMissThenHit) {
 TEST_F(CacheFrontends, RemoteInvalidateRemoves) {
   RemoteCache remote(cacheTier_, util::Bytes::mb(64), channel_);
   sim::Node& app = appTier_.node(0);
-  remote.put(app, "k", 100, 1);
-  remote.invalidate(app, "k");
-  EXPECT_FALSE(remote.get(app, "k").hit);
+  const std::size_t owner = remote.shards().ownerOf("k");
+  remote.put(app, owner, "k", 100, 1);
+  remote.invalidate(app, owner, "k");
+  EXPECT_FALSE(remote.get(app, owner, "k").hit);
 }
 
 TEST_F(CacheFrontends, LinkedLocalHitPaysNoRpcOrMarshalling) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  linked.fill("k", 4096, 9);
-  const std::size_t owner = linked.ownerOf("k");
+  const std::size_t owner = linked.shards().ownerOf("k");
+  linked.fill(owner, "k", 4096, 9);
 
   // Snapshot app CPU, probe from the owner itself.
   const double framingBefore =
       appTier_.node(owner).cpu().micros(sim::CpuComponent::kRpcFraming);
-  const auto hit = linked.get(owner, "k");
+  const auto hit = linked.get(owner, owner, "k");
   EXPECT_TRUE(hit.hit);
   EXPECT_TRUE(hit.local);
   EXPECT_EQ(hit.version, 9u);
@@ -184,11 +293,11 @@ TEST_F(CacheFrontends, LinkedLocalHitPaysNoRpcOrMarshalling) {
 
 TEST_F(CacheFrontends, LinkedForwardedProbePaysRpc) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  linked.fill("k", 4096, 1);
-  const std::size_t owner = linked.ownerOf("k");
+  const std::size_t owner = linked.shards().ownerOf("k");
+  linked.fill(owner, "k", 4096, 1);
   const std::size_t other = (owner + 1) % appTier_.size();
 
-  const auto hit = linked.get(other, "k");
+  const auto hit = linked.get(other, owner, "k");
   EXPECT_TRUE(hit.hit);
   EXPECT_FALSE(hit.local);
   EXPECT_GT(hit.latencyMicros, 0.0);
@@ -198,187 +307,216 @@ TEST_F(CacheFrontends, LinkedForwardedProbePaysRpc) {
 
 TEST_F(CacheFrontends, LinkedRemoveServerDropsShard) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  linked.fill("k", 100, 1);
-  const std::size_t owner = linked.ownerOf("k");
-  linked.removeServer(owner);
-  const std::size_t newOwner = linked.ownerOf("k");
+  ShardedTier& shards = linked.shards();
+  const std::size_t owner = shards.ownerOf("k");
+  linked.fill(owner, "k", 100, 1);
+  shards.retireMember(owner);
+  const std::size_t newOwner = shards.ownerOf("k");
   EXPECT_NE(newOwner, owner);
-  EXPECT_FALSE(linked.get(newOwner, "k").hit);  // shard content was dropped
+  // Shard content was dropped.
+  EXPECT_FALSE(linked.get(newOwner, newOwner, "k").hit);
 }
 
 TEST_F(CacheFrontends, LinkedCrashRestartChurnRestoresExactOwnership) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
+  ShardedTier& shards = linked.shards();
   constexpr int kKeys = 2000;
   std::vector<std::size_t> before(kKeys);
   for (int k = 0; k < kKeys; ++k) {
-    before[k] = linked.ownerOf("key" + std::to_string(k));
+    before[k] = shards.ownerOf("key" + std::to_string(k));
   }
 
   const std::size_t victim = 1;
-  linked.removeServer(victim);
-  EXPECT_FALSE(linked.hasServer(victim));
+  shards.retireMember(victim);
+  EXPECT_FALSE(shards.isMember(victim));
   for (int k = 0; k < kKeys; ++k) {
-    const std::size_t after = linked.ownerOf("key" + std::to_string(k));
+    const std::size_t after = shards.ownerOf("key" + std::to_string(k));
     // Routing never targets the removed member, and consistent hashing
     // moves only the victim's keys.
     EXPECT_NE(after, victim);
-    if (before[k] != victim) EXPECT_EQ(after, before[k]);
+    if (before[k] != victim) {
+      EXPECT_EQ(after, before[k]);
+    }
   }
 
   // Restart: vnode points depend only on the member index, so ownership
   // returns to exactly the pre-crash partition.
-  linked.addServer(victim);
-  EXPECT_TRUE(linked.hasServer(victim));
+  shards.admitMember(victim);
+  EXPECT_TRUE(shards.isMember(victim));
   for (int k = 0; k < kKeys; ++k) {
-    EXPECT_EQ(linked.ownerOf("key" + std::to_string(k)), before[k]);
+    EXPECT_EQ(shards.ownerOf("key" + std::to_string(k)), before[k]);
   }
 }
 
 TEST_F(CacheFrontends, LinkedRemoveServerSparesSurvivorShards) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
+  ShardedTier& shards = linked.shards();
   // Fill until every server owns at least one key we can name.
   std::vector<std::string> keyOwnedBy(appTier_.size());
   for (int k = 0; keyOwnedBy[0].empty() || keyOwnedBy[1].empty() ||
                   keyOwnedBy[2].empty();
        ++k) {
     const std::string key = "key" + std::to_string(k);
-    keyOwnedBy[linked.ownerOf(key)] = key;
-    linked.fill(key, 128, 1);
+    const std::size_t owner = shards.ownerOf(key);
+    keyOwnedBy[owner] = key;
+    linked.fill(owner, key, 128, 1);
   }
 
-  const std::size_t victim = linked.ownerOf(keyOwnedBy[0]);
-  linked.removeServer(victim);
+  const std::size_t victim = shards.ownerOf(keyOwnedBy[0]);
+  shards.retireMember(victim);
   // Only the victim's shard was dropped: survivors still serve their keys.
   for (std::size_t s = 0; s < appTier_.size(); ++s) {
     if (s == victim) continue;
-    const auto hit = linked.get(s, keyOwnedBy[s]);
+    const std::string& key = keyOwnedBy[s];
+    const auto hit = linked.get(s, shards.ownerOf(key), key);
     EXPECT_TRUE(hit.hit) << "survivor " << s << " lost its shard";
   }
-  EXPECT_FALSE(linked.get((victim + 1) % appTier_.size(),
-                          keyOwnedBy[victim])
-                   .hit);
+  const std::string& lost = keyOwnedBy[victim];
+  EXPECT_FALSE(
+      linked.get((victim + 1) % appTier_.size(), shards.ownerOf(lost), lost)
+          .hit);
 }
 
 TEST_F(CacheFrontends, LinkedAddServerComesBackColdAndIdempotent) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  linked.fill("k", 256, 7);
-  const std::size_t owner = linked.ownerOf("k");
+  ShardedTier& shards = linked.shards();
+  const std::size_t owner = shards.ownerOf("k");
+  linked.fill(owner, "k", 256, 7);
 
-  // addServer on a current member is a no-op: the warm shard survives.
-  linked.addServer(owner);
-  EXPECT_TRUE(linked.get(owner, "k").hit);
+  // Admitting a current member is a no-op: the warm shard survives.
+  shards.admitMember(owner);
+  EXPECT_TRUE(linked.get(owner, owner, "k").hit);
 
-  linked.removeServer(owner);
-  linked.addServer(owner);
+  shards.retireMember(owner);
+  shards.admitMember(owner);
   // A genuine restart rejoins cold.
-  EXPECT_EQ(linked.shard(owner).itemCount(), 0u);
-  EXPECT_FALSE(linked.get(owner, "k").hit);
+  EXPECT_EQ(shards.shard(owner).itemCount(), 0u);
+  EXPECT_FALSE(linked.get(owner, shards.ownerOf("k"), "k").hit);
 }
 
 TEST_F(CacheFrontends, LinkedDoubleRemoveSparesDrainingShard) {
   // Regression: a replayed cold remove must not double-apply. During a
   // warm drain the server is out of the ring but its shard still holds
   // the keys the handoff window is migrating — an unguarded second
-  // removeServer would clear them mid-transfer.
+  // retireMember would clear them mid-transfer.
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  linked.fill("k", 256, 1);
-  const std::size_t owner = linked.ownerOf("k");
+  ShardedTier& shards = linked.shards();
+  const std::size_t owner = shards.ownerOf("k");
+  linked.fill(owner, "k", 256, 1);
 
-  linked.drainServer(owner);
-  EXPECT_FALSE(linked.hasServer(owner));
-  EXPECT_NE(linked.ownerOf("k"), owner);  // ownership moved immediately
-  ASSERT_NE(linked.shard(owner).peek("k"), nullptr);  // contents kept
+  shards.drainMember(owner);
+  EXPECT_FALSE(shards.isMember(owner));
+  EXPECT_NE(shards.ownerOf("k"), owner);  // ownership moved immediately
+  ASSERT_NE(shards.shard(owner).peek("k"), nullptr);  // contents kept
 
-  linked.drainServer(owner);   // replayed drain: no-op
-  linked.removeServer(owner);  // replayed cold remove: non-member, no-op
-  EXPECT_NE(linked.shard(owner).peek("k"), nullptr);
+  shards.drainMember(owner);   // replayed drain: no-op
+  shards.retireMember(owner);  // replayed cold remove: non-member, no-op
+  EXPECT_NE(shards.shard(owner).peek("k"), nullptr);
 
   // Window closes: whatever was not migrated is retired with the process.
-  linked.dropShard(owner);
-  EXPECT_EQ(linked.shard(owner).itemCount(), 0u);
+  shards.dropShard(owner);
+  EXPECT_EQ(shards.shard(owner).itemCount(), 0u);
 }
 
 TEST_F(CacheFrontends, RemoteMembershipJoinLeaveIdempotent) {
-  RemoteCache remote(cacheTier_, util::Bytes::mb(64), channel_);
-  sim::Node& app = appTier_.node(0);
-  remote.enableMembership();
-  ASSERT_EQ(remote.memberCount(), cacheTier_.size());
+  // Both placements: pods still on modulo when the first membership call
+  // lands (it arms the ring), or already on the ring.
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "ring" : "modulo");
+    RemoteCache remote(cacheTier_, util::Bytes::mb(64), channel_);
+    ShardedTier& shards = remote.shards();
+    if (armed) shards.armRing();
+    sim::Node& app = appTier_.node(0);
+    ASSERT_EQ(shards.memberCount(), cacheTier_.size());
 
-  remote.put(app, "k", 4096, 1);
-  const std::size_t owner = remote.ownerOf("k");
+    const std::size_t owner = shards.ownerOf("k");
+    remote.put(app, owner, "k", 4096, 1);
 
-  // Double join of a member: no-op, the warm shard survives.
-  remote.joinNode(owner);
-  EXPECT_TRUE(remote.get(app, "k").hit);
+    // Double join of a member: no-op, the warm shard survives.
+    shards.admitMember(owner);
+    EXPECT_TRUE(remote.get(app, shards.ownerOf("k"), "k").hit);
 
-  // Leave moves ownership but keeps the pod's contents for the handoff
-  // window; a replayed leave is a no-op.
-  remote.leaveNode(owner);
-  remote.leaveNode(owner);
-  EXPECT_FALSE(remote.isMember(owner));
-  EXPECT_EQ(remote.memberCount(), cacheTier_.size() - 1);
-  EXPECT_NE(remote.ownerOf("k"), owner);
-  EXPECT_NE(remote.shardForNode(owner).peek("k"), nullptr);
+    // Leave moves ownership but keeps the pod's contents for the handoff
+    // window; a replayed leave is a no-op.
+    shards.drainMember(owner);
+    const std::size_t home = [&] {
+      ShardedTier full(cacheTier_, util::Bytes::mb(1), EvictionPolicy::kLru,
+                       /*ringArmed=*/true);
+      return full.ownerOf("k");
+    }();
+    shards.drainMember(owner);
+    EXPECT_FALSE(shards.isMember(owner));
+    EXPECT_EQ(shards.memberCount(), cacheTier_.size() - 1);
+    EXPECT_NE(shards.ownerOf("k"), owner);
+    EXPECT_NE(shards.shard(owner).peek("k"), nullptr);
 
-  // Rejoin restores the exact pre-leave partition (vnode points depend
-  // only on the member index), so the key routes home again.
-  remote.joinNode(owner);
-  EXPECT_EQ(remote.memberCount(), cacheTier_.size());
-  EXPECT_EQ(remote.ownerOf("k"), owner);
+    // Rejoin restores the exact full-membership ring partition (vnode
+    // points depend only on the member index), so the key routes home
+    // again — to the pod it started on once the ring was armed.
+    shards.admitMember(owner);
+    EXPECT_EQ(shards.memberCount(), cacheTier_.size());
+    EXPECT_EQ(shards.ownerOf("k"), home);
+    if (armed) {
+      EXPECT_EQ(home, owner);
+    }
+  }
 }
 
 TEST_F(CacheFrontends, LinkedUpdateAndInvalidate) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  const std::size_t owner = linked.ownerOf("k");
+  const std::size_t owner = linked.shards().ownerOf("k");
   const std::size_t writer = (owner + 1) % appTier_.size();
 
-  linked.update(writer, "k", 256, 2);
-  auto hit = linked.get(owner, "k");
+  linked.update(writer, owner, "k", 256, 2);
+  auto hit = linked.get(owner, owner, "k");
   EXPECT_TRUE(hit.hit);
   EXPECT_EQ(hit.version, 2u);
 
-  linked.invalidate(writer, "k");
-  EXPECT_FALSE(linked.get(owner, "k").hit);
+  linked.invalidate(writer, owner, "k");
+  EXPECT_FALSE(linked.get(owner, owner, "k").hit);
 }
 
 TEST_F(CacheFrontends, RemoteReplicationPlacesDistinctCopies) {
   RemoteCache remote(cacheTier_, util::Bytes::mb(64), channel_);
-  EXPECT_TRUE(remote.replicasForKey("k").empty());  // off by default
-  remote.enableReplication(2);
-  const auto replicas = remote.replicasForKey("k");
+  ShardedTier& shards = remote.shards();
+  // Off by default: modulo placement, the owner is the only copy.
+  EXPECT_EQ(shards.replicasOf("k", 2),
+            std::vector<std::size_t>{shards.ownerOf("k")});
+  shards.armRing();  // what replication does
+  const auto replicas = shards.replicasOf("k", 2);
   ASSERT_EQ(replicas.size(), 2u);
   EXPECT_NE(replicas[0], replicas[1]);
-  EXPECT_EQ(remote.replicasForKey("k"), replicas);  // placement is stable
+  EXPECT_EQ(shards.replicasOf("k", 2), replicas);  // placement is stable
 
   sim::Node& app = appTier_.node(0);
-  remote.putAt(app, replicas[0], "k", 4096, 3);
-  remote.putAt(app, replicas[1], "k", 4096, 3);
+  remote.put(app, replicas[0], "k", 4096, 3);
+  remote.put(app, replicas[1], "k", 4096, 3);
   // Each copy is independently probeable; the primary going down does not
   // take the replica's copy with it.
-  EXPECT_TRUE(remote.getAt(app, replicas[1], "k").hit);
+  EXPECT_TRUE(remote.get(app, replicas[1], "k").hit);
   cacheTier_.node(replicas[0]).setUp(false);
-  EXPECT_FALSE(remote.nodeUp(replicas[0]));
-  EXPECT_TRUE(remote.getAt(app, replicas[1], "k").hit);
+  EXPECT_FALSE(shards.nodeUp(replicas[0]));
+  EXPECT_TRUE(remote.get(app, replicas[1], "k").hit);
 }
 
 TEST_F(CacheFrontends, LinkedReplicaFillsAreIndependentCopies) {
   LinkedCache linked(appTier_, util::Bytes::mb(64), channel_);
-  const auto replicas = linked.replicasOf("k", 2);
+  const auto replicas = linked.shards().replicasOf("k", 2);
   ASSERT_EQ(replicas.size(), 2u);
-  EXPECT_EQ(replicas[0], linked.ownerOf("k"));
+  EXPECT_EQ(replicas[0], linked.shards().ownerOf("k"));
   EXPECT_NE(replicas[0], replicas[1]);
 
-  linked.fillAt(replicas[0], "k", 256, 4);
-  linked.updateAt(replicas[1], replicas[1], "k", 256, 4);
+  linked.fill(replicas[0], "k", 256, 4);
+  linked.update(replicas[1], replicas[1], "k", 256, 4);
   // A local probe at the fallback shard hits without touching the owner.
-  const auto hit = linked.getAt(replicas[1], replicas[1], "k");
+  const auto hit = linked.get(replicas[1], replicas[1], "k");
   EXPECT_TRUE(hit.hit);
   EXPECT_TRUE(hit.local);
   EXPECT_EQ(hit.version, 4u);
   // Invalidating one copy leaves the other (the deployment fans out).
-  linked.invalidateAt(replicas[0], replicas[0], "k");
-  EXPECT_FALSE(linked.getAt(replicas[0], replicas[0], "k").hit);
-  EXPECT_TRUE(linked.getAt(replicas[1], replicas[1], "k").hit);
+  linked.invalidate(replicas[0], replicas[0], "k");
+  EXPECT_FALSE(linked.get(replicas[0], replicas[0], "k").hit);
+  EXPECT_TRUE(linked.get(replicas[1], replicas[1], "k").hit);
 }
 
 }  // namespace

@@ -550,12 +550,13 @@ void ruleGuardPairing(const LintInput& in, const Index& index,
   static constexpr std::array<Protocol, 3> kProtocols = {{
       {"setBackgroundWork", "setBackgroundWork", "true", "false"},
       {"beginSpan", "endSpan", "", ""},
-      {"drainServer", "addServer", "", ""},
+      {"drainMember", "admitMember", "", ""},
   }};
-  // A warm drain closes by rejoining (addServer) OR by retiring the node
-  // for good (removeServer / dropShard) once the transfer window ends.
+  // A warm ShardedTier drain closes by rejoining (admitMember) OR by
+  // retiring the node for good (retireMember / dropShard) once the transfer
+  // window ends.
   static constexpr std::array<std::string_view, 2> kDrainAltClosers = {
-      "removeServer", "dropShard"};
+      "retireMember", "dropShard"};
 
   // (1) RAII discards. Only statements inside an indexed function body
   // qualify: `Type(args);` at class scope is a constructor declaration,
@@ -631,7 +632,7 @@ void ruleGuardPairing(const LintInput& in, const Index& index,
             proto.close == "setTraceSink"
                 ? isSinkClear(t, m, i)
                 : callMatches(t, m, i, proto.close, proto.closeArg);
-        if (!closes && proto.open == "drainServer") {
+        if (!closes && proto.open == "drainMember") {
           for (const std::string_view alt : kDrainAltClosers) {
             if (callMatches(t, m, i, alt, "")) {
               closes = true;
@@ -654,7 +655,7 @@ void ruleGuardPairing(const LintInput& in, const Index& index,
         // closing half lives in another member (destructor, the paired
         // method) of the same class.
         if (classHasCall(fn.className, proto.close)) continue;
-        if (proto.open == "drainServer" &&
+        if (proto.open == "drainMember" &&
             (classHasCall(fn.className, kDrainAltClosers[0]) ||
              classHasCall(fn.className, kDrainAltClosers[1]))) {
           continue;
