@@ -1,7 +1,8 @@
 // MICA-style flat cache: one open-addressing index (power-of-two, linear
 // probing, stored 64-bit hashes, backward-shift deletion) over a chunked
-// node slab with intrusive uint32 recency links — zero per-entry heap
-// allocations on the serve path. The simulator's only LRU, FIFO and Clock
+// slab of 56-byte nodes (entry size and version, key inline up to 24 bytes)
+// with intrusive uint32 recency links — zero per-entry heap allocations on
+// the serve path. The simulator's only LRU, FIFO and Clock
 // (SLRU runs on two flat LRU segments). The differential fuzz suite
 // (tests/test_cache_differential.cpp) drives it in lockstep with the
 // textbook list/map oracles in tests/reference/.
@@ -66,11 +67,11 @@ class FlatCache final : public KvCache {
   static constexpr std::uint32_t kInlineKeyBytes = 24;
   static constexpr std::size_t kInitialTableSlots = 16;
 
-  /// Entry payload + key storage. Hot per-probe data lives elsewhere: the
-  /// key hash is in the table slot (probes never touch nodes until the
-  /// final key verify), recency links are in links_ and clock bits in
-  /// flags_ (dense parallel arrays), so the randomly-accessed node records
-  /// are touched exactly once per hit.
+  /// Entry size/version + key storage, 56 bytes. Hot per-probe data lives
+  /// elsewhere: the key hash is in the table slot (probes never touch nodes
+  /// until the final key verify), recency links are in links_ and clock
+  /// bits in flags_ (dense parallel arrays), so the randomly-accessed node
+  /// records are touched exactly once per hit.
   struct Node {
     CacheEntry entry;
     KeyArena::Ref keyRef;
@@ -81,6 +82,7 @@ class FlatCache final : public KvCache {
     std::uint32_t self = 0;
     char inlineKey[kInlineKeyBytes];
   };
+  static_assert(sizeof(Node) == 56, "a FlatCache node is no longer 56 bytes");
 
   /// Open-addressing slot: full stored hash + direct node pointer (slab
   /// chunks never move, so pointers are stable). Storing the whole hash

@@ -1,36 +1,29 @@
 // Byte-capacity-bounded key-value cache interface and the entry/statistics
-// types shared by all eviction policies. Entries carry an accounted logical
-// size separate from the (optional) materialized payload, so a simulation
-// over 1 MB values does not need gigabytes of host RAM while the hit/miss
-// behaviour stays exact: admission and eviction are driven purely by the
-// accounted sizes.
+// types shared by all eviction policies. An entry is an accounted logical
+// size and a version, never the value bytes, so a simulation over 1 MB
+// values does not need gigabytes of host RAM while the hit/miss behaviour
+// stays exact: admission and eviction are driven purely by the accounted
+// sizes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <string_view>
 
 #include "util/bytes.hpp"
 
 namespace dcache::cache {
 
-/// Cached value. `size` is the logical value size used for capacity math;
-/// `payload` may hold real bytes (functional use) or stay empty (simulation).
+/// Cached value: `size` is the logical value size used for capacity math,
+/// `version` the storage version it was filled from.
 struct CacheEntry {
   std::uint64_t size = 0;
   std::uint64_t version = 0;
-  std::string payload;
 
   [[nodiscard]] static CacheEntry sized(std::uint64_t size,
                                         std::uint64_t version = 0) {
-    return CacheEntry{size, version, {}};
-  }
-  [[nodiscard]] static CacheEntry of(std::string payload,
-                                     std::uint64_t version = 0) {
-    const auto n = static_cast<std::uint64_t>(payload.size());
-    return CacheEntry{n, version, std::move(payload)};
+    return CacheEntry{size, version};
   }
 };
 

@@ -24,6 +24,7 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
       raft_(kvTier, channel.network(), config.raftCosts,
             config.replicationFactor),
       engines_(kvTier.size()),
+      legs_(kvTier.size()),
       planner_([this](std::string_view table) { return schema(table); }) {
   blockCaches_.reserve(kvTier.size());
   for (std::size_t i = 0; i < kvTier.size(); ++i) {
@@ -150,7 +151,7 @@ const StoredValue* Database::engineGet(std::string_view key,
 
   ++trace.rowsRead;
   trace.bytesRead += stored->size;
-  trace.nodeBytes[idx] += stored->size;
+  touchLeg(idx, stored->size);
   return stored;
 }
 
@@ -175,7 +176,7 @@ bool Database::enginePut(std::string_view key, StoredValue value,
 
   ++trace.rowsWritten;
   trace.bytesWritten += rowSize;
-  trace.nodeBytes[idx] += rowSize;
+  touchLeg(idx, rowSize);
   return true;
 }
 
@@ -204,7 +205,7 @@ void Database::chargeScannedRow(std::size_t idx, std::uint64_t size,
   trace.latencyMicros += execMicros;
   ++trace.rowsRead;
   trace.bytesRead += size;
-  trace.nodeBytes[idx] += size;
+  touchLeg(idx, size);
 }
 
 // ---- statement front-end ----
@@ -220,14 +221,15 @@ sim::Node& Database::frontendForStatement() {
 
 double Database::settleRpc(sim::Node& client, sim::Node& frontend,
                            std::uint64_t requestBytes,
-                           std::uint64_t responseBytes,
-                           const ExecTrace& trace) {
+                           std::uint64_t responseBytes) {
   // Front-end fans out to the KV nodes it touched (parallel; latency is the
   // slowest leg), then answers the client.
   double kvLatency = 0.0;
-  for (const auto& [idx, bytes] : trace.nodeBytes) {
+  for (std::size_t idx = 0; idx < legs_.size(); ++idx) {
+    if (!legs_[idx].touched) continue;
     const auto call = channel_->call(frontend, kvTier_->node(idx),
-                                     kPlanFragmentBytes, bytes);
+                                     kPlanFragmentBytes, legs_[idx].bytes);
+    legs_[idx] = KvLeg{};
     kvLatency = std::max(kvLatency, call.latencyMicros);
   }
   const auto clientCall =
@@ -262,7 +264,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   const QueryPlan* plan = planFor(sql, result.error);
   if (plan == nullptr) {
     result.latencyMicros =
-        settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
+        settleRpc(client, frontend, sql.size(), 32);
     return result;
   }
 
@@ -272,7 +274,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   if (!outcome.ok) {
     result.error = outcome.error;
     result.latencyMicros =
-        settleRpc(client, frontend, sql.size(), 32, trace);
+        settleRpc(client, frontend, sql.size(), 32);
     return result;
   }
 
@@ -295,7 +297,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   result.rowsAffected = outcome.rowsAffected;
   result.latencyMicros =
       trace.latencyMicros +
-      settleRpc(client, frontend, requestBytes, responseBytes, trace);
+      settleRpc(client, frontend, requestBytes, responseBytes);
   return result;
 }
 
@@ -316,7 +318,7 @@ Database::ReadResult Database::readValue(sim::Node& client,
   result.latencyMicros =
       trace.latencyMicros +
       settleRpc(client, frontend, rpc::getRequestWireSize(key.size()),
-                rpc::getResponseWireSize() + result.size, trace);
+                rpc::getResponseWireSize() + result.size);
   span.setOutcome(result.found ? sim::SpanOutcome::kOk
                                : sim::SpanOutcome::kMiss);
   return result;
@@ -336,7 +338,7 @@ Database::WriteResult Database::writeValue(sim::Node& client,
   result.latencyMicros =
       trace.latencyMicros +
       settleRpc(client, frontend, rpc::putRequestWireSize(key.size()) + size,
-                rpc::putResponseWireSize(), trace);
+                rpc::putResponseWireSize());
   return result;
 }
 
@@ -370,7 +372,7 @@ Database::VersionResult Database::versionCheckKey(sim::Node& client,
       trace.latencyMicros +
       settleRpc(client, frontend,
                 rpc::versionCheckRequestWireSize(requestKeyBytes),
-                rpc::versionCheckResponseWireSize(), trace);
+                rpc::versionCheckResponseWireSize());
   return result;
 }
 

@@ -59,7 +59,6 @@ struct ExecTrace {
   std::size_t blockHits = 0;
   std::size_t blockMisses = 0;
   double latencyMicros = 0.0;
-  std::map<std::size_t, std::uint64_t> nodeBytes;  // kv node -> payload bytes
 };
 
 class Database {
@@ -192,10 +191,16 @@ class Database {
   /// Charge the front-end constants common to every statement and return
   /// the chosen front-end node.
   sim::Node& frontendForStatement();
-  /// Settle per-statement RPCs: client<->frontend and frontend<->kv nodes.
+  /// The statement in flight moved `bytes` on KV node `idx`. A zero-byte
+  /// touch (an index-key put) still gets its leg.
+  void touchLeg(std::size_t idx, std::uint64_t bytes) noexcept {
+    legs_[idx].bytes += bytes;
+    legs_[idx].touched = true;
+  }
+  /// Settle per-statement RPCs: client<->frontend and frontend<->each
+  /// touched kv node, in node order; clears the legs for the next statement.
   double settleRpc(sim::Node& client, sim::Node& frontend,
-                   std::uint64_t requestBytes, std::uint64_t responseBytes,
-                   const ExecTrace& trace);
+                   std::uint64_t requestBytes, std::uint64_t responseBytes);
   void syncMemoryMeters(std::size_t nodeIndex);
 
   sim::Tier* sqlTier_;
@@ -204,6 +209,14 @@ class Database {
   Config config_;
   RaftReplicator raft_;
   std::vector<KvEngine> engines_;
+  /// Payload bytes each KV node moved for the statement in flight, by node
+  /// index, so settling a statement allocates nothing. Statements never
+  /// interleave: each one's engine calls are settled before the next starts.
+  struct KvLeg {
+    std::uint64_t bytes = 0;
+    bool touched = false;
+  };
+  std::vector<KvLeg> legs_;
   std::vector<std::unique_ptr<BlockCache>> blockCaches_;
   std::map<std::string, TableSchema, std::less<>> schemas_;
   Planner planner_;

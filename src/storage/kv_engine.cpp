@@ -1,27 +1,37 @@
 #include "storage/kv_engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/hash.hpp"
 
 namespace dcache::storage {
 
+std::uint32_t KvEngine::indexHash(std::string_view key) noexcept {
+  return static_cast<std::uint32_t>(util::fastHash64(key));
+}
+
 const StoredValue* KvEngine::visibleAt(const Entry& entry,
-                                       std::uint64_t snapshotTs) noexcept {
+                                       std::uint64_t snapshotTs) const noexcept {
   const StoredValue* v = &entry.newest;
-  for (auto rit = entry.older.rbegin(); v->version > snapshotTs; ++rit) {
-    if (rit == entry.older.rend()) return nullptr;
-    v = &*rit;
+  if (v->version > snapshotTs) {
+    if (entry.history == kNoHistory) return nullptr;
+    const std::vector<StoredValue>& older = history_[entry.history];
+    const auto it = std::find_if(
+        older.rbegin(), older.rend(),
+        [&](const StoredValue& s) { return s.version <= snapshotTs; });
+    if (it == older.rend()) return nullptr;
+    v = &*it;
   }
   return v->tombstone ? nullptr : v;
 }
 
-std::uint32_t KvEngine::find(std::uint64_t hash,
+std::uint32_t KvEngine::find(std::uint32_t hash,
                              std::string_view key) const noexcept {
   if (index_.empty()) return kNoEntry;
-  std::size_t pos = static_cast<std::size_t>(hash) & indexMask_;
+  std::size_t pos = hash & indexMask_;
   while (index_[pos].id != kNoEntry) {
-    if (index_[pos].hash == hash && entries_[index_[pos].id].key == key) {
+    if (index_[pos].hash == hash && entries_[index_[pos].id].key() == key) {
       return index_[pos].id;
     }
     pos = (pos + 1) & indexMask_;
@@ -29,8 +39,8 @@ std::uint32_t KvEngine::find(std::uint64_t hash,
   return kNoEntry;
 }
 
-void KvEngine::place(std::uint64_t hash, std::uint32_t id) noexcept {
-  std::size_t pos = static_cast<std::size_t>(hash) & indexMask_;
+void KvEngine::place(std::uint32_t hash, std::uint32_t id) noexcept {
+  std::size_t pos = hash & indexMask_;
   while (index_[pos].id != kNoEntry) pos = (pos + 1) & indexMask_;
   index_[pos] = Slot{hash, id};
 }
@@ -51,9 +61,19 @@ void KvEngine::reserveKeys(std::size_t expectedKeys) {
   if (slots > index_.size()) growIndex(slots);
 }
 
+void KvEngine::storeKey(Entry& entry, std::string_view key) {
+  entry.keySize = static_cast<std::uint32_t>(key.size());
+  if (key.size() > kInlineKeyBytes) {
+    // Entries are never released, so neither is the arena block.
+    entry.arenaKey = keys_.view(keys_.store(key), key.size()).data();
+  } else if (!key.empty()) {
+    std::memcpy(entry.inlineKey, key.data(), key.size());
+  }
+}
+
 bool KvEngine::put(std::string_view key, StoredValue value,
                    std::uint64_t commitTs) {
-  const std::uint64_t h = util::fastHash64(key);
+  const std::uint32_t h = indexHash(key);
   std::uint32_t id = find(h, key);
   if (id == kNoEntry) {
     // Grow at 70% load: the index doubles, so growth is amortized O(1).
@@ -62,15 +82,20 @@ bool KvEngine::put(std::string_view key, StoredValue value,
     }
     id = entries_.acquire();
     place(h, id);
-    entries_[id].key = key;
+    storeKey(entries_[id], key);
   } else {
     Entry& entry = entries_[id];
     if (entry.newest.version >= commitTs) {
       return false;  // stale write: a newer version is already committed
     }
     if (!entry.newest.tombstone) liveBytes_ -= entry.newest.size;
+    if (entry.history == kNoHistory) {
+      entry.history = static_cast<std::uint32_t>(history_.size());
+      // dcache-lint: allow(hot-path-alloc, one history vector per key at its first overwrite; the table doubles, so growth is amortized)
+      history_.emplace_back();
+    }
     // dcache-lint: allow(hot-path-alloc, MVCC keeps one version per write; gc() bounds the history and its capacity is reused)
-    entry.older.push_back(std::move(entry.newest));
+    history_[entry.history].push_back(std::move(entry.newest));
   }
   value.version = commitTs;
   if (!value.tombstone) liveBytes_ += value.size;
@@ -81,7 +106,7 @@ bool KvEngine::put(std::string_view key, StoredValue value,
 
 const StoredValue* KvEngine::get(std::string_view key,
                                  std::uint64_t snapshotTs) const {
-  const std::uint32_t id = find(util::fastHash64(key), key);
+  const std::uint32_t id = find(indexHash(key), key);
   return id == kNoEntry ? nullptr : visibleAt(entries_[id], snapshotTs);
 }
 
@@ -89,7 +114,7 @@ std::size_t KvEngine::lowerBound(std::string_view prefix) const {
   const auto merged = static_cast<std::uint32_t>(sorted_.size());
   if (merged < entries_.highWater()) {
     for (std::uint32_t id = merged; id < entries_.highWater(); ++id) {
-      const std::string& key = entries_[id].key;
+      const std::string_view key = entries_[id].key();
       const auto size = static_cast<std::uint32_t>(key.size());
       // dcache-lint: allow(hot-path-alloc, once per new key, at the first scan after it; capacity doubles)
       sorted_.push_back({key.data(), size, id});
@@ -111,8 +136,7 @@ std::size_t KvEngine::gc(std::size_t keep) {
   if (keep == 0) keep = 1;
   const auto keptOlder = static_cast<std::ptrdiff_t>(keep - 1);
   std::size_t reclaimed = 0;
-  for (std::uint32_t id = 0; id < entries_.highWater(); ++id) {
-    std::vector<StoredValue>& older = entries_[id].older;
+  for (std::vector<StoredValue>& older : history_) {
     if (older.size() < keep) continue;  // the newest is one of `keep`
     reclaimed += older.size() - static_cast<std::size_t>(keptOlder);
     older.erase(older.begin(), older.end() - keptOlder);

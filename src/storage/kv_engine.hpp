@@ -4,12 +4,18 @@
 // Values carry a logical size apart from the optional payload, so simulating
 // 1 MB values does not cost 1 MB of host RAM each.
 //
-// Layout: entries (key, newest version inline, older versions spilled) sit
-// in a NodeSlab, so they never move, behind one open-addressing {hash, id}
-// point index that grows by re-placing stored hashes. Prefix scans
-// binary-search `sorted_`, the keys in order. New keys wait in a pending
-// tail (ids past sorted_.size()) that the next scan sorts and merges, so
-// point-only users never pay for ordering.
+// Layout, sized for bulk loads of millions of keys: each key is one 80-byte
+// entry in a NodeSlab (entries never move and are never released). The key
+// comes first — inline up to 16 bytes, else in a KeyArena — then the newest
+// version, so a point read's key compare and version read touch the same
+// part of the entry. Older versions live in a side table, one vector per
+// key that has any, found through a uint32 in the entry. One
+// open-addressing index of 8-byte {32-bit hash, id} slots serves point
+// reads: probe positions come from the stored hash, so growth re-places
+// slots without re-hashing keys, and a full key compare decides equality.
+// Prefix scans binary-search `sorted_`, the keys in order. New keys wait in
+// a pending tail (ids past sorted_.size()) that the next scan sorts and
+// merges, so point-only users never pay for ordering.
 #pragma once
 
 #include <cstdint>
@@ -100,16 +106,35 @@ class KvEngine {
   }
   [[nodiscard]] std::uint64_t writeCount() const noexcept { return writes_; }
 
+  /// The 32-bit key hash the point index stores and probes by. Equal
+  /// hashes are legal; only the key compare decides a match.
+  [[nodiscard]] static std::uint32_t indexHash(std::string_view key) noexcept;
+
  private:
   static constexpr std::uint32_t kNoEntry = UINT32_MAX;
+  static constexpr std::uint32_t kNoHistory = UINT32_MAX;
+  static constexpr std::size_t kInlineKeyBytes = 16;
+
   struct Entry {
-    std::string key;
-    StoredValue newest;              // every entry holds >= 1 version
-    std::vector<StoredValue> older;  // ascending by version
+    union {
+      char inlineKey[kInlineKeyBytes] = {};  // keys up to kInlineKeyBytes
+      const char* arenaKey;                  // longer keys, in keys_
+    };
+    std::uint32_t keySize = 0;
+    std::uint32_t history = kNoHistory;  // history_ index of older versions
+    StoredValue newest;                  // every entry holds >= 1 version
+
+    [[nodiscard]] std::string_view key() const noexcept {
+      return {keySize <= kInlineKeyBytes ? inlineKey : arenaKey, keySize};
+    }
   };
-  struct Slot { std::uint64_t hash = 0; std::uint32_t id = kNoEntry; };
-  /// A key in scan order. Its bytes never move: keys are immutable and
-  /// entries stay put, so a short key's inline buffer is stable too.
+  struct Slot { std::uint32_t hash = 0; std::uint32_t id = kNoEntry; };
+  static_assert(sizeof(Entry) <= 80, "a KvEngine entry grew past 80 bytes");
+  static_assert(sizeof(Slot) == 8, "a KvEngine index slot grew past 8 bytes");
+
+  /// A key in scan order. Its bytes never move: keys are immutable, entries
+  /// stay put and arena chunks are never freed, so an inline key's buffer
+  /// and an arena key's block are both stable.
   struct SortedKey {
     const char* data;
     std::uint32_t size;
@@ -120,17 +145,21 @@ class KvEngine {
   };
 
   /// Newest version at or below `snapshotTs`; nullptr if none or tombstone.
-  [[nodiscard]] static const StoredValue* visibleAt(
-      const Entry& entry, std::uint64_t snapshotTs) noexcept;
-  [[nodiscard]] std::uint32_t find(std::uint64_t hash,
+  [[nodiscard]] const StoredValue* visibleAt(
+      const Entry& entry, std::uint64_t snapshotTs) const noexcept;
+  [[nodiscard]] std::uint32_t find(std::uint32_t hash,
                                    std::string_view key) const noexcept;
-  void place(std::uint64_t hash, std::uint32_t id) noexcept;
+  void place(std::uint32_t hash, std::uint32_t id) noexcept;
   void growIndex(std::size_t slots);
+  void storeKey(Entry& entry, std::string_view key);
   /// First position in sorted_ whose key is >= `prefix`, after merging the
   /// pending tail.
   [[nodiscard]] std::size_t lowerBound(std::string_view prefix) const;
 
   cache::NodeSlab<Entry> entries_;  // ids 0, 1, 2, ...; never released
+  cache::KeyArena keys_;            // bytes of keys past kInlineKeyBytes
+  /// Older versions of each key that was overwritten, ascending by version.
+  std::vector<std::vector<StoredValue>> history_;
   std::vector<Slot> index_;  // power-of-two linear probing, <= 70 % full
   std::size_t indexMask_ = 0;
   mutable std::vector<SortedKey> sorted_;  // see lowerBound

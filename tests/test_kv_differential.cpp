@@ -5,11 +5,18 @@
 // keyCount and writeCount after every step. Keys are shaped like the
 // database's index keys (`t/<table>/i/<col>/<value>/<pk>`), so they share
 // long prefixes, and new keys keep arriving between scans, so the engine's
-// pending tail is merged mid-stream again and again.
+// pending tail is merged mid-stream again and again. Further streams aim at
+// the engine's layout edges: keys on both sides of the 16-byte inline limit,
+// a few keys overwritten thousands of times under GC (the history table),
+// and two keys whose stored 32-bit index hashes are equal.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "reference/kv_engine.hpp"
@@ -47,6 +54,50 @@ struct KeyGen {
   }
 };
 
+/// Keys of 15, 16, 17 and 200 bytes around the engine's 16-byte inline
+/// limit, plus the empty and one-byte keys. A key is a stem (`b/<c>/<n>`)
+/// padded with '-', so the shorter keys of a stem are prefixes of the
+/// longer ones and every scan crosses the inline/arena boundary.
+struct BoundaryKeyGen {
+  util::Pcg32& rng;
+
+  std::string key() {
+    static constexpr std::size_t kLengths[] = {15, 16, 17, 200, 0, 1};
+    const std::size_t length = kLengths[rng.next() % 6];
+    std::string k = "b/";
+    k += static_cast<char>('a' + rng.next() % 3);
+    k += "/" + std::to_string(rng.next() % 40);
+    k.resize(length, '-');
+    return k;
+  }
+
+  std::string prefix() {
+    const std::string k = key();
+    switch (rng.next() % 6) {
+      case 0: return "";
+      case 1: return k.substr(0, 4);  // b/<c>/
+      case 2:  // the first 15, 16 or 17 bytes
+        return k.substr(0, std::min<std::size_t>(k.size(), 15 + rng.next() % 3));
+      case 3: return k.substr(0, rng.next() % (k.size() + 1));
+      default: return k;
+    }
+  }
+};
+
+/// A handful of hot keys, inline and arena-sized, overwritten again and
+/// again: the stream that grows the side history table.
+struct HotKeyGen {
+  util::Pcg32& rng;
+
+  std::string key() {
+    const std::uint32_t n = rng.next() % 6;
+    return n % 2 == 0 ? "h/" + std::to_string(n)
+                      : "h/" + std::string(40, 'x') + std::to_string(n);
+  }
+
+  std::string prefix() { return rng.next() % 2 == 0 ? "h/" : key(); }
+};
+
 using Visit = std::tuple<std::string, std::uint64_t, std::uint64_t, std::string>;
 
 template <typename Engine>
@@ -73,18 +124,21 @@ void expectSameValue(const StoredValue* oracle, const StoredValue* flat,
   ASSERT_FALSE(flat->tombstone) << "step " << step;
 }
 
-void runDifferential(std::uint64_t seed, std::size_t ops,
-                     std::size_t reserve) {
+/// One lockstep stream of `ops` steps. Of every 32 op draws, `putSlots`
+/// are puts, the next 2 erases and the next 8 gets; scans take the rest up
+/// to 31, and draw 31 runs a gc pass one time in `gcOneIn`.
+template <typename Gen>
+void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
+                 std::size_t reserve, std::uint32_t putSlots = 10,
+                 std::uint32_t gcOneIn = 8) {
   MapKvEngine oracle;
   KvEngine flat;
   if (reserve > 0) flat.reserveKeys(reserve);
-  util::Pcg32 rng(seed, 11);
-  KeyGen gen{rng, 200};
   std::uint64_t ts = 0;
 
   for (std::size_t step = 0; step < ops; ++step) {
     const std::uint32_t op = rng.next() % 32;
-    if (op < 10) {  // put; one in eight reuses or rewinds the timestamp
+    if (op < putSlots) {  // put; one in eight reuses or rewinds the timestamp
       const std::string key = gen.key();
       const std::uint64_t commitTs =
           rng.next() % 8 == 0 ? ts - std::min<std::uint64_t>(ts, rng.next() % 3)
@@ -98,12 +152,12 @@ void runDifferential(std::uint64_t seed, std::size_t ops,
       ASSERT_EQ(oracle.put(key, value(), commitTs),
                 flat.put(key, value(), commitTs))
           << "step " << step;
-    } else if (op < 12) {
+    } else if (op < putSlots + 2) {
       const std::string key = gen.key();
       const std::uint64_t commitTs = ++ts;
       ASSERT_EQ(oracle.erase(key, commitTs), flat.erase(key, commitTs))
           << "step " << step;
-    } else if (op < 20) {
+    } else if (op < putSlots + 10) {
       const std::string key = gen.key();
       const std::uint64_t snapshot =
           rng.next() % 3 == 0 ? KvEngine::kLatest : rng.next() % (ts + 2);
@@ -119,7 +173,7 @@ void runDifferential(std::uint64_t seed, std::size_t ops,
       ASSERT_EQ(scan(oracle, prefix, snapshot, stopAfter),
                 scan(flat, prefix, snapshot, stopAfter))
           << "step " << step << " prefix " << prefix;
-    } else if (rng.next() % 8 == 0) {
+    } else if (rng.next() % gcOneIn == 0) {
       const std::size_t keep = rng.next() % 4;
       ASSERT_EQ(oracle.gc(keep), flat.gc(keep)) << "step " << step;
     }
@@ -128,6 +182,13 @@ void runDifferential(std::uint64_t seed, std::size_t ops,
         << "step " << step;
     ASSERT_EQ(oracle.writeCount(), flat.writeCount()) << "step " << step;
   }
+}
+
+void runDifferential(std::uint64_t seed, std::size_t ops,
+                     std::size_t reserve) {
+  util::Pcg32 rng(seed, 11);
+  KeyGen gen{rng, 200};
+  runLockstep(rng, gen, ops, reserve);
 }
 
 TEST(KvDifferential, LockstepWithMapOracle) {
@@ -141,6 +202,78 @@ TEST(KvDifferential, LockstepAfterReserve) {
   // must re-place slots exactly as growth from empty does.
   runDifferential(21, 10000, 100);
   runDifferential(22, 10000, 100000);
+}
+
+TEST(KvDifferential, KeysAroundTheInlineLimit) {
+  for (std::uint64_t seed = 31; seed <= 33; ++seed) {
+    util::Pcg32 rng(seed, 11);
+    BoundaryKeyGen gen{rng};
+    runLockstep(rng, gen, 10000, 0);
+  }
+}
+
+TEST(KvDifferential, OverwriteHeavyHistoryUnderGc) {
+  // Twenty of every 32 ops are puts to six keys. GC after one draw in 32
+  // keeps histories short; after one in 256, they grow long.
+  for (const std::uint32_t gcOneIn : {1u, 8u}) {
+    util::Pcg32 rng(40 + gcOneIn, 11);
+    HotKeyGen gen{rng};
+    runLockstep(rng, gen, 20000, 0, 20, gcOneIn);
+  }
+}
+
+/// The first two keys `key<N>` whose index hashes are equal.
+std::pair<std::string, std::string> collidingKeys() {
+  std::unordered_map<std::uint32_t, std::uint32_t> seen;
+  for (std::uint32_t n = 0; n < 1000000; ++n) {
+    std::string key = "key" + std::to_string(n);
+    const auto [it, fresh] = seen.emplace(KvEngine::indexHash(key), n);
+    if (!fresh) return {"key" + std::to_string(it->second), std::move(key)};
+  }
+  return {};
+}
+
+/// The colliding pair and enough filler keys to double the index three
+/// times, so the pair is re-placed by growth while both are resident.
+struct CollidingKeyGen {
+  util::Pcg32& rng;
+  std::string a;
+  std::string b;
+
+  std::string key() {
+    const std::uint32_t n = rng.next() % 8;
+    if (n == 0) return a;
+    if (n == 1) return b;
+    return "f" + std::to_string(rng.next() % 6000);
+  }
+
+  std::string prefix() { return rng.next() % 2 == 0 ? "key" : key(); }
+};
+
+TEST(KvDifferential, KeysWithEqualIndexHashesStayApart) {
+  const auto [a, b] = collidingKeys();
+  ASSERT_FALSE(a.empty()) << "no colliding key pair found";
+  ASSERT_EQ(KvEngine::indexHash(a), KvEngine::indexHash(b));
+
+  KvEngine flat;
+  const auto sizeAt = [&](const std::string& key, std::uint64_t ts) {
+    const StoredValue* v = flat.get(key, ts);
+    return v ? std::optional(v->size) : std::nullopt;
+  };
+  ASSERT_TRUE(flat.put(a, StoredValue::sized(1), 1));
+  ASSERT_TRUE(flat.put(b, StoredValue::sized(2), 2));
+  ASSERT_TRUE(flat.put(a, StoredValue::sized(3), 3));  // overwrite a only
+  EXPECT_EQ(sizeAt(a, KvEngine::kLatest), 3u);
+  EXPECT_EQ(sizeAt(b, KvEngine::kLatest), 2u);
+  ASSERT_TRUE(flat.erase(a, 4));  // erase a only
+  EXPECT_EQ(sizeAt(a, KvEngine::kLatest), std::nullopt);
+  EXPECT_EQ(sizeAt(a, 3), 3u);  // a's history survives its erase
+  EXPECT_EQ(sizeAt(b, KvEngine::kLatest), 2u);
+  EXPECT_EQ(flat.keyCount(), 2u);
+
+  util::Pcg32 rng(51, 11);
+  CollidingKeyGen gen{rng, a, b};
+  runLockstep(rng, gen, 20000, 0, 20);
 }
 
 TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
