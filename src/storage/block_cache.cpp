@@ -9,8 +9,9 @@ std::string BlockCache::blockIdFor(std::string_view key) {
 }
 
 void BlockCache::blockIdTo(std::uint64_t keyHash, std::string& out) {
-  // Group 16 hash buckets per block: preserves the "over-read" property of
-  // block storage (a hot key drags its block neighbours into memory).
+  // Dropping 4 of the hash's 64 bits leaves 2^60 blocks, so two keys share
+  // one only on a near-impossible hash match: this does not group
+  // neighbouring keys the way a real block does (see blockIdFor).
   std::uint64_t block = keyHash >> 4;
   char buf[17];
   buf[0] = 'b';

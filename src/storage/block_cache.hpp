@@ -59,7 +59,11 @@ class BlockCache {
     return cache_.capacity();
   }
 
-  /// Block identifier for a key: 16 adjacent hash buckets share a block.
+  /// Block identifier for a key: the top 60 bits of its 64-bit hash. Keys
+  /// share a block only when those bits agree; with a million keys the
+  /// expected number of keys that share one is below 1e-6. So in effect
+  /// each block holds one row, and the neighbours a real block read drags
+  /// into memory are not modelled.
   [[nodiscard]] static std::string blockIdFor(std::string_view key);
   /// blockIdFor by key hash into a caller-provided scratch buffer.
   static void blockIdTo(std::uint64_t keyHash, std::string& out);

@@ -1,6 +1,7 @@
 #include "storage/database.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "rpc/wire_size.hpp"
 #include "sim/trace_hook.hpp"
@@ -13,6 +14,18 @@ namespace {
 /// Approximate wire size of the plan fragment shipped front-end -> KV node.
 constexpr std::uint64_t kPlanFragmentBytes = 96;
 
+/// `out` = the parts joined, sized once so a fresh buffer allocates at most
+/// once and a reused one not at all.
+std::string_view joinKey(std::string& out,
+                         std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  out.clear();
+  out.reserve(size);
+  for (const std::string_view part : parts) out.append(part);
+  return out;
+}
+
 }  // namespace
 
 Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
@@ -24,6 +37,7 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
       raft_(kvTier, channel.network(), config.raftCosts,
             config.replicationFactor),
       engines_(kvTier.size()),
+      order_(kvTier.size()),
       legs_(kvTier.size()),
       planner_([this](std::string_view table) { return schema(table); }) {
   blockCaches_.reserve(kvTier.size());
@@ -40,28 +54,32 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
 
 // ---- key layout ----
 
-std::string Database::rowKey(std::string_view table, std::string_view pk) {
-  return rowPrefix(table).append(pk);
+std::string_view Database::rowKey(std::string& out, std::string_view table,
+                                  std::string_view pk) {
+  return joinKey(out, {"t/", table, "/r/", pk});
 }
 
-std::string Database::rowPrefix(std::string_view table) {
-  return std::string("t/").append(table).append("/r/");
+std::string_view Database::rowPrefix(std::string& out,
+                                     std::string_view table) {
+  return joinKey(out, {"t/", table, "/r/"});
 }
 
-std::string Database::indexKey(std::string_view table, std::string_view column,
-                               std::string_view value, std::string_view pk) {
-  return indexPrefix(table, column, value).append(pk);
+std::string_view Database::indexKey(std::string& out, std::string_view table,
+                                    std::string_view column,
+                                    std::string_view value,
+                                    std::string_view pk) {
+  return joinKey(out, {"t/", table, "/i/", column, "/", value, "/", pk});
 }
 
-std::string Database::indexPrefix(std::string_view table,
-                                  std::string_view column,
-                                  std::string_view value) {
-  return std::string("t/").append(table).append("/i/").append(column)
-      .append("/").append(value).append("/");
+std::string_view Database::indexPrefix(std::string& out,
+                                       std::string_view table,
+                                       std::string_view column,
+                                       std::string_view value) {
+  return joinKey(out, {"t/", table, "/i/", column, "/", value, "/"});
 }
 
-std::string Database::kvKey(std::string_view key) {
-  return std::string("kv/").append(key);
+std::string_view Database::kvKey(std::string& out, std::string_view key) {
+  return joinKey(out, {"kv/", key});
 }
 
 // ---- schema / population ----
@@ -81,19 +99,20 @@ void Database::loadRow(std::string_view table, const Row& row) {
   const TableSchema* s = schema(table);
   if (!s) return;
   const std::string pk = valueToString(row.values[s->primaryKeyColumn()]);
-  const std::string key = rowKey(table, pk);
+  const std::string_view key = rowKey(keyBuf_, table, pk);
   StoredValue stored = StoredValue::of(encodeRow(*s, row));
   stored.size += declaredPayloadBytes(*s, row);
   engines_[nodeFor(key)].put(key, std::move(stored), ++ts_);
   for (const std::size_t col : s->indexedColumns()) {
-    const std::string ik = indexKey(table, s->columns()[col].name,
-                                    valueToString(row.values[col]), pk);
+    const std::string_view ik =
+        indexKey(keyBuf_, table, s->columns()[col].name,
+                 valueToString(row.values[col]), pk);
     engines_[nodeFor(ik)].put(ik, StoredValue::sized(0), ++ts_);
   }
 }
 
 void Database::loadValue(std::string_view key, std::uint64_t size) {
-  const std::string k = kvKey(key);
+  const std::string_view k = kvKey(keyBuf_, key);
   engines_[nodeFor(k)].put(k, StoredValue::sized(size), ++ts_);
 }
 
@@ -269,7 +288,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   }
 
   ExecTrace trace;
-  Executor executor(*this);
+  Executor executor(*this, keyBuf_);
   Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
@@ -310,7 +329,7 @@ Database::ReadResult Database::readValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // SELECT v FROM kv WHERE k=?
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(kvKey(key), trace);
+  const StoredValue* stored = engineGet(kvKey(keyBuf_, key), trace);
   result.found = stored != nullptr;
   result.size = stored ? stored->size : 0;
   result.version = stored ? stored->version : 0;
@@ -332,7 +351,7 @@ Database::WriteResult Database::writeValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // UPDATE kv SET v=? WHERE k=?
 
   ExecTrace trace;
-  enginePut(kvKey(key), StoredValue::sized(size), trace);
+  enginePut(kvKey(keyBuf_, key), StoredValue::sized(size), trace);
   result.version = ts_;
 
   result.latencyMicros =
@@ -344,13 +363,13 @@ Database::WriteResult Database::writeValue(sim::Node& client,
 
 Database::VersionResult Database::versionCheck(sim::Node& client,
                                                std::string_view key) {
-  return versionCheckKey(client, kvKey(key), key.size());
+  return versionCheckKey(client, kvKey(keyBuf_, key), key.size());
 }
 
 Database::VersionResult Database::versionCheckRow(sim::Node& client,
                                                   std::string_view table,
                                                   std::string_view pk) {
-  return versionCheckKey(client, rowKey(table, pk), pk.size());
+  return versionCheckKey(client, rowKey(keyBuf_, table, pk), pk.size());
 }
 
 Database::VersionResult Database::versionCheckKey(sim::Node& client,
@@ -378,13 +397,15 @@ Database::VersionResult Database::versionCheckKey(sim::Node& client,
 
 std::optional<std::uint64_t> Database::peekRowVersion(
     std::string_view table, std::string_view pk) const {
-  const std::string key = rowKey(table, pk);
+  std::string buf;
+  const std::string_view key = rowKey(buf, table, pk);
   return engines_[nodeFor(key)].latestVersion(key);
 }
 
 std::optional<std::uint64_t> Database::peekValueVersion(
     std::string_view key) const {
-  const std::string k = kvKey(key);
+  std::string buf;
+  const std::string_view k = kvKey(buf, key);
   return engines_[nodeFor(k)].latestVersion(k);
 }
 

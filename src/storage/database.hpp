@@ -24,6 +24,7 @@
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
 #include "storage/block_cache.hpp"
+#include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/planner.hpp"
 #include "storage/raft.hpp"
@@ -135,17 +136,21 @@ class Database {
                                              ExecTrace& trace);
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
   bool engineDelete(std::string_view key, ExecTrace& trace);
-  /// Ordered scan over all shards; fn returns false to stop that shard.
+  /// Ordered scan over all shards, shard by shard in node order: each
+  /// shard's lease is validated before its rows, and fn returning false
+  /// stops that shard. `key` views bytes that stay valid for the database's
+  /// life. fn must not write to or scan this database.
   template <typename Fn>
   void engineScanPrefix(std::string_view prefix, ExecTrace& trace, Fn&& fn) {
-    for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
-      if (config_.consistentReads) raft_.validateLease(idx);
-      engines_[idx].scanPrefix(prefix, KvEngine::kLatest,
-                               [&](std::string_view key, const StoredValue& v) {
-                                 chargeScannedRow(idx, v.size, trace);
-                                 return fn(key, v);
-                               });
-    }
+    order_.scanPrefix(
+        engines_, prefix, KvEngine::kLatest,
+        [&](std::size_t idx) {
+          if (config_.consistentReads) raft_.validateLease(idx);
+        },
+        [&](std::size_t idx, std::string_view key, const StoredValue& v) {
+          chargeScannedRow(idx, v.size, trace);
+          return fn(key, v);
+        });
   }
 
   /// Fault injection: a KV node crashed and restarted — its block cache is
@@ -162,17 +167,20 @@ class Database {
   std::size_t runGc(std::size_t keepVersions = 2);
 
   // ---- key layout ----
-  [[nodiscard]] static std::string rowKey(std::string_view table,
-                                          std::string_view pk);
-  [[nodiscard]] static std::string rowPrefix(std::string_view table);
-  [[nodiscard]] static std::string indexKey(std::string_view table,
-                                            std::string_view column,
-                                            std::string_view value,
-                                            std::string_view pk);
-  [[nodiscard]] static std::string indexPrefix(std::string_view table,
-                                               std::string_view column,
-                                               std::string_view value);
-  [[nodiscard]] static std::string kvKey(std::string_view key);
+  // Each builder writes its key into `out`, replacing what was there, and
+  // returns a view of it: a caller that reuses `out` builds keys without
+  // allocating once the buffer is large enough. No argument may view `out`.
+  static std::string_view rowKey(std::string& out, std::string_view table,
+                                 std::string_view pk);
+  static std::string_view rowPrefix(std::string& out, std::string_view table);
+  static std::string_view indexKey(std::string& out, std::string_view table,
+                                   std::string_view column,
+                                   std::string_view value, std::string_view pk);
+  static std::string_view indexPrefix(std::string& out,
+                                      std::string_view table,
+                                      std::string_view column,
+                                      std::string_view value);
+  static std::string_view kvKey(std::string& out, std::string_view key);
 
  private:
   static constexpr std::size_t kMaxCachedPlans = 256;  // see planFor
@@ -209,6 +217,9 @@ class Database {
   Config config_;
   RaftReplicator raft_;
   std::vector<KvEngine> engines_;
+  KeyOrder order_;  // the keys of every engine, for prefix scans
+  /// Key buffer for the statement in flight (see the key layout builders).
+  std::string keyBuf_;
   /// Payload bytes each KV node moved for the statement in flight, by node
   /// index, so settling a statement allocates nothing. Statements never
   /// interleave: each one's engine calls are settled before the next starts.

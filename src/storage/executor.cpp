@@ -85,7 +85,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       }
       const std::string pk = valueToString(*pkValue);
       const StoredValue* stored =
-          db_->engineGet(Database::rowKey(schema.name(), pk), trace);
+          db_->engineGet(Database::rowKey(*keyBuf_, schema.name(), pk), trace);
       if (!stored) return true;  // no row: empty result, not an error
       auto row = decodeRow(schema, stored->payload);
       if (!row) {
@@ -102,29 +102,32 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
         error = "missing parameter for index condition";
         return false;
       }
-      // Collect matching primary keys from the index, then fetch rows.
-      std::vector<std::string> pks;
-      const std::string prefix = Database::indexPrefix(
-          schema.name(), column.name, valueToString(*keyValue));
+      // Collect matching primary keys from the index, then fetch rows. The
+      // keys view the engines' key bytes, which never move.
+      std::vector<std::string_view> pks;
+      const std::string_view prefix = Database::indexPrefix(
+          *keyBuf_, schema.name(), column.name, valueToString(*keyValue));
       db_->engineScanPrefix(prefix, trace,
                             [&](std::string_view key, const StoredValue&) {
-                              pks.emplace_back(key.substr(prefix.size()));
+                              pks.push_back(key.substr(prefix.size()));
                               return true;
                             });
-      for (const std::string& pk : pks) {
+      out.reserve(out.size() + pks.size());
+      for (const std::string_view pk : pks) {
         if (atLimit()) break;
-        const StoredValue* stored =
-            db_->engineGet(Database::rowKey(schema.name(), pk), trace);
+        const StoredValue* stored = db_->engineGet(
+            Database::rowKey(*keyBuf_, schema.name(), pk), trace);
         if (!stored) continue;  // index entry raced a delete
         auto row = decodeRow(schema, stored->payload);
         if (row && passesResidual(*row)) {
-          out.push_back(FetchedRow{pk, std::move(*row)});
+          out.push_back(FetchedRow{std::string(pk), std::move(*row)});
         }
       }
       return true;
     }
     case AccessPath::kTableScan: {
-      const std::string prefix = Database::rowPrefix(schema.name());
+      const std::string_view prefix =
+          Database::rowPrefix(*keyBuf_, schema.name());
       bool corrupt = false;
       db_->engineScanPrefix(
           prefix, trace, [&](std::string_view key, const StoredValue& stored) {
@@ -194,10 +197,15 @@ Executor::Outcome Executor::runSelect(const QueryPlan& plan,
     return out;
   };
 
-  for (const FetchedRow& fetched : primary) {
+  if (!plan.join) outcome.rows.reserve(primary.size());
+  for (FetchedRow& fetched : primary) {
     if (plan.limit && outcome.rows.size() >= *plan.limit) break;
     if (!plan.join) {
-      outcome.rows.push_back(project(fetched.row, nullptr));
+      if (plan.projection.empty()) {
+        outcome.rows.push_back(std::move(fetched.row));
+      } else {
+        outcome.rows.push_back(project(fetched.row, nullptr));
+      }
       continue;
     }
     std::vector<FetchedRow> matches;
@@ -218,15 +226,15 @@ bool Executor::writeRow(const TableSchema& schema, const Row& row,
       valueToString(row.values[schema.primaryKeyColumn()]);
   StoredValue stored = StoredValue::of(encodeRow(schema, row));
   stored.size += declaredPayloadBytes(schema, row);
-  if (!db_->enginePut(Database::rowKey(schema.name(), pk), std::move(stored),
-                      trace)) {
+  if (!db_->enginePut(Database::rowKey(*keyBuf_, schema.name(), pk),
+                      std::move(stored), trace)) {
     return false;
   }
   for (const std::size_t col : schema.indexedColumns()) {
-    const std::string key =
-        Database::indexKey(schema.name(), schema.columns()[col].name,
-                           valueToString(row.values[col]), pk);
-    db_->enginePut(key, StoredValue::sized(0), trace);
+    db_->enginePut(
+        Database::indexKey(*keyBuf_, schema.name(), schema.columns()[col].name,
+                           valueToString(row.values[col]), pk),
+        StoredValue::sized(0), trace);
   }
   return true;
 }
@@ -234,10 +242,10 @@ bool Executor::writeRow(const TableSchema& schema, const Row& row,
 void Executor::deleteRowIndexes(const TableSchema& schema, const Row& row,
                                 std::string_view pk, ExecTrace& trace) {
   for (const std::size_t col : schema.indexedColumns()) {
-    const std::string key =
-        Database::indexKey(schema.name(), schema.columns()[col].name,
-                           valueToString(row.values[col]), pk);
-    db_->engineDelete(key, trace);
+    db_->engineDelete(
+        Database::indexKey(*keyBuf_, schema.name(), schema.columns()[col].name,
+                           valueToString(row.values[col]), pk),
+        trace);
   }
 }
 
@@ -289,7 +297,8 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
       if (schema.hasIndexOn(col) &&
           !valueEquals(target.row.values[col], *value)) {
         db_->engineDelete(
-            Database::indexKey(schema.name(), schema.columns()[col].name,
+            Database::indexKey(*keyBuf_, schema.name(),
+                               schema.columns()[col].name,
                                valueToString(target.row.values[col]),
                                target.pk),
             trace);
@@ -314,7 +323,7 @@ Executor::Outcome Executor::runDelete(const QueryPlan& plan,
   }
   for (const FetchedRow& target : targets) {
     deleteRowIndexes(schema, target.row, target.pk, trace);
-    if (db_->engineDelete(Database::rowKey(schema.name(), target.pk),
+    if (db_->engineDelete(Database::rowKey(*keyBuf_, schema.name(), target.pk),
                           trace)) {
       ++outcome.rowsAffected;
     }

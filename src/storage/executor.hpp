@@ -16,7 +16,8 @@ namespace dcache::storage {
 
 class Executor {
  public:
-  explicit Executor(Database& db) : db_(&db) {}
+  /// `keyBuf` holds each key the executor builds, one at a time.
+  Executor(Database& db, std::string& keyBuf) : db_(&db), keyBuf_(&keyBuf) {}
 
   struct Outcome {
     bool ok = false;
@@ -64,6 +65,7 @@ class Executor {
                     ExecTrace& trace);
 
   Database* db_;
+  std::string* keyBuf_;
 };
 
 }  // namespace dcache::storage

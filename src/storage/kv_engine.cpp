@@ -73,6 +73,7 @@ void KvEngine::storeKey(Entry& entry, std::string_view key) {
 
 bool KvEngine::put(std::string_view key, StoredValue value,
                    std::uint64_t commitTs) {
+  if (key.size() > kMaxKeyBytes) return false;
   const std::uint32_t h = indexHash(key);
   std::uint32_t id = find(h, key);
   if (id == kNoEntry) {
@@ -108,28 +109,6 @@ const StoredValue* KvEngine::get(std::string_view key,
                                  std::uint64_t snapshotTs) const {
   const std::uint32_t id = find(indexHash(key), key);
   return id == kNoEntry ? nullptr : visibleAt(entries_[id], snapshotTs);
-}
-
-std::size_t KvEngine::lowerBound(std::string_view prefix) const {
-  const auto merged = static_cast<std::uint32_t>(sorted_.size());
-  if (merged < entries_.highWater()) {
-    for (std::uint32_t id = merged; id < entries_.highWater(); ++id) {
-      const std::string_view key = entries_[id].key();
-      const auto size = static_cast<std::uint32_t>(key.size());
-      // dcache-lint: allow(hot-path-alloc, once per new key, at the first scan after it; capacity doubles)
-      sorted_.push_back({key.data(), size, id});
-    }
-    const auto byKey = [](const SortedKey& a, const SortedKey& b) {
-      return a.key() < b.key();
-    };
-    const auto tail = sorted_.begin() + merged;
-    std::sort(tail, sorted_.end(), byKey);
-    std::inplace_merge(sorted_.begin(), tail, sorted_.end(), byKey);
-  }
-  const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), prefix,
-      [](const SortedKey& s, std::string_view p) { return s.key() < p; });
-  return static_cast<std::size_t>(it - sorted_.begin());
 }
 
 std::size_t KvEngine::gc(std::size_t keep) {

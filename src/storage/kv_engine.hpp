@@ -13,9 +13,9 @@
 // open-addressing index of 8-byte {32-bit hash, id} slots serves point
 // reads: probe positions come from the stored hash, so growth re-places
 // slots without re-hashing keys, and a full key compare decides equality.
-// Prefix scans binary-search `sorted_`, the keys in order. New keys wait in
-// a pending tail (ids past sorted_.size()) that the next scan sorts and
-// merges, so point-only users never pay for ordering.
+// The engine keeps no key order: ids are handed out 0, 1, 2, ... and a
+// key's bytes never move, so KeyOrder (key_order.hpp) orders the keys of
+// every engine of a tier through keyAt/valueAt.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,14 @@ struct StoredValue {
 class KvEngine {
  public:
   static constexpr std::uint64_t kLatest = UINT64_MAX;
+  /// Longest key put() accepts, so that KeyOrder's 16-bit record size
+  /// holds every key; longer keys are rejected.
+  static constexpr std::size_t kMaxKeyBytes = UINT16_MAX;
 
   /// Append a version at `commitTs`. Timestamps must be monotone per key;
   /// out-of-order commits are rejected (returns false) — this is the
-  /// guard the delayed-writes scenario probes.
+  /// guard the delayed-writes scenario probes. So are keys past
+  /// kMaxKeyBytes.
   bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
 
   /// Tombstone write.
@@ -71,25 +75,6 @@ class KvEngine {
     return v ? std::optional(v->version) : std::nullopt;
   }
 
-  /// Ordered scan over keys with the given prefix; `fn(key, value)` returns
-  /// false to stop early. Returns rows visited. `fn` must not write to this
-  /// engine.
-  template <typename Fn>
-  std::size_t scanPrefix(std::string_view prefix, std::uint64_t snapshotTs,
-                         Fn&& fn) const {
-    std::size_t visited = 0;
-    for (std::size_t i = lowerBound(prefix); i < sorted_.size(); ++i) {
-      const std::string_view key = sorted_[i].key();
-      if (!key.starts_with(prefix)) break;
-      const StoredValue* value =
-          visibleAt(entries_[sorted_[i].id], snapshotTs);
-      if (value == nullptr) continue;
-      ++visited;
-      if (!fn(key, *value)) break;
-    }
-    return visited;
-  }
-
   /// Drop all but the newest `keep` versions of every key. Returns number
   /// of versions reclaimed.
   std::size_t gc(std::size_t keep = 2);
@@ -98,8 +83,19 @@ class KvEngine {
   /// bulk load never regrows it.
   void reserveKeys(std::size_t expectedKeys);
 
+  /// Keys ever written; ids run 0 .. keyCount() - 1 in write order.
   [[nodiscard]] std::size_t keyCount() const noexcept {
     return entries_.highWater();
+  }
+  /// The key of `id`. Its bytes never move: keys are immutable and neither
+  /// entries nor arena chunks are ever freed.
+  [[nodiscard]] std::string_view keyAt(std::uint32_t id) const noexcept {
+    return entries_[id].key();
+  }
+  /// The version of `id` visible at `snapshotTs`, as get() finds it.
+  [[nodiscard]] const StoredValue* valueAt(
+      std::uint32_t id, std::uint64_t snapshotTs) const noexcept {
+    return visibleAt(entries_[id], snapshotTs);
   }
   [[nodiscard]] util::Bytes liveBytes() const noexcept {
     return util::Bytes::of(liveBytes_);
@@ -132,18 +128,6 @@ class KvEngine {
   static_assert(sizeof(Entry) <= 80, "a KvEngine entry grew past 80 bytes");
   static_assert(sizeof(Slot) == 8, "a KvEngine index slot grew past 8 bytes");
 
-  /// A key in scan order. Its bytes never move: keys are immutable, entries
-  /// stay put and arena chunks are never freed, so an inline key's buffer
-  /// and an arena key's block are both stable.
-  struct SortedKey {
-    const char* data;
-    std::uint32_t size;
-    std::uint32_t id;
-    [[nodiscard]] std::string_view key() const noexcept {
-      return {data, size};
-    }
-  };
-
   /// Newest version at or below `snapshotTs`; nullptr if none or tombstone.
   [[nodiscard]] const StoredValue* visibleAt(
       const Entry& entry, std::uint64_t snapshotTs) const noexcept;
@@ -152,9 +136,6 @@ class KvEngine {
   void place(std::uint32_t hash, std::uint32_t id) noexcept;
   void growIndex(std::size_t slots);
   void storeKey(Entry& entry, std::string_view key);
-  /// First position in sorted_ whose key is >= `prefix`, after merging the
-  /// pending tail.
-  [[nodiscard]] std::size_t lowerBound(std::string_view prefix) const;
 
   cache::NodeSlab<Entry> entries_;  // ids 0, 1, 2, ...; never released
   cache::KeyArena keys_;            // bytes of keys past kInlineKeyBytes
@@ -162,7 +143,6 @@ class KvEngine {
   std::vector<std::vector<StoredValue>> history_;
   std::vector<Slot> index_;  // power-of-two linear probing, <= 70 % full
   std::size_t indexMask_ = 0;
-  mutable std::vector<SortedKey> sorted_;  // see lowerBound
   std::uint64_t liveBytes_ = 0;  // newest non-tombstone version per key
   std::uint64_t writes_ = 0;
 };

@@ -17,7 +17,7 @@ std::vector<std::size_t> RaftReplicator::followersOf(
     std::size_t leaderIndex) const {
   std::vector<std::size_t> followers;
   for (std::size_t i = 1; i < replicationFactor_; ++i) {
-    followers.push_back((leaderIndex + i) % tier_->size());
+    followers.push_back(followerAt(leaderIndex, i));
   }
   return followers;
 }
@@ -32,7 +32,8 @@ double RaftReplicator::replicate(std::size_t leaderIndex,
   ++applied_[leaderIndex];
 
   double commitLatency = 0.0;
-  for (const std::size_t f : followersOf(leaderIndex)) {
+  for (std::size_t i = 1; i < replicationFactor_; ++i) {
+    const std::size_t f = followerAt(leaderIndex, i);
     sim::Node& follower = tier_->node(f);
     follower.charge(sim::CpuComponent::kReplication,
                     costs_.followerApplyMicros +

@@ -52,6 +52,12 @@ class RaftReplicator {
       std::size_t leaderIndex) const;
 
  private:
+  /// The `i`-th follower of `leaderIndex`, 1 <= i < replicationFactor_.
+  [[nodiscard]] std::size_t followerAt(std::size_t leaderIndex,
+                                       std::size_t i) const noexcept {
+    return (leaderIndex + i) % tier_->size();
+  }
+
   sim::Tier* tier_;
   sim::NetworkModel* network_;
   RaftCosts costs_;

@@ -2,7 +2,9 @@
 // tests/reference/: both run an identical seeded stream of puts (stale ones
 // included), erases, snapshot gets, prefix scans with early stop and GC
 // passes, and must agree on every result, the scan visit order, liveBytes,
-// keyCount and writeCount after every step. Keys are shaped like the
+// keyCount and writeCount after every step. The engine scans through a
+// one-shard KeyOrder; a last stream runs three engines behind one KeyOrder
+// against three oracles. Keys are shaped like the
 // database's index keys (`t/<table>/i/<col>/<value>/<pk>`), so they share
 // long prefixes, and new keys keep arriving between scans, so the engine's
 // pending tail is merged mid-stream again and again. Further streams aim at
@@ -13,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "reference/kv_engine.hpp"
+#include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "util/rng.hpp"
 
@@ -100,8 +104,7 @@ struct HotKeyGen {
 
 using Visit = std::tuple<std::string, std::uint64_t, std::uint64_t, std::string>;
 
-template <typename Engine>
-std::pair<std::size_t, std::vector<Visit>> scan(const Engine& engine,
+std::pair<std::size_t, std::vector<Visit>> scan(const MapKvEngine& engine,
                                                 std::string_view prefix,
                                                 std::uint64_t snapshot,
                                                 std::size_t stopAfter) {
@@ -112,6 +115,22 @@ std::pair<std::size_t, std::vector<Visit>> scan(const Engine& engine,
         return seen.size() < stopAfter;
       });
   return {visited, seen};
+}
+
+/// The same scan of one engine through a one-shard KeyOrder.
+std::pair<std::size_t, std::vector<Visit>> scan(KeyOrder& order,
+                                                const KvEngine& engine,
+                                                std::string_view prefix,
+                                                std::uint64_t snapshot,
+                                                std::size_t stopAfter) {
+  std::vector<Visit> seen;
+  order.scanPrefix(
+      std::span(&engine, 1), prefix, snapshot, [](std::size_t) {},
+      [&](std::size_t, std::string_view key, const StoredValue& v) {
+        seen.emplace_back(std::string(key), v.version, v.size, v.payload);
+        return seen.size() < stopAfter;
+      });
+  return {seen.size(), seen};
 }
 
 void expectSameValue(const StoredValue* oracle, const StoredValue* flat,
@@ -133,6 +152,7 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
                  std::uint32_t gcOneIn = 8) {
   MapKvEngine oracle;
   KvEngine flat;
+  KeyOrder order(1);
   if (reserve > 0) flat.reserveKeys(reserve);
   std::uint64_t ts = 0;
 
@@ -171,7 +191,7 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
       const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 5
                                                         : SIZE_MAX;
       ASSERT_EQ(scan(oracle, prefix, snapshot, stopAfter),
-                scan(flat, prefix, snapshot, stopAfter))
+                scan(order, flat, prefix, snapshot, stopAfter))
           << "step " << step << " prefix " << prefix;
     } else if (rng.next() % gcOneIn == 0) {
       const std::size_t keep = rng.next() % 4;
@@ -280,6 +300,7 @@ TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
   // Every scan follows a fresh insert, so each one merges a one-key tail.
   MapKvEngine oracle;
   KvEngine flat;
+  KeyOrder order(1);
   util::Pcg32 rng(5, 3);
   for (std::uint64_t ts = 1; ts <= 3000; ++ts) {
     const std::string key = "t/tables/i/owner/" +
@@ -289,8 +310,107 @@ TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
     flat.put(key, StoredValue::sized(ts), ts);
     const std::string prefix = key.substr(0, key.rfind('/') + 1);
     ASSERT_EQ(scan(oracle, prefix, KvEngine::kLatest, SIZE_MAX),
-              scan(flat, prefix, KvEngine::kLatest, SIZE_MAX))
+              scan(order, flat, prefix, KvEngine::kLatest, SIZE_MAX))
         << "ts " << ts;
+  }
+}
+
+/// Keys for the shared-order stream: index-shaped keys and keys of 0, 1,
+/// 15, 16, 17 and 200 bytes. Prefixes include the empty one, ones that
+/// match no key and whole keys.
+struct SharedOrderKeyGen {
+  util::Pcg32& rng;
+  KeyGen index{rng, 60};
+  BoundaryKeyGen boundary{rng};
+
+  std::string key() {
+    return rng.next() % 2 == 0 ? index.key() : boundary.key();
+  }
+
+  std::string prefix() {
+    switch (rng.next() % 8) {
+      case 0: return "";
+      case 1: return "t/tables/x/";  // no key has it
+      case 2: return key() + "~";    // no key extends a key with '~'
+      case 3: return key();
+      case 4:
+      case 5: return index.prefix();
+      default: return boundary.prefix();
+    }
+  }
+};
+
+/// One step of a multi-shard scan: entering a shard (no row), or a row.
+using ShardEvent = std::pair<std::size_t, std::optional<Visit>>;
+
+TEST(KvDifferential, SharedOrderMatchesPerShardOracles) {
+  // Three engines behind one KeyOrder, each diffed against its own map
+  // oracle: every scan must equal the oracle scans concatenated in shard
+  // order, each shard entered before its rows, with the early stop counted
+  // per shard. Keys land on random shards, so one key can live on two.
+  constexpr std::size_t kShards = 3;
+  for (std::uint64_t seed = 61; seed <= 63; ++seed) {
+    util::Pcg32 rng(seed, 11);
+    SharedOrderKeyGen gen{rng};
+    std::vector<MapKvEngine> oracles(kShards);
+    std::vector<KvEngine> engines(kShards);
+    KeyOrder order(kShards);
+    std::uint64_t ts = 0;
+
+    for (std::size_t step = 0; step < 8000; ++step) {
+      const std::uint32_t op = rng.next() % 16;
+      if (op < 8) {  // a write; one in eight is an erase
+        const std::size_t shard = rng.next() % kShards;
+        const std::string key = gen.key();
+        const std::uint64_t commitTs = ++ts;
+        if (op == 7) {
+          ASSERT_EQ(oracles[shard].erase(key, commitTs),
+                    engines[shard].erase(key, commitTs))
+              << "step " << step;
+          continue;
+        }
+        const std::string payload(rng.next() % 24, 'p');
+        ASSERT_EQ(oracles[shard].put(key, StoredValue::of(payload), commitTs),
+                  engines[shard].put(key, StoredValue::of(payload), commitTs))
+            << "step " << step;
+        continue;
+      }
+      const std::string prefix = gen.prefix();
+      const std::uint64_t snapshot =
+          rng.next() % 2 == 0 ? KvEngine::kLatest : rng.next() % (ts + 2);
+      const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
+                                                        : SIZE_MAX;
+      std::vector<ShardEvent> want;
+      for (std::size_t s = 0; s < kShards; ++s) {
+        want.emplace_back(s, std::nullopt);
+        for (Visit& v : scan(oracles[s], prefix, snapshot, stopAfter).second) {
+          want.emplace_back(s, std::move(v));
+        }
+      }
+      std::vector<ShardEvent> got;
+      std::size_t inShard = 0;
+      order.scanPrefix(
+          engines, prefix, snapshot,
+          [&](std::size_t idx) {
+            got.emplace_back(idx, std::nullopt);
+            inShard = 0;
+          },
+          [&](std::size_t idx, std::string_view key, const StoredValue& v) {
+            got.emplace_back(idx, Visit{std::string(key), v.version, v.size,
+                                        v.payload});
+            return ++inShard < stopAfter;
+          });
+      ASSERT_EQ(want, got) << "seed " << seed << " step " << step
+                           << " prefix " << prefix;
+    }
+    // A last scan merges every key exactly once.
+    order.scanPrefix(engines, "", KvEngine::kLatest, [](std::size_t) {},
+                     [](std::size_t, std::string_view, const StoredValue&) {
+                       return true;
+                     });
+    std::size_t keys = 0;
+    for (const KvEngine& engine : engines) keys += engine.keyCount();
+    EXPECT_EQ(order.size(), keys);
   }
 }
 

@@ -1,7 +1,11 @@
-// The KV read path allocates nothing once warm: Database::readValue and
-// versionCheck on resident keys build no per-statement container and grow
-// no engine, block-cache or meter state. This executable replaces the
-// global operator new to count calls, so it is a binary of its own.
+// The storage read paths allocate nothing they can avoid once warm:
+// Database::readValue, versionCheck and versionCheckRow on resident keys
+// build no per-statement container, build their keys in a reused buffer
+// and grow no engine, block-cache or meter state; Raft replication walks
+// its followers without a container; and a resident SELECT allocates only
+// its decoded rows and the vectors that carry them. This executable
+// replaces the global operator new to count calls, so it is a binary of
+// its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +16,10 @@
 #include <vector>
 
 #include "rpc/channel.hpp"
+#include "sim/network.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
+#include "storage/raft.hpp"
 
 namespace {
 std::atomic<std::uint64_t> gNewCalls{0};
@@ -33,43 +39,151 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace dcache::storage {
 namespace {
 
-TEST(KvReadAllocations, ResidentReadsAndVersionChecksAllocateNothing) {
-  sim::NetworkModel network;
-  sim::Tier sqlTier("sql", sim::TierKind::kSqlFrontend, 3);
-  sim::Tier kvTier("kv", sim::TierKind::kKvStorage, 3);
-  sim::Node client("client", sim::TierKind::kClient);
-  rpc::Channel channel(network, rpc::SerializationModel{});
-  Database db(sqlTier, kvTier, channel);
+/// Heap allocations made while `fn` runs.
+template <typename Fn>
+std::uint64_t allocationsDuring(Fn&& fn) {
+  const std::uint64_t before = gNewCalls.load(std::memory_order_relaxed);
+  fn();
+  return gNewCalls.load(std::memory_order_relaxed) - before;
+}
 
+class KvReadAllocations : public ::testing::Test {
+ protected:
+  sim::NetworkModel network_;
+  sim::Tier sqlTier_{"sql", sim::TierKind::kSqlFrontend, 3};
+  sim::Tier kvTier_{"kv", sim::TierKind::kKvStorage, 3};
+  sim::Node client_{"client", sim::TierKind::kClient};
+  rpc::Channel channel_{network_, rpc::SerializationModel{}};
+  Database db_{sqlTier_, kvTier_, channel_};
+};
+
+TEST_F(KvReadAllocations, ResidentReadsAndVersionChecksAllocateNothing) {
   // Keys shaped like the workloads' ("k%09llu").
   constexpr std::size_t kKeys = 1000;
   std::vector<std::string> keys;
   for (std::size_t i = 0; i < kKeys; ++i) {
     std::string key = std::to_string(1000000000 + i);
     key[0] = 'k';
-    db.loadValue(key, 64 + i);
+    db_.loadValue(key, 64 + i);
     keys.push_back(std::move(key));
   }
   // One warm pass loads every key's block into its node's block cache.
   for (const std::string& key : keys) {
-    ASSERT_TRUE(db.readValue(client, key).found);
-    ASSERT_TRUE(db.versionCheck(client, key).found);
+    ASSERT_TRUE(db_.readValue(client_, key).found);
+    ASSERT_TRUE(db_.versionCheck(client_, key).found);
   }
 
   constexpr std::size_t kCalls = 20000;  // half reads, half version checks
   std::size_t found = 0;
-  const std::uint64_t before = gNewCalls.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kCalls / 2; ++i) {
-    const std::string& key = keys[i % kKeys];
-    found += db.readValue(client, key).found ? 1 : 0;
-    found += db.versionCheck(client, key).found ? 1 : 0;
-  }
-  const std::uint64_t allocations =
-      gNewCalls.load(std::memory_order_relaxed) - before;
+  const std::uint64_t allocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kCalls / 2; ++i) {
+      const std::string& key = keys[i % kKeys];
+      found += db_.readValue(client_, key).found ? 1 : 0;
+      found += db_.versionCheck(client_, key).found ? 1 : 0;
+    }
+  });
 
   EXPECT_EQ(found, kCalls);
   EXPECT_EQ(allocations, 0u) << "heap allocations over " << kCalls
                              << " resident KV reads and version checks";
+}
+
+TEST_F(KvReadAllocations, LongKeysAndRowVersionChecksAllocateNothing) {
+  // Stored keys past the 15 bytes a std::string holds inline: "kv/" plus a
+  // 13- to 40-byte key, and "t/tables/r/" plus a six-digit pk.
+  db_.createTable(TableSchema("tables",
+                              {Column{"id", ColumnType::kInt},
+                               Column{"name", ColumnType::kString}},
+                              0));
+  constexpr std::size_t kKeys = 500;
+  std::vector<std::string> keys;
+  std::vector<std::string> pks;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    std::string key = "user-profile-" + std::to_string(i);
+    key.resize(13 + i % 28, '-');
+    db_.loadValue(key, 100);
+    keys.push_back(std::move(key));
+    const auto id = static_cast<std::int64_t>(100000 + i);
+    db_.loadRow("tables", Row{{id, std::string("t")}});
+    pks.push_back(std::to_string(id));
+  }
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db_.readValue(client_, keys[i]).found);
+    ASSERT_TRUE(db_.versionCheck(client_, keys[i]).found);
+    ASSERT_TRUE(db_.versionCheckRow(client_, "tables", pks[i]).found);
+  }
+
+  constexpr std::size_t kRounds = 6000;  // a read and two checks each
+  std::size_t found = 0;
+  const std::uint64_t allocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const std::size_t k = i % kKeys;
+      found += db_.readValue(client_, keys[k]).found ? 1 : 0;
+      found += db_.versionCheck(client_, keys[k]).found ? 1 : 0;
+      found += db_.versionCheckRow(client_, "tables", pks[k]).found ? 1 : 0;
+    }
+  });
+
+  EXPECT_EQ(found, 3 * kRounds);
+  EXPECT_EQ(allocations, 0u) << "heap allocations over " << 3 * kRounds
+                             << " resident reads and version checks";
+}
+
+TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
+  // SELECT * moves each decoded row into the result and an index lookup
+  // keeps its matched primary keys as views, so a resident statement
+  // allocates the decoded rows' value vectors, the fetched-row vector, the
+  // result-row vector and, for an index lookup, the matched-key vector.
+  // Every string below fits a std::string inline.
+  db_.createTable(TableSchema("tables",
+                              {Column{"id", ColumnType::kInt},
+                               Column{"owner", ColumnType::kString},
+                               Column{"name", ColumnType::kString}},
+                              0, {1}));
+  for (std::int64_t id = 100000; id < 100400; ++id) {
+    const std::string owner = "o" + std::to_string(id / 2);  // two rows each
+    db_.loadRow("tables", Row{{id, owner, std::string("n")}});
+  }
+  const std::vector<Value> point{Value{std::int64_t{100123}}};
+  const std::vector<Value> owner{Value{std::string("o50061")}};
+  const auto select = [&](const char* sql, const std::vector<Value>& params) {
+    return db_.exec(client_, sql, params).rows.size();
+  };
+  constexpr const char* kPoint = "SELECT * FROM tables WHERE id = ?";
+  constexpr const char* kIndex = "SELECT * FROM tables WHERE owner = ?";
+  ASSERT_EQ(select(kPoint, point), 1u);  // plans both texts, warms blocks
+  ASSERT_EQ(select(kIndex, owner), 2u);
+
+  constexpr std::size_t kCalls = 2000;
+  std::size_t rows = 0;
+  const std::uint64_t pointAllocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kCalls; ++i) rows += select(kPoint, point);
+  });
+  // One decoded row, the fetched-row vector, the result-row vector.
+  EXPECT_EQ(pointAllocations, 3 * kCalls);
+
+  const std::uint64_t indexAllocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kCalls; ++i) rows += select(kIndex, owner);
+  });
+  // Two matched-key pushes (capacity 1, then 2), two decoded rows, the
+  // fetched-row vector and the result-row vector, each sized once.
+  EXPECT_EQ(indexAllocations, 6 * kCalls);
+  EXPECT_EQ(rows, 3 * kCalls);
+}
+
+TEST(RaftAllocations, ReplicateAllocatesNothing) {
+  sim::NetworkModel network;
+  sim::Tier tier("kv", sim::TierKind::kKvStorage, 5);
+  RaftReplicator raft(tier, network, RaftCosts{}, 3);
+  raft.replicate(0, 64);  // any lazy first-use state
+
+  constexpr std::size_t kCalls = 10000;
+  const std::uint64_t allocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kCalls; ++i) raft.replicate(i % 5, 64);
+  });
+  EXPECT_EQ(allocations, 0u) << "heap allocations over " << kCalls
+                             << " replicated writes";
+  EXPECT_EQ(raft.committedIndex(), kCalls + 1);
 }
 
 }  // namespace

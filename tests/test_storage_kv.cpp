@@ -1,11 +1,13 @@
-// Storage engine unit tests: MVCC visibility, tombstones, GC, prefix scans,
-// the block cache's hit/miss/grouping behaviour and the row codec.
+// Storage engine unit tests: MVCC visibility, tombstones, GC, prefix scans
+// through a one-shard KeyOrder, the block cache's hit/miss/grouping behaviour and the row codec.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "storage/block_cache.hpp"
+#include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/row.hpp"
 #include "storage/schema.hpp"
@@ -63,41 +65,69 @@ TEST(KvEngine, LiveBytesTracksNewestVersions) {
   EXPECT_EQ(engine.liveBytes().count(), 10u);
 }
 
+/// Rows of `engine` under `prefix` through a one-shard KeyOrder; `fn`
+/// returning false stops the scan. Returns the rows visited.
+template <typename Fn>
+std::size_t scanPrefix(KeyOrder& order, const KvEngine& engine,
+                       std::string_view prefix, Fn&& fn) {
+  std::size_t visited = 0;
+  order.scanPrefix(std::span(&engine, 1), prefix, KvEngine::kLatest,
+                   [](std::size_t) {},
+                   [&](std::size_t, std::string_view key,
+                       const StoredValue& value) {
+                     ++visited;
+                     return fn(key, value);
+                   });
+  return visited;
+}
+
 TEST(KvEngine, ScanPrefixOrderedAndBounded) {
   KvEngine engine;
+  KeyOrder order(1);
   engine.put("t/users/r/1", StoredValue::of("u1"), 1);
   engine.put("t/users/r/2", StoredValue::of("u2"), 2);
   engine.put("t/users/r/3", StoredValue::of("u3"), 3);
   engine.put("t/orders/r/1", StoredValue::of("o1"), 4);
 
   std::vector<std::string> keys;
-  engine.scanPrefix("t/users/r/", KvEngine::kLatest,
-                    [&](std::string_view key, const StoredValue&) {
-                      keys.emplace_back(key);
-                      return true;
-                    });
+  scanPrefix(order, engine, "t/users/r/",
+             [&](std::string_view key, const StoredValue&) {
+               keys.emplace_back(key);
+               return true;
+             });
   EXPECT_EQ(keys, (std::vector<std::string>{"t/users/r/1", "t/users/r/2",
                                             "t/users/r/3"}));
 
   // Early stop.
   keys.clear();
-  engine.scanPrefix("t/users/r/", KvEngine::kLatest,
-                    [&](std::string_view key, const StoredValue&) {
-                      keys.emplace_back(key);
-                      return false;
-                    });
+  scanPrefix(order, engine, "t/users/r/",
+             [&](std::string_view key, const StoredValue&) {
+               keys.emplace_back(key);
+               return false;
+             });
   EXPECT_EQ(keys.size(), 1u);
 }
 
 TEST(KvEngine, ScanSkipsTombstones) {
   KvEngine engine;
+  KeyOrder order(1);
   engine.put("p/a", StoredValue::sized(1), 1);
   engine.put("p/b", StoredValue::sized(1), 2);
   engine.erase("p/a", 3);
-  std::size_t visited = engine.scanPrefix(
-      "p/", KvEngine::kLatest,
-      [](std::string_view, const StoredValue&) { return true; });
+  std::size_t visited =
+      scanPrefix(order, engine, "p/",
+                 [](std::string_view, const StoredValue&) { return true; });
   EXPECT_EQ(visited, 1u);
+}
+
+TEST(KvEngine, RejectsKeysPastTheLimit) {
+  KvEngine engine;
+  const std::string longest(KvEngine::kMaxKeyBytes, 'k');
+  EXPECT_TRUE(engine.put(longest, StoredValue::sized(1), 1));
+  EXPECT_FALSE(engine.put(longest + "k", StoredValue::sized(1), 2));
+  EXPECT_FALSE(engine.erase(longest + "k", 3));
+  EXPECT_EQ(engine.keyCount(), 1u);
+  EXPECT_EQ(engine.keyAt(0), longest);
 }
 
 TEST(KvEngine, GcTrimsHistory) {

@@ -519,14 +519,16 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
 
   for (const SourceFile& f : in.files) {
     // The serve-path whitelist: the slab/arena storage, the flat cache, the
-    // SLRU wrapper whose segments are flat caches, and the flat MVCC
-    // engine. The node-based LFU and S3-FIFO and the test-only oracles in
-    // tests/reference/ allocate per entry by design and are deliberately
-    // out of scope.
+    // SLRU wrapper whose segments are flat caches, the flat MVCC engine and
+    // the key order over its keys. The node-based LFU and S3-FIFO and the
+    // test-only oracles in tests/reference/ allocate per entry by design
+    // and are deliberately out of scope.
     if (!fileIs(f, {"src/cache/slab.hpp", "src/cache/flat_cache.hpp",
                     "src/cache/flat_cache.cpp", "src/cache/slru.cpp",
                     "src/storage/kv_engine.hpp",
-                    "src/storage/kv_engine.cpp"})) {
+                    "src/storage/kv_engine.cpp",
+                    "src/storage/key_order.hpp",
+                    "src/storage/key_order.cpp"})) {
       continue;
     }
     const Tokens& t = f.tokens;
