@@ -161,12 +161,12 @@ Deployment::Deployment(DeploymentConfig config) : config_(config) {
 }
 
 void Deployment::populateKv(const workload::Workload& workload) {
-  db_->reserveKeys(workload.keyCount());
-  std::string key;
-  for (std::uint64_t k = 0; k < workload.keyCount(); ++k) {
-    workload::keyNameTo(k, key);
-    db_->loadValue(key, workload.valueSizeFor(k));
+  std::vector<std::uint64_t> sizes(workload.keyCount());
+  for (std::uint64_t k = 0; k < sizes.size(); ++k) {
+    sizes[k] = workload.valueSizeFor(k);
   }
+  db_->loadValueRange(std::move(sizes), workload::keyNameTo,
+                      workload::keyIndexOf);
 }
 
 void Deployment::populateCatalog(const workload::UcTraceWorkload& trace,

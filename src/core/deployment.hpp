@@ -203,7 +203,10 @@ class Deployment {
   explicit Deployment(DeploymentConfig config);
 
   // ---- population (cost-free experiment setup) ----
-  /// Load every key of a KV-style workload into storage.
+  /// Load every key of a KV-style workload into storage, lazily: storage
+  /// keeps the keys' sizes and puts a key into its KV engine before the
+  /// first write, read or matching scan of it (storage/database.hpp), so
+  /// host cost grows with the keys a run touches.
   void populateKv(const workload::Workload& workload);
   /// Create and load the catalog dataset for rich-object serving.
   void populateCatalog(const workload::UcTraceWorkload& trace,

@@ -14,6 +14,9 @@ namespace {
 /// Approximate wire size of the plan fragment shipped front-end -> KV node.
 constexpr std::uint64_t kPlanFragmentBytes = 96;
 
+/// What kvKey puts before a KV path key.
+constexpr std::string_view kKvPrefix = "kv/";
+
 /// `out` = the parts joined, sized once so a fresh buffer allocates at most
 /// once and a reused one not at all.
 std::string_view joinKey(std::string& out,
@@ -21,6 +24,7 @@ std::string_view joinKey(std::string& out,
   std::size_t size = 0;
   for (const std::string_view part : parts) size += part.size();
   out.clear();
+  // dcache-lint: allow(hot-path-alloc, a reused buffer grows only while its keys get longer, then never again)
   out.reserve(size);
   for (const std::string_view part : parts) out.append(part);
   return out;
@@ -40,9 +44,10 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
       order_(kvTier.size()),
       legs_(kvTier.size()),
       planner_([this](std::string_view table) { return schema(table); }) {
+  // dcache-lint: allow(hot-path-alloc, once per database, at construction)
   blockCaches_.reserve(kvTier.size());
   for (std::size_t i = 0; i < kvTier.size(); ++i) {
-    blockCaches_.push_back(
+    blockCaches_.push_back(  // dcache-lint: allow(hot-path-alloc, one block cache per KV node, at construction)
         std::make_unique<BlockCache>(config_.blockCachePerNode));
     kvTier.node(i).mem().provision(config_.blockCachePerNode);
   }
@@ -79,7 +84,7 @@ std::string_view Database::indexPrefix(std::string& out,
 }
 
 std::string_view Database::kvKey(std::string& out, std::string_view key) {
-  return joinKey(out, {"kv/", key});
+  return joinKey(out, {kKvPrefix, key});
 }
 
 // ---- schema / population ----
@@ -113,7 +118,28 @@ void Database::loadRow(std::string_view table, const Row& row) {
 
 void Database::loadValue(std::string_view key, std::uint64_t size) {
   const std::string_view k = kvKey(keyBuf_, key);
-  engines_[nodeFor(k)].put(k, StoredValue::sized(size), ++ts_);
+  const std::size_t idx = nodeFor(k);
+  materialize(idx, k);
+  engines_[idx].put(k, StoredValue::sized(size), ++ts_);
+}
+
+void Database::loadValueRange(std::vector<std::uint64_t> sizes,
+                              KeyNameFn name, KeyIndexFn index) {
+  const bool holdsKeys =
+      !range_.empty() ||
+      std::any_of(engines_.begin(), engines_.end(),
+                  [](const KvEngine& e) { return e.keyCount() > 0; });
+  if (holdsKeys) {  // the loop itself: no lazy key may hide an older one
+    std::string key;
+    for (std::uint64_t i = 0; i < sizes.size(); ++i) {
+      name(i, key);
+      loadValue(key, sizes[i]);
+    }
+    return;
+  }
+  const std::uint64_t keys = sizes.size();
+  range_ = KvRange(std::move(sizes), name, index, ts_);
+  ts_ += keys;
 }
 
 void Database::reserveKeys(std::size_t expectedKeys) {
@@ -127,6 +153,41 @@ void Database::reserveKeys(std::size_t expectedKeys) {
 
 std::size_t Database::nodeFor(std::string_view key) const noexcept {
   return util::hashKey(key) % engines_.size();
+}
+
+std::optional<std::uint64_t> Database::untouchedRangeIndex(
+    std::size_t idx, std::string_view key) const {
+  if (range_.empty() || !key.starts_with(kKvPrefix) ||
+      engines_[idx].contains(key)) {
+    return std::nullopt;
+  }
+  return range_.indexOf(key.substr(kKvPrefix.size()));
+}
+
+bool Database::materializeKey(std::size_t idx, std::string_view key) {
+  const std::optional<std::uint64_t> i = untouchedRangeIndex(idx, key);
+  if (!i) return false;
+  engines_[idx].put(key, StoredValue::sized(range_.sizeOf(*i)),
+                    range_.versionOf(*i));
+  range_.materialized(*i);
+  return true;
+}
+
+void Database::materializeMatching(std::string_view prefix) {
+  // A scan must see every key it matches. No simulated path scans the KV
+  // keys, so this walks the whole range rather than index the names.
+  const bool canMatch = prefix.size() <= kKvPrefix.size()
+                            ? kKvPrefix.starts_with(prefix)
+                            : prefix.starts_with(kKvPrefix);
+  if (!canMatch) return;
+  // Not keyBuf_: `prefix` may view it.
+  std::string name;
+  std::string key;
+  for (std::uint64_t i = 0; i < range_.size(); ++i) {
+    range_.nameOf(i, name);
+    const std::string_view k = kvKey(key, name);
+    if (k.starts_with(prefix)) materialize(nodeFor(k), k);
+  }
 }
 
 void Database::syncMemoryMeters(std::size_t nodeIndex) {
@@ -143,6 +204,7 @@ const StoredValue* Database::engineGet(std::string_view key,
   if (config_.consistentReads) raft_.validateLease(idx);
 
   const StoredValue* stored = engines_[idx].get(key);
+  if (!stored && materialize(idx, key)) stored = engines_[idx].get(key);
   if (!stored) {
     // Bloom filter / memtable probe only: no block fetch for absent keys.
     node.charge(sim::CpuComponent::kKvExecution, costs.execPerRowMicros);
@@ -188,6 +250,7 @@ bool Database::enginePut(std::string_view key, StoredValue value,
   node.charge(sim::CpuComponent::kKvExecution, execMicros);
 
   const std::uint64_t rowSize = value.size;
+  materialize(idx, key);
   if (!engines_[idx].put(key, std::move(value), ++ts_)) return false;
   trace.latencyMicros += execMicros + raft_.replicate(idx, bytes);
   blockCaches_[idx]->touchWrite(keyHash, rowSize);
@@ -207,6 +270,7 @@ bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
 
   node.charge(sim::CpuComponent::kKvExecution,
               costs.execPerRowMicros + costs.memtableMicros);
+  materialize(idx, key);
   if (!engines_[idx].erase(key, ++ts_)) return false;
   trace.latencyMicros += raft_.replicate(idx, key.size());
   blockCaches_[idx]->invalidate(keyHash);
@@ -288,7 +352,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   }
 
   ExecTrace trace;
-  Executor executor(*this, keyBuf_);
+  Executor executor(*this, keyBuf_, matchBuf_);
   Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
@@ -397,16 +461,17 @@ Database::VersionResult Database::versionCheckKey(sim::Node& client,
 
 std::optional<std::uint64_t> Database::peekRowVersion(
     std::string_view table, std::string_view pk) const {
-  std::string buf;
-  const std::string_view key = rowKey(buf, table, pk);
+  const std::string_view key = rowKey(peekKeyBuf_, table, pk);
   return engines_[nodeFor(key)].latestVersion(key);
 }
 
 std::optional<std::uint64_t> Database::peekValueVersion(
     std::string_view key) const {
-  std::string buf;
-  const std::string_view k = kvKey(buf, key);
-  return engines_[nodeFor(k)].latestVersion(k);
+  const std::string_view k = kvKey(peekKeyBuf_, key);
+  const std::size_t idx = nodeFor(k);
+  if (const auto version = engines_[idx].latestVersion(k)) return version;
+  if (const auto i = untouchedRangeIndex(idx, k)) return range_.versionOf(*i);
+  return std::nullopt;
 }
 
 void Database::dropBlockCache(std::size_t nodeIndex) {
@@ -419,7 +484,7 @@ void Database::dropBlockCache(std::size_t nodeIndex) {
 util::Bytes Database::totalStoredBytes() const {
   util::Bytes total;
   for (const KvEngine& engine : engines_) total += engine.liveBytes();
-  return total;
+  return total + util::Bytes::of(range_.pendingBytes());
 }
 
 std::uint64_t Database::blockCacheHits() const {

@@ -9,6 +9,15 @@
 //   versionCheck() — the §5.5 consistency probe: returns 8 bytes to the
 //                    client but traverses the full read path internally
 //                    (parse, plan, lease, full row fetch, front-end hop)
+//
+// A KV bulk load is lazy: loadValueRange() records the whole keyspace as one
+// KvRange (kv_range.hpp) and puts no key into an engine. A range key is
+// materialized, at the version the loadValue loop would have given it,
+// before the first write to it (enginePut, engineDelete, loadValue), the
+// first pointer read of it (engineGet) or the first prefix scan whose
+// prefix a range key can start with. peekValueVersion and totalStoredBytes
+// answer untouched keys from the range and never materialize. No charge,
+// version, size or block-cache touch depends on when a key is materialized.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +35,7 @@
 #include "storage/block_cache.hpp"
 #include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
+#include "storage/kv_range.hpp"
 #include "storage/planner.hpp"
 #include "storage/raft.hpp"
 #include "storage/row.hpp"
@@ -84,6 +94,17 @@ class Database {
   /// Pre-size every engine's point index for a bulk load of `expectedKeys`
   /// (spread by key hash), avoiding per-engine rehash cascades.
   void reserveKeys(std::size_t expectedKeys);
+  /// Load key i of 0 .. sizes.size() - 1 as loadValue(name(i), sizes[i])
+  /// would, in index order, but put each key into its engine only when it
+  /// is first touched (see the header comment). `index` must be the exact
+  /// inverse of `name`. Into a database that holds any key or pending range
+  /// the load runs as that loop, so that no lazy key hides an older version.
+  void loadValueRange(std::vector<std::uint64_t> sizes, KeyNameFn name,
+                      KeyIndexFn index);
+  /// Range keys not yet materialized.
+  [[nodiscard]] std::uint64_t pendingRangeKeys() const noexcept {
+    return range_.pendingKeys();
+  }
 
   // ---- SQL path ----
   struct QueryResult {
@@ -125,7 +146,7 @@ class Database {
 
   /// Commit version of a table row / KV value without any cost accounting
   /// — for callers that already paid for the read in the same request and
-  /// for tests. nullopt if absent.
+  /// for tests. nullopt if absent. Neither materializes a range key.
   [[nodiscard]] std::optional<std::uint64_t> peekRowVersion(
       std::string_view table, std::string_view pk) const;
   [[nodiscard]] std::optional<std::uint64_t> peekValueVersion(
@@ -142,6 +163,7 @@ class Database {
   /// life. fn must not write to or scan this database.
   template <typename Fn>
   void engineScanPrefix(std::string_view prefix, ExecTrace& trace, Fn&& fn) {
+    if (!range_.empty()) materializeMatching(prefix);
     order_.scanPrefix(
         engines_, prefix, KvEngine::kLatest,
         [&](std::size_t idx) {
@@ -186,6 +208,18 @@ class Database {
   static constexpr std::size_t kMaxCachedPlans = 256;  // see planFor
 
   [[nodiscard]] std::size_t nodeFor(std::string_view key) const noexcept;
+  /// The range index of `key` if it is a range key engine idx has never
+  /// held; a tombstone counts as held.
+  [[nodiscard]] std::optional<std::uint64_t> untouchedRangeIndex(
+      std::size_t idx, std::string_view key) const;
+  /// Put `key` into engine idx if it is an untouched range key; returns
+  /// whether it did. One branch while no range key is pending.
+  bool materialize(std::size_t idx, std::string_view key) {
+    return !range_.empty() && materializeKey(idx, key);
+  }
+  bool materializeKey(std::size_t idx, std::string_view key);
+  /// Materialize every untouched range key that starts with `prefix`.
+  void materializeMatching(std::string_view prefix);
   /// KV-side execution charge for one row a prefix scan visits on `idx`.
   void chargeScannedRow(std::size_t idx, std::uint64_t size, ExecTrace& trace);
   /// The cached plan for `sql`, parsed and planned on first use; a full
@@ -218,8 +252,14 @@ class Database {
   RaftReplicator raft_;
   std::vector<KvEngine> engines_;
   KeyOrder order_;  // the keys of every engine, for prefix scans
+  KvRange range_;   // the bulk-loaded keys not yet in their engines
   /// Key buffer for the statement in flight (see the key layout builders).
   std::string keyBuf_;
+  /// The primary keys the statement in flight matched in an index.
+  std::vector<std::string_view> matchBuf_;
+  /// Key buffer for the const peeks, apart from keyBuf_ so that a peek
+  /// never overwrites a key a statement still views.
+  mutable std::string peekKeyBuf_;
   /// Payload bytes each KV node moved for the statement in flight, by node
   /// index, so settling a statement allocates nothing. Statements never
   /// interleave: each one's engine calls are settled before the next starts.

@@ -57,7 +57,8 @@ Executor::Outcome Executor::run(const QueryPlan& plan,
 bool Executor::fetchPrimary(const TableAccessPlan& access,
                             std::span<const Value> params,
                             std::optional<std::uint64_t> limit,
-                            ExecTrace& trace, std::vector<FetchedRow>& out,
+                            ExecTrace& trace, std::vector<Row>& out,
+                            std::vector<std::string>* pks,
                             std::string& error) {
   const TableSchema& schema = *access.schema;
 
@@ -73,6 +74,10 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
     return true;
   };
   auto atLimit = [&] { return limit && out.size() >= *limit; };
+  auto add = [&](std::string_view pk, Row&& row) {
+    out.push_back(std::move(row));
+    if (pks) pks->emplace_back(pk);
+  };
 
   switch (access.path) {
     case AccessPath::kPointGet: {
@@ -92,7 +97,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
         error = "corrupt row for pk " + pk;
         return false;
       }
-      if (passesResidual(*row)) out.push_back(FetchedRow{pk, std::move(*row)});
+      if (passesResidual(*row)) add(pk, std::move(*row));
       return true;
     }
     case AccessPath::kIndexLookup: {
@@ -104,24 +109,23 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       }
       // Collect matching primary keys from the index, then fetch rows. The
       // keys view the engines' key bytes, which never move.
-      std::vector<std::string_view> pks;
+      std::vector<std::string_view>& matched = *matchBuf_;
+      matched.clear();
       const std::string_view prefix = Database::indexPrefix(
           *keyBuf_, schema.name(), column.name, valueToString(*keyValue));
       db_->engineScanPrefix(prefix, trace,
                             [&](std::string_view key, const StoredValue&) {
-                              pks.push_back(key.substr(prefix.size()));
+                              matched.push_back(key.substr(prefix.size()));
                               return true;
                             });
-      out.reserve(out.size() + pks.size());
-      for (const std::string_view pk : pks) {
+      out.reserve(out.size() + matched.size());
+      for (const std::string_view pk : matched) {
         if (atLimit()) break;
         const StoredValue* stored = db_->engineGet(
             Database::rowKey(*keyBuf_, schema.name(), pk), trace);
         if (!stored) continue;  // index entry raced a delete
         auto row = decodeRow(schema, stored->payload);
-        if (row && passesResidual(*row)) {
-          out.push_back(FetchedRow{std::string(pk), std::move(*row)});
-        }
+        if (row && passesResidual(*row)) add(pk, std::move(*row));
       }
       return true;
     }
@@ -138,9 +142,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
               return false;
             }
             if (passesResidual(*row)) {
-              out.push_back(
-                  FetchedRow{std::string(key.substr(prefix.size())),
-                             std::move(*row)});
+              add(key.substr(prefix.size()), std::move(*row));
             }
             return true;
           });
@@ -156,8 +158,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
 }
 
 void Executor::fetchJoinMatches(const JoinPlan& join, const Value& key,
-                                ExecTrace& trace,
-                                std::vector<FetchedRow>& out) {
+                                ExecTrace& trace, std::vector<Row>& out) {
   // The join key binds like a WHERE parameter on the right table's column.
   const BoundCondition cond{join.rightColumn, BoundRhs{std::nullopt, 0}};
   TableAccessPlan access{join.schema, join.path, std::nullopt, {}};
@@ -167,23 +168,15 @@ void Executor::fetchJoinMatches(const JoinPlan& join, const Value& key,
     access.key = cond;
   }
   std::string error;  // a corrupt right row just ends the matches
-  fetchPrimary(access, std::span(&key, 1), std::nullopt, trace, out, error);
+  fetchPrimary(access, std::span(&key, 1), std::nullopt, trace, out, nullptr,
+               error);
 }
 
 Executor::Outcome Executor::runSelect(const QueryPlan& plan,
                                       std::span<const Value> params,
                                       ExecTrace& trace) {
   Outcome outcome;
-  std::vector<FetchedRow> primary;
-  // With a join the limit applies to joined output, so fetch unbounded.
-  const auto primaryLimit = plan.join ? std::nullopt : plan.limit;
-  if (!fetchPrimary(plan.primary, params, primaryLimit, trace, primary,
-                    outcome.error)) {
-    return outcome;
-  }
-
   auto project = [&](const Row& left, const Row* right) {
-    if (plan.projection.empty()) return left;  // SELECT *
     Row out;
     out.values.reserve(plan.projection.size());
     for (const ProjectionItem& item : plan.projection) {
@@ -197,23 +190,34 @@ Executor::Outcome Executor::runSelect(const QueryPlan& plan,
     return out;
   };
 
-  if (!plan.join) outcome.rows.reserve(primary.size());
-  for (FetchedRow& fetched : primary) {
-    if (plan.limit && outcome.rows.size() >= *plan.limit) break;
-    if (!plan.join) {
-      if (plan.projection.empty()) {
-        outcome.rows.push_back(std::move(fetched.row));
-      } else {
-        outcome.rows.push_back(project(fetched.row, nullptr));
-      }
-      continue;
+  if (!plan.join) {
+    // Rows decode straight into the result; SELECT * keeps them whole.
+    if (!fetchPrimary(plan.primary, params, plan.limit, trace, outcome.rows,
+                      nullptr, outcome.error)) {
+      return outcome;
     }
-    std::vector<FetchedRow> matches;
-    fetchJoinMatches(*plan.join, fetched.row.values[plan.join->leftColumn],
-                     trace, matches);
-    for (const FetchedRow& right : matches) {
+    if (!plan.projection.empty()) {
+      for (Row& row : outcome.rows) row = project(row, nullptr);
+    }
+    outcome.ok = true;
+    return outcome;
+  }
+
+  // With a join the limit applies to joined output, so fetch unbounded.
+  std::vector<Row> primary;
+  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, primary,
+                    nullptr, outcome.error)) {
+    return outcome;
+  }
+  for (const Row& left : primary) {
+    if (plan.limit && outcome.rows.size() >= *plan.limit) break;
+    std::vector<Row> matches;
+    fetchJoinMatches(*plan.join, left.values[plan.join->leftColumn], trace,
+                     matches);
+    for (const Row& right : matches) {
       if (plan.limit && outcome.rows.size() >= *plan.limit) break;
-      outcome.rows.push_back(project(fetched.row, &right.row));
+      outcome.rows.push_back(plan.projection.empty() ? left
+                                                     : project(left, &right));
     }
   }
   outcome.ok = true;
@@ -281,12 +285,14 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
                                       ExecTrace& trace) {
   Outcome outcome;
   const TableSchema& schema = *plan.primary.schema;
-  std::vector<FetchedRow> targets;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets,
+  std::vector<Row> targets;
+  std::vector<std::string> pks;
+  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets, &pks,
                     outcome.error)) {
     return outcome;
   }
-  for (FetchedRow& target : targets) {
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    Row& target = targets[t];
     // Remove index entries for columns about to change, then rewrite.
     for (const auto& [col, rhs] : plan.assignments) {
       const auto value = resolve(rhs, params, schema.columns()[col].type);
@@ -294,18 +300,16 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
         outcome.error = "missing parameter in SET";
         return outcome;
       }
-      if (schema.hasIndexOn(col) &&
-          !valueEquals(target.row.values[col], *value)) {
+      if (schema.hasIndexOn(col) && !valueEquals(target.values[col], *value)) {
         db_->engineDelete(
             Database::indexKey(*keyBuf_, schema.name(),
                                schema.columns()[col].name,
-                               valueToString(target.row.values[col]),
-                               target.pk),
+                               valueToString(target.values[col]), pks[t]),
             trace);
       }
-      target.row.values[col] = *value;
+      target.values[col] = *value;
     }
-    if (writeRow(schema, target.row, trace)) ++outcome.rowsAffected;
+    if (writeRow(schema, target, trace)) ++outcome.rowsAffected;
   }
   outcome.ok = true;
   return outcome;
@@ -316,14 +320,15 @@ Executor::Outcome Executor::runDelete(const QueryPlan& plan,
                                       ExecTrace& trace) {
   Outcome outcome;
   const TableSchema& schema = *plan.primary.schema;
-  std::vector<FetchedRow> targets;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets,
+  std::vector<Row> targets;
+  std::vector<std::string> pks;
+  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets, &pks,
                     outcome.error)) {
     return outcome;
   }
-  for (const FetchedRow& target : targets) {
-    deleteRowIndexes(schema, target.row, target.pk, trace);
-    if (db_->engineDelete(Database::rowKey(*keyBuf_, schema.name(), target.pk),
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    deleteRowIndexes(schema, targets[t], pks[t], trace);
+    if (db_->engineDelete(Database::rowKey(*keyBuf_, schema.name(), pks[t]),
                           trace)) {
       ++outcome.rowsAffected;
     }

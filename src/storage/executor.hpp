@@ -6,6 +6,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/database.hpp"
@@ -16,8 +17,12 @@ namespace dcache::storage {
 
 class Executor {
  public:
-  /// `keyBuf` holds each key the executor builds, one at a time.
-  Executor(Database& db, std::string& keyBuf) : db_(&db), keyBuf_(&keyBuf) {}
+  /// `keyBuf` holds each key the executor builds, one at a time, and
+  /// `matchBuf` the primary keys an index lookup matched. Both are reused
+  /// across statements.
+  Executor(Database& db, std::string& keyBuf,
+           std::vector<std::string_view>& matchBuf)
+      : db_(&db), keyBuf_(&keyBuf), matchBuf_(&matchBuf) {}
 
   struct Outcome {
     bool ok = false;
@@ -30,26 +35,23 @@ class Executor {
               ExecTrace& trace);
 
  private:
-  struct FetchedRow {
-    std::string pk;
-    Row row;
-  };
-
   /// Resolve a bound RHS into a typed Value for the given column.
   [[nodiscard]] static std::optional<Value> resolve(const BoundRhs& rhs,
                                                     std::span<const Value> params,
                                                     ColumnType type);
 
-  /// Fetch rows of the primary table per the access plan (residual filters
-  /// applied, limit honoured when there is no join).
+  /// Append the rows of the primary table the access plan selects to `out`
+  /// (residual filters applied, until `out` holds `limit` rows), and each
+  /// row's primary key to `pks` when it is not null.
   bool fetchPrimary(const TableAccessPlan& access, std::span<const Value> params,
                     std::optional<std::uint64_t> limit, ExecTrace& trace,
-                    std::vector<FetchedRow>& out, std::string& error);
+                    std::vector<Row>& out, std::vector<std::string>* pks,
+                    std::string& error);
 
   /// Fetch right-table rows matching `key` for a join, through the same
   /// access paths as fetchPrimary.
   void fetchJoinMatches(const JoinPlan& join, const Value& key,
-                        ExecTrace& trace, std::vector<FetchedRow>& out);
+                        ExecTrace& trace, std::vector<Row>& out);
 
   bool writeRow(const TableSchema& schema, const Row& row, ExecTrace& trace);
   void deleteRowIndexes(const TableSchema& schema, const Row& row,
@@ -66,6 +68,7 @@ class Executor {
 
   Database* db_;
   std::string* keyBuf_;
+  std::vector<std::string_view>* matchBuf_;
 };
 
 }  // namespace dcache::storage

@@ -68,6 +68,11 @@ class KvEngine {
   [[nodiscard]] const StoredValue* get(std::string_view key,
                                        std::uint64_t snapshotTs = kLatest) const;
 
+  /// Whether `key` holds any version, a tombstone included.
+  [[nodiscard]] bool contains(std::string_view key) const noexcept {
+    return find(indexHash(key), key) != kNoEntry;
+  }
+
   /// Version of the newest visible value; nullopt if absent/deleted.
   [[nodiscard]] std::optional<std::uint64_t> latestVersion(
       std::string_view key) const {

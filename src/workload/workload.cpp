@@ -26,6 +26,24 @@ void keyNameTo(std::uint64_t keyIndex, std::string& out) {
   out.assign(p, static_cast<std::size_t>(end - p));
 }
 
+std::optional<std::uint64_t> keyIndexOf(std::string_view name) noexcept {
+  // keyNameTo pads to nine digits and never pads past them, so a longer
+  // name starts with a non-zero digit. UINT64_MAX has 20 digits.
+  if (name.size() < 10 || name.size() > 21 || name[0] != 'k') {
+    return std::nullopt;
+  }
+  const std::string_view digits = name.substr(1);
+  if (digits.size() > 9 && digits[0] == '0') return std::nullopt;
+  std::uint64_t index = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (index > (UINT64_MAX - digit) / 10) return std::nullopt;
+    index = index * 10 + digit;
+  }
+  return index;
+}
+
 double Workload::meanValueSize(std::uint64_t sampleKeys) const {
   const std::uint64_t n = std::min(sampleKeys, keyCount());
   if (n == 0) return 0.0;

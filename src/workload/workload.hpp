@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/rng.hpp"
 
@@ -33,6 +35,12 @@ struct Op {
 /// keyName without the return-value allocation: formats into `out`,
 /// reusing its capacity. The serve hot path calls this once per op.
 void keyNameTo(std::uint64_t keyIndex, std::string& out);
+
+/// keyName's exact inverse: the index whose name is `name`, or nullopt if
+/// keyName returns `name` for no index (a wrong letter, a non-digit, fewer
+/// than nine digits, a leading zero past nine digits, or past UINT64_MAX).
+[[nodiscard]] std::optional<std::uint64_t> keyIndexOf(
+    std::string_view name) noexcept;
 
 class Workload {
  public:

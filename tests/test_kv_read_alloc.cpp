@@ -1,11 +1,12 @@
 // The storage read paths allocate nothing they can avoid once warm:
 // Database::readValue, versionCheck and versionCheckRow on resident keys
 // build no per-statement container, build their keys in a reused buffer
-// and grow no engine, block-cache or meter state; Raft replication walks
-// its followers without a container; and a resident SELECT allocates only
-// its decoded rows and the vectors that carry them. This executable
-// replaces the global operator new to count calls, so it is a binary of
-// its own.
+// and grow no engine, block-cache or meter state; peekRowVersion and
+// peekValueVersion reuse a key buffer too, on untouched range keys as
+// well; Raft replication walks its followers without a container; and a
+// resident SELECT allocates only its decoded rows and the result vector
+// that carries them. This executable replaces the global operator new to
+// count calls, so it is a binary of its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
 #include "storage/raft.hpp"
+#include "workload/workload.hpp"
 
 namespace {
 std::atomic<std::uint64_t> gNewCalls{0};
@@ -129,12 +131,60 @@ TEST_F(KvReadAllocations, LongKeysAndRowVersionChecksAllocateNothing) {
                              << " resident reads and version checks";
 }
 
+TEST_F(KvReadAllocations, PeeksAllocateNothing) {
+  // Row keys ("t/tables/r/" plus a six-digit pk) and KV keys ("kv/" plus 13
+  // to 40 bytes) past the 15 bytes a std::string holds inline, and range
+  // keys that were never touched, so the peek answers from the range.
+  db_.createTable(TableSchema("tables",
+                              {Column{"id", ColumnType::kInt},
+                               Column{"name", ColumnType::kString}},
+                              0));
+  db_.loadValueRange(std::vector<std::uint64_t>(100, 64), workload::keyNameTo,
+                     workload::keyIndexOf);
+  constexpr std::size_t kKeys = 500;
+  std::vector<std::string> keys;
+  std::vector<std::string> pks;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    std::string key = "user-profile-" + std::to_string(i);
+    key.resize(13 + i % 28, '-');
+    db_.loadValue(key, 100);
+    keys.push_back(std::move(key));
+    const auto id = static_cast<std::int64_t>(100000 + i);
+    db_.loadRow("tables", Row{{id, std::string("t")}});
+    pks.push_back(std::to_string(id));
+  }
+  std::vector<std::string> rangeKeys;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    rangeKeys.push_back(workload::keyName(i));
+  }
+  const auto peekAll = [&](std::size_t rounds) {
+    std::size_t found = 0;
+    for (std::size_t i = 0; i < rounds; ++i) {
+      found += db_.peekValueVersion(keys[i % kKeys]).has_value() ? 1 : 0;
+      found += db_.peekRowVersion("tables", pks[i % kKeys]).has_value() ? 1 : 0;
+      found += db_.peekValueVersion(rangeKeys[i % 100]).has_value() ? 1 : 0;
+    }
+    return found;
+  };
+  ASSERT_EQ(peekAll(kKeys), 3 * kKeys);  // sizes the peek key buffer
+
+  constexpr std::size_t kRounds = 6000;
+  std::size_t found = 0;
+  const std::uint64_t allocations =
+      allocationsDuring([&] { found = peekAll(kRounds); });
+
+  EXPECT_EQ(found, 3 * kRounds);
+  EXPECT_EQ(allocations, 0u) << "heap allocations over " << 3 * kRounds
+                             << " row and value version peeks";
+  EXPECT_EQ(db_.pendingRangeKeys(), 100u);  // peeks never materialize
+}
+
 TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
-  // SELECT * moves each decoded row into the result and an index lookup
-  // keeps its matched primary keys as views, so a resident statement
-  // allocates the decoded rows' value vectors, the fetched-row vector, the
-  // result-row vector and, for an index lookup, the matched-key vector.
-  // Every string below fits a std::string inline.
+  // SELECT * without a join decodes each row straight into the result, and
+  // an index lookup keeps its matched primary keys as views in a buffer
+  // the Database reuses, so a resident statement allocates the decoded
+  // rows' value vectors and the result-row vector. Every string below fits
+  // a std::string inline.
   db_.createTable(TableSchema("tables",
                               {Column{"id", ColumnType::kInt},
                                Column{"owner", ColumnType::kString},
@@ -159,15 +209,14 @@ TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
   const std::uint64_t pointAllocations = allocationsDuring([&] {
     for (std::size_t i = 0; i < kCalls; ++i) rows += select(kPoint, point);
   });
-  // One decoded row, the fetched-row vector, the result-row vector.
-  EXPECT_EQ(pointAllocations, 3 * kCalls);
+  // One decoded row and the result-row vector.
+  EXPECT_EQ(pointAllocations, 2 * kCalls);
 
   const std::uint64_t indexAllocations = allocationsDuring([&] {
     for (std::size_t i = 0; i < kCalls; ++i) rows += select(kIndex, owner);
   });
-  // Two matched-key pushes (capacity 1, then 2), two decoded rows, the
-  // fetched-row vector and the result-row vector, each sized once.
-  EXPECT_EQ(indexAllocations, 6 * kCalls);
+  // Two decoded rows and the result-row vector, sized once.
+  EXPECT_EQ(indexAllocations, 3 * kCalls);
   EXPECT_EQ(rows, 3 * kCalls);
 }
 

@@ -1,0 +1,323 @@
+// Lockstep test of the lazy KV bulk load: one Database loads a keyspace
+// through Database::loadValueRange, a twin on identical tiers loads the same
+// names and sizes by a loop of loadValue, and one seeded stream of reads,
+// writes, version checks, peeks, loads, deletes, scans, GC runs and
+// stored-byte totals drives both. After every step the results, the CPU
+// meters of every node, the network's byte count and the block caches' hit
+// and miss counts must be equal: when a key is materialized never shows.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
+
+#include "rpc/channel.hpp"
+#include "sim/network.hpp"
+#include "sim/tier.hpp"
+#include "storage/database.hpp"
+#include "util/rng.hpp"
+#include "workload/workload.hpp"
+
+namespace dcache::storage {
+namespace {
+
+/// A Database on its own tiers, channel and client.
+struct Side {
+  sim::NetworkModel network;
+  sim::Tier sqlTier{"sql", sim::TierKind::kSqlFrontend, 2};
+  sim::Tier kvTier{"kv", sim::TierKind::kKvStorage, 3};
+  sim::Node client{"client", sim::TierKind::kClient};
+  rpc::Channel channel{network, rpc::SerializationModel{}};
+  Database db{sqlTier, kvTier, channel, config()};
+
+  static Database::Config config() {
+    Database::Config c;
+    c.blockCachePerNode = util::Bytes::kb(64);  // small: hits and misses
+    return c;
+  }
+};
+
+using ScanRow = std::tuple<std::string, std::uint64_t, std::uint64_t>;
+
+/// Every row engineScanPrefix visits, with its trace.
+std::vector<ScanRow> scan(Database& db, std::string_view prefix,
+                          ExecTrace& trace) {
+  std::vector<ScanRow> rows;
+  db.engineScanPrefix(prefix, trace,
+                      [&](std::string_view key, const StoredValue& v) {
+                        rows.emplace_back(std::string(key), v.size, v.version);
+                        return true;
+                      });
+  return rows;
+}
+
+void expectSameTrace(const ExecTrace& a, const ExecTrace& b) {
+  EXPECT_EQ(a.rowsRead, b.rowsRead);
+  EXPECT_EQ(a.rowsWritten, b.rowsWritten);
+  EXPECT_EQ(a.bytesRead, b.bytesRead);
+  EXPECT_EQ(a.bytesWritten, b.bytesWritten);
+  EXPECT_EQ(a.blockHits, b.blockHits);
+  EXPECT_EQ(a.blockMisses, b.blockMisses);
+  EXPECT_EQ(a.latencyMicros, b.latencyMicros);
+}
+
+class LazyLoad : public ::testing::Test {
+ protected:
+  /// Load `sizes` lazily into lazy_ and by the loadValue loop into eager_.
+  void load(const std::vector<std::uint64_t>& sizes) {
+    lazy_.db.loadValueRange(sizes, workload::keyNameTo, workload::keyIndexOf);
+    for (std::uint64_t i = 0; i < sizes.size(); ++i) {
+      eager_.db.loadValue(workload::keyName(i), sizes[i]);
+    }
+  }
+
+  /// Both sides metered alike so far.
+  void expectSameMeters() {
+    const auto sameTier = [](const sim::Tier& a, const sim::Tier& b) {
+      for (std::size_t n = 0; n < a.size(); ++n) {
+        for (std::size_t c = 0; c < sim::kNumCpuComponents; ++c) {
+          const auto component = static_cast<sim::CpuComponent>(c);
+          EXPECT_EQ(a.node(n).cpu().micros(component),
+                    b.node(n).cpu().micros(component))
+              << a.name() << " node " << n << " component " << c;
+        }
+      }
+    };
+    sameTier(lazy_.sqlTier, eager_.sqlTier);
+    sameTier(lazy_.kvTier, eager_.kvTier);
+    EXPECT_EQ(lazy_.client.cpu().totalMicros(),
+              eager_.client.cpu().totalMicros());
+    EXPECT_EQ(lazy_.network.bytesSent(), eager_.network.bytesSent());
+    EXPECT_EQ(lazy_.db.blockCacheHits(), eager_.db.blockCacheHits());
+    EXPECT_EQ(lazy_.db.blockCacheMisses(), eager_.db.blockCacheMisses());
+    EXPECT_EQ(lazy_.db.raft().committedIndex(),
+              eager_.db.raft().committedIndex());
+  }
+
+  void read(const std::string& key) {
+    const auto a = lazy_.db.readValue(lazy_.client, key);
+    const auto b = eager_.db.readValue(eager_.client, key);
+    EXPECT_EQ(a.found, b.found) << key;
+    EXPECT_EQ(a.size, b.size) << key;
+    EXPECT_EQ(a.version, b.version) << key;
+    EXPECT_EQ(a.latencyMicros, b.latencyMicros) << key;
+  }
+  void write(const std::string& key, std::uint64_t size) {
+    const auto a = lazy_.db.writeValue(lazy_.client, key, size);
+    const auto b = eager_.db.writeValue(eager_.client, key, size);
+    EXPECT_EQ(a.version, b.version) << key;
+    EXPECT_EQ(a.latencyMicros, b.latencyMicros) << key;
+  }
+  void check(const std::string& key) {
+    const auto a = lazy_.db.versionCheck(lazy_.client, key);
+    const auto b = eager_.db.versionCheck(eager_.client, key);
+    EXPECT_EQ(a.found, b.found) << key;
+    EXPECT_EQ(a.version, b.version) << key;
+    EXPECT_EQ(a.latencyMicros, b.latencyMicros) << key;
+  }
+  void peek(const std::string& key) {
+    const std::uint64_t pending = lazy_.db.pendingRangeKeys();
+    EXPECT_EQ(lazy_.db.peekValueVersion(key), eager_.db.peekValueVersion(key))
+        << key;
+    EXPECT_EQ(lazy_.db.pendingRangeKeys(), pending) << "a peek materialized";
+  }
+  void loadOne(const std::string& key, std::uint64_t size) {
+    lazy_.db.loadValue(key, size);
+    eager_.db.loadValue(key, size);
+  }
+  void erase(const std::string& key) {
+    ExecTrace a;
+    ExecTrace b;
+    const bool erasedA = lazy_.db.engineDelete(
+        Database::kvKey(lazyKey_, key), a);
+    const bool erasedB = eager_.db.engineDelete(
+        Database::kvKey(eagerKey_, key), b);
+    EXPECT_EQ(erasedA, erasedB) << key;
+    expectSameTrace(a, b);
+  }
+  void scanBoth(std::string_view prefix) {
+    ExecTrace a;
+    ExecTrace b;
+    EXPECT_EQ(scan(lazy_.db, prefix, a), scan(eager_.db, prefix, b))
+        << "prefix '" << prefix << "'";
+    expectSameTrace(a, b);
+  }
+  void gc(std::size_t keep) {
+    EXPECT_EQ(lazy_.db.runGc(keep), eager_.db.runGc(keep));
+  }
+  void storedBytes() {
+    const std::uint64_t pending = lazy_.db.pendingRangeKeys();
+    EXPECT_EQ(lazy_.db.totalStoredBytes().count(),
+              eager_.db.totalStoredBytes().count());
+    EXPECT_EQ(lazy_.db.pendingRangeKeys(), pending)
+        << "a byte total materialized";
+  }
+
+  /// `steps` seeded operations over the `rangeKeys` range keys, the next
+  /// 20 indexes past them and keys no index names, checked after each.
+  void drive(std::uint64_t seed, std::uint64_t rangeKeys, int steps) {
+    util::Pcg32 rng(seed, 3);
+    std::string key;
+    const auto pickKey = [&] {
+      const std::uint32_t kind = rng.nextBounded(10);
+      if (kind < 7 && rangeKeys > 0) {
+        workload::keyNameTo(
+            rng.nextBounded(static_cast<std::uint32_t>(rangeKeys)), key);
+      } else if (kind < 9) {
+        workload::keyNameTo(rangeKeys + rng.nextBounded(20), key);
+      } else {
+        key = "other-" + std::to_string(rng.nextBounded(5));
+      }
+      return key;
+    };
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const std::uint32_t op = rng.nextBounded(12);
+      const std::uint64_t size = rng.nextBounded(3000);
+      switch (op) {
+        case 0:
+        case 1: read(pickKey()); break;
+        case 2: write(pickKey(), size); break;
+        case 3: check(pickKey()); break;
+        case 4: peek(pickKey()); break;
+        case 5: loadOne(pickKey(), size); break;
+        case 6: erase(pickKey()); break;
+        case 7: {
+          // "" and "kv/" materialize every range key, so they are rare.
+          const std::uint32_t kind = rng.nextBounded(100);
+          if (kind < 2) {
+            scanBoth(kind == 0 ? "" : "kv/");
+          } else if (kind < 20) {
+            scanBoth("t/");
+          } else {  // one key's full name, so one row at most
+            const std::string oneKey = "kv/" + pickKey();
+            scanBoth(oneKey);
+          }
+          break;
+        }
+        case 8: gc(1 + rng.nextBounded(3)); break;
+        default: storedBytes(); break;
+      }
+      expectSameMeters();
+      if (HasFailure()) return;  // one divergence is enough to report
+    }
+  }
+
+  /// Random sizes, zero included.
+  static std::vector<std::uint64_t> sizes(std::uint64_t seed, std::size_t n) {
+    util::Pcg32 rng(seed, 5);
+    std::vector<std::uint64_t> out(n);
+    for (std::uint64_t& s : out) s = rng.nextBounded(6000);
+    return out;
+  }
+
+  Side lazy_;
+  Side eager_;
+  std::string lazyKey_;
+  std::string eagerKey_;
+};
+
+TEST_F(LazyLoad, SeededStreamMatchesTheLoadValueLoop) {
+  constexpr std::size_t kKeys = 400;
+  load(sizes(11, kKeys));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), kKeys);
+  // Rows under "t/", so that a scan there has rows the range never owns.
+  for (Side* side : {&lazy_, &eager_}) {
+    side->db.createTable(TableSchema(
+        "t", {Column{"id", ColumnType::kInt}, Column{"v", ColumnType::kString}},
+        0));
+    for (std::int64_t id = 0; id < 30; ++id) {
+      side->db.loadRow("t", Row{{id, std::string("row")}});
+    }
+  }
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    drive(seed, kKeys, 400);
+    ASSERT_FALSE(HasFailure());
+  }
+  storedBytes();
+  scanBoth("");  // materializes whatever is left
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 0u);
+  drive(4, kKeys, 200);
+}
+
+TEST_F(LazyLoad, FirstTouchMaterializesOnlyWhatItNeeds) {
+  load(sizes(12, 50));
+  storedBytes();
+  peek(workload::keyName(3));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 50u);
+  read(workload::keyName(3));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 49u);
+  write(workload::keyName(4), 10);
+  check(workload::keyName(5));
+  loadOne(workload::keyName(6), 20);
+  erase(workload::keyName(7));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 45u);
+  scanBoth("t/");  // no range key starts with "t/"
+  scanBoth("kv/x");
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 45u);
+  expectSameMeters();
+}
+
+TEST_F(LazyLoad, TombstonedRangeKeyIsNeverTakenForUntouched) {
+  load(sizes(13, 20));
+  // Key 2 is deleted before anything else touches it, key 3 after a read.
+  erase(workload::keyName(2));
+  read(workload::keyName(3));
+  erase(workload::keyName(3));
+  for (const std::uint64_t i : {2, 3}) {
+    const std::string key = workload::keyName(i);
+    read(key);
+    check(key);
+    peek(key);
+    EXPECT_FALSE(lazy_.db.peekValueVersion(key).has_value());
+    erase(key);  // a second tombstone
+    read(key);
+  }
+  storedBytes();
+  gc(1);
+  read(workload::keyName(2));
+  peek(workload::keyName(2));
+  scanBoth("kv/");
+  expectSameMeters();
+}
+
+TEST_F(LazyLoad, EmptyRangeLoadsNothing) {
+  load({});
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 0u);
+  storedBytes();
+  // A range after an empty one is still lazy: nothing was loaded.
+  load(sizes(22, 30));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 30u);
+  drive(23, 30, 300);
+  load({});
+  storedBytes();
+}
+
+TEST_F(LazyLoad, LoadIntoANonEmptyDatabaseRunsTheLoop) {
+  loadOne(workload::keyName(5), 77);  // an older version of range key 5
+  loadOne("other-1", 9);
+  load(sizes(31, 40));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 0u);
+  storedBytes();
+  peek(workload::keyName(5));
+  drive(32, 40, 300);
+}
+
+TEST_F(LazyLoad, SecondRangeLoadRunsTheLoop) {
+  load(sizes(41, 60));
+  read(workload::keyName(1));
+  erase(workload::keyName(2));
+  // Overlaps the first range and runs past it; keys 3.. were never touched.
+  load(sizes(42, 80));
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 0u);
+  storedBytes();
+  gc(1);
+  drive(43, 80, 300);
+}
+
+}  // namespace
+}  // namespace dcache::storage

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -16,6 +18,7 @@
 #include "workload/trace_io.hpp"
 #include "workload/twitter_trace.hpp"
 #include "workload/uc_trace.hpp"
+#include "workload/workload.hpp"
 #include "workload/zipf.hpp"
 
 namespace dcache::workload {
@@ -338,6 +341,28 @@ TEST(TraceIo, EmptyTraceOk) {
 TEST(KeyName, FixedWidthAndUnique) {
   EXPECT_EQ(keyName(0).size(), keyName(999999999).size());
   EXPECT_NE(keyName(1), keyName(2));
+}
+
+TEST(KeyName, IndexOfInvertsKeyName) {
+  // 999,999,999 is the last nine-digit name and 10^9 the first ten-digit one.
+  std::vector<std::uint64_t> indexes = {0, 999999999, 1000000000, UINT64_MAX};
+  util::Pcg32 rng(23, 1);
+  for (int i = 0; i < 10000; ++i) {
+    // Spread the digit counts: shift a 64-bit draw right by 0..63 bits.
+    indexes.push_back(rng.next64() >> rng.nextBounded(64));
+  }
+  for (const std::uint64_t index : indexes) {
+    EXPECT_EQ(keyIndexOf(keyName(index)), std::optional(index)) << index;
+  }
+}
+
+TEST(KeyName, IndexOfRejectsWhatKeyNameNeverReturns) {
+  for (const std::string_view name :
+       {"", "k", "k1", "k0000000001", "k00000000x", "x000000001",
+        "k18446744073709551616", "k99999999999999999999",
+        "k100000000000000000000"}) {
+    EXPECT_EQ(keyIndexOf(name), std::nullopt) << name;
+  }
 }
 
 }  // namespace
