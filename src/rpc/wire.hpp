@@ -32,6 +32,9 @@ enum class WireType : std::uint8_t {
 
 class WireEncoder {
  public:
+  /// Room for `bytes` more bytes, so writes that fit grow nothing.
+  void reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
   void writeVarint(std::uint64_t value);
   void writeTag(std::uint32_t fieldNumber, WireType type);
 

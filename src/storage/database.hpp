@@ -18,6 +18,13 @@
 // prefix a range key can start with. peekValueVersion and totalStoredBytes
 // answer untouched keys from the range and never materialize. No charge,
 // version, size or block-cache touch depends on when a key is materialized.
+//
+// Prefix scans go through one KeyOrder (key_order.hpp) over every engine's
+// keys, split into families by keyFamily: the KV keys, each table's rows
+// and each index are a family apiece. An index lookup's prefix reaches
+// inside one index, so the first lookup after a bulk load sorts that index
+// alone, and a family that no scan reaches, such as the rows of a table
+// read only by primary key, is never sorted.
 #pragma once
 
 #include <cstdint>
@@ -203,6 +210,12 @@ class Database {
                                       std::string_view column,
                                       std::string_view value);
   static std::string_view kvKey(std::string& out, std::string_view key);
+  /// The KeyOrder family rule of this layout: the length of the prefix of
+  /// `key` that names its family. kvKey's keys are one family ("kv/"), each
+  /// table's rows one ("t/<table>/r/") and each index one
+  /// ("t/<table>/i/<column>/"), where <table> and <column> stop at the next
+  /// '/'; any other key is a family of its own (its whole length).
+  [[nodiscard]] static std::size_t keyFamily(std::string_view key) noexcept;
 
  private:
   static constexpr std::size_t kMaxCachedPlans = 256;  // see planFor

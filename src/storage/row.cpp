@@ -53,6 +53,7 @@ bool valueEquals(const Value& a, const Value& b) noexcept {
 
 std::string encodeRow(const TableSchema& schema, const Row& row) {
   rpc::WireEncoder enc;
+  enc.reserve(encodedRowSize(schema, row));
   const std::size_t n = std::min(schema.columnCount(), row.values.size());
   for (std::size_t c = 0; c < n; ++c) {
     const auto field = static_cast<std::uint32_t>(c + 1);
@@ -71,7 +72,11 @@ std::string encodeRow(const TableSchema& schema, const Row& row) {
         break;
       }
       case ColumnType::kString:
-        enc.writeString(field, valueToString(row.values[c]));
+        if (const auto* s = std::get_if<std::string>(&row.values[c])) {
+          enc.writeString(field, *s);
+        } else {
+          enc.writeString(field, valueToString(row.values[c]));
+        }
         break;
     }
   }
