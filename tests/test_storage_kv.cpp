@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "storage/block_cache.hpp"
+#include "storage/database.hpp"
 #include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/row.hpp"
@@ -83,7 +84,7 @@ std::size_t scanPrefix(KeyOrder& order, const KvEngine& engine,
 
 TEST(KvEngine, ScanPrefixOrderedAndBounded) {
   KvEngine engine;
-  KeyOrder order(1);
+  KeyOrder order(1, Database::keyFamily);
   engine.put("t/users/r/1", StoredValue::of("u1"), 1);
   engine.put("t/users/r/2", StoredValue::of("u2"), 2);
   engine.put("t/users/r/3", StoredValue::of("u3"), 3);
@@ -110,7 +111,7 @@ TEST(KvEngine, ScanPrefixOrderedAndBounded) {
 
 TEST(KvEngine, ScanSkipsTombstones) {
   KvEngine engine;
-  KeyOrder order(1);
+  KeyOrder order(1, Database::keyFamily);
   engine.put("p/a", StoredValue::sized(1), 1);
   engine.put("p/b", StoredValue::sized(1), 2);
   engine.erase("p/a", 3);
