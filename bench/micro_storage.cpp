@@ -1,18 +1,23 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
-// statement execution, raw KV engine operations and the row codec. The
-// parse/plan numbers here are the *host* cost of our mini engine; the
-// simulated TiDB front-end charges the calibrated constants documented in
-// core/calibration.hpp instead.
+// statement execution, the first index lookups after a catalog bulk load,
+// raw KV engine operations and the row codec. The parse/plan numbers here
+// are the *host* cost of our mini engine; the simulated TiDB front-end
+// charges the calibrated constants documented in core/calibration.hpp
+// instead.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
+#include <utility>
 
+#include "richobject/catalog_store.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/sql_parser.hpp"
+#include "workload/uc_trace.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -106,6 +111,61 @@ void BM_ExecUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecUpdate);
+
+/// A database holding uc-object's catalog: 20K tables and their
+/// satellites, about 380K keys on three KV nodes.
+struct CatalogFixture {
+  explicit CatalogFixture(const workload::UcTraceWorkload& trace)
+      : sqlTier("sql", sim::TierKind::kSqlFrontend, 1),
+        kvTier("kv", sim::TierKind::kKvStorage, 3),
+        client("client", sim::TierKind::kClient),
+        channel(network, rpc::SerializationModel{}),
+        db(sqlTier, kvTier, channel),
+        store(db, trace) {
+    store.createSchemas();
+    store.populate();
+  }
+  sim::NetworkModel network;
+  sim::Tier sqlTier;
+  sim::Tier kvTier;
+  sim::Node client;
+  rpc::Channel channel;
+  storage::Database db;
+  richobject::CatalogStore store;
+};
+
+// The four index lookups getTable makes (privileges, constraints, lineage,
+// properties), each the first scan of its index after the bulk load, so
+// each pays for ordering its index. The load runs with timing paused.
+void BM_FirstIndexLookupsAfterCatalogLoad(benchmark::State& state) {
+  workload::UcTraceConfig config;
+  config.numTables = 20000;
+  const workload::UcTraceWorkload trace(config);
+  const auto tableId = static_cast<std::uint64_t>(state.range(0));
+  const Value securable{richobject::CatalogStore::tableSecurable(tableId)};
+  const Value id{static_cast<std::int64_t>(tableId)};
+  const std::pair<const char*, const Value*> lookups[] = {
+      {"SELECT * FROM privileges WHERE securable_id = ?", &securable},
+      {"SELECT * FROM constraints WHERE table_id = ?", &id},
+      {"SELECT * FROM lineage WHERE table_id = ?", &id},
+      {"SELECT * FROM properties WHERE table_id = ?", &id}};
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fixture = std::make_unique<CatalogFixture>(trace);
+    state.ResumeTiming();
+    for (const auto& [sql, param] : lookups) {
+      auto result =
+          fixture->db.exec(fixture->client, sql, std::span(param, 1));
+      benchmark::DoNotOptimize(result.rows.data());
+    }
+    state.PauseTiming();
+    fixture.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_FirstIndexLookupsAfterCatalogLoad)
+    ->Arg(4242)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KvReadValue(benchmark::State& state) {
   DbFixture fixture;

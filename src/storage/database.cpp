@@ -41,7 +41,6 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
       raft_(kvTier, channel.network(), config.raftCosts,
             config.replicationFactor),
       engines_(kvTier.size()),
-      order_(kvTier.size(), keyFamily),
       legs_(kvTier.size()),
       planner_([this](std::string_view table) { return schema(table); }) {
   // dcache-lint: allow(hot-path-alloc, once per database, at construction)
@@ -85,18 +84,6 @@ std::string_view Database::indexPrefix(std::string& out,
 
 std::string_view Database::kvKey(std::string& out, std::string_view key) {
   return joinKey(out, {kKvPrefix, key});
-}
-
-std::size_t Database::keyFamily(std::string_view key) noexcept {
-  if (key.starts_with(kKvPrefix)) return kKvPrefix.size();
-  if (!key.starts_with("t/")) return key.size();
-  const std::size_t tableEnd = key.find('/', 2);  // "t/<table>" ends here
-  if (tableEnd == std::string_view::npos) return key.size();
-  const std::string_view rest = key.substr(tableEnd);
-  if (rest.starts_with("/r/")) return tableEnd + 3;
-  if (!rest.starts_with("/i/")) return key.size();
-  const std::size_t columnEnd = key.find('/', tableEnd + 3);
-  return columnEnd == std::string_view::npos ? key.size() : columnEnd + 1;
 }
 
 // ---- schema / population ----
@@ -200,6 +187,14 @@ void Database::materializeMatching(std::string_view prefix) {
     const std::string_view k = kvKey(key, name);
     if (k.starts_with(prefix)) materialize(nodeFor(k), k);
   }
+}
+
+KeyOrder& Database::orderOf(std::string_view base) {
+  if (const auto it = orders_.find(base); it != orders_.end()) {
+    return it->second;
+  }
+  return orders_.try_emplace(std::string(base), base, engines_.size())
+      .first->second;
 }
 
 void Database::syncMemoryMeters(std::size_t nodeIndex) {
@@ -509,12 +504,6 @@ std::uint64_t Database::blockCacheMisses() const {
   std::uint64_t n = 0;
   for (const auto& bc : blockCaches_) n += bc->stats().misses;
   return n;
-}
-
-std::size_t Database::runGc(std::size_t keepVersions) {
-  std::size_t reclaimed = 0;
-  for (KvEngine& engine : engines_) reclaimed += engine.gc(keepVersions);
-  return reclaimed;
 }
 
 }  // namespace dcache::storage

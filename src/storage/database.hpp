@@ -1,6 +1,6 @@
 // The distributed database facade — our TiDB stand-in. A stateless SQL
 // front-end tier parses/plans statements and talks over RPC to a replicated
-// KV tier (one MVCC engine + block cache per storage node, Raft-replicated
+// KV tier (one KV engine + block cache per storage node, Raft-replicated
 // writes, lease-validated reads). Three client paths matter to the paper:
 //
 //   exec()         — real SQL, used by the rich-object workloads (§5.4)
@@ -19,12 +19,13 @@
 // answer untouched keys from the range and never materialize. No charge,
 // version, size or block-cache touch depends on when a key is materialized.
 //
-// Prefix scans go through one KeyOrder (key_order.hpp) over every engine's
-// keys, split into families by keyFamily: the KV keys, each table's rows
-// and each index are a family apiece. An index lookup's prefix reaches
-// inside one index, so the first lookup after a bulk load sorts that index
-// alone, and a family that no scan reaches, such as the rows of a table
-// read only by primary key, is never sorted.
+// Prefix scans go through a KeyOrder (key_order.hpp) per base prefix that
+// a scan names: the executor's index lookup names its index
+// ("t/<table>/i/<column>/") and its table scan the table's rows
+// ("t/<table>/r/"). An order holds only the keys under its base, so the
+// first lookup after a bulk load orders that index alone, and keys no scan
+// names, such as the rows of a table read only by primary key, are never
+// ordered.
 #pragma once
 
 #include <cstdint>
@@ -164,22 +165,26 @@ class Database {
                                              ExecTrace& trace);
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
   bool engineDelete(std::string_view key, ExecTrace& trace);
-  /// Ordered scan over all shards, shard by shard in node order: each
-  /// shard's lease is validated before its rows, and fn returning false
-  /// stops that shard. `key` views bytes that stay valid for the database's
-  /// life. fn must not write to or scan this database.
+  /// Ordered scan of the keys that start with `prefix`, through the key
+  /// order of its first `base` bytes (created empty on first use), over
+  /// all shards, shard by shard in node order: each shard's lease is
+  /// validated before its rows, and fn returning false stops that shard.
+  /// `key` views bytes that stay valid for the database's life. fn must
+  /// not write to or scan this database.
   template <typename Fn>
-  void engineScanPrefix(std::string_view prefix, ExecTrace& trace, Fn&& fn) {
+  void engineScanPrefix(std::string_view prefix, std::size_t base,
+                        ExecTrace& trace, Fn&& fn) {
     if (!range_.empty()) materializeMatching(prefix);
-    order_.scanPrefix(
-        engines_, prefix, KvEngine::kLatest,
-        [&](std::size_t idx) {
-          if (config_.consistentReads) raft_.validateLease(idx);
-        },
-        [&](std::size_t idx, std::string_view key, const StoredValue& v) {
-          chargeScannedRow(idx, v.size, trace);
-          return fn(key, v);
-        });
+    orderOf(prefix.substr(0, base))
+        .scanPrefix(
+            engines_, prefix,
+            [&](std::size_t idx) {
+              if (config_.consistentReads) raft_.validateLease(idx);
+            },
+            [&](std::size_t idx, std::string_view key, const StoredValue& v) {
+              chargeScannedRow(idx, v.size, trace);
+              return fn(key, v);
+            });
   }
 
   /// Fault injection: a KV node crashed and restarted — its block cache is
@@ -193,7 +198,6 @@ class Database {
   [[nodiscard]] std::uint64_t blockCacheMisses() const;
   [[nodiscard]] const RaftReplicator& raft() const noexcept { return raft_; }
   [[nodiscard]] sim::Tier& kvTier() noexcept { return *kvTier_; }
-  std::size_t runGc(std::size_t keepVersions = 2);
 
   // ---- key layout ----
   // Each builder writes its key into `out`, replacing what was there, and
@@ -210,12 +214,6 @@ class Database {
                                       std::string_view column,
                                       std::string_view value);
   static std::string_view kvKey(std::string& out, std::string_view key);
-  /// The KeyOrder family rule of this layout: the length of the prefix of
-  /// `key` that names its family. kvKey's keys are one family ("kv/"), each
-  /// table's rows one ("t/<table>/r/") and each index one
-  /// ("t/<table>/i/<column>/"), where <table> and <column> stop at the next
-  /// '/'; any other key is a family of its own (its whole length).
-  [[nodiscard]] static std::size_t keyFamily(std::string_view key) noexcept;
 
  private:
   static constexpr std::size_t kMaxCachedPlans = 256;  // see planFor
@@ -233,6 +231,8 @@ class Database {
   bool materializeKey(std::size_t idx, std::string_view key);
   /// Materialize every untouched range key that starts with `prefix`.
   void materializeMatching(std::string_view prefix);
+  /// The key order of the keys under `base`, created empty on first use.
+  KeyOrder& orderOf(std::string_view base);
   /// KV-side execution charge for one row a prefix scan visits on `idx`.
   void chargeScannedRow(std::size_t idx, std::uint64_t size, ExecTrace& trace);
   /// The cached plan for `sql`, parsed and planned on first use; a full
@@ -264,7 +264,8 @@ class Database {
   Config config_;
   RaftReplicator raft_;
   std::vector<KvEngine> engines_;
-  KeyOrder order_;  // the keys of every engine, for prefix scans
+  /// One key order per base prefix a scan names, over every engine.
+  std::map<std::string, KeyOrder, std::less<>> orders_;
   KvRange range_;   // the bulk-loaded keys not yet in their engines
   /// Key buffer for the statement in flight (see the key layout builders).
   std::string keyBuf_;

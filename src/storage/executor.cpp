@@ -111,9 +111,12 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       // keys view the engines' key bytes, which never move.
       std::vector<std::string_view>& matched = *matchBuf_;
       matched.clear();
-      const std::string_view prefix = Database::indexPrefix(
-          *keyBuf_, schema.name(), column.name, valueToString(*keyValue));
-      db_->engineScanPrefix(prefix, trace,
+      const std::string value = valueToString(*keyValue);
+      const std::string_view prefix =
+          Database::indexPrefix(*keyBuf_, schema.name(), column.name, value);
+      // Through the index's own order: every key of t/<table>/i/<column>/.
+      const std::size_t base = prefix.size() - value.size() - 1;
+      db_->engineScanPrefix(prefix, base, trace,
                             [&](std::string_view key, const StoredValue&) {
                               matched.push_back(key.substr(prefix.size()));
                               return true;
@@ -134,7 +137,8 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
           Database::rowPrefix(*keyBuf_, schema.name());
       bool corrupt = false;
       db_->engineScanPrefix(
-          prefix, trace, [&](std::string_view key, const StoredValue& stored) {
+          prefix, prefix.size(), trace,
+          [&](std::string_view key, const StoredValue& stored) {
             if (atLimit()) return false;
             auto row = decodeRow(schema, stored.payload);
             if (!row) {

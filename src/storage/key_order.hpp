@@ -1,30 +1,24 @@
-// One key order for a whole KV tier. A Database shards its keys over one
-// KvEngine per storage node; this orders the keys of every engine, so a
-// prefix scan binary-searches once, not once per engine.
-//
-// The keys fall into key families, each ordered on its own. A family rule
-// (KeyFamilyFn) names each key's family: a prefix of the key, such that
-// ordering by (family, key) is ordering by key, and such that a family
-// shorter than one of its keys holds every key that starts with it. So
-// families never interleave in key order, and a prefix scan reaches either
-// inside one family or over whole families (Database::keyFamily is the
-// rule for its key layout).
+// The ordered keys under one base prefix, across the engines of a KV tier.
+// A Database shards its keys over one KvEngine per storage node; an order
+// holds the keys of every engine that start with its base, so a prefix
+// scan under the base binary-searches once, not once per engine. The
+// Database keeps one order per base that a scan names (one index, or one
+// table's rows), so a scan never pays for keys outside its base.
 //
 // A record is 16 bytes: a pointer to the key's bytes, its size, its shard
 // and its id in that shard's engine. The bytes are the engine's own and
 // never move: keys are immutable, entries are never released and arena
 // chunks never freed.
-// New keys are not ordered when they are put. Each shard's keys past the
-// count already routed wait in its engine until the next scan, which routes
-// each of them to its family's record array, reserved to the exact count.
-// A family is sorted only when a scan first reaches it: its keys routed
-// since are sorted and merged into the sorted ones, comparing only the
-// bytes past the family prefix. Callers that never scan (the KV path) never
-// pay for ordering, and a family no scan reaches is never sorted.
+// New keys are not ordered when they are put. At each scan, the order takes
+// the keys each engine added since its last scan that start with its base,
+// sorts them and merges them into the sorted ones, comparing only the bytes
+// past the base. Callers that never scan (the KV path) never pay for
+// ordering.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -32,48 +26,38 @@
 
 namespace dcache::storage {
 
-/// The length of the family prefix of `key` (see the header comment).
-using KeyFamilyFn = std::size_t (*)(std::string_view key);
-
 class KeyOrder {
  public:
   static constexpr std::size_t kMaxShards = std::size_t{UINT16_MAX} + 1;
 
-  /// An empty order over `shards` engines, its keys in families by
-  /// `family`; throws std::invalid_argument past kMaxShards.
-  KeyOrder(std::size_t shards, KeyFamilyFn family);
+  /// An empty order of the keys under `base` over `shards` engines; throws
+  /// std::invalid_argument past kMaxShards.
+  KeyOrder(std::string_view base, std::size_t shards);
 
-  /// Visit the keys of `engines` that start with `prefix` and have a version
-  /// visible at `snapshotTs`: shard by shard in index order, ascending
-  /// within a shard. `enterShard(idx)` runs before shard idx, whether it
-  /// has matches or not; `fn(idx, key, value)` returning false skips the
-  /// rest of shard idx. `key` views the engine's key bytes, which stay valid
-  /// as long as the engine does. Neither callback may write to `engines`
-  /// or scan through this order.
+  /// Visit the keys of `engines` that start with `prefix` and hold a value:
+  /// shard by shard in index order, ascending within a shard. `prefix` must
+  /// start with the base and `engines` be the same engines at every scan;
+  /// otherwise throws std::invalid_argument. `enterShard(idx)` runs before
+  /// shard idx, whether it has matches or not; `fn(idx, key, value)`
+  /// returning false skips the rest of shard idx. `key` views the engine's
+  /// key bytes, which stay valid as long as the engine does. Neither
+  /// callback may write to `engines` or scan through this order.
   template <typename EnterShard, typename Fn>
   void scanPrefix(std::span<const KvEngine> engines, std::string_view prefix,
-                  std::uint64_t snapshotTs, EnterShard&& enterShard,
-                  Fn&& fn) {
-    collectMatches(engines, prefix);
+                  EnterShard&& enterShard, Fn&& fn) {
+    const std::span<const Record> matches = matching(engines, prefix);
     for (std::size_t idx = 0; idx < engines.size(); ++idx) {
       enterShard(idx);
-      const auto visitShard = [&] {
-        for (const std::span<const Record> matches : matches_) {
-          for (const Record& r : matches) {
-            if (r.shard != idx) continue;
-            const StoredValue* value = engines[idx].valueAt(r.id, snapshotTs);
-            if (value != nullptr && !fn(idx, r.key(), *value)) return;
-          }
-        }
-      };
-      visitShard();
+      for (const Record& r : matches) {
+        if (r.shard != idx) continue;
+        const StoredValue* value = engines[idx].valueAt(r.id);
+        if (value != nullptr && !fn(idx, r.key(), *value)) break;
+      }
     }
   }
 
-  /// Keys routed to their families so far.
-  [[nodiscard]] std::size_t size() const noexcept;
-  /// Keys whose family has been sorted since they were routed.
-  [[nodiscard]] std::size_t orderedKeys() const noexcept;
+  /// Keys under the base taken into the order so far.
+  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
  private:
   struct Record {
@@ -84,7 +68,7 @@ class KeyOrder {
     [[nodiscard]] std::string_view key() const noexcept {
       return {data, size};
     }
-    /// The key's bytes past its first `skip`, which its family prefix holds.
+    /// The key's bytes past its first `skip`, which the base holds.
     [[nodiscard]] std::string_view keyPast(std::size_t skip) const noexcept {
       return {data + skip, size - skip};
     }
@@ -93,34 +77,17 @@ class KeyOrder {
   static_assert(KvEngine::kMaxKeyBytes <= UINT16_MAX,
                 "a record's size field cannot hold the longest key");
 
-  struct Family {
-    std::string_view prefix;      // views the bytes of its first key
-    std::vector<Record> records;  // [0, sorted) in key order, then routed
-    std::size_t sorted = 0;
-    std::size_t incoming = 0;     // keys routed to it by the routing pass
-  };
+  /// The records whose key starts with `prefix`, in key order, after
+  /// merging in the keys under the base that `engines` added since the
+  /// last call.
+  std::span<const Record> matching(std::span<const KvEngine> engines,
+                                   std::string_view prefix);
+  void mergeNewKeys(std::span<const KvEngine> engines);
 
-  /// Fill matches_ with the records whose key starts with `prefix`, one
-  /// span per family in family order, after routing every key added since
-  /// the last call and sorting each family the prefix reaches.
-  void collectMatches(std::span<const KvEngine> engines,
-                      std::string_view prefix);
-  void routeNewKeys(std::span<const KvEngine> engines);
-  /// The family named `prefix`, added if new.
-  std::uint32_t familyOf(std::string_view prefix);
-  /// The first of byPrefix_ whose family prefix is not below `prefix`.
-  [[nodiscard]] std::vector<std::uint32_t>::iterator lowerFamily(
-      std::string_view prefix);
-  /// `family`'s records in key order, sorted first if keys were routed to
-  /// it since.
-  std::span<const Record> ordered(Family& family);
-
-  KeyFamilyFn family_;
-  std::vector<Family> families_;         // in the order they appeared
-  std::vector<std::uint32_t> byPrefix_;  // families_ indices, prefix order
-  std::vector<std::uint32_t> routedIds_;  // per shard: ids 0 .. n-1 routed
-  /// Reused per scan: the matching records of each family reached.
-  std::vector<std::span<const Record>> matches_;
+  std::string base_;
+  std::vector<Record> records_;  // the keys under base_, in key order
+  /// Per shard: ids 0 .. n-1 were taken in if they start with base_.
+  std::vector<std::uint32_t> seenIds_;
 };
 
 }  // namespace dcache::storage

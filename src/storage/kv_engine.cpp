@@ -1,6 +1,5 @@
 #include "storage/kv_engine.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/hash.hpp"
@@ -9,21 +8,6 @@ namespace dcache::storage {
 
 std::uint32_t KvEngine::indexHash(std::string_view key) noexcept {
   return static_cast<std::uint32_t>(util::fastHash64(key));
-}
-
-const StoredValue* KvEngine::visibleAt(const Entry& entry,
-                                       std::uint64_t snapshotTs) const noexcept {
-  const StoredValue* v = &entry.newest;
-  if (v->version > snapshotTs) {
-    if (entry.history == kNoHistory) return nullptr;
-    const std::vector<StoredValue>& older = history_[entry.history];
-    const auto it = std::find_if(
-        older.rbegin(), older.rend(),
-        [&](const StoredValue& s) { return s.version <= snapshotTs; });
-    if (it == older.rend()) return nullptr;
-    v = &*it;
-  }
-  return v->tombstone ? nullptr : v;
 }
 
 std::uint32_t KvEngine::find(std::uint32_t hash,
@@ -85,42 +69,22 @@ bool KvEngine::put(std::string_view key, StoredValue value,
     place(h, id);
     storeKey(entries_[id], key);
   } else {
-    Entry& entry = entries_[id];
-    if (entry.newest.version >= commitTs) {
+    const StoredValue& held = entries_[id].value;
+    if (held.version >= commitTs) {
       return false;  // stale write: a newer version is already committed
     }
-    if (!entry.newest.tombstone) liveBytes_ -= entry.newest.size;
-    if (entry.history == kNoHistory) {
-      entry.history = static_cast<std::uint32_t>(history_.size());
-      // dcache-lint: allow(hot-path-alloc, one history vector per key at its first overwrite; the table doubles, so growth is amortized)
-      history_.emplace_back();
-    }
-    // dcache-lint: allow(hot-path-alloc, MVCC keeps one version per write; gc() bounds the history and its capacity is reused)
-    history_[entry.history].push_back(std::move(entry.newest));
+    if (!held.tombstone) liveBytes_ -= held.size;
   }
   value.version = commitTs;
   if (!value.tombstone) liveBytes_ += value.size;
-  entries_[id].newest = std::move(value);
+  entries_[id].value = std::move(value);
   ++writes_;
   return true;
 }
 
-const StoredValue* KvEngine::get(std::string_view key,
-                                 std::uint64_t snapshotTs) const {
+const StoredValue* KvEngine::get(std::string_view key) const {
   const std::uint32_t id = find(indexHash(key), key);
-  return id == kNoEntry ? nullptr : visibleAt(entries_[id], snapshotTs);
-}
-
-std::size_t KvEngine::gc(std::size_t keep) {
-  if (keep == 0) keep = 1;
-  const auto keptOlder = static_cast<std::ptrdiff_t>(keep - 1);
-  std::size_t reclaimed = 0;
-  for (std::vector<StoredValue>& older : history_) {
-    if (older.size() < keep) continue;  // the newest is one of `keep`
-    reclaimed += older.size() - static_cast<std::size_t>(keptOlder);
-    older.erase(older.begin(), older.end() - keptOlder);
-  }
-  return reclaimed;
+  return id == kNoEntry ? nullptr : visible(entries_[id]);
 }
 
 }  // namespace dcache::storage

@@ -173,12 +173,6 @@ TEST_F(DatabaseTest, StoredBytesTrackLiveData) {
   EXPECT_EQ(db_.totalStoredBytes().count(), 600u);
 }
 
-TEST_F(DatabaseTest, GcReclaimsVersions) {
-  for (int i = 0; i < 5; ++i) db_.writeValue(client_, "k", 10);
-  EXPECT_GT(db_.runGc(1), 0u);
-  EXPECT_TRUE(db_.readValue(client_, "k").found);
-}
-
 TEST_F(DatabaseTest, InconsistentReadsSkipLeaseValidation) {
   Database::Config config;
   config.consistentReads = false;

@@ -1,26 +1,27 @@
 // Differential fuzz between the flat KvEngine and the ordered-map oracle in
 // tests/reference/: both run an identical seeded stream of puts (stale ones
-// included), erases, snapshot gets, prefix scans with early stop and GC
-// passes, and must agree on every result, the scan visit order, liveBytes,
-// keyCount and writeCount after every step. The engine scans through a
-// one-shard KeyOrder; the last streams run three engines behind one
-// KeyOrder against three oracles. Every KeyOrder splits its keys into
-// families by Database::keyFamily, so a key outside the database's layout
-// is a family of its own. Property tests check that rule: a key's
-// family is a prefix of it, family order is key order, and a family shorter
-// than one of its keys holds every key under it. Keys are shaped like the
-// database's index keys (`t/<table>/i/<col>/<value>/<pk>`), so they share
-// long prefixes, and new keys keep arriving between scans, so the engine's
-// pending tail is merged mid-stream again and again. Further streams aim at
-// the engine's layout edges: keys on both sides of the 16-byte inline limit,
-// a few keys overwritten thousands of times under GC (the history table),
-// and two keys whose stored 32-bit index hashes are equal.
+// included), erases, gets, and prefix scans with early stop, and must agree
+// on every result, the scan visit order, liveBytes, keyCount and
+// writeCount after every step. The flat engine keeps one version per key,
+// so the streams compare the oracle's newest reads only. Each scan goes
+// through the KeyOrder of a random cut of its prefix, and the orders are
+// held in a map by base, as Database holds them, so one stream drives many
+// orders over the same engines; at the end of a stream every order must
+// hold exactly the keys under its base. The first streams scan one engine;
+// the last run three engines behind shared orders against three oracles.
+// Keys are shaped like the database's index keys
+// (`t/<table>/i/<col>/<value>/<pk>`), so they share long prefixes, and new
+// keys keep arriving between scans, so every order merges new keys
+// mid-stream again and again. Further streams aim at the engine's layout
+// edges: keys on both sides of the 16-byte inline limit, a few keys
+// overwritten thousands of times in place, and two keys whose stored
+// 32-bit index hashes are equal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -96,7 +97,7 @@ struct BoundaryKeyGen {
 };
 
 /// A handful of hot keys, inline and arena-sized, overwritten again and
-/// again: the stream that grows the side history table.
+/// again in place.
 struct HotKeyGen {
   util::Pcg32& rng;
 
@@ -113,11 +114,11 @@ using Visit = std::tuple<std::string, std::uint64_t, std::uint64_t, std::string>
 
 std::pair<std::size_t, std::vector<Visit>> scan(const MapKvEngine& engine,
                                                 std::string_view prefix,
-                                                std::uint64_t snapshot,
                                                 std::size_t stopAfter) {
   std::vector<Visit> seen;
   const std::size_t visited = engine.scanPrefix(
-      prefix, snapshot, [&](std::string_view key, const StoredValue& v) {
+      prefix, MapKvEngine::kLatest,
+      [&](std::string_view key, const StoredValue& v) {
         seen.emplace_back(std::string(key), v.version, v.size, v.payload);
         return seen.size() < stopAfter;
       });
@@ -128,17 +129,52 @@ std::pair<std::size_t, std::vector<Visit>> scan(const MapKvEngine& engine,
 std::pair<std::size_t, std::vector<Visit>> scan(KeyOrder& order,
                                                 const KvEngine& engine,
                                                 std::string_view prefix,
-                                                std::uint64_t snapshot,
                                                 std::size_t stopAfter) {
   std::vector<Visit> seen;
   order.scanPrefix(
-      std::span(&engine, 1), prefix, snapshot, [](std::size_t) {},
+      std::span(&engine, 1), prefix, [](std::size_t) {},
       [&](std::size_t, std::string_view key, const StoredValue& v) {
         seen.emplace_back(std::string(key), v.version, v.size, v.payload);
         return seen.size() < stopAfter;
       });
   return {seen.size(), seen};
 }
+
+/// The key orders of one stream by base, as Database holds them.
+struct Orders {
+  std::size_t shards;
+  std::map<std::string, KeyOrder, std::less<>> byBase{};
+
+  /// The order of a random cut of `prefix`, created empty on first use.
+  KeyOrder& ofCut(util::Pcg32& rng, std::string_view prefix) {
+    const std::string_view base =
+        prefix.substr(0, rng.next() % (prefix.size() + 1));
+    if (const auto it = byBase.find(base); it != byBase.end()) {
+      return it->second;
+    }
+    return byBase.try_emplace(std::string(base), base, shards).first->second;
+  }
+
+  /// The order contract: after a scan, every order holds exactly the keys
+  /// of `engines` under its base.
+  void expectEachHoldsItsBase(std::span<const KvEngine> engines) {
+    ASSERT_GT(byBase.size(), 1u);
+    for (auto& [base, order] : byBase) {
+      order.scanPrefix(
+          engines, base, [](std::size_t) {},
+          [](std::size_t, std::string_view, const StoredValue&) {
+            return true;
+          });
+      std::size_t under = 0;
+      for (const KvEngine& engine : engines) {
+        for (std::uint32_t id = 0; id < engine.keyCount(); ++id) {
+          if (engine.keyAt(id).starts_with(base)) ++under;
+        }
+      }
+      EXPECT_EQ(order.size(), under) << "base '" << base << "'";
+    }
+  }
+};
 
 void expectSameValue(const StoredValue* oracle, const StoredValue* flat,
                      std::size_t step) {
@@ -151,15 +187,13 @@ void expectSameValue(const StoredValue* oracle, const StoredValue* flat,
 }
 
 /// One lockstep stream of `ops` steps. Of every 32 op draws, `putSlots`
-/// are puts, the next 2 erases and the next 8 gets; scans take the rest up
-/// to 31, and draw 31 runs a gc pass one time in `gcOneIn`.
+/// are puts, the next 2 erases and the next 8 gets; scans take the rest.
 template <typename Gen>
 void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
-                 std::size_t reserve, std::uint32_t putSlots = 10,
-                 std::uint32_t gcOneIn = 8) {
+                 std::size_t reserve, std::uint32_t putSlots = 10) {
   MapKvEngine oracle;
   KvEngine flat;
-  KeyOrder order(1, Database::keyFamily);
+  Orders orders{1};
   if (reserve > 0) flat.reserveKeys(reserve);
   std::uint64_t ts = 0;
 
@@ -186,29 +220,23 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
           << "step " << step;
     } else if (op < putSlots + 10) {
       const std::string key = gen.key();
-      const std::uint64_t snapshot =
-          rng.next() % 3 == 0 ? KvEngine::kLatest : rng.next() % (ts + 2);
-      expectSameValue(oracle.get(key, snapshot), flat.get(key, snapshot), step);
+      expectSameValue(oracle.get(key), flat.get(key), step);
       ASSERT_EQ(oracle.latestVersion(key), flat.latestVersion(key))
           << "step " << step;
-    } else if (op < 31) {
+    } else {
       const std::string prefix = gen.prefix();
-      const std::uint64_t snapshot =
-          rng.next() % 2 == 0 ? KvEngine::kLatest : rng.next() % (ts + 2);
       const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 5
                                                         : SIZE_MAX;
-      ASSERT_EQ(scan(oracle, prefix, snapshot, stopAfter),
-                scan(order, flat, prefix, snapshot, stopAfter))
+      ASSERT_EQ(scan(oracle, prefix, stopAfter),
+                scan(orders.ofCut(rng, prefix), flat, prefix, stopAfter))
           << "step " << step << " prefix " << prefix;
-    } else if (rng.next() % gcOneIn == 0) {
-      const std::size_t keep = rng.next() % 4;
-      ASSERT_EQ(oracle.gc(keep), flat.gc(keep)) << "step " << step;
     }
     ASSERT_EQ(oracle.keyCount(), flat.keyCount()) << "step " << step;
     ASSERT_EQ(oracle.liveBytes().count(), flat.liveBytes().count())
         << "step " << step;
     ASSERT_EQ(oracle.writeCount(), flat.writeCount()) << "step " << step;
   }
+  orders.expectEachHoldsItsBase(std::span(&flat, 1));
 }
 
 void runDifferential(std::uint64_t seed, std::size_t ops,
@@ -240,12 +268,12 @@ TEST(KvDifferential, KeysAroundTheInlineLimit) {
 }
 
 TEST(KvDifferential, OverwriteHeavyHistoryUnderGc) {
-  // Twenty of every 32 ops are puts to six keys. GC after one draw in 32
-  // keeps histories short; after one in 256, they grow long.
-  for (const std::uint32_t gcOneIn : {1u, 8u}) {
-    util::Pcg32 rng(40 + gcOneIn, 11);
+  // Twenty of every 32 ops are puts to six keys, each of which keeps one
+  // version, overwritten in place.
+  for (const std::uint64_t seed : {41, 48}) {
+    util::Pcg32 rng(seed, 11);
     HotKeyGen gen{rng};
-    runLockstep(rng, gen, 20000, 0, 20, gcOneIn);
+    runLockstep(rng, gen, 20000, 0, 20);
   }
 }
 
@@ -283,19 +311,18 @@ TEST(KvDifferential, KeysWithEqualIndexHashesStayApart) {
   ASSERT_EQ(KvEngine::indexHash(a), KvEngine::indexHash(b));
 
   KvEngine flat;
-  const auto sizeAt = [&](const std::string& key, std::uint64_t ts) {
-    const StoredValue* v = flat.get(key, ts);
+  const auto sizeOf = [&](const std::string& key) {
+    const StoredValue* v = flat.get(key);
     return v ? std::optional(v->size) : std::nullopt;
   };
   ASSERT_TRUE(flat.put(a, StoredValue::sized(1), 1));
   ASSERT_TRUE(flat.put(b, StoredValue::sized(2), 2));
   ASSERT_TRUE(flat.put(a, StoredValue::sized(3), 3));  // overwrite a only
-  EXPECT_EQ(sizeAt(a, KvEngine::kLatest), 3u);
-  EXPECT_EQ(sizeAt(b, KvEngine::kLatest), 2u);
+  EXPECT_EQ(sizeOf(a), 3u);
+  EXPECT_EQ(sizeOf(b), 2u);
   ASSERT_TRUE(flat.erase(a, 4));  // erase a only
-  EXPECT_EQ(sizeAt(a, KvEngine::kLatest), std::nullopt);
-  EXPECT_EQ(sizeAt(a, 3), 3u);  // a's history survives its erase
-  EXPECT_EQ(sizeAt(b, KvEngine::kLatest), 2u);
+  EXPECT_EQ(sizeOf(a), std::nullopt);
+  EXPECT_EQ(sizeOf(b), 2u);
   EXPECT_EQ(flat.keyCount(), 2u);
 
   util::Pcg32 rng(51, 11);
@@ -307,7 +334,7 @@ TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
   // Every scan follows a fresh insert, so each one merges a one-key tail.
   MapKvEngine oracle;
   KvEngine flat;
-  KeyOrder order(1, Database::keyFamily);
+  KeyOrder order("t/tables/i/owner/", 1);
   util::Pcg32 rng(5, 3);
   for (std::uint64_t ts = 1; ts <= 3000; ++ts) {
     const std::string key = "t/tables/i/owner/" +
@@ -316,8 +343,8 @@ TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
     oracle.put(key, StoredValue::sized(ts), ts);
     flat.put(key, StoredValue::sized(ts), ts);
     const std::string prefix = key.substr(0, key.rfind('/') + 1);
-    ASSERT_EQ(scan(oracle, prefix, KvEngine::kLatest, SIZE_MAX),
-              scan(order, flat, prefix, KvEngine::kLatest, SIZE_MAX))
+    ASSERT_EQ(scan(oracle, prefix, SIZE_MAX),
+              scan(order, flat, prefix, SIZE_MAX))
         << "ts " << ts;
   }
 }
@@ -402,71 +429,27 @@ struct LayoutKeyGen {
     }
   }
 
-  /// A key, a cut of one, its family name or the part up to its last '/'.
+  /// A key, a cut of one, its part through its first one to five '/' (a
+  /// table's or an index's base at three and four) or the part up to its
+  /// last '/'.
   std::string prefix() {
     const std::string k = key();
     switch (rng.next() % 4) {
       case 0: return k;
       case 1: return k.substr(0, rng.next() % (k.size() + 1));
-      case 2: return k.substr(0, Database::keyFamily(k));
+      case 2: {
+        std::size_t end = 0;
+        for (std::uint32_t n = 1 + rng.next() % 5; n > 0; --n) {
+          end = k.find('/', end);
+          if (end == std::string::npos) return k;
+          ++end;
+        }
+        return k.substr(0, end);
+      }
       default: return k.substr(0, k.rfind('/') + 1);  // "" without a '/'
     }
   }
 };
-
-/// A sample of LayoutKeyGen keys, repeats included.
-std::vector<std::string> layoutKeys(std::uint64_t seed, std::size_t n) {
-  util::Pcg32 rng(seed, 11);
-  LayoutKeyGen gen{rng};
-  std::vector<std::string> keys;
-  keys.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) keys.push_back(gen.key());
-  return keys;
-}
-
-std::string_view familyOf(std::string_view key) {
-  return key.substr(0, Database::keyFamily(key));
-}
-
-TEST(KeyFamilyRule, FamilyIsAPrefixOfItsKey) {
-  for (const std::string& key : layoutKeys(71, 20000)) {
-    ASSERT_LE(Database::keyFamily(key), key.size()) << key;
-  }
-}
-
-TEST(KeyFamilyRule, FamilyOrderIsKeyOrder) {
-  for (std::uint64_t seed = 72; seed <= 74; ++seed) {
-    std::vector<std::string> byKey = layoutKeys(seed, 20000);
-    std::vector<std::string> byFamily = byKey;
-    std::sort(byKey.begin(), byKey.end());
-    std::sort(byFamily.begin(), byFamily.end(),
-              [](const std::string& a, const std::string& b) {
-                return std::pair(familyOf(a), std::string_view(a)) <
-                       std::pair(familyOf(b), std::string_view(b));
-              });
-    ASSERT_EQ(byKey, byFamily) << "seed " << seed;
-  }
-}
-
-TEST(KeyFamilyRule, ShortFamilyHoldsEveryKeyUnderIt) {
-  // KeyOrder scans a prefix whose family is shorter than it in that family
-  // alone, which holds only if such a family holds every key under it.
-  const std::vector<std::string> keys = layoutKeys(75, 20000);
-  std::set<std::string, std::less<>> shortFamilies;
-  for (const std::string& key : keys) {
-    if (Database::keyFamily(key) < key.size()) {
-      shortFamilies.emplace(familyOf(key));
-    }
-  }
-  ASSERT_GE(shortFamilies.size(), 10u);
-  for (const std::string& key : keys) {
-    for (std::size_t n = 0; n <= key.size(); ++n) {
-      if (shortFamilies.contains(std::string_view(key).substr(0, n))) {
-        ASSERT_EQ(Database::keyFamily(key), n) << key;
-      }
-    }
-  }
-}
 
 /// One step of a multi-shard scan: entering a shard (no row), or a row.
 using ShardEvent = std::pair<std::size_t, std::optional<Visit>>;
@@ -474,12 +457,11 @@ using ShardEvent = std::pair<std::size_t, std::optional<Visit>>;
 /// The oracle scans concatenated in shard order, each shard entered before
 /// its rows, with the early stop counted per shard.
 std::vector<ShardEvent> scan(const std::vector<MapKvEngine>& oracles,
-                             std::string_view prefix, std::uint64_t snapshot,
-                             std::size_t stopAfter) {
+                             std::string_view prefix, std::size_t stopAfter) {
   std::vector<ShardEvent> events;
   for (std::size_t s = 0; s < oracles.size(); ++s) {
     events.emplace_back(s, std::nullopt);
-    for (Visit& v : scan(oracles[s], prefix, snapshot, stopAfter).second) {
+    for (Visit& v : scan(oracles[s], prefix, stopAfter).second) {
       events.emplace_back(s, std::move(v));
     }
   }
@@ -489,12 +471,11 @@ std::vector<ShardEvent> scan(const std::vector<MapKvEngine>& oracles,
 /// The same scan of `engines` through `order`.
 std::vector<ShardEvent> scan(KeyOrder& order,
                              const std::vector<KvEngine>& engines,
-                             std::string_view prefix, std::uint64_t snapshot,
-                             std::size_t stopAfter) {
+                             std::string_view prefix, std::size_t stopAfter) {
   std::vector<ShardEvent> events;
   std::size_t inShard = 0;
   order.scanPrefix(
-      engines, prefix, snapshot,
+      engines, prefix,
       [&](std::size_t idx) {
         events.emplace_back(idx, std::nullopt);
         inShard = 0;
@@ -508,17 +489,19 @@ std::vector<ShardEvent> scan(KeyOrder& order,
   return events;
 }
 
-/// Three engines behind `order`, each diffed against its own map oracle
-/// over one seeded stream of writes and scans: every scan must equal the
-/// oracle scans concatenated in shard order. Keys land on random shards,
-/// so one key can live on two.
+/// Three engines behind shared orders, each diffed against its own map
+/// oracle over one seeded stream of writes and scans: every scan, through
+/// the order of a random cut of its prefix, must equal the oracle scans
+/// concatenated in shard order. Keys land on random shards, so one key can
+/// live on two.
 template <typename Gen>
-void runSharedOrder(std::uint64_t seed, KeyOrder& order) {
+void runSharedOrder(std::uint64_t seed) {
   constexpr std::size_t kShards = 3;
   util::Pcg32 rng(seed, 11);
   Gen gen{rng};
   std::vector<MapKvEngine> oracles(kShards);
   std::vector<KvEngine> engines(kShards);
+  Orders orders{kShards};
   std::uint64_t ts = 0;
 
   for (std::size_t step = 0; step < 8000; ++step) {
@@ -540,45 +523,37 @@ void runSharedOrder(std::uint64_t seed, KeyOrder& order) {
       continue;
     }
     const std::string prefix = gen.prefix();
-    const std::uint64_t snapshot =
-        rng.next() % 2 == 0 ? KvEngine::kLatest : rng.next() % (ts + 2);
     const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
                                                       : SIZE_MAX;
-    ASSERT_EQ(scan(oracles, prefix, snapshot, stopAfter),
-              scan(order, engines, prefix, snapshot, stopAfter))
+    ASSERT_EQ(scan(oracles, prefix, stopAfter),
+              scan(orders.ofCut(rng, prefix), engines, prefix, stopAfter))
         << "seed " << seed << " step " << step << " prefix " << prefix;
   }
-  // A last scan routes every key exactly once and sorts every family.
-  scan(order, engines, "", KvEngine::kLatest, SIZE_MAX);
-  std::size_t keys = 0;
-  for (const KvEngine& engine : engines) keys += engine.keyCount();
-  EXPECT_EQ(order.size(), keys);
-  EXPECT_EQ(order.orderedKeys(), keys);
+  orders.expectEachHoldsItsBase(engines);
 }
 
 TEST(KvDifferential, SharedOrderMatchesPerShardOracles) {
-  // Row, index and odd keys fall into families by the Database rule; the
-  // order must merge new keys into them mid-stream again and again.
+  // Row, index and odd keys; the orders must merge new keys mid-stream
+  // again and again.
   for (std::uint64_t seed = 61; seed <= 63; ++seed) {
-    KeyOrder order(3, Database::keyFamily);
-    runSharedOrder<SharedOrderKeyGen>(seed, order);
+    runSharedOrder<SharedOrderKeyGen>(seed);
   }
 }
 
 TEST(KvDifferential, FamilyOrderMatchesPerShardOraclesOnLayoutKeys) {
-  // Row, index and KV keys over names holding '/', cut keys and odd keys:
-  // prefixes reach inside one family, name one, or span many.
+  // Row, index and KV keys over names holding '/', cut keys and odd keys,
+  // scanned through the orders of their index and table bases and of
+  // arbitrary cuts.
   for (std::uint64_t seed = 64; seed <= 66; ++seed) {
-    KeyOrder order(3, Database::keyFamily);
-    runSharedOrder<LayoutKeyGen>(seed, order);
+    runSharedOrder<LayoutKeyGen>(seed);
   }
 }
 
-TEST(KvDifferential, ScanSortsOnlyTheFamiliesItReaches) {
+TEST(KvDifferential, IndexOrderHoldsOnlyItsIndex) {
   constexpr std::size_t kShards = 2;
   std::vector<MapKvEngine> oracles(kShards);
   std::vector<KvEngine> engines(kShards);
-  KeyOrder order(kShards, Database::keyFamily);
+  KeyOrder order("t/tables/i/owner/", kShards);
   std::uint64_t ts = 0;
   std::string buf;
   const auto put = [&](std::string_view key) {
@@ -588,11 +563,12 @@ TEST(KvDifferential, ScanSortsOnlyTheFamiliesItReaches) {
     ASSERT_TRUE(engines[shard].put(key, StoredValue::sized(ts), ts));
   };
   const auto expectScan = [&](std::string_view prefix) {
-    ASSERT_EQ(scan(oracles, prefix, KvEngine::kLatest, SIZE_MAX),
-              scan(order, engines, prefix, KvEngine::kLatest, SIZE_MAX))
+    ASSERT_EQ(scan(oracles, prefix, SIZE_MAX),
+              scan(order, engines, prefix, SIZE_MAX))
         << "prefix " << prefix;
   };
-  // Three families of 100 keys, each put in descending key order.
+  // A table's rows, its owner index and KV keys, 100 each, put in
+  // descending key order.
   for (int pk = 99; pk >= 0; --pk) {
     const std::string id = std::to_string(pk);
     put(Database::rowKey(buf, "tables", id));
@@ -601,27 +577,21 @@ TEST(KvDifferential, ScanSortsOnlyTheFamiliesItReaches) {
   }
 
   expectScan("t/tables/i/owner/3/");
-  EXPECT_EQ(order.size(), 300u);  // every key is routed
-  EXPECT_EQ(order.orderedKeys(), 100u);  // only the owner index is sorted
-  // Inside a family no key is in, named just below the owner index.
-  expectScan("t/tablea/i/owner/3/");
-  EXPECT_EQ(order.orderedKeys(), 100u);
+  EXPECT_EQ(order.size(), 100u);  // the owner index alone
+  expectScan("t/tables/i/owner/x/");  // a value no key has
+  EXPECT_EQ(order.size(), 100u);
 
-  // New keys on both sides of the sorted ones, in the owner index and the
-  // rows: the next owner scan merges only its own.
+  // New owner keys on both sides of the recorded ones and among them, and
+  // new rows: the next scan merges in the owner keys alone.
   for (int pk = 100; pk < 150; ++pk) {
     const std::string id = std::to_string(pk);
     put(Database::indexKey(buf, "tables", "owner", std::to_string(pk % 9), id));
     put(Database::rowKey(buf, "tables", id));
   }
+  put(Database::indexKey(buf, "tables", "owner", "/", "0"));  // below "0/"
   expectScan("t/tables/i/owner/");
-  EXPECT_EQ(order.size(), 400u);
-  EXPECT_EQ(order.orderedKeys(), 150u);
-
-  expectScan("t/tables/");  // both families of the table, rows last
-  EXPECT_EQ(order.orderedKeys(), 300u);
-  expectScan("");
-  EXPECT_EQ(order.orderedKeys(), 400u);
+  EXPECT_EQ(order.size(), 151u);
+  expectScan("t/tables/i/owner/8/");  // only new keys have value 8
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The storage read paths allocate nothing they can avoid once warm:
 // Database::readValue, versionCheck and versionCheckRow on resident keys
 // build no per-statement container, build their keys in a reused buffer
-// and grow no engine, block-cache or meter state; peekRowVersion and
+// and grow no engine, block-cache or meter state; writeValue to a resident
+// key replaces its one version in place; peekRowVersion and
 // peekValueVersion reuse a key buffer too, on untouched range keys as
 // well; Raft replication walks its followers without a container; a
 // resident SELECT allocates only its decoded rows and the result vector
@@ -100,6 +101,32 @@ TEST_F(KvReadAllocations, ResidentReadsAndVersionChecksAllocateNothing) {
   EXPECT_EQ(found, kCalls);
   EXPECT_EQ(allocations, 0u) << "heap allocations over " << kCalls
                              << " resident KV reads and version checks";
+}
+
+TEST_F(KvReadAllocations, ResidentWritesAllocateNothing) {
+  constexpr std::size_t kKeys = 1000;
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    std::string key = std::to_string(1000000000 + i);
+    key[0] = 'k';
+    db_.loadValue(key, 64);
+    keys.push_back(std::move(key));
+  }
+  // One write per key warms its block and sizes the statement buffers.
+  for (const std::string& key : keys) db_.writeValue(client_, key, 100);
+
+  constexpr std::size_t kCalls = 20000;
+  std::uint64_t lastVersion = 0;
+  const std::uint64_t allocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      lastVersion =
+          db_.writeValue(client_, keys[i % kKeys], 64 + i % 100).version;
+    }
+  });
+
+  EXPECT_EQ(allocations, 0u) << "heap allocations over " << kCalls
+                             << " writes to resident keys";
+  EXPECT_EQ(db_.peekValueVersion(keys[(kCalls - 1) % kKeys]), lastVersion);
 }
 
 TEST_F(KvReadAllocations, LongKeysAndRowVersionChecksAllocateNothing) {

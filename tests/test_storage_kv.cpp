@@ -1,5 +1,5 @@
-// Storage engine unit tests: MVCC visibility, tombstones, GC, prefix scans
-// through a one-shard KeyOrder, the block cache's hit/miss/grouping behaviour and the row codec.
+// Storage engine unit tests: overwrites, tombstones, prefix scans through a
+// one-shard KeyOrder, the block cache's hit/miss/grouping behaviour and the row codec.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "storage/block_cache.hpp"
-#include "storage/database.hpp"
 #include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/row.hpp"
@@ -26,12 +25,6 @@ TEST(KvEngine, LatestWinsAndSnapshotsSeePast) {
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->size, 20u);
   EXPECT_EQ(latest->version, 9u);
-
-  const StoredValue* snapshot = engine.get("k", 7);
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(snapshot->size, 10u);
-
-  EXPECT_EQ(engine.get("k", 4), nullptr);  // before the first write
 }
 
 TEST(KvEngine, RejectsOutOfOrderCommits) {
@@ -48,8 +41,6 @@ TEST(KvEngine, TombstoneHidesValue) {
   EXPECT_TRUE(engine.erase("k", 2));
   EXPECT_EQ(engine.get("k"), nullptr);
   EXPECT_FALSE(engine.latestVersion("k").has_value());
-  // The old snapshot still sees the value.
-  ASSERT_NE(engine.get("k", 1), nullptr);
   // A later write resurrects the key.
   engine.put("k", StoredValue::sized(30), 3);
   EXPECT_EQ(engine.get("k")->size, 30u);
@@ -72,8 +63,7 @@ template <typename Fn>
 std::size_t scanPrefix(KeyOrder& order, const KvEngine& engine,
                        std::string_view prefix, Fn&& fn) {
   std::size_t visited = 0;
-  order.scanPrefix(std::span(&engine, 1), prefix, KvEngine::kLatest,
-                   [](std::size_t) {},
+  order.scanPrefix(std::span(&engine, 1), prefix, [](std::size_t) {},
                    [&](std::size_t, std::string_view key,
                        const StoredValue& value) {
                      ++visited;
@@ -84,7 +74,7 @@ std::size_t scanPrefix(KeyOrder& order, const KvEngine& engine,
 
 TEST(KvEngine, ScanPrefixOrderedAndBounded) {
   KvEngine engine;
-  KeyOrder order(1, Database::keyFamily);
+  KeyOrder order("t/users/r/", 1);
   engine.put("t/users/r/1", StoredValue::of("u1"), 1);
   engine.put("t/users/r/2", StoredValue::of("u2"), 2);
   engine.put("t/users/r/3", StoredValue::of("u3"), 3);
@@ -111,7 +101,7 @@ TEST(KvEngine, ScanPrefixOrderedAndBounded) {
 
 TEST(KvEngine, ScanSkipsTombstones) {
   KvEngine engine;
-  KeyOrder order(1, Database::keyFamily);
+  KeyOrder order("", 1);
   engine.put("p/a", StoredValue::sized(1), 1);
   engine.put("p/b", StoredValue::sized(1), 2);
   engine.erase("p/a", 3);
@@ -129,18 +119,6 @@ TEST(KvEngine, RejectsKeysPastTheLimit) {
   EXPECT_FALSE(engine.erase(longest + "k", 3));
   EXPECT_EQ(engine.keyCount(), 1u);
   EXPECT_EQ(engine.keyAt(0), longest);
-}
-
-TEST(KvEngine, GcTrimsHistory) {
-  KvEngine engine;
-  for (std::uint64_t v = 1; v <= 10; ++v) {
-    engine.put("k", StoredValue::sized(v), v);
-  }
-  EXPECT_EQ(engine.gc(2), 8u);
-  // Newest two survive.
-  EXPECT_EQ(engine.get("k")->size, 10u);
-  ASSERT_NE(engine.get("k", 9), nullptr);
-  EXPECT_EQ(engine.get("k", 8), nullptr);  // history gone
 }
 
 TEST(BlockCache, MissThenHit) {

@@ -519,7 +519,7 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
 
   for (const SourceFile& f : in.files) {
     // The serve-path whitelist: the slab/arena storage, the flat cache, the
-    // SLRU wrapper whose segments are flat caches, the flat MVCC engine,
+    // SLRU wrapper whose segments are flat caches, the flat KV engine,
     // the key order over its keys, the lazy bulk-load range and the
     // Database facade that materializes its keys on the KV path. The
     // node-based LFU and S3-FIFO and the test-only oracles in
