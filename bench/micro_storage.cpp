@@ -1,15 +1,17 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
-// statement execution, the first index lookups after a catalog bulk load,
-// raw KV engine operations and the row codec. The parse/plan numbers here
-// are the *host* cost of our mini engine; the simulated TiDB front-end
-// charges the calibrated constants documented in core/calibration.hpp
-// instead.
+// statement execution, the catalog bulk load and the first index lookups
+// after it, raw KV engine operations and the row codec. The parse/plan
+// numbers here are the *host* cost of our mini engine; the simulated TiDB
+// front-end charges the calibrated constants documented in
+// core/calibration.hpp instead.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "richobject/catalog_store.hpp"
 #include "rpc/channel.hpp"
@@ -112,8 +114,9 @@ void BM_ExecUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecUpdate);
 
-/// A database holding uc-object's catalog: 20K tables and their
-/// satellites, about 380K keys on three KV nodes.
+/// A database of three KV nodes with uc-object's catalog schemas; after
+/// `store.populate()` it holds 20K tables and their satellites, about 380K
+/// keys.
 struct CatalogFixture {
   explicit CatalogFixture(const workload::UcTraceWorkload& trace)
       : sqlTier("sql", sim::TierKind::kSqlFrontend, 1),
@@ -123,7 +126,6 @@ struct CatalogFixture {
         db(sqlTier, kvTier, channel),
         store(db, trace) {
     store.createSchemas();
-    store.populate();
   }
   sim::NetworkModel network;
   sim::Tier sqlTier;
@@ -133,6 +135,26 @@ struct CatalogFixture {
   storage::Database db;
   richobject::CatalogStore store;
 };
+
+// uc-object's catalog load: 20K tables and their satellites bulk-loaded
+// into a fresh database of three KV nodes, about half of a uc-object
+// cell's set-up. Building and destroying the database run with timing
+// paused.
+void BM_CatalogPopulate(benchmark::State& state) {
+  workload::UcTraceConfig config;
+  config.numTables = 20000;
+  const workload::UcTraceWorkload trace(config);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fixture = std::make_unique<CatalogFixture>(trace);
+    state.ResumeTiming();
+    fixture->store.populate();
+    state.PauseTiming();
+    fixture.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CatalogPopulate)->Unit(benchmark::kMillisecond);
 
 // The four index lookups getTable makes (privileges, constraints, lineage,
 // properties), each the first scan of its index after the bulk load, so
@@ -152,6 +174,7 @@ void BM_FirstIndexLookupsAfterCatalogLoad(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     auto fixture = std::make_unique<CatalogFixture>(trace);
+    fixture->store.populate();
     state.ResumeTiming();
     for (const auto& [sql, param] : lookups) {
       auto result =
@@ -167,30 +190,37 @@ BENCHMARK(BM_FirstIndexLookupsAfterCatalogLoad)
     ->Arg(4242)
     ->Unit(benchmark::kMillisecond);
 
+/// Workload key names 0 .. n - 1, built before a timed loop reads them.
+std::vector<std::string> keyNames(std::uint64_t n) {
+  std::vector<std::string> names;
+  names.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) names.push_back(workload::keyName(i));
+  return names;
+}
+
 void BM_KvReadValue(benchmark::State& state) {
   DbFixture fixture;
-  for (int i = 0; i < 10000; ++i) {
-    fixture.db.loadValue(workload::keyName(static_cast<std::uint64_t>(i)),
-                         4096);
-  }
-  std::uint64_t k = 0;
+  const std::vector<std::string> keys = keyNames(10000);
+  for (const std::string& key : keys) fixture.db.loadValue(key, 4096);
+  std::size_t k = 0;
   for (auto _ : state) {
-    auto result = fixture.db.readValue(fixture.client, workload::keyName(k));
+    auto result = fixture.db.readValue(fixture.client, keys[k]);
     benchmark::DoNotOptimize(result.found);
-    k = (k + 37) % 10000;
+    k = (k + 37) % keys.size();
   }
 }
 BENCHMARK(BM_KvReadValue);
 
 void BM_KvEngineRawGet(benchmark::State& state) {
   storage::KvEngine engine;
-  for (std::uint64_t i = 0; i < 100000; ++i) {
-    engine.put(workload::keyName(i), storage::StoredValue::sized(100), i + 1);
+  const std::vector<std::string> keys = keyNames(100000);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    engine.put(keys[i], storage::StoredValue::sized(100), i + 1);
   }
-  std::uint64_t k = 0;
+  std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.get(workload::keyName(k)));
-    k = (k + 7919) % 100000;
+    benchmark::DoNotOptimize(engine.get(keys[k]));
+    k = (k + 7919) % keys.size();
   }
 }
 BENCHMARK(BM_KvEngineRawGet);

@@ -7,13 +7,16 @@
 // tests/reference/ exactly (required for flat Clock to stay
 // sequence-identical to that oracle).
 //
-// KeyArena packs variable-length key bytes into chunked buffers with
-// size-class free lists, so cache churn recycles key storage instead of
-// allocating per entry. Keys short enough to live inline in the node (the
-// common case: workload keys are "k%09llu") never touch the arena at all —
-// the same inline-or-chunked split cachegrand's storage_db uses.
+// KeyArena packs variable-length byte strings into chunked buffers with
+// size-class free lists, so churn recycles their storage instead of
+// allocating per entry. The flat cache keeps keys in one; the KV engine
+// keeps long keys in one and row payloads in another. Keys short enough to
+// live inline in the node (the common case: workload keys are "k%09llu")
+// never touch the arena at all — the same inline-or-chunked split
+// cachegrand's storage_db uses.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -22,10 +25,11 @@
 
 namespace dcache::cache {
 
-/// Chunked storage for out-of-line key bytes. Allocations are rounded up to
-/// an 8-byte size class; released blocks go on a per-class free list and are
-/// reused before the bump pointer advances. Blocks larger than kMaxClassed
-/// (rare: keys longer than 4 KiB) use an exact-match scan list instead.
+/// Chunked storage for out-of-line byte strings. Allocations are rounded up
+/// to a size class: 8-byte steps up to kMaxClassed, powers of two past it.
+/// Released blocks go on their class's free list and are reused before the
+/// bump pointer advances, so the dead blocks a class holds never outnumber
+/// its own live high-water mark, whatever sizes later requests ask for.
 class KeyArena {
  public:
   struct Ref {
@@ -33,36 +37,29 @@ class KeyArena {
     std::uint32_t offset = 0;
   };
 
-  [[nodiscard]] Ref store(std::string_view key) {
-    const std::uint32_t cap = classBytes(key.size());
+  /// Longest string store() takes: its power-of-two class fits 32 bits.
+  static constexpr std::size_t kMaxBytes = std::size_t{1} << 31;
+
+  [[nodiscard]] Ref store(std::string_view bytes) {
+    const std::uint32_t cap = classBytes(bytes.size());
+    auto& freeList = freeListOf(cap);
     Ref ref;
-    if (cap <= kMaxClassed) {
-      auto& freeList = freeByClass_[cap / kGranularity];
-      if (!freeList.empty()) {
-        ref = freeList.back();
-        freeList.pop_back();
-      } else {
-        ref = bumpAlloc(cap);
-      }
-    } else if (!takeLarge(cap, ref)) {
+    if (!freeList.empty()) {
+      ref = freeList.back();
+      freeList.pop_back();
+    } else {
       ref = bumpAlloc(cap);
     }
-    if (!key.empty()) {
-      std::memcpy(chunks_[ref.chunk].get() + ref.offset, key.data(),
-                  key.size());
+    if (!bytes.empty()) {
+      std::memcpy(chunks_[ref.chunk].get() + ref.offset, bytes.data(),
+                  bytes.size());
     }
     return ref;
   }
 
   void release(Ref ref, std::size_t length) {
-    const std::uint32_t cap = classBytes(length);
-    if (cap <= kMaxClassed) {
-      // dcache-lint: allow(hot-path-alloc, free-list growth is bounded by the live high-water mark, then pure reuse)
-      freeByClass_[cap / kGranularity].push_back(ref);
-    } else {
-      // dcache-lint: allow(hot-path-alloc, large-block free list is bounded by the live high-water mark, then pure reuse)
-      largeFree_.push_back(LargeBlock{cap, ref});
-    }
+    // dcache-lint: allow(hot-path-alloc, free-list growth is bounded by the class's live high-water mark, then pure reuse)
+    freeListOf(classBytes(length)).push_back(ref);
   }
 
   [[nodiscard]] std::string_view view(Ref ref,
@@ -75,7 +72,6 @@ class KeyArena {
     chunkBytes_.clear();
     tailUsed_ = 0;
     for (auto& freeList : freeByClass_) freeList.clear();
-    largeFree_.clear();
   }
 
   [[nodiscard]] std::size_t chunkCount() const noexcept {
@@ -86,23 +82,32 @@ class KeyArena {
   static constexpr std::size_t kChunkBytes = 64 * 1024;
   static constexpr std::uint32_t kGranularity = 8;
   static constexpr std::uint32_t kMaxClassed = 4096;
-
-  struct LargeBlock {
-    std::uint32_t capacity;
-    Ref ref;
-  };
+  /// Free lists: one per 8-byte class up to kMaxClassed (index 0 unused),
+  /// then one per power of two up to kMaxBytes.
+  static constexpr std::size_t kClassCount =
+      kMaxClassed / kGranularity + 1 + std::bit_width(kMaxBytes) -
+      std::bit_width(kMaxClassed);
 
   [[nodiscard]] static constexpr std::uint32_t classBytes(
       std::size_t length) noexcept {
     const std::size_t len = length ? length : 1;
+    if (len > kMaxClassed) {
+      return static_cast<std::uint32_t>(std::bit_ceil(len));
+    }
     return static_cast<std::uint32_t>((len + kGranularity - 1) &
                                       ~std::size_t{kGranularity - 1});
+  }
+
+  [[nodiscard]] std::vector<Ref>& freeListOf(std::uint32_t cap) noexcept {
+    if (cap <= kMaxClassed) return freeByClass_[cap / kGranularity];
+    return freeByClass_[kMaxClassed / kGranularity + std::bit_width(cap) -
+                        std::bit_width(kMaxClassed)];
   }
 
   [[nodiscard]] Ref bumpAlloc(std::uint32_t cap) {
     if (chunks_.empty() || tailUsed_ + cap > chunkBytes_.back()) {
       const std::size_t bytes = cap > kChunkBytes ? cap : kChunkBytes;
-      // dcache-lint: allow(hot-path-alloc, amortized arena growth: one chunk per 64 KiB of key bytes, not per entry)
+      // dcache-lint: allow(hot-path-alloc, amortized arena growth: one chunk per 64 KiB of stored bytes, not per entry)
       chunks_.push_back(std::make_unique<char[]>(bytes));
       chunkBytes_.push_back(bytes);  // dcache-lint: allow(hot-path-alloc, grows with the chunk list, one element per 64 KiB chunk)
       tailUsed_ = 0;
@@ -113,23 +118,10 @@ class KeyArena {
     return ref;
   }
 
-  [[nodiscard]] bool takeLarge(std::uint32_t cap, Ref& out) {
-    for (std::size_t i = 0; i < largeFree_.size(); ++i) {
-      if (largeFree_[i].capacity == cap) {
-        out = largeFree_[i].ref;
-        largeFree_[i] = largeFree_.back();
-        largeFree_.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::vector<std::unique_ptr<char[]>> chunks_;
   std::vector<std::size_t> chunkBytes_;
   std::size_t tailUsed_ = 0;
-  std::vector<std::vector<Ref>> freeByClass_{kMaxClassed / kGranularity + 1};
-  std::vector<LargeBlock> largeFree_;
+  std::vector<std::vector<Ref>> freeByClass_{kClassCount};
 };
 
 /// Chunked slab of default-constructible nodes addressed by uint32 index.

@@ -55,7 +55,7 @@ DelayedWriteOutcome runDelayedWriteScenario(const DelayedWriteConfig& config) {
 
   // t1': instance B warms its shard from storage's current value.
   loop.schedule(config.warmReadAtMicros, [&] {
-    if (const storage::StoredValue* v = engine.get(key)) {
+    if (const std::optional<storage::ValueView> v = engine.get(key)) {
       cacheB.put(key, cache::CacheEntry::sized(v->size, v->version));
       log << "[t=" << loop.now() << "] new owner warmed v" << v->version
           << " from storage\n";
@@ -65,7 +65,7 @@ DelayedWriteOutcome runDelayedWriteScenario(const DelayedWriteConfig& config) {
   loop.run();
 
   const cache::CacheEntry* cached = cacheB.peek(key);
-  const storage::StoredValue* stored = engine.get(key);
+  const std::optional<storage::ValueView> stored = engine.get(key);
   outcome.cacheVersion = cached ? cached->version : 0;
   outcome.storageVersion = stored ? stored->version : 0;
   outcome.anomaly = cached && stored && cached->version != stored->version;
@@ -137,7 +137,7 @@ DelayedWriteOutcome runFaultInjectedReshardScenario(
 
   // t1': the successor warms its shard from storage's current value.
   loop.schedule(config.warmReadAtMicros, [&] {
-    if (const storage::StoredValue* v = engine.get(key)) {
+    if (const std::optional<storage::ValueView> v = engine.get(key)) {
       cacheB.put(key, cache::CacheEntry::sized(v->size, v->version));
       log << "[t=" << loop.now() << "] new owner warmed v" << v->version
           << " from storage\n";
@@ -147,7 +147,7 @@ DelayedWriteOutcome runFaultInjectedReshardScenario(
   loop.run();
 
   const cache::CacheEntry* cached = cacheB.peek(key);
-  const storage::StoredValue* stored = engine.get(key);
+  const std::optional<storage::ValueView> stored = engine.get(key);
   outcome.cacheVersion = cached ? cached->version : 0;
   outcome.storageVersion = stored ? stored->version : 0;
   outcome.anomaly = cached && stored && cached->version != stored->version;

@@ -201,8 +201,8 @@ void Database::syncMemoryMeters(std::size_t nodeIndex) {
   kvTier_->node(nodeIndex).mem().use(blockCaches_[nodeIndex]->bytesUsed());
 }
 
-const StoredValue* Database::engineGet(std::string_view key,
-                                       ExecTrace& trace) {
+std::optional<ValueView> Database::engineGet(std::string_view key,
+                                             ExecTrace& trace) {
   const std::uint64_t keyHash = util::hashKey(key);
   const std::size_t idx = keyHash % engines_.size();
   sim::Node& node = kvTier_->node(idx);
@@ -210,13 +210,13 @@ const StoredValue* Database::engineGet(std::string_view key,
 
   if (config_.consistentReads) raft_.validateLease(idx);
 
-  const StoredValue* stored = engines_[idx].get(key);
+  std::optional<ValueView> stored = engines_[idx].get(key);
   if (!stored && materialize(idx, key)) stored = engines_[idx].get(key);
   if (!stored) {
     // Bloom filter / memtable probe only: no block fetch for absent keys.
     node.charge(sim::CpuComponent::kKvExecution, costs.execPerRowMicros);
     trace.latencyMicros += costs.execPerRowMicros;
-    return nullptr;
+    return std::nullopt;
   }
 
   const double execMicros =
@@ -400,8 +400,8 @@ Database::ReadResult Database::readValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // SELECT v FROM kv WHERE k=?
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(kvKey(keyBuf_, key), trace);
-  result.found = stored != nullptr;
+  const std::optional<ValueView> stored = engineGet(kvKey(keyBuf_, key), trace);
+  result.found = stored.has_value();
   result.size = stored ? stored->size : 0;
   result.version = stored ? stored->version : 0;
 
@@ -454,8 +454,8 @@ Database::VersionResult Database::versionCheckKey(sim::Node& client,
   sim::Node& frontend = frontendForStatement();
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(storedKey, trace);
-  result.found = stored != nullptr;
+  const std::optional<ValueView> stored = engineGet(storedKey, trace);
+  result.found = stored.has_value();
   result.version = stored ? stored->version : 0;
 
   result.latencyMicros =

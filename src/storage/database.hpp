@@ -161,8 +161,10 @@ class Database {
       std::string_view key) const;
 
   // ---- engine-level API (used by the executor; fully cost-accounted) ----
-  [[nodiscard]] const StoredValue* engineGet(std::string_view key,
-                                             ExecTrace& trace);
+  /// The value of `key`, charged as a point read; nullopt if absent. The
+  /// payload view is valid until the next write to the key.
+  [[nodiscard]] std::optional<ValueView> engineGet(std::string_view key,
+                                                   ExecTrace& trace);
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
   bool engineDelete(std::string_view key, ExecTrace& trace);
   /// Ordered scan of the keys that start with `prefix`, through the key
@@ -181,7 +183,7 @@ class Database {
             [&](std::size_t idx) {
               if (config_.consistentReads) raft_.validateLease(idx);
             },
-            [&](std::size_t idx, std::string_view key, const StoredValue& v) {
+            [&](std::size_t idx, std::string_view key, const ValueView& v) {
               chargeScannedRow(idx, v.size, trace);
               return fn(key, v);
             });

@@ -89,7 +89,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
         return false;
       }
       const std::string pk = valueToString(*pkValue);
-      const StoredValue* stored =
+      const std::optional<ValueView> stored =
           db_->engineGet(Database::rowKey(*keyBuf_, schema.name(), pk), trace);
       if (!stored) return true;  // no row: empty result, not an error
       auto row = decodeRow(schema, stored->payload);
@@ -117,14 +117,14 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       // Through the index's own order: every key of t/<table>/i/<column>/.
       const std::size_t base = prefix.size() - value.size() - 1;
       db_->engineScanPrefix(prefix, base, trace,
-                            [&](std::string_view key, const StoredValue&) {
+                            [&](std::string_view key, const ValueView&) {
                               matched.push_back(key.substr(prefix.size()));
                               return true;
                             });
       out.reserve(out.size() + matched.size());
       for (const std::string_view pk : matched) {
         if (atLimit()) break;
-        const StoredValue* stored = db_->engineGet(
+        const std::optional<ValueView> stored = db_->engineGet(
             Database::rowKey(*keyBuf_, schema.name(), pk), trace);
         if (!stored) continue;  // index entry raced a delete
         auto row = decodeRow(schema, stored->payload);
@@ -138,7 +138,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       bool corrupt = false;
       db_->engineScanPrefix(
           prefix, prefix.size(), trace,
-          [&](std::string_view key, const StoredValue& stored) {
+          [&](std::string_view key, const ValueView& stored) {
             if (atLimit()) return false;
             auto row = decodeRow(schema, stored.payload);
             if (!row) {

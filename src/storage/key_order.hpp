@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -40,8 +41,9 @@ class KeyOrder {
   /// otherwise throws std::invalid_argument. `enterShard(idx)` runs before
   /// shard idx, whether it has matches or not; `fn(idx, key, value)`
   /// returning false skips the rest of shard idx. `key` views the engine's
-  /// key bytes, which stay valid as long as the engine does. Neither
-  /// callback may write to `engines` or scan through this order.
+  /// key bytes, which stay valid as long as the engine does; `value` is a
+  /// ValueView, whose payload is valid until the next write to the key.
+  /// Neither callback may write to `engines` or scan through this order.
   template <typename EnterShard, typename Fn>
   void scanPrefix(std::span<const KvEngine> engines, std::string_view prefix,
                   EnterShard&& enterShard, Fn&& fn) {
@@ -50,8 +52,8 @@ class KeyOrder {
       enterShard(idx);
       for (const Record& r : matches) {
         if (r.shard != idx) continue;
-        const StoredValue* value = engines[idx].valueAt(r.id);
-        if (value != nullptr && !fn(idx, r.key(), *value)) break;
+        const std::optional<ValueView> value = engines[idx].valueAt(r.id);
+        if (value && !fn(idx, r.key(), *value)) break;
       }
     }
   }

@@ -57,7 +57,9 @@ void KvEngine::storeKey(Entry& entry, std::string_view key) {
 
 bool KvEngine::put(std::string_view key, StoredValue value,
                    std::uint64_t commitTs) {
-  if (key.size() > kMaxKeyBytes) return false;
+  if (key.size() > kMaxKeyBytes || value.payload.size() > kMaxPayloadBytes) {
+    return false;
+  }
   const std::uint32_t h = indexHash(key);
   std::uint32_t id = find(h, key);
   if (id == kNoEntry) {
@@ -69,22 +71,27 @@ bool KvEngine::put(std::string_view key, StoredValue value,
     place(h, id);
     storeKey(entries_[id], key);
   } else {
-    const StoredValue& held = entries_[id].value;
+    const Entry& held = entries_[id];
     if (held.version >= commitTs) {
       return false;  // stale write: a newer version is already committed
     }
     if (!held.tombstone) liveBytes_ -= held.size;
+    if (held.payloadSize > 0) payloads_.release(held.payload, held.payloadSize);
   }
-  value.version = commitTs;
+  Entry& entry = entries_[id];
+  entry.payloadSize = static_cast<std::uint32_t>(value.payload.size());
+  if (!value.payload.empty()) entry.payload = payloads_.store(value.payload);
+  entry.tombstone = value.tombstone;
+  entry.size = value.size;
+  entry.version = commitTs;
   if (!value.tombstone) liveBytes_ += value.size;
-  entries_[id].value = std::move(value);
   ++writes_;
   return true;
 }
 
-const StoredValue* KvEngine::get(std::string_view key) const {
+std::optional<ValueView> KvEngine::get(std::string_view key) const {
   const std::uint32_t id = find(indexHash(key), key);
-  return id == kNoEntry ? nullptr : visible(entries_[id]);
+  return id == kNoEntry ? std::nullopt : visible(entries_[id]);
 }
 
 }  // namespace dcache::storage

@@ -5,17 +5,22 @@
 // the optional payload, so simulating 1 MB values does not cost 1 MB of
 // host RAM each.
 //
-// Layout, sized for bulk loads of millions of keys: each key is one 80-byte
+// Layout, sized for bulk loads of millions of keys: each key is one 48-byte
 // entry in a NodeSlab (entries never move and are never released). The key
-// comes first — inline up to 16 bytes, else in a KeyArena — then its value,
-// so a point read's key compare and value read touch the same part of the
-// entry. One open-addressing index of 8-byte {32-bit hash, id} slots serves
-// point reads: probe positions come from the stored hash, so growth
-// re-places slots without re-hashing keys, and a full key compare decides
-// equality. The engine keeps no key order: ids are handed out 0, 1, 2, ...
-// and a key's bytes never move, so a KeyOrder (key_order.hpp) orders the
-// keys of every engine of a tier under one base prefix through
-// keyAt/valueAt.
+// comes first — inline up to 16 bytes, else in a KeyArena — then its value:
+// the payload's length and the tombstone flag, the logical size, the
+// version and a reference to the payload's bytes. Those bytes live in a
+// second KeyArena, apart from the keys: an overwrite or erase gives the old
+// block back to its size class, so rewriting a row allocates nothing once
+// warm, while key bytes are never given back. Index keys and KV values have
+// no payload and take no block. Reads return a ValueView whose payload
+// views the arena; it is valid until the next write to that key. One
+// open-addressing index of 8-byte {32-bit hash, id} slots serves point
+// reads: probe positions come from the stored hash, so growth re-places
+// slots without re-hashing keys, and a full key compare decides equality.
+// The engine keeps no key order: ids are handed out 0, 1, 2, ... and a
+// key's bytes never move, so a KeyOrder (key_order.hpp) orders the keys of
+// every engine of a tier under one base prefix through keyAt/valueAt.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +34,7 @@
 
 namespace dcache::storage {
 
+/// A value as put() takes it; the engine copies the payload into its arena.
 struct StoredValue {
   std::uint64_t size = 0;       // logical bytes (== payload.size() if present)
   std::uint64_t version = 0;    // commit timestamp that wrote this version
@@ -44,16 +50,29 @@ struct StoredValue {
   }
 };
 
+/// A key's value as get() and valueAt() read it. `payload` views the
+/// engine's bytes and is valid until the next write to that key.
+struct ValueView {
+  std::uint64_t size = 0;     // logical bytes
+  std::uint64_t version = 0;  // commit timestamp that wrote the value
+  std::string_view payload;   // real bytes for functional tables
+};
+
 class KvEngine {
  public:
   /// Longest key put() accepts, so that KeyOrder's 16-bit record size
   /// holds every key; longer keys are rejected.
   static constexpr std::size_t kMaxKeyBytes = UINT16_MAX;
+  /// Longest payload put() accepts, so that an entry's 31-bit payload
+  /// length holds it; longer payloads are rejected.
+  static constexpr std::size_t kMaxPayloadBytes = (std::size_t{1} << 31) - 1;
 
   /// Write `value` at `commitTs` as `key`'s one version, replacing the held
-  /// one. Timestamps must be monotone per key; a commit at or below the
-  /// held version is rejected (returns false) — this is the guard the
-  /// delayed-writes scenario probes. So are keys past kMaxKeyBytes.
+  /// one; the payload is copied into the engine. Timestamps must be
+  /// monotone per key; a commit at or below the held version is rejected
+  /// (returns false) — this is the guard the delayed-writes scenario
+  /// probes. So are keys past kMaxKeyBytes and payloads past
+  /// kMaxPayloadBytes.
   bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
 
   /// Tombstone write.
@@ -61,9 +80,9 @@ class KvEngine {
     return put(key, StoredValue{0, 0, {}, true}, commitTs);
   }
 
-  /// The value of `key`; nullptr for missing keys and tombstones. The
-  /// pointer is valid until the next write to this key.
-  [[nodiscard]] const StoredValue* get(std::string_view key) const;
+  /// The value of `key`; nullopt for missing keys and tombstones. The
+  /// payload view is valid until the next write to this key.
+  [[nodiscard]] std::optional<ValueView> get(std::string_view key) const;
 
   /// Whether `key` holds any version, a tombstone included.
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
@@ -73,7 +92,7 @@ class KvEngine {
   /// Version of the key's value; nullopt if absent or deleted.
   [[nodiscard]] std::optional<std::uint64_t> latestVersion(
       std::string_view key) const {
-    const StoredValue* v = get(key);
+    const std::optional<ValueView> v = get(key);
     return v ? std::optional(v->version) : std::nullopt;
   }
 
@@ -91,7 +110,8 @@ class KvEngine {
     return entries_[id].key();
   }
   /// The value of `id`, as get() finds it.
-  [[nodiscard]] const StoredValue* valueAt(std::uint32_t id) const noexcept {
+  [[nodiscard]] std::optional<ValueView> valueAt(
+      std::uint32_t id) const noexcept {
     return visible(entries_[id]);
   }
   [[nodiscard]] util::Bytes liveBytes() const noexcept {
@@ -113,19 +133,30 @@ class KvEngine {
       const char* arenaKey;                  // longer keys, in keys_
     };
     std::uint32_t keySize = 0;
-    StoredValue value;  // a tombstone once the key is deleted
+    std::uint32_t payloadSize : 31 = 0;  // 0: no block in payloads_
+    std::uint32_t tombstone : 1 = 0;     // the key is deleted
+    std::uint64_t size = 0;              // logical bytes
+    std::uint64_t version = 0;           // commit timestamp
+    cache::KeyArena::Ref payload{};      // in payloads_ if payloadSize > 0
 
     [[nodiscard]] std::string_view key() const noexcept {
       return {keySize <= kInlineKeyBytes ? inlineKey : arenaKey, keySize};
     }
   };
   struct Slot { std::uint32_t hash = 0; std::uint32_t id = kNoEntry; };
-  static_assert(sizeof(Entry) <= 80, "a KvEngine entry grew past 80 bytes");
+  static_assert(sizeof(Entry) <= 48, "a KvEngine entry grew past 48 bytes");
   static_assert(sizeof(Slot) == 8, "a KvEngine index slot grew past 8 bytes");
+  static_assert(kMaxPayloadBytes <= cache::KeyArena::kMaxBytes,
+                "the payload arena cannot hold the longest payload");
 
-  /// The entry's value; nullptr if it is a tombstone.
-  [[nodiscard]] static const StoredValue* visible(const Entry& entry) noexcept {
-    return entry.value.tombstone ? nullptr : &entry.value;
+  /// The entry's value; nullopt if it is a tombstone.
+  [[nodiscard]] std::optional<ValueView> visible(
+      const Entry& entry) const noexcept {
+    if (entry.tombstone) return std::nullopt;
+    return ValueView{entry.size, entry.version,
+                     entry.payloadSize == 0
+                         ? std::string_view{}
+                         : payloads_.view(entry.payload, entry.payloadSize)};
   }
   [[nodiscard]] std::uint32_t find(std::uint32_t hash,
                                    std::string_view key) const noexcept;
@@ -134,7 +165,8 @@ class KvEngine {
   void storeKey(Entry& entry, std::string_view key);
 
   cache::NodeSlab<Entry> entries_;  // ids 0, 1, 2, ...; never released
-  cache::KeyArena keys_;            // bytes of keys past kInlineKeyBytes
+  cache::KeyArena keys_;      // bytes of keys past kInlineKeyBytes; kept
+  cache::KeyArena payloads_;  // payload bytes; an overwrite recycles them
   std::vector<Slot> index_;  // power-of-two linear probing, <= 70 % full
   std::size_t indexMask_ = 0;
   std::uint64_t liveBytes_ = 0;  // every key's value, tombstones aside

@@ -6,15 +6,19 @@
 // peekValueVersion reuse a key buffer too, on untouched range keys as
 // well; Raft replication walks its followers without a container; a
 // resident SELECT allocates only its decoded rows and the result vector
-// that carries them; and encoding a row allocates its buffer and result.
+// that carries them; encoding a row allocates its buffer and result; and
+// the KV engine rewrites and erases payloads in its arena's recycled
+// blocks, at row sizes and past the arena's 4 KiB classed limit alike.
 // This executable replaces the global operator new, plain and nothrow, to
 // count calls, so it is a binary of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
 #include "storage/raft.hpp"
+#include "util/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -257,6 +262,88 @@ TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
   // Two decoded rows and the result-row vector, sized once.
   EXPECT_EQ(indexAllocations, 3 * kCalls);
   EXPECT_EQ(rows, 3 * kCalls);
+}
+
+/// Heap allocations `engine` makes over `puts` puts to `keys` in turn, put
+/// n carrying a payload of `length(n)` bytes and following an erase of its
+/// key when n is a multiple of `eraseEvery` (0: never). The payloads are
+/// built in batches before each counted region and moved in, so the count
+/// is the engine's alone.
+template <typename Length>
+std::uint64_t payloadPutAllocations(KvEngine& engine,
+                                    std::span<const std::string> keys,
+                                    std::size_t puts, std::size_t eraseEvery,
+                                    std::uint64_t& ts, Length&& length) {
+  constexpr std::size_t kBatch = 500;
+  std::vector<std::string> payloads;
+  payloads.reserve(kBatch);
+  std::uint64_t allocations = 0;
+  std::size_t rejected = 0;
+  for (std::size_t first = 0; first < puts; first += kBatch) {
+    const std::size_t n = std::min(kBatch, puts - first);
+    payloads.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      payloads.emplace_back(length(first + i), 'p');
+    }
+    allocations += allocationsDuring([&] {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::string& key = keys[(first + i) % keys.size()];
+        if (eraseEvery > 0 && (first + i) % eraseEvery == 0 &&
+            !engine.erase(key, ++ts)) {
+          ++rejected;
+        }
+        if (!engine.put(key, StoredValue::of(std::move(payloads[i])), ++ts)) {
+          ++rejected;
+        }
+      }
+    });
+  }
+  EXPECT_EQ(rejected, 0u);
+  return allocations;
+}
+
+TEST(KvEngineAllocations, PayloadRewritesAndErasesAllocateNothing) {
+  // Six row keys, each put in turn with a payload of one of seven sizes
+  // and erased before every fourth put: an overwrite or an erase gives
+  // the old block back to its size class, where a later put takes it
+  // again. The pattern repeats every 84 puts, so two rounds reach every
+  // class's high-water mark.
+  static constexpr std::size_t kLengths[] = {17, 40, 41, 200, 333, 1000, 4096};
+  const std::vector<std::string> keys = {"t/a/r/1", "t/a/r/2", "t/a/r/3",
+                                         "t/tables/r/100004", "t/tables/r/5",
+                                         "t/tables/r/100006"};
+  const auto length = [](std::size_t n) { return kLengths[n % 7]; };
+  KvEngine engine;
+  std::uint64_t ts = 0;
+  payloadPutAllocations(engine, keys, 2 * 84, 4, ts, length);
+
+  const std::uint64_t allocations =
+      payloadPutAllocations(engine, keys, 20000, 4, ts, length);
+  EXPECT_EQ(allocations, 0u) << "heap allocations over 20000 payload puts "
+                                "and 5000 erases to resident keys";
+  // The last put to keys[0] is put 19998.
+  EXPECT_EQ(engine.get(keys[0])->payload.size(), kLengths[19998 % 7]);
+}
+
+TEST(KvEngineAllocations, LargePayloadRewritesStayBounded) {
+  // One key rewritten at random sizes in (4 KiB, 64 KiB]. Past its 4 KiB
+  // classed limit the payload arena rounds a block up to a power of two,
+  // so the key cycles through four blocks; an arena that reused a large
+  // block only at the same rounded size would carve a fresh chunk for
+  // most rewrites, thousands over this run.
+  const std::vector<std::string> keys = {"t/blobs/r/1"};
+  util::Pcg32 rng(26, 7);
+  const auto length = [&](std::size_t) {
+    return 4096 + 1 + rng.next() % (60 * 1024);
+  };
+  KvEngine engine;
+  std::uint64_t ts = 0;
+  payloadPutAllocations(engine, keys, 200, 0, ts, length);
+
+  const std::uint64_t allocations =
+      payloadPutAllocations(engine, keys, 10000, 0, ts, length);
+  EXPECT_LE(allocations, 4u) << "heap allocations over 10000 rewrites of "
+                                "one key at 4-64 KiB";
 }
 
 TEST(RowCodecAllocations, EncodeRowAllocatesItsBufferAndResult) {

@@ -51,7 +51,7 @@ std::vector<ScanRow> scan(Database& db, std::string_view prefix,
                           std::size_t base, ExecTrace& trace) {
   std::vector<ScanRow> rows;
   db.engineScanPrefix(prefix, base, trace,
-                      [&](std::string_view key, const StoredValue& v) {
+                      [&](std::string_view key, const ValueView& v) {
                         rows.emplace_back(std::string(key), v.size, v.version);
                         return true;
                       });

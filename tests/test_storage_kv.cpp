@@ -2,6 +2,7 @@
 // one-shard KeyOrder, the block cache's hit/miss/grouping behaviour and the row codec.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,8 +22,8 @@ TEST(KvEngine, LatestWinsAndSnapshotsSeePast) {
   EXPECT_TRUE(engine.put("k", StoredValue::sized(10), 5));
   EXPECT_TRUE(engine.put("k", StoredValue::sized(20), 9));
 
-  const StoredValue* latest = engine.get("k");
-  ASSERT_NE(latest, nullptr);
+  const std::optional<ValueView> latest = engine.get("k");
+  ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->size, 20u);
   EXPECT_EQ(latest->version, 9u);
 }
@@ -39,7 +40,7 @@ TEST(KvEngine, TombstoneHidesValue) {
   KvEngine engine;
   engine.put("k", StoredValue::sized(10), 1);
   EXPECT_TRUE(engine.erase("k", 2));
-  EXPECT_EQ(engine.get("k"), nullptr);
+  EXPECT_FALSE(engine.get("k").has_value());
   EXPECT_FALSE(engine.latestVersion("k").has_value());
   // A later write resurrects the key.
   engine.put("k", StoredValue::sized(30), 3);
@@ -65,7 +66,7 @@ std::size_t scanPrefix(KeyOrder& order, const KvEngine& engine,
   std::size_t visited = 0;
   order.scanPrefix(std::span(&engine, 1), prefix, [](std::size_t) {},
                    [&](std::size_t, std::string_view key,
-                       const StoredValue& value) {
+                       const ValueView& value) {
                      ++visited;
                      return fn(key, value);
                    });
@@ -82,7 +83,7 @@ TEST(KvEngine, ScanPrefixOrderedAndBounded) {
 
   std::vector<std::string> keys;
   scanPrefix(order, engine, "t/users/r/",
-             [&](std::string_view key, const StoredValue&) {
+             [&](std::string_view key, const ValueView&) {
                keys.emplace_back(key);
                return true;
              });
@@ -92,7 +93,7 @@ TEST(KvEngine, ScanPrefixOrderedAndBounded) {
   // Early stop.
   keys.clear();
   scanPrefix(order, engine, "t/users/r/",
-             [&](std::string_view key, const StoredValue&) {
+             [&](std::string_view key, const ValueView&) {
                keys.emplace_back(key);
                return false;
              });
@@ -107,7 +108,7 @@ TEST(KvEngine, ScanSkipsTombstones) {
   engine.erase("p/a", 3);
   std::size_t visited =
       scanPrefix(order, engine, "p/",
-                 [](std::string_view, const StoredValue&) { return true; });
+                 [](std::string_view, const ValueView&) { return true; });
   EXPECT_EQ(visited, 1u);
 }
 
