@@ -40,16 +40,6 @@ void BM_SqlParsePointSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlParsePointSelect);
 
-void BM_SqlParseJoin(benchmark::State& state) {
-  for (auto _ : state) {
-    auto parsed = storage::parseSql(
-        "SELECT name, title FROM tables JOIN schemas ON tables.schema_id = "
-        "schemas.id WHERE id = ? LIMIT 10");
-    benchmark::DoNotOptimize(parsed);
-  }
-}
-BENCHMARK(BM_SqlParseJoin);
-
 struct DbFixture {
   DbFixture()
       : sqlTier("sql", sim::TierKind::kSqlFrontend, 1),

@@ -13,7 +13,6 @@
 
 #include "consistency/delayed_write.hpp"
 #include "consistency/linearizability.hpp"
-#include "consistency/version_check.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "workload/synthetic.hpp"

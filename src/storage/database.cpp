@@ -86,6 +86,13 @@ std::string_view Database::kvKey(std::string& out, std::string_view key) {
   return joinKey(out, {kKvPrefix, key});
 }
 
+StoredValue Database::rowValue(const TableSchema& schema, const Row& row,
+                               rpc::WireEncoder& enc) {
+  encodeRow(schema, row, enc);
+  return StoredValue{enc.size() + declaredPayloadBytes(schema, row),
+                     enc.view()};
+}
+
 // ---- schema / population ----
 
 void Database::createTable(TableSchema schema) {
@@ -104,9 +111,7 @@ void Database::loadRow(std::string_view table, const Row& row) {
   if (!s) return;
   const std::string pk = valueToString(row.values[s->primaryKeyColumn()]);
   const std::string_view key = rowKey(keyBuf_, table, pk);
-  StoredValue stored = StoredValue::of(encodeRow(*s, row));
-  stored.size += declaredPayloadBytes(*s, row);
-  engines_[nodeFor(key)].put(key, std::move(stored), ++ts_);
+  engines_[nodeFor(key)].put(key, rowValue(*s, row, rowBuf_), ++ts_);
   for (const std::size_t col : s->indexedColumns()) {
     const std::string_view ik =
         indexKey(keyBuf_, table, s->columns()[col].name,
@@ -208,7 +213,7 @@ std::optional<ValueView> Database::engineGet(std::string_view key,
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
 
-  if (config_.consistentReads) raft_.validateLease(idx);
+  raft_.validateLease(idx);
 
   std::optional<ValueView> stored = engines_[idx].get(key);
   if (!stored && materialize(idx, key)) stored = engines_[idx].get(key);
@@ -258,7 +263,7 @@ bool Database::enginePut(std::string_view key, StoredValue value,
 
   const std::uint64_t rowSize = value.size;
   materialize(idx, key);
-  if (!engines_[idx].put(key, std::move(value), ++ts_)) return false;
+  if (!engines_[idx].put(key, value, ++ts_)) return false;
   trace.latencyMicros += execMicros + raft_.replicate(idx, bytes);
   blockCaches_[idx]->touchWrite(keyHash, rowSize);
   syncMemoryMeters(idx);
@@ -359,7 +364,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   }
 
   ExecTrace trace;
-  Executor executor(*this, keyBuf_, matchBuf_);
+  Executor executor(*this, keyBuf_, matchBuf_, rowBuf_);
   Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
@@ -375,11 +380,8 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   std::uint64_t requestBytes = sql.size();
   for (const Value& p : params) requestBytes += valueStringSize(p) + 2;
   std::uint64_t responseBytes = 16;
-  const TableSchema* outSchema = plan->primary.schema;
   for (const Row& row : outcome.rows) {
-    // Projection can mix schemas; approximate with the primary schema's
-    // encoding, which the projected rows were sized from.
-    responseBytes += outSchema ? encodedRowSize(*outSchema, row) + 3 : 32;
+    responseBytes += encodedRowSize(*plan->primary.schema, row) + 3;
   }
 
   result.ok = true;

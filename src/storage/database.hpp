@@ -3,7 +3,8 @@
 // KV tier (one KV engine + block cache per storage node, Raft-replicated
 // writes, lease-validated reads). Three client paths matter to the paper:
 //
-//   exec()         — real SQL, used by the rich-object workloads (§5.4)
+//   exec()         — real SQL (SELECT * and UPDATE, see sql_parser.hpp),
+//                    used by the rich-object workloads (§5.4)
 //   readValue()/writeValue() — the single-statement KV path used by the
 //                    synthetic / Meta / UC-KV workloads
 //   versionCheck() — the §5.5 consistency probe: returns 8 bytes to the
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "rpc/channel.hpp"
+#include "rpc/wire.hpp"
 #include "sim/tier.hpp"
 #include "storage/block_cache.hpp"
 #include "storage/key_order.hpp"
@@ -87,7 +89,6 @@ class Database {
     RaftCosts raftCosts{};
     util::Bytes blockCachePerNode = util::Bytes::gb(15);
     std::size_t replicationFactor = 3;
-    bool consistentReads = true;  // validate raft lease on reads
   };
 
   Database(sim::Tier& sqlTier, sim::Tier& kvTier, rpc::Channel& channel,
@@ -180,9 +181,7 @@ class Database {
     orderOf(prefix.substr(0, base))
         .scanPrefix(
             engines_, prefix,
-            [&](std::size_t idx) {
-              if (config_.consistentReads) raft_.validateLease(idx);
-            },
+            [&](std::size_t idx) { raft_.validateLease(idx); },
             [&](std::size_t idx, std::string_view key, const ValueView& v) {
               chargeScannedRow(idx, v.size, trace);
               return fn(key, v);
@@ -216,6 +215,12 @@ class Database {
                                       std::string_view column,
                                       std::string_view value);
   static std::string_view kvKey(std::string& out, std::string_view key);
+
+  /// The value a table row is stored as: its bytes, encoded into `enc`,
+  /// which the value views, and a logical size that adds the row's
+  /// declared payload bytes.
+  static StoredValue rowValue(const TableSchema& schema, const Row& row,
+                              rpc::WireEncoder& enc);
 
  private:
   static constexpr std::size_t kMaxCachedPlans = 256;  // see planFor
@@ -273,6 +278,8 @@ class Database {
   std::string keyBuf_;
   /// The primary keys the statement in flight matched in an index.
   std::vector<std::string_view> matchBuf_;
+  /// The row being loaded or rewritten, encoded; put() copies its bytes.
+  rpc::WireEncoder rowBuf_;
   /// Key buffer for the const peeks, apart from keyBuf_ so that a peek
   /// never overwrites a key a statement still views.
   mutable std::string peekKeyBuf_;

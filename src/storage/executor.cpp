@@ -34,7 +34,7 @@ namespace {
 
 }  // namespace
 
-std::optional<Value> Executor::resolve(const BoundRhs& rhs,
+std::optional<Value> Executor::resolve(const Operand& rhs,
                                        std::span<const Value> params,
                                        ColumnType type) {
   if (rhs.literal) return literalToValue(*rhs.literal, type);
@@ -45,21 +45,17 @@ std::optional<Value> Executor::resolve(const BoundRhs& rhs,
 Executor::Outcome Executor::run(const QueryPlan& plan,
                                 std::span<const Value> params,
                                 ExecTrace& trace) {
-  switch (plan.kind) {
-    case StatementKind::kSelect: return runSelect(plan, params, trace);
-    case StatementKind::kInsert: return runInsert(plan, params, trace);
-    case StatementKind::kUpdate: return runUpdate(plan, params, trace);
-    case StatementKind::kDelete: return runDelete(plan, params, trace);
-  }
-  return Outcome{false, "unknown plan kind", {}, 0};
+  if (plan.kind == StatementKind::kUpdate) return runUpdate(plan, params, trace);
+  // SELECT *: rows decode straight into the result.
+  Outcome outcome;
+  outcome.ok = fetchRows(plan.primary, params, trace, outcome.rows,
+                         outcome.error);
+  return outcome;
 }
 
-bool Executor::fetchPrimary(const TableAccessPlan& access,
-                            std::span<const Value> params,
-                            std::optional<std::uint64_t> limit,
-                            ExecTrace& trace, std::vector<Row>& out,
-                            std::vector<std::string>* pks,
-                            std::string& error) {
+bool Executor::fetchRows(const TableAccessPlan& access,
+                         std::span<const Value> params, ExecTrace& trace,
+                         std::vector<Row>& out, std::string& error) {
   const TableSchema& schema = *access.schema;
 
   // Residual filter evaluated against a decoded row.
@@ -72,11 +68,6 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       }
     }
     return true;
-  };
-  auto atLimit = [&] { return limit && out.size() >= *limit; };
-  auto add = [&](std::string_view pk, Row&& row) {
-    out.push_back(std::move(row));
-    if (pks) pks->emplace_back(pk);
   };
 
   switch (access.path) {
@@ -97,7 +88,7 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
         error = "corrupt row for pk " + pk;
         return false;
       }
-      if (passesResidual(*row)) add(pk, std::move(*row));
+      if (passesResidual(*row)) out.push_back(std::move(*row));
       return true;
     }
     case AccessPath::kIndexLookup: {
@@ -123,12 +114,11 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
                             });
       out.reserve(out.size() + matched.size());
       for (const std::string_view pk : matched) {
-        if (atLimit()) break;
         const std::optional<ValueView> stored = db_->engineGet(
             Database::rowKey(*keyBuf_, schema.name(), pk), trace);
-        if (!stored) continue;  // index entry raced a delete
+        if (!stored) continue;  // an index entry without its row
         auto row = decodeRow(schema, stored->payload);
-        if (row && passesResidual(*row)) add(pk, std::move(*row));
+        if (row && passesResidual(*row)) out.push_back(std::move(*row));
       }
       return true;
     }
@@ -138,16 +128,13 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
       bool corrupt = false;
       db_->engineScanPrefix(
           prefix, prefix.size(), trace,
-          [&](std::string_view key, const ValueView& stored) {
-            if (atLimit()) return false;
+          [&](std::string_view, const ValueView& stored) {
             auto row = decodeRow(schema, stored.payload);
             if (!row) {
               corrupt = true;
               return false;
             }
-            if (passesResidual(*row)) {
-              add(key.substr(prefix.size()), std::move(*row));
-            }
+            if (passesResidual(*row)) out.push_back(std::move(*row));
             return true;
           });
       if (corrupt) {
@@ -161,81 +148,13 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
   return false;
 }
 
-void Executor::fetchJoinMatches(const JoinPlan& join, const Value& key,
-                                ExecTrace& trace, std::vector<Row>& out) {
-  // The join key binds like a WHERE parameter on the right table's column.
-  const BoundCondition cond{join.rightColumn, BoundRhs{std::nullopt, 0}};
-  TableAccessPlan access{join.schema, join.path, std::nullopt, {}};
-  if (join.path == AccessPath::kTableScan) {
-    access.residual.push_back(cond);
-  } else {
-    access.key = cond;
-  }
-  std::string error;  // a corrupt right row just ends the matches
-  fetchPrimary(access, std::span(&key, 1), std::nullopt, trace, out, nullptr,
-               error);
-}
-
-Executor::Outcome Executor::runSelect(const QueryPlan& plan,
-                                      std::span<const Value> params,
-                                      ExecTrace& trace) {
-  Outcome outcome;
-  auto project = [&](const Row& left, const Row* right) {
-    Row out;
-    out.values.reserve(plan.projection.size());
-    for (const ProjectionItem& item : plan.projection) {
-      if (item.fromJoin) {
-        out.values.push_back(right ? right->values[item.column]
-                                   : Value{std::string{}});
-      } else {
-        out.values.push_back(left.values[item.column]);
-      }
-    }
-    return out;
-  };
-
-  if (!plan.join) {
-    // Rows decode straight into the result; SELECT * keeps them whole.
-    if (!fetchPrimary(plan.primary, params, plan.limit, trace, outcome.rows,
-                      nullptr, outcome.error)) {
-      return outcome;
-    }
-    if (!plan.projection.empty()) {
-      for (Row& row : outcome.rows) row = project(row, nullptr);
-    }
-    outcome.ok = true;
-    return outcome;
-  }
-
-  // With a join the limit applies to joined output, so fetch unbounded.
-  std::vector<Row> primary;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, primary,
-                    nullptr, outcome.error)) {
-    return outcome;
-  }
-  for (const Row& left : primary) {
-    if (plan.limit && outcome.rows.size() >= *plan.limit) break;
-    std::vector<Row> matches;
-    fetchJoinMatches(*plan.join, left.values[plan.join->leftColumn], trace,
-                     matches);
-    for (const Row& right : matches) {
-      if (plan.limit && outcome.rows.size() >= *plan.limit) break;
-      outcome.rows.push_back(plan.projection.empty() ? left
-                                                     : project(left, &right));
-    }
-  }
-  outcome.ok = true;
-  return outcome;
-}
-
 bool Executor::writeRow(const TableSchema& schema, const Row& row,
                         ExecTrace& trace) {
   const std::string pk =
       valueToString(row.values[schema.primaryKeyColumn()]);
-  StoredValue stored = StoredValue::of(encodeRow(schema, row));
-  stored.size += declaredPayloadBytes(schema, row);
   if (!db_->enginePut(Database::rowKey(*keyBuf_, schema.name(), pk),
-                      std::move(stored), trace)) {
+                      Database::rowValue(schema, row, *rowBuf_),
+                      trace)) {
     return false;
   }
   for (const std::size_t col : schema.indexedColumns()) {
@@ -247,56 +166,19 @@ bool Executor::writeRow(const TableSchema& schema, const Row& row,
   return true;
 }
 
-void Executor::deleteRowIndexes(const TableSchema& schema, const Row& row,
-                                std::string_view pk, ExecTrace& trace) {
-  for (const std::size_t col : schema.indexedColumns()) {
-    db_->engineDelete(
-        Database::indexKey(*keyBuf_, schema.name(), schema.columns()[col].name,
-                           valueToString(row.values[col]), pk),
-        trace);
-  }
-}
-
-Executor::Outcome Executor::runInsert(const QueryPlan& plan,
-                                      std::span<const Value> params,
-                                      ExecTrace& trace) {
-  Outcome outcome;
-  const TableSchema& schema = *plan.primary.schema;
-  Row row;
-  row.values.reserve(schema.columnCount());
-  for (std::size_t c = 0; c < plan.insertValues.size(); ++c) {
-    const auto& spec = plan.insertValues[c];
-    const auto value =
-        resolve(BoundRhs{spec.literal, spec.paramIndex}, params,
-                schema.columns()[c].type);
-    if (!value) {
-      outcome.error = "missing parameter in INSERT";
-      return outcome;
-    }
-    row.values.push_back(*value);
-  }
-  if (!writeRow(schema, row, trace)) {
-    outcome.error = "write conflict";
-    return outcome;
-  }
-  outcome.ok = true;
-  outcome.rowsAffected = 1;
-  return outcome;
-}
-
 Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
                                       std::span<const Value> params,
                                       ExecTrace& trace) {
   Outcome outcome;
   const TableSchema& schema = *plan.primary.schema;
   std::vector<Row> targets;
-  std::vector<std::string> pks;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets, &pks,
-                    outcome.error)) {
+  if (!fetchRows(plan.primary, params, trace, targets, outcome.error)) {
     return outcome;
   }
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    Row& target = targets[t];
+  for (Row& target : targets) {
+    // The planner rejects a SET of the key, so the key stays the row's.
+    const std::string pk =
+        valueToString(target.values[schema.primaryKeyColumn()]);
     // Remove index entries for columns about to change, then rewrite.
     for (const auto& [col, rhs] : plan.assignments) {
       const auto value = resolve(rhs, params, schema.columns()[col].type);
@@ -308,34 +190,12 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
         db_->engineDelete(
             Database::indexKey(*keyBuf_, schema.name(),
                                schema.columns()[col].name,
-                               valueToString(target.values[col]), pks[t]),
+                               valueToString(target.values[col]), pk),
             trace);
       }
       target.values[col] = *value;
     }
     if (writeRow(schema, target, trace)) ++outcome.rowsAffected;
-  }
-  outcome.ok = true;
-  return outcome;
-}
-
-Executor::Outcome Executor::runDelete(const QueryPlan& plan,
-                                      std::span<const Value> params,
-                                      ExecTrace& trace) {
-  Outcome outcome;
-  const TableSchema& schema = *plan.primary.schema;
-  std::vector<Row> targets;
-  std::vector<std::string> pks;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets, &pks,
-                    outcome.error)) {
-    return outcome;
-  }
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    deleteRowIndexes(schema, targets[t], pks[t], trace);
-    if (db_->engineDelete(Database::rowKey(*keyBuf_, schema.name(), pks[t]),
-                          trace)) {
-      ++outcome.rowsAffected;
-    }
   }
   outcome.ok = true;
   return outcome;

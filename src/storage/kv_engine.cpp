@@ -55,8 +55,8 @@ void KvEngine::storeKey(Entry& entry, std::string_view key) {
   }
 }
 
-bool KvEngine::put(std::string_view key, StoredValue value,
-                   std::uint64_t commitTs) {
+bool KvEngine::write(std::string_view key, StoredValue value, bool tombstone,
+                     std::uint64_t commitTs) {
   if (key.size() > kMaxKeyBytes || value.payload.size() > kMaxPayloadBytes) {
     return false;
   }
@@ -81,10 +81,10 @@ bool KvEngine::put(std::string_view key, StoredValue value,
   Entry& entry = entries_[id];
   entry.payloadSize = static_cast<std::uint32_t>(value.payload.size());
   if (!value.payload.empty()) entry.payload = payloads_.store(value.payload);
-  entry.tombstone = value.tombstone;
+  entry.tombstone = tombstone;
   entry.size = value.size;
   entry.version = commitTs;
-  if (!value.tombstone) liveBytes_ += value.size;
+  if (!tombstone) liveBytes_ += value.size;
   ++writes_;
   return true;
 }

@@ -34,19 +34,18 @@
 
 namespace dcache::storage {
 
-/// A value as put() takes it; the engine copies the payload into its arena.
+/// A value as put() takes it. put() copies the payload bytes into the
+/// engine's arena, so they need outlive only the call: a caller can encode
+/// every row into one reused buffer.
 struct StoredValue {
-  std::uint64_t size = 0;       // logical bytes (== payload.size() if present)
-  std::uint64_t version = 0;    // commit timestamp that wrote this version
-  std::string payload;          // real bytes for functional tables
-  bool tombstone = false;
+  std::uint64_t size = 0;     // logical bytes (>= payload.size())
+  std::string_view payload;   // real bytes for functional tables
 
   [[nodiscard]] static StoredValue sized(std::uint64_t size) {
-    return StoredValue{size, 0, {}, false};
+    return StoredValue{size, {}};
   }
-  [[nodiscard]] static StoredValue of(std::string payload) {
-    const auto n = static_cast<std::uint64_t>(payload.size());
-    return StoredValue{n, 0, std::move(payload), false};
+  [[nodiscard]] static StoredValue of(std::string_view payload) {
+    return StoredValue{payload.size(), payload};
   }
 };
 
@@ -68,16 +67,19 @@ class KvEngine {
   static constexpr std::size_t kMaxPayloadBytes = (std::size_t{1} << 31) - 1;
 
   /// Write `value` at `commitTs` as `key`'s one version, replacing the held
-  /// one; the payload is copied into the engine. Timestamps must be
+  /// one; the payload is copied into the engine, so it must not view the
+  /// engine's own payload bytes. Timestamps must be
   /// monotone per key; a commit at or below the held version is rejected
   /// (returns false) — this is the guard the delayed-writes scenario
   /// probes. So are keys past kMaxKeyBytes and payloads past
   /// kMaxPayloadBytes.
-  bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
+  bool put(std::string_view key, StoredValue value, std::uint64_t commitTs) {
+    return write(key, value, false, commitTs);
+  }
 
-  /// Tombstone write.
+  /// Tombstone write, under the same rules as put().
   bool erase(std::string_view key, std::uint64_t commitTs) {
-    return put(key, StoredValue{0, 0, {}, true}, commitTs);
+    return write(key, StoredValue{}, true, commitTs);
   }
 
   /// The value of `key`; nullopt for missing keys and tombstones. The
@@ -158,6 +160,8 @@ class KvEngine {
                          ? std::string_view{}
                          : payloads_.view(entry.payload, entry.payloadSize)};
   }
+  bool write(std::string_view key, StoredValue value, bool tombstone,
+             std::uint64_t commitTs);
   [[nodiscard]] std::uint32_t find(std::uint32_t hash,
                                    std::string_view key) const noexcept;
   void place(std::uint32_t hash, std::uint32_t id) noexcept;

@@ -16,16 +16,10 @@
 
 namespace dcache::storage {
 
-/// Right-hand side of a condition/assignment after planning: either an
-/// inline literal or a reference to a positional parameter.
-struct BoundRhs {
-  std::optional<std::string> literal;
-  std::size_t paramIndex = 0;
-};
-
+/// `column = value` with the column resolved against the table's schema.
 struct BoundCondition {
   std::size_t columnIndex = 0;
-  BoundRhs rhs;
+  Operand rhs;
 };
 
 enum class AccessPath : std::uint8_t { kPointGet, kIndexLookup, kTableScan };
@@ -37,29 +31,10 @@ struct TableAccessPlan {
   std::vector<BoundCondition> residual;  // re-checked on each row
 };
 
-struct JoinPlan {
-  const TableSchema* schema = nullptr;  // right table
-  std::size_t leftColumn = 0;           // value taken from each primary row
-  std::size_t rightColumn = 0;          // matched on the right table
-  AccessPath path = AccessPath::kTableScan;  // chosen from rightColumn
-};
-
-struct ProjectionItem {
-  bool fromJoin = false;
-  std::size_t column = 0;
-};
-
 struct QueryPlan {
   StatementKind kind = StatementKind::kSelect;
-  TableAccessPlan primary;
-  std::optional<JoinPlan> join;
-  std::vector<ProjectionItem> projection;  // empty = all primary columns
-  std::optional<std::uint64_t> limit;
-
-  // INSERT payload.
-  std::vector<InsertStatement::ValueSpec> insertValues;
-  // UPDATE assignments: (column index, rhs).
-  std::vector<std::pair<std::size_t, BoundRhs>> assignments;
+  TableAccessPlan primary;  // the rows the statement reads or rewrites
+  std::vector<BoundCondition> assignments;  // UPDATE's SET list
 };
 
 struct PlanError {
@@ -75,24 +50,11 @@ class Planner {
 
   explicit Planner(CatalogLookup catalog) : catalog_(std::move(catalog)) {}
 
+  /// A PlanError for an unknown table or column, and for an UPDATE that
+  /// sets the primary-key column.
   [[nodiscard]] PlanResult plan(const Statement& statement) const;
 
  private:
-  [[nodiscard]] PlanResult planSelect(const Statement& statement) const;
-  [[nodiscard]] PlanResult planInsert(const Statement& statement) const;
-  [[nodiscard]] PlanResult planUpdate(const Statement& statement) const;
-  [[nodiscard]] PlanResult planDelete(const Statement& statement) const;
-
-  /// Choose the access path for `table` given WHERE conditions that apply
-  /// to it; the rest become residual filters.
-  [[nodiscard]] std::optional<TableAccessPlan> planAccess(
-      const TableSchema& schema, const std::vector<Condition>& where,
-      std::string_view tableName) const;
-  /// Look up `table` and plan its access into `plan.primary`.
-  [[nodiscard]] std::optional<PlanError> planPrimary(
-      const std::string& table, const std::vector<Condition>& where,
-      QueryPlan& plan) const;
-
   CatalogLookup catalog_;
 };
 

@@ -13,15 +13,6 @@ RaftReplicator::RaftReplicator(sim::Tier& kvTier, sim::NetworkModel& network,
                                                  kvTier.size())),
       applied_(kvTier.size(), 0) {}
 
-std::vector<std::size_t> RaftReplicator::followersOf(
-    std::size_t leaderIndex) const {
-  std::vector<std::size_t> followers;
-  for (std::size_t i = 1; i < replicationFactor_; ++i) {
-    followers.push_back(followerAt(leaderIndex, i));
-  }
-  return followers;
-}
-
 double RaftReplicator::replicate(std::size_t leaderIndex,
                                  std::uint64_t bytes) {
   sim::Node& leader = tier_->node(leaderIndex);

@@ -47,12 +47,9 @@ class RaftReplicator {
     return replicationFactor_;
   }
 
-  /// Follower node indexes for a given leader (ring neighbours).
-  [[nodiscard]] std::vector<std::size_t> followersOf(
-      std::size_t leaderIndex) const;
-
  private:
-  /// The `i`-th follower of `leaderIndex`, 1 <= i < replicationFactor_.
+  /// The `i`-th follower of `leaderIndex`, 1 <= i < replicationFactor_:
+  /// followers are the leader's ring neighbours.
   [[nodiscard]] std::size_t followerAt(std::size_t leaderIndex,
                                        std::size_t i) const noexcept {
     return (leaderIndex + i) % tier_->size();

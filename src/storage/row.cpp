@@ -51,8 +51,9 @@ bool valueEquals(const Value& a, const Value& b) noexcept {
   return asDouble(a) == asDouble(b);
 }
 
-std::string encodeRow(const TableSchema& schema, const Row& row) {
-  rpc::WireEncoder enc;
+void encodeRow(const TableSchema& schema, const Row& row,
+               rpc::WireEncoder& enc) {
+  enc.clear();
   enc.reserve(encodedRowSize(schema, row));
   const std::size_t n = std::min(schema.columnCount(), row.values.size());
   for (std::size_t c = 0; c < n; ++c) {
@@ -80,6 +81,11 @@ std::string encodeRow(const TableSchema& schema, const Row& row) {
         break;
     }
   }
+}
+
+std::string encodeRow(const TableSchema& schema, const Row& row) {
+  rpc::WireEncoder enc;
+  encodeRow(schema, row, enc);
   return std::string(enc.view());
 }
 

@@ -12,6 +12,10 @@
 
 #include "storage/schema.hpp"
 
+namespace dcache::rpc {
+class WireEncoder;
+}  // namespace dcache::rpc
+
 namespace dcache::storage {
 
 using Value = std::variant<std::int64_t, double, std::string>;
@@ -30,7 +34,11 @@ struct Row {
   [[nodiscard]] const Value& at(std::size_t i) const { return values.at(i); }
 };
 
-/// Encode a row per the schema. Columns beyond the schema are dropped.
+/// Encode a row per the schema into `enc`, replacing what it held, so a
+/// warm encoder allocates nothing. Columns beyond the schema are dropped.
+void encodeRow(const TableSchema& schema, const Row& row,
+               rpc::WireEncoder& enc);
+/// The same encoding, into a new string.
 [[nodiscard]] std::string encodeRow(const TableSchema& schema, const Row& row);
 
 /// Decode; nullopt on malformed bytes or type mismatch.

@@ -1,7 +1,8 @@
-// Statement IR produced by the SQL parser and consumed by the planner.
-// The subset covers what the catalog workloads need: point/indexed SELECTs
-// with optional single JOIN, INSERT, UPDATE and DELETE, with positional
-// `?` parameters bound at execution.
+// Statement IR produced by the SQL parser and consumed by the planner. It
+// has one shape for the two statements a simulated path issues: getTable's
+// `SELECT * FROM t WHERE c = ?` and updateTable's
+// `UPDATE t SET c = ? WHERE c = ?`. Values are literals or positional `?`
+// parameters bound at execution.
 #pragma once
 
 #include <cstdint>
@@ -11,57 +12,26 @@
 
 namespace dcache::storage {
 
-/// A term in a WHERE conjunction: column = literal-or-parameter.
-struct Condition {
-  std::string table;            // optional qualifier (for joins)
-  std::string column;
-  std::optional<std::string> literal;  // set when the RHS is a literal
+/// The right-hand side of `column = value`: a literal or a `?` parameter.
+struct Operand {
+  std::optional<std::string> literal;  // set when the value is a literal
   std::size_t paramIndex = 0;          // valid when literal is empty
 };
 
-struct JoinClause {
-  std::string table;        // right-hand table
-  std::string leftColumn;   // column on the primary (FROM) table
-  std::string rightColumn;  // column on the joined table
+/// `column = value`: a term of a WHERE conjunction or a SET assignment.
+struct Condition {
+  std::string column;
+  Operand value;
 };
 
-struct SelectStatement {
-  std::vector<std::string> columns;  // "*" alone means all columns
-  std::string table;
-  std::optional<JoinClause> join;
-  std::vector<Condition> where;
-  std::optional<std::uint64_t> limit;
-};
+enum class StatementKind : std::uint8_t { kSelect, kUpdate };
 
-struct InsertStatement {
-  std::string table;
-  // Each value is a literal or a parameter slot.
-  struct ValueSpec {
-    std::optional<std::string> literal;
-    std::size_t paramIndex = 0;
-  };
-  std::vector<ValueSpec> values;
-};
-
-struct UpdateStatement {
-  std::string table;
-  std::vector<std::pair<std::string, Condition>> assignments;  // col = rhs
-  std::vector<Condition> where;
-};
-
-struct DeleteStatement {
-  std::string table;
-  std::vector<Condition> where;
-};
-
-enum class StatementKind : std::uint8_t { kSelect, kInsert, kUpdate, kDelete };
-
+/// SELECT * FROM table [WHERE ...], or UPDATE table SET ... [WHERE ...].
 struct Statement {
   StatementKind kind = StatementKind::kSelect;
-  SelectStatement select;
-  InsertStatement insert;
-  UpdateStatement update;
-  DeleteStatement del;
+  std::string table;
+  std::vector<Condition> where;
+  std::vector<Condition> set;  // UPDATE's assignments; empty for SELECT
   std::size_t paramCount = 0;  // number of `?` placeholders
 };
 

@@ -10,7 +10,7 @@ enum class TokenKind : std::uint8_t {
   kIdent,
   kNumber,
   kString,
-  kSymbol,  // ( ) , = . *
+  kSymbol,  // any other one character: * , = ; ...
   kParam,   // ?
   kEnd,
   kBad,     // unterminated string literal: no rule accepts it
@@ -86,11 +86,29 @@ class Parser {
   explicit Parser(std::string_view sql) : lexer_(sql) { advance(); }
 
   ParseResult parse() {
-    if (keywordEquals(current_, "SELECT")) return parseSelect();
-    if (keywordEquals(current_, "INSERT")) return parseInsert();
-    if (keywordEquals(current_, "UPDATE")) return parseUpdate();
-    if (keywordEquals(current_, "DELETE")) return parseDelete();
-    return fail("expected SELECT, INSERT, UPDATE or DELETE");
+    Statement statement;
+    if (accept("SELECT")) {
+      if (!acceptSymbol('*')) return fail("expected *");
+      if (!accept("FROM")) return fail("expected FROM");
+    } else if (accept("UPDATE")) {
+      statement.kind = StatementKind::kUpdate;
+    } else {
+      return fail("expected SELECT or UPDATE");
+    }
+    if (!takeIdent(statement.table)) return fail("expected table name");
+    if (statement.kind == StatementKind::kUpdate) {
+      if (!accept("SET")) return fail("expected SET");
+      if (!parseConditions(statement.set, false)) return fail("malformed SET");
+    }
+    if (accept("WHERE") && !parseConditions(statement.where, true)) {
+      return fail("malformed WHERE clause");
+    }
+    acceptSymbol(';');
+    if (current_.kind != TokenKind::kEnd) {
+      return fail("unexpected trailing tokens");
+    }
+    statement.paramCount = paramCount_;
+    return statement;
   }
 
  private:
@@ -99,16 +117,6 @@ class Parser {
   [[nodiscard]] ParseError fail(std::string message) const {
     if (current_.kind == TokenKind::kBad) message = "unterminated literal";
     return ParseError{std::move(message), current_.position};
-  }
-
-  /// Every statement ends the same way: an optional ';', then the end.
-  ParseResult finish(Statement statement) {
-    acceptSymbol(';');
-    if (current_.kind != TokenKind::kEnd) {
-      return fail("unexpected trailing tokens");
-    }
-    statement.paramCount = paramCount_;
-    return statement;
   }
 
   bool accept(std::string_view keyword) {
@@ -135,152 +143,34 @@ class Parser {
     return true;
   }
 
-  /// qcol: ident | ident.ident — fills table (optional) and column.
-  bool takeQualifiedColumn(std::string& table, std::string& column) {
-    std::string first;
-    if (!takeIdent(first)) return false;
-    if (acceptSymbol('.')) {
-      table = std::move(first);
-      return takeIdent(column);
-    }
-    table.clear();
-    column = std::move(first);
-    return true;
-  }
-
   /// value := ? | number | 'string'. Returns false on anything else.
-  bool takeValue(std::optional<std::string>& literal, std::size_t& paramIndex) {
+  bool takeValue(Operand& value) {
     if (current_.kind == TokenKind::kParam) {
-      literal.reset();
-      paramIndex = paramCount_++;
+      value.literal.reset();
+      value.paramIndex = paramCount_++;
       advance();
       return true;
     }
     if (current_.kind == TokenKind::kNumber ||
         current_.kind == TokenKind::kString) {
-      literal = current_.text;
+      value.literal = current_.text;
       advance();
       return true;
     }
     return false;
   }
 
-  /// [WHERE cond (AND cond)*]; false only for a malformed clause.
-  bool parseWhere(std::vector<Condition>& where) {
-    if (!accept("WHERE")) return true;
+  /// cond (AND cond)* for a WHERE clause, cond (, cond)* for a SET list.
+  bool parseConditions(std::vector<Condition>& out, bool andSeparated) {
     do {
       Condition cond;
-      if (!takeQualifiedColumn(cond.table, cond.column)) return false;
-      if (!acceptSymbol('=')) return false;
-      if (!takeValue(cond.literal, cond.paramIndex)) return false;
-      where.push_back(std::move(cond));
-    } while (accept("AND"));
+      if (!takeIdent(cond.column) || !acceptSymbol('=') ||
+          !takeValue(cond.value)) {
+        return false;
+      }
+      out.push_back(std::move(cond));
+    } while (andSeparated ? accept("AND") : acceptSymbol(','));
     return true;
-  }
-
-  ParseResult parseSelect() {
-    advance();  // SELECT
-    Statement statement;
-    statement.kind = StatementKind::kSelect;
-    SelectStatement& sel = statement.select;
-
-    if (acceptSymbol('*')) {
-      sel.columns.clear();  // empty = all
-    } else {
-      std::string col;
-      if (!takeIdent(col)) return fail("expected column list");
-      sel.columns.push_back(std::move(col));
-      while (acceptSymbol(',')) {
-        if (!takeIdent(col)) return fail("expected column after ','");
-        sel.columns.push_back(std::move(col));
-      }
-    }
-    if (!accept("FROM")) return fail("expected FROM");
-    if (!takeIdent(sel.table)) return fail("expected table name");
-
-    if (accept("JOIN")) {
-      JoinClause join;
-      if (!takeIdent(join.table)) return fail("expected join table");
-      if (!accept("ON")) return fail("expected ON");
-      std::string leftTable;
-      std::string leftColumn;
-      std::string rightTable;
-      std::string rightColumn;
-      if (!takeQualifiedColumn(leftTable, leftColumn)) {
-        return fail("expected join column");
-      }
-      if (!acceptSymbol('=')) return fail("expected '=' in join condition");
-      if (!takeQualifiedColumn(rightTable, rightColumn)) {
-        return fail("expected join column");
-      }
-      // Normalize so leftColumn refers to the FROM table.
-      if (leftTable == join.table || rightTable == sel.table) {
-        std::swap(leftColumn, rightColumn);
-      }
-      join.leftColumn = std::move(leftColumn);
-      join.rightColumn = std::move(rightColumn);
-      sel.join = std::move(join);
-    }
-
-    if (!parseWhere(sel.where)) return fail("malformed WHERE clause");
-    if (accept("LIMIT")) {
-      if (current_.kind != TokenKind::kNumber) return fail("expected limit");
-      sel.limit = std::strtoull(current_.text.c_str(), nullptr, 10);
-      advance();
-    }
-    return finish(std::move(statement));
-  }
-
-  ParseResult parseInsert() {
-    advance();  // INSERT
-    if (!accept("INTO")) return fail("expected INTO");
-    Statement statement;
-    statement.kind = StatementKind::kInsert;
-    InsertStatement& ins = statement.insert;
-    if (!takeIdent(ins.table)) return fail("expected table name");
-    if (!accept("VALUES")) return fail("expected VALUES");
-    if (!acceptSymbol('(')) return fail("expected '('");
-    do {
-      InsertStatement::ValueSpec spec;
-      if (!takeValue(spec.literal, spec.paramIndex)) {
-        return fail("expected value");
-      }
-      ins.values.push_back(std::move(spec));
-    } while (acceptSymbol(','));
-    if (!acceptSymbol(')')) return fail("expected ')'");
-    return finish(std::move(statement));
-  }
-
-  ParseResult parseUpdate() {
-    advance();  // UPDATE
-    Statement statement;
-    statement.kind = StatementKind::kUpdate;
-    UpdateStatement& upd = statement.update;
-    if (!takeIdent(upd.table)) return fail("expected table name");
-    if (!accept("SET")) return fail("expected SET");
-    do {
-      std::string column;
-      if (!takeIdent(column)) return fail("expected column in SET");
-      if (!acceptSymbol('=')) return fail("expected '='");
-      Condition rhs;
-      if (!takeValue(rhs.literal, rhs.paramIndex)) {
-        return fail("expected value in SET");
-      }
-      upd.assignments.emplace_back(std::move(column), std::move(rhs));
-    } while (acceptSymbol(','));
-    if (!parseWhere(upd.where)) return fail("malformed WHERE clause");
-    return finish(std::move(statement));
-  }
-
-  ParseResult parseDelete() {
-    advance();  // DELETE
-    if (!accept("FROM")) return fail("expected FROM");
-    Statement statement;
-    statement.kind = StatementKind::kDelete;
-    DeleteStatement& del = statement.del;
-    if (!takeIdent(del.table)) return fail("expected table name");
-    if (!parseWhere(del.where)) return fail("malformed WHERE clause");
-    return finish(std::move(statement));
   }
 
   Lexer lexer_;

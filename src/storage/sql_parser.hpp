@@ -1,18 +1,16 @@
-// Recursive-descent parser for the SQL subset. Grammar (case-insensitive
-// keywords, `?` positional parameters, single-quoted string literals):
+// Recursive-descent parser for the two statements a simulated path issues.
+// Grammar (case-insensitive keywords, `?` positional parameters,
+// single-quoted string literals):
 //
-//   select := SELECT cols FROM ident [JOIN ident ON qcol = qcol]
-//             [WHERE cond (AND cond)*] [LIMIT int]
-//   insert := INSERT INTO ident VALUES ( value (, value)* )
-//   update := UPDATE ident SET ident = value (, ident = value)*
-//             [WHERE cond (AND cond)*]
-//   delete := DELETE FROM ident [WHERE cond (AND cond)*]
-//   cond   := qcol = value        qcol := ident | ident.ident
+//   select := SELECT * FROM ident [WHERE cond (AND cond)*]
+//   update := UPDATE ident SET cond (, cond)* [WHERE cond (AND cond)*]
+//   cond   := ident = value
 //   value  := ? | int | 'string'
-//   cols   := * | ident (, ident)*
 //
-// A statement may end in one ';' and nothing may follow it. An unterminated
-// string literal is an error.
+// Everything else is a ParseError: joins, column lists, table-qualified
+// columns, LIMIT, INSERT and DELETE included. A statement may end in one
+// ';' and nothing may follow it. An unterminated string literal is an
+// error.
 #pragma once
 
 #include <string>

@@ -317,7 +317,9 @@ void checkInvariants(const ChaosOutcome& outcome, std::uint64_t seed) {
     EXPECT_EQ(c.cacheHits + c.cacheMisses + c.sheddedRequests, c.reads);
   }
   EXPECT_LE(c.sheddedRequests, c.reads);
-  if (!outcome.shedEnabled) EXPECT_EQ(c.sheddedRequests, 0u);
+  if (!outcome.shedEnabled) {
+    EXPECT_EQ(c.sheddedRequests, 0u);
+  }
 
   // Weak conservation bounds on the remaining counters: mismatches are a
   // subset of checks, client-visible failures are a subset of ops, and

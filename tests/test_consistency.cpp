@@ -1,16 +1,14 @@
-// Consistency machinery tests: version checker, ownership leases,
-// invalidation bus, the Fig. 8 delayed-write scenario, and the
-// linearizability checker.
+// Consistency machinery tests: ownership leases, invalidation bus, the
+// Fig. 8 delayed-write scenario, and the linearizability checker. The
+// version check itself is Deployment::versionCurrent (test_deployment).
 #include <gtest/gtest.h>
 
 #include "consistency/delayed_write.hpp"
 #include "consistency/invalidation.hpp"
 #include "consistency/lease.hpp"
 #include "consistency/linearizability.hpp"
-#include "consistency/version_check.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
-#include "storage/database.hpp"
 
 namespace dcache::consistency {
 namespace {
@@ -18,48 +16,15 @@ namespace {
 class ConsistencyTest : public ::testing::Test {
  protected:
   ConsistencyTest()
-      : sqlTier_("sql", sim::TierKind::kSqlFrontend, 1),
-        kvTier_("kv", sim::TierKind::kKvStorage, 3),
+      : kvTier_("kv", sim::TierKind::kKvStorage, 3),
         appTier_("app", sim::TierKind::kAppServer, 3),
-        client_("client", sim::TierKind::kClient),
-        channel_(network_, rpc::SerializationModel{}),
-        db_(sqlTier_, kvTier_, channel_) {}
+        channel_(network_, rpc::SerializationModel{}) {}
 
   sim::NetworkModel network_;
-  sim::Tier sqlTier_;
   sim::Tier kvTier_;
   sim::Tier appTier_;
-  sim::Node client_;
   rpc::Channel channel_;
-  storage::Database db_;
 };
-
-TEST_F(ConsistencyTest, VersionCheckerDetectsFreshAndStale) {
-  db_.loadValue("k", 100);
-  const auto current = db_.peekValueVersion("k");
-  ASSERT_TRUE(current.has_value());
-
-  VersionChecker checker(db_);
-  const auto fresh = checker.check(client_, "k", *current);
-  EXPECT_TRUE(fresh.consistent);
-  EXPECT_TRUE(fresh.found);
-
-  db_.writeValue(client_, "k", 100);  // storage moves ahead
-  const auto stale = checker.check(client_, "k", *current);
-  EXPECT_FALSE(stale.consistent);
-  EXPECT_GT(stale.storageVersion, *current);
-
-  EXPECT_EQ(checker.checks(), 2u);
-  EXPECT_EQ(checker.mismatches(), 1u);
-  EXPECT_DOUBLE_EQ(checker.mismatchRate(), 0.5);
-}
-
-TEST_F(ConsistencyTest, VersionCheckerMissingKey) {
-  VersionChecker checker(db_);
-  const auto missing = checker.check(client_, "ghost", 1);
-  EXPECT_FALSE(missing.consistent);
-  EXPECT_FALSE(missing.found);
-}
 
 TEST_F(ConsistencyTest, LeaseLifecycle) {
   LeaseConfig config;

@@ -173,17 +173,5 @@ TEST_F(DatabaseTest, StoredBytesTrackLiveData) {
   EXPECT_EQ(db_.totalStoredBytes().count(), 600u);
 }
 
-TEST_F(DatabaseTest, InconsistentReadsSkipLeaseValidation) {
-  Database::Config config;
-  config.consistentReads = false;
-  sim::Tier sqlTier("sql2", sim::TierKind::kSqlFrontend, 1);
-  sim::Tier kvTier("kv2", sim::TierKind::kKvStorage, 3);
-  Database db(sqlTier, kvTier, channel_, config);
-  db.loadValue("k", 100);
-  db.readValue(client_, "k");
-  EXPECT_DOUBLE_EQ(
-      kvTier.aggregateCpu().micros(sim::CpuComponent::kLeaseValidation), 0.0);
-}
-
 }  // namespace
 }  // namespace dcache::storage

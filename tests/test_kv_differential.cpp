@@ -145,7 +145,7 @@ std::pair<std::size_t, std::vector<Visit>> scan(const MapKvEngine& engine,
   std::vector<Visit> seen;
   const std::size_t visited = engine.scanPrefix(
       prefix, MapKvEngine::kLatest,
-      [&](std::string_view key, const StoredValue& v) {
+      [&](std::string_view key, const OracleValue& v) {
         seen.emplace_back(std::string(key), v.version, v.size, v.payload);
         return seen.size() < stopAfter;
       });
@@ -206,7 +206,7 @@ struct Orders {
 
 /// A ValueView has no tombstone flag: get() returning a tombstone shows
 /// as a value where the oracle has none.
-void expectSameValue(const StoredValue* oracle,
+void expectSameValue(const OracleValue* oracle,
                      const std::optional<ValueView>& flat, std::size_t step) {
   ASSERT_EQ(oracle == nullptr, !flat.has_value()) << "step " << step;
   if (oracle == nullptr) return;

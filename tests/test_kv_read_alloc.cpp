@@ -6,9 +6,11 @@
 // peekValueVersion reuse a key buffer too, on untouched range keys as
 // well; Raft replication walks its followers without a container; a
 // resident SELECT allocates only its decoded rows and the result vector
-// that carries them; encoding a row allocates its buffer and result; and
-// the KV engine rewrites and erases payloads in its arena's recycled
-// blocks, at row sizes and past the arena's 4 KiB classed limit alike.
+// that carries them; encoding a row into a new string allocates its buffer
+// and result, while loadRow encodes through a reused buffer and allocates
+// nothing for a resident row; and the KV engine rewrites and erases
+// payloads in its arena's recycled blocks, at row sizes and past the
+// arena's 4 KiB classed limit alike.
 // This executable replaces the global operator new, plain and nothrow, to
 // count calls, so it is a binary of its own.
 #include <gtest/gtest.h>
@@ -22,16 +24,24 @@
 #include <string>
 #include <vector>
 
+#include "richobject/catalog_store.hpp"
 #include "rpc/channel.hpp"
 #include "sim/network.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
 #include "storage/raft.hpp"
 #include "util/rng.hpp"
+#include "workload/uc_trace.hpp"
 #include "workload/workload.hpp"
 
 namespace {
 std::atomic<std::uint64_t> gNewCalls{0};
+
+// Every delete below frees through this one out-of-line call. Inlined into
+// a `delete`, a bare std::free on a pointer from operator new reads to
+// GCC's -Wmismatched-new-delete as a mismatch, though every new here
+// allocates with malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -49,12 +59,12 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace dcache::storage {
 namespace {
@@ -267,8 +277,8 @@ TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
 /// Heap allocations `engine` makes over `puts` puts to `keys` in turn, put
 /// n carrying a payload of `length(n)` bytes and following an erase of its
 /// key when n is a multiple of `eraseEvery` (0: never). The payloads are
-/// built in batches before each counted region and moved in, so the count
-/// is the engine's alone.
+/// built in batches before each counted region, so the count is the
+/// engine's alone.
 template <typename Length>
 std::uint64_t payloadPutAllocations(KvEngine& engine,
                                     std::span<const std::string> keys,
@@ -292,7 +302,7 @@ std::uint64_t payloadPutAllocations(KvEngine& engine,
             !engine.erase(key, ++ts)) {
           ++rejected;
         }
-        if (!engine.put(key, StoredValue::of(std::move(payloads[i])), ++ts)) {
+        if (!engine.put(key, StoredValue::of(payloads[i]), ++ts)) {
           ++rejected;
         }
       }
@@ -344,6 +354,73 @@ TEST(KvEngineAllocations, LargePayloadRewritesStayBounded) {
       payloadPutAllocations(engine, keys, 10000, 0, ts, length);
   EXPECT_LE(allocations, 4u) << "heap allocations over 10000 rewrites of "
                                 "one key at 4-64 KiB";
+}
+
+TEST_F(KvReadAllocations, RowLoadsThroughAWarmBufferAllocateNothing) {
+  // Database::loadRow encodes each row into one encoder the Database
+  // reuses and the engine copies the bytes into its payload arena, so
+  // loading rows over resident keys (catalog `tables` rows, 42 bytes, and
+  // their schema_id index keys) allocates nothing once the buffer is warm.
+  db_.createTable(TableSchema("tables",
+                              {Column{"id", ColumnType::kInt},
+                               Column{"schema_id", ColumnType::kInt},
+                               Column{"name", ColumnType::kString},
+                               Column{"owner", ColumnType::kString},
+                               Column{"format", ColumnType::kString},
+                               Column{"data_bytes", ColumnType::kInt},
+                               Column{"version", ColumnType::kInt}},
+                              0, {1}));
+  std::vector<Row> rows;
+  for (std::int64_t id = 10000; id < 10500; ++id) {
+    rows.push_back(Row{{id, id / 10, "table_" + std::to_string(id),
+                        std::string("user123"), std::string("delta"),
+                        std::int64_t{100000}, std::int64_t{1}}});
+  }
+  // The first load puts the keys; the second warms the row buffer and
+  // each engine's list of recycled payload blocks.
+  for (int warm = 0; warm < 2; ++warm) {
+    for (const Row& row : rows) db_.loadRow("tables", row);
+  }
+
+  constexpr std::size_t kRounds = 20;
+  const std::uint64_t allocations = allocationsDuring([&] {
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      for (const Row& row : rows) db_.loadRow("tables", row);
+    }
+  });
+  EXPECT_EQ(allocations, 0u) << "heap allocations over "
+                             << kRounds * rows.size() << " row loads";
+  EXPECT_EQ(db_.exec(client_, "SELECT * FROM tables WHERE id = 10499")
+                .rows.size(),
+            1u);
+}
+
+TEST_F(KvReadAllocations, CatalogPopulateAllocatesUnderTwoBlocksARow) {
+  // uc-object's 20K-table catalog load. Each loadRow call is handed a Row
+  // whose value vector is one heap block; loading it adds none, so the
+  // whole populate stays under two blocks a row, where a heap string per
+  // encoded row would add two more.
+  workload::UcTraceConfig config;
+  config.numTables = 20000;
+  const workload::UcTraceWorkload trace(config);
+  richobject::CatalogStore store(db_, trace);
+  store.createSchemas();
+  const std::int64_t schemas = store.schemaIdFor(trace.keyCount() - 1) + 1;
+  const std::int64_t catalogs = store.catalogIdFor(schemas - 1) + 1;
+  // Principals, schemas, and per catalog its row and its grant.
+  std::uint64_t rows = store.config().principals +
+                       static_cast<std::uint64_t>(schemas + 2 * catalogs);
+  for (std::uint64_t t = 0; t < trace.keyCount(); ++t) {
+    rows += 1 + store.privilegeCount(t) + store.constraintCount(t) +
+            store.lineageCount(t) + store.propertyCount(t);
+  }
+
+  const std::uint64_t allocations = allocationsDuring([&] { store.populate(); });
+  EXPECT_EQ(rows, 190085u);
+  EXPECT_LT(allocations, 2 * rows);
+  EXPECT_EQ(db_.exec(client_, "SELECT * FROM tables WHERE id = 19999")
+                .rows.size(),
+            1u);
 }
 
 TEST(RowCodecAllocations, EncodeRowAllocatesItsBufferAndResult) {

@@ -1,6 +1,8 @@
 // Raft replication cost model tests.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/network.hpp"
 #include "sim/tier.hpp"
 #include "storage/raft.hpp"
@@ -16,16 +18,35 @@ class RaftTest : public ::testing::Test {
   sim::Tier tier_;
 };
 
+/// The nodes a write led by `leader` applied on and charged, in node order.
+std::vector<std::size_t> replicasOf(std::size_t leader, sim::Tier& tier,
+                                    sim::NetworkModel& network) {
+  RaftReplicator raft(tier, network, RaftCosts{}, 3);
+  raft.replicate(leader, 100);
+  std::vector<std::size_t> replicas;
+  for (std::size_t n = 0; n < tier.size(); ++n) {
+    const bool applied = raft.appliedIndex(n) == 1;
+    EXPECT_EQ(applied, tier.node(n).cpu().totalMicros() > 0.0) << n;
+    if (applied) replicas.push_back(n);
+  }
+  return replicas;
+}
+
 TEST_F(RaftTest, FollowersAreRingNeighbours) {
-  RaftReplicator raft(tier_, network_, RaftCosts{}, 3);
-  EXPECT_EQ(raft.followersOf(0), (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(raft.followersOf(4), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(raft.replicationFactor(), 3u);
+  EXPECT_EQ(replicasOf(0, tier_, network_),
+            (std::vector<std::size_t>{0, 1, 2}));
+  sim::Tier wrapped("kv", sim::TierKind::kKvStorage, 5);
+  EXPECT_EQ(replicasOf(4, wrapped, network_),
+            (std::vector<std::size_t>{0, 1, 4}));  // past the last node
 }
 
 TEST_F(RaftTest, ReplicationFactorClampedToTierSize) {
   RaftReplicator raft(tier_, network_, RaftCosts{}, 100);
   EXPECT_EQ(raft.replicationFactor(), 5u);
+  raft.replicate(2, 10);  // every node applies once, none twice
+  for (std::size_t n = 0; n < tier_.size(); ++n) {
+    EXPECT_EQ(raft.appliedIndex(n), 1u) << n;
+  }
 }
 
 TEST_F(RaftTest, ReplicateChargesLeaderAndFollowers) {
@@ -73,9 +94,12 @@ TEST_F(RaftTest, LeaseValidationCountsAndCharges) {
 
 TEST_F(RaftTest, SingleReplicaHasNoFollowers) {
   RaftReplicator raft(tier_, network_, RaftCosts{}, 1);
-  EXPECT_TRUE(raft.followersOf(0).empty());
   const double latency = raft.replicate(0, 100);
   EXPECT_DOUBLE_EQ(latency, 0.0);  // commits locally
+  for (std::size_t n = 1; n < tier_.size(); ++n) {
+    EXPECT_EQ(raft.appliedIndex(n), 0u) << n;
+    EXPECT_DOUBLE_EQ(tier_.node(n).cpu().totalMicros(), 0.0) << n;
+  }
 }
 
 }  // namespace
