@@ -130,9 +130,10 @@ std::string traceTreeReport(const ExperimentResult& result,
   for (std::size_t o = 0; o < obs::kNumSpanOutcomes; ++o) {
     const std::uint64_t n = trace.outcomeCounts[o];
     if (n == 0) continue;
-    out += " " +
-           std::string(sim::spanOutcomeName(static_cast<sim::SpanOutcome>(o))) +
-           "=" + std::to_string(n);
+    out += ' ';
+    out += sim::spanOutcomeName(static_cast<sim::SpanOutcome>(o));
+    out += '=';
+    out += std::to_string(n);
   }
   out.push_back('\n');
 

@@ -17,12 +17,17 @@ constexpr std::uint64_t kPlanFragmentBytes = 96;
 /// What kvKey puts before a KV path key.
 constexpr std::string_view kKvPrefix = "kv/";
 
+std::size_t joinedSize(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  return size;
+}
+
 /// `out` = the parts joined, sized once so a fresh buffer allocates at most
 /// once and a reused one not at all.
 std::string_view joinKey(std::string& out,
                          std::initializer_list<std::string_view> parts) {
-  std::size_t size = 0;
-  for (const std::string_view part : parts) size += part.size();
+  const std::size_t size = joinedSize(parts);
   out.clear();
   // dcache-lint: allow(hot-path-alloc, a reused buffer grows only while its keys get longer, then never again)
   out.reserve(size);
@@ -75,6 +80,11 @@ std::string_view Database::indexKey(std::string& out, std::string_view table,
   return joinKey(out, {"t/", table, "/i/", column, "/", value, "/", pk});
 }
 
+std::size_t Database::indexBaseSize(std::string_view table,
+                                    std::string_view column) noexcept {
+  return joinedSize({"t/", table, "/i/", column, "/"});
+}
+
 std::string_view Database::indexPrefix(std::string& out,
                                        std::string_view table,
                                        std::string_view column,
@@ -111,12 +121,25 @@ void Database::loadRow(std::string_view table, const Row& row) {
   if (!s) return;
   const std::string pk = valueToString(row.values[s->primaryKeyColumn()]);
   const std::string_view key = rowKey(keyBuf_, table, pk);
-  engines_[nodeFor(key)].put(key, rowValue(*s, row, rowBuf_), ++ts_);
+  KvEngine& engine = engines_[nodeFor(key)];
+  const std::size_t keys = engine.keyCount();
+  engine.put(key, rowValue(*s, row, rowBuf_), ++ts_);
+  const bool newRow = engine.keyCount() > keys;
   for (const std::size_t col : s->indexedColumns()) {
-    const std::string_view ik =
-        indexKey(keyBuf_, table, s->columns()[col].name,
-                 valueToString(row.values[col]), pk);
-    engines_[nodeFor(ik)].put(ik, StoredValue::sized(0), ++ts_);
+    const std::string_view column = s->columns()[col].name;
+    const std::string_view ik = indexKey(keyBuf_, table, column,
+                                         valueToString(row.values[col]), pk);
+    ++ts_;
+    if (ik.size() > KvEngine::kMaxKeyBytes) continue;
+    const std::size_t base = indexBaseSize(table, column);
+    IndexOrder& index = indexFor(ik.substr(0, base));
+    // A new row key is a new primary key, so its entries are new as well
+    // when no name in them holds a '/': then `<value>/<pk>` splits one way.
+    if (newRow && std::count(ik.begin(), ik.end(), '/') == 5) {
+      index.append(ik.substr(base), nodeFor(ik));
+    } else {
+      index.put(ik.substr(base), nodeFor(ik));
+    }
   }
 }
 
@@ -194,11 +217,11 @@ void Database::materializeMatching(std::string_view prefix) {
   }
 }
 
-KeyOrder& Database::orderOf(std::string_view base) {
-  if (const auto it = orders_.find(base); it != orders_.end()) {
+IndexOrder& Database::indexFor(std::string_view base) {
+  if (const auto it = indexes_.find(base); it != indexes_.end()) {
     return it->second;
   }
-  return orders_.try_emplace(std::string(base), base, engines_.size())
+  return indexes_.try_emplace(std::string(base), engines_.size())
       .first->second;
 }
 
@@ -248,42 +271,65 @@ std::optional<ValueView> Database::engineGet(std::string_view key,
   return stored;
 }
 
-bool Database::enginePut(std::string_view key, StoredValue value,
-                         ExecTrace& trace) {
+template <typename Commit>
+bool Database::chargedPut(std::string_view key, std::uint64_t size,
+                          ExecTrace& trace, Commit&& commit) {
   const std::uint64_t keyHash = util::hashKey(key);
   const std::size_t idx = keyHash % engines_.size();
-  sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
-  const std::uint64_t bytes = value.size + key.size();
+  const double execMicros = costs.execPerRowMicros + costs.memtableMicros +
+                            costs.execPerByteMicros * static_cast<double>(size);
+  kvTier_->node(idx).charge(sim::CpuComponent::kKvExecution, execMicros);
 
-  const double execMicros =
-      costs.execPerRowMicros + costs.memtableMicros +
-      costs.execPerByteMicros * static_cast<double>(value.size);
-  node.charge(sim::CpuComponent::kKvExecution, execMicros);
-
-  const std::uint64_t rowSize = value.size;
-  materialize(idx, key);
-  if (!engines_[idx].put(key, value, ++ts_)) return false;
-  trace.latencyMicros += execMicros + raft_.replicate(idx, bytes);
-  blockCaches_[idx]->touchWrite(keyHash, rowSize);
+  if (!commit(idx, ++ts_)) return false;
+  trace.latencyMicros += execMicros + raft_.replicate(idx, size + key.size());
+  blockCaches_[idx]->touchWrite(keyHash, size);
   syncMemoryMeters(idx);
 
   ++trace.rowsWritten;
-  trace.bytesWritten += rowSize;
-  touchLeg(idx, rowSize);
+  trace.bytesWritten += size;
+  touchLeg(idx, size);
   return true;
 }
 
-bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
+bool Database::enginePut(std::string_view key, StoredValue value,
+                         ExecTrace& trace) {
+  return chargedPut(key, value.size, trace,
+                    [&](std::size_t idx, std::uint64_t ts) {
+                      materialize(idx, key);
+                      return engines_[idx].put(key, value, ts);
+                    });
+}
+
+bool Database::indexPut(std::string_view key, std::size_t base,
+                        ExecTrace& trace) {
+  return chargedPut(key, 0, trace, [&](std::size_t idx, std::uint64_t) {
+    if (key.size() > KvEngine::kMaxKeyBytes) return false;
+    indexFor(key.substr(0, base)).put(key.substr(base), idx);
+    return true;
+  });
+}
+
+bool Database::chargeIndexRePut(std::string_view key, ExecTrace& trace) {
+  return chargedPut(key, 0, trace, [&](std::size_t, std::uint64_t) {
+    return key.size() <= KvEngine::kMaxKeyBytes;
+  });
+}
+
+bool Database::indexDelete(std::string_view key, std::size_t base,
+                           ExecTrace& trace) {
   const std::uint64_t keyHash = util::hashKey(key);
   const std::size_t idx = keyHash % engines_.size();
-  sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
 
-  node.charge(sim::CpuComponent::kKvExecution,
-              costs.execPerRowMicros + costs.memtableMicros);
-  materialize(idx, key);
-  if (!engines_[idx].erase(key, ++ts_)) return false;
+  kvTier_->node(idx).charge(sim::CpuComponent::kKvExecution,
+                            costs.execPerRowMicros + costs.memtableMicros);
+  ++ts_;
+  if (key.size() > KvEngine::kMaxKeyBytes) return false;
+  if (const auto it = indexes_.find(key.substr(0, base));
+      it != indexes_.end()) {
+    it->second.erase(key.substr(base));
+  }
   trace.latencyMicros += raft_.replicate(idx, key.size());
   blockCaches_[idx]->invalidate(keyHash);
   ++trace.rowsWritten;
@@ -364,7 +410,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   }
 
   ExecTrace trace;
-  Executor executor(*this, keyBuf_, matchBuf_, rowBuf_);
+  Executor executor(*this, keyBuf_, matchBuf_, rowBuf_, updateBuf_);
   Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
@@ -494,6 +540,17 @@ util::Bytes Database::totalStoredBytes() const {
   util::Bytes total;
   for (const KvEngine& engine : engines_) total += engine.liveBytes();
   return total + util::Bytes::of(range_.pendingBytes());
+}
+
+std::uint64_t Database::engineKeyCount() const noexcept {
+  std::uint64_t n = 0;
+  for (const KvEngine& engine : engines_) n += engine.keyCount();
+  return n;
+}
+
+std::size_t Database::indexEntryCount(std::string_view base) const {
+  const auto it = indexes_.find(base);
+  return it == indexes_.end() ? 0 : it->second.size();
 }
 
 std::uint64_t Database::blockCacheHits() const {

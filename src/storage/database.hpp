@@ -14,19 +14,20 @@
 // A KV bulk load is lazy: loadValueRange() records the whole keyspace as one
 // KvRange (kv_range.hpp) and puts no key into an engine. A range key is
 // materialized, at the version the loadValue loop would have given it,
-// before the first write to it (enginePut, engineDelete, loadValue), the
-// first pointer read of it (engineGet) or the first prefix scan whose
-// prefix a range key can start with. peekValueVersion and totalStoredBytes
-// answer untouched keys from the range and never materialize. No charge,
-// version, size or block-cache touch depends on when a key is materialized.
+// before the first write to it (enginePut, loadValue), the first pointer
+// read of it (engineGet) or the first prefix scan whose prefix a range key
+// can start with. peekValueVersion and totalStoredBytes answer untouched
+// keys from the range and never materialize. No charge, version, size or
+// block-cache touch depends on when a key is materialized.
 //
-// Prefix scans go through a KeyOrder (key_order.hpp) per base prefix that
-// a scan names: the executor's index lookup names its index
-// ("t/<table>/i/<column>/") and its table scan the table's rows
-// ("t/<table>/r/"). An order holds only the keys under its base, so the
-// first lookup after a bulk load orders that index alone, and keys no scan
-// names, such as the rows of a table read only by primary key, are never
-// ordered.
+// The KV engines hold rows and KV values only. Each secondary index keeps
+// its entries in one IndexOrder (index_order.hpp), by index base
+// ("t/<table>/i/<column>/"): loadRow and the executor's UPDATE write them
+// through indexPut/indexDelete, which charge what an engine put or delete
+// of the index key would, and the executor's index lookup reads them
+// through indexLookup, which charges each visited entry as a scanned row.
+// A table scan (engineScanPrefix) makes one pass over every engine's keys
+// per call; no simulated path issues one.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@
 #include "rpc/wire.hpp"
 #include "sim/tier.hpp"
 #include "storage/block_cache.hpp"
-#include "storage/key_order.hpp"
+#include "storage/index_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/kv_range.hpp"
 #include "storage/planner.hpp"
@@ -167,24 +168,53 @@ class Database {
   [[nodiscard]] std::optional<ValueView> engineGet(std::string_view key,
                                                    ExecTrace& trace);
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
-  bool engineDelete(std::string_view key, ExecTrace& trace);
-  /// Ordered scan of the keys that start with `prefix`, through the key
-  /// order of its first `base` bytes (created empty on first use), over
-  /// all shards, shard by shard in node order: each shard's lease is
-  /// validated before its rows, and fn returning false stops that shard.
-  /// `key` views bytes that stay valid for the database's life. fn must
-  /// not write to or scan this database.
+  /// Visit the engine keys (rows and KV values) that start with `prefix`,
+  /// shard by shard in node order, ascending within a shard: each shard's
+  /// lease is validated before its rows, and fn returning false stops that
+  /// shard. One pass over each engine's keys per call. `key` views bytes
+  /// that stay valid for the database's life. fn must not write to or scan
+  /// this database.
   template <typename Fn>
-  void engineScanPrefix(std::string_view prefix, std::size_t base,
-                        ExecTrace& trace, Fn&& fn) {
+  void engineScanPrefix(std::string_view prefix, ExecTrace& trace, Fn&& fn) {
     if (!range_.empty()) materializeMatching(prefix);
-    orderOf(prefix.substr(0, base))
-        .scanPrefix(
-            engines_, prefix,
+    for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
+      raft_.validateLease(idx);
+      engines_[idx].scanPrefix(
+          prefix, scanIds_, [&](std::string_view key, const ValueView& v) {
+            chargeScannedRow(idx, v.size, trace);
+            return fn(key, v);
+          });
+    }
+  }
+
+  // Index entries. `key` is an index key (indexKey) and its first `base`
+  // bytes name the index (`t/<table>/i/<column>/`); the bytes past them are
+  // the entry.
+  /// Put the entry unless its index holds it, charged as enginePut charges
+  /// `key` with a zero-byte value. False, after the KV execution charge,
+  /// for a key past KvEngine::kMaxKeyBytes.
+  bool indexPut(std::string_view key, std::size_t base, ExecTrace& trace);
+  /// The charges of indexPut for an entry the statement leaves unchanged
+  /// (an UPDATE of other columns), without touching the index.
+  bool chargeIndexRePut(std::string_view key, ExecTrace& trace);
+  /// Drop the entry, charged as an engine delete of `key`, held or not.
+  bool indexDelete(std::string_view key, std::size_t base, ExecTrace& trace);
+  /// Visit the entries of the index of `prefix`'s first `base` bytes whose
+  /// key starts with `prefix`, shard by shard in node order, ascending
+  /// within a shard: each shard's lease is validated before its entries,
+  /// each entry is charged as a scanned zero-byte row, and fn returning
+  /// false stops that shard. fn gets the entry's bytes past `prefix`, valid
+  /// until the next write to the index; it must not write to this database.
+  template <typename Fn>
+  void indexLookup(std::string_view prefix, std::size_t base,
+                   ExecTrace& trace, Fn&& fn) {
+    indexFor(prefix.substr(0, base))
+        .lookup(
+            prefix.substr(base),
             [&](std::size_t idx) { raft_.validateLease(idx); },
-            [&](std::size_t idx, std::string_view key, const ValueView& v) {
-              chargeScannedRow(idx, v.size, trace);
-              return fn(key, v);
+            [&](std::size_t idx, std::string_view entry) {
+              chargeScannedRow(idx, 0, trace);
+              return fn(entry.substr(prefix.size() - base));
             });
   }
 
@@ -199,6 +229,10 @@ class Database {
   [[nodiscard]] std::uint64_t blockCacheMisses() const;
   [[nodiscard]] const RaftReplicator& raft() const noexcept { return raft_; }
   [[nodiscard]] sim::Tier& kvTier() noexcept { return *kvTier_; }
+  /// Keys the KV engines hold: rows and KV values, tombstones included.
+  [[nodiscard]] std::uint64_t engineKeyCount() const noexcept;
+  /// Entries the index under `base` (`t/<table>/i/<column>/`) holds.
+  [[nodiscard]] std::size_t indexEntryCount(std::string_view base) const;
 
   // ---- key layout ----
   // Each builder writes its key into `out`, replacing what was there, and
@@ -210,6 +244,9 @@ class Database {
   static std::string_view indexKey(std::string& out, std::string_view table,
                                    std::string_view column,
                                    std::string_view value, std::string_view pk);
+  /// The length of an index key's base, `t/<table>/i/<column>/`.
+  static std::size_t indexBaseSize(std::string_view table,
+                                   std::string_view column) noexcept;
   static std::string_view indexPrefix(std::string& out,
                                       std::string_view table,
                                       std::string_view column,
@@ -227,7 +264,7 @@ class Database {
 
   [[nodiscard]] std::size_t nodeFor(std::string_view key) const noexcept;
   /// The range index of `key` if it is a range key engine idx has never
-  /// held; a tombstone counts as held.
+  /// held.
   [[nodiscard]] std::optional<std::uint64_t> untouchedRangeIndex(
       std::size_t idx, std::string_view key) const;
   /// Put `key` into engine idx if it is an untouched range key; returns
@@ -238,8 +275,14 @@ class Database {
   bool materializeKey(std::size_t idx, std::string_view key);
   /// Materialize every untouched range key that starts with `prefix`.
   void materializeMatching(std::string_view prefix);
-  /// The key order of the keys under `base`, created empty on first use.
-  KeyOrder& orderOf(std::string_view base);
+  /// The index under `base`, created empty on first use.
+  IndexOrder& indexFor(std::string_view base);
+  /// Charge a put of `key` with `size` value bytes as a replicated write
+  /// on its node. `commit(idx, ts)` makes the write at the next timestamp;
+  /// its false rejects it, after the KV execution charge alone.
+  template <typename Commit>
+  bool chargedPut(std::string_view key, std::uint64_t size, ExecTrace& trace,
+                  Commit&& commit);
   /// KV-side execution charge for one row a prefix scan visits on `idx`.
   void chargeScannedRow(std::size_t idx, std::uint64_t size, ExecTrace& trace);
   /// The cached plan for `sql`, parsed and planned on first use; a full
@@ -254,7 +297,7 @@ class Database {
   /// the chosen front-end node.
   sim::Node& frontendForStatement();
   /// The statement in flight moved `bytes` on KV node `idx`. A zero-byte
-  /// touch (an index-key put) still gets its leg.
+  /// touch (an index-entry put) still gets its leg.
   void touchLeg(std::size_t idx, std::uint64_t bytes) noexcept {
     legs_[idx].bytes += bytes;
     legs_[idx].touched = true;
@@ -271,13 +314,17 @@ class Database {
   Config config_;
   RaftReplicator raft_;
   std::vector<KvEngine> engines_;
-  /// One key order per base prefix a scan names, over every engine.
-  std::map<std::string, KeyOrder, std::less<>> orders_;
+  /// One entry order per secondary index, by index base.
+  std::map<std::string, IndexOrder, std::less<>> indexes_;
   KvRange range_;   // the bulk-loaded keys not yet in their engines
   /// Key buffer for the statement in flight (see the key layout builders).
   std::string keyBuf_;
   /// The primary keys the statement in flight matched in an index.
   std::vector<std::string_view> matchBuf_;
+  /// The rows an UPDATE in flight rewrites, kept with their capacity.
+  std::vector<Row> updateBuf_;
+  /// A table scan's matching key ids on one engine (engineScanPrefix).
+  std::vector<std::uint32_t> scanIds_;
   /// The row being loaded or rewritten, encoded; put() copies its bytes.
   rpc::WireEncoder rowBuf_;
   /// Key buffer for the const peeks, apart from keyBuf_ so that a peek

@@ -1,6 +1,7 @@
 // Plan executor: runs a QueryPlan against the database's engine-level API.
-// Every row touched flows through Database::engineGet/Put/Delete, so all
-// CPU, block-cache, disk and replication costs are charged where the work
+// Every row touched flows through Database::engineGet/enginePut and every
+// index entry through indexLookup/indexPut/indexDelete, so all CPU,
+// block-cache, disk and replication costs are charged where the work
 // happens — the executor adds no accounting of its own.
 #pragma once
 
@@ -19,11 +20,17 @@ namespace dcache::storage {
 class Executor {
  public:
   /// `keyBuf` holds each key the executor builds, one at a time,
-  /// `matchBuf` the primary keys an index lookup matched and `rowBuf` each
-  /// row an UPDATE rewrites, encoded. All are reused across statements.
+  /// `matchBuf` the primary keys an index lookup matched, `rowBuf` each
+  /// row an UPDATE rewrites, encoded, and `updateBuf` the rows an UPDATE
+  /// rewrites, decoded. All are reused across statements.
   Executor(Database& db, std::string& keyBuf,
-           std::vector<std::string_view>& matchBuf, rpc::WireEncoder& rowBuf)
-      : db_(&db), keyBuf_(&keyBuf), matchBuf_(&matchBuf), rowBuf_(&rowBuf) {}
+           std::vector<std::string_view>& matchBuf, rpc::WireEncoder& rowBuf,
+           std::vector<Row>& updateBuf)
+      : db_(&db),
+        keyBuf_(&keyBuf),
+        matchBuf_(&matchBuf),
+        rowBuf_(&rowBuf),
+        updateBuf_(&updateBuf) {}
 
   struct Outcome {
     bool ok = false;
@@ -41,12 +48,19 @@ class Executor {
                                                     std::span<const Value> params,
                                                     ColumnType type);
 
-  /// Append the rows the access plan selects to `out`, residual filters
-  /// applied.
+  /// Decode the rows the access plan selects into `out[used ..]`, residual
+  /// filters applied, advancing `used`. Rows `out` already holds past
+  /// `used` are decoded into, keeping their capacity; `out` grows only past
+  /// its size.
   bool fetchRows(const TableAccessPlan& access, std::span<const Value> params,
-                 ExecTrace& trace, std::vector<Row>& out, std::string& error);
+                 ExecTrace& trace, std::vector<Row>& out, std::size_t& used,
+                 std::string& error);
 
-  bool writeRow(const TableSchema& schema, const Row& row, ExecTrace& trace);
+  /// Put `row` and its index entries. An entry of an indexed column that
+  /// `assignments` does not set is unchanged: only its re-put is charged.
+  bool writeRow(const TableSchema& schema, const Row& row,
+                std::span<const BoundCondition> assignments,
+                ExecTrace& trace);
 
   Outcome runUpdate(const QueryPlan& plan, std::span<const Value> params,
                     ExecTrace& trace);
@@ -55,6 +69,7 @@ class Executor {
   std::string* keyBuf_;
   std::vector<std::string_view>* matchBuf_;
   rpc::WireEncoder* rowBuf_;
+  std::vector<Row>* updateBuf_;
 };
 
 }  // namespace dcache::storage

@@ -1,5 +1,6 @@
 #include "storage/kv_engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/hash.hpp"
@@ -87,6 +88,19 @@ bool KvEngine::write(std::string_view key, StoredValue value, bool tombstone,
   if (!tombstone) liveBytes_ += value.size;
   ++writes_;
   return true;
+}
+
+void KvEngine::matchingIds(std::string_view prefix,
+                           std::vector<std::uint32_t>& ids) const {
+  ids.clear();
+  const auto count = static_cast<std::uint32_t>(entries_.highWater());
+  for (std::uint32_t id = 0; id < count; ++id) {
+    // dcache-lint: allow(hot-path-alloc, a reused buffer grows only while scans match more keys, then never again)
+    if (entries_[id].key().starts_with(prefix)) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return entries_[a].key() < entries_[b].key();
+  });
 }
 
 std::optional<ValueView> KvEngine::get(std::string_view key) const {

@@ -12,15 +12,16 @@
 // version and a reference to the payload's bytes. Those bytes live in a
 // second KeyArena, apart from the keys: an overwrite or erase gives the old
 // block back to its size class, so rewriting a row allocates nothing once
-// warm, while key bytes are never given back. Index keys and KV values have
-// no payload and take no block. Reads return a ValueView whose payload
-// views the arena; it is valid until the next write to that key. One
-// open-addressing index of 8-byte {32-bit hash, id} slots serves point
-// reads: probe positions come from the stored hash, so growth re-places
-// slots without re-hashing keys, and a full key compare decides equality.
-// The engine keeps no key order: ids are handed out 0, 1, 2, ... and a
-// key's bytes never move, so a KeyOrder (key_order.hpp) orders the keys of
-// every engine of a tier under one base prefix through keyAt/valueAt.
+// warm, while key bytes are never given back. KV values have no payload
+// and take no block. Reads return a ValueView whose payload views the
+// arena; it is valid until the next write to that key. One open-addressing
+// index of 8-byte {32-bit hash, id} slots serves point reads: probe
+// positions come from the stored hash, so growth re-places slots without
+// re-hashing keys, and a full key compare decides equality.
+// The engine keeps no key order. A Database puts rows and KV values here;
+// secondary-index entries live in an IndexOrder (index_order.hpp), and no
+// simulated path scans a range of engine keys, so scanPrefix() makes one
+// pass over every key per call and sorts the matches.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,7 @@ struct StoredValue {
   }
 };
 
-/// A key's value as get() and valueAt() read it. `payload` views the
+/// A key's value as get() and scanPrefix() read it. `payload` views the
 /// engine's bytes and is valid until the next write to that key.
 struct ValueView {
   std::uint64_t size = 0;     // logical bytes
@@ -59,8 +60,9 @@ struct ValueView {
 
 class KvEngine {
  public:
-  /// Longest key put() accepts, so that KeyOrder's 16-bit record size
-  /// holds every key; longer keys are rejected.
+  /// Longest key put() accepts, so that an IndexOrder record's 16-bit
+  /// length holds the bytes of every index key past its base; longer keys
+  /// are rejected.
   static constexpr std::size_t kMaxKeyBytes = UINT16_MAX;
   /// Longest payload put() accepts, so that an entry's 31-bit payload
   /// length holds it; longer payloads are rejected.
@@ -102,19 +104,23 @@ class KvEngine {
   /// bulk load never regrows it.
   void reserveKeys(std::size_t expectedKeys);
 
-  /// Keys ever written; ids run 0 .. keyCount() - 1 in write order.
+  /// Keys ever written, tombstones included.
   [[nodiscard]] std::size_t keyCount() const noexcept {
     return entries_.highWater();
   }
-  /// The key of `id`. Its bytes never move: keys are immutable and neither
-  /// entries nor arena chunks are ever freed.
-  [[nodiscard]] std::string_view keyAt(std::uint32_t id) const noexcept {
-    return entries_[id].key();
-  }
-  /// The value of `id`, as get() finds it.
-  [[nodiscard]] std::optional<ValueView> valueAt(
-      std::uint32_t id) const noexcept {
-    return visible(entries_[id]);
+  /// Visit the keys that start with `prefix` and hold a value, in key
+  /// order; `fn(key, value)` returning false stops. One pass over every key
+  /// and a sort of the matches, per call. `ids` is scratch space a caller
+  /// reuses across calls. `key` views bytes that stay valid as long as the
+  /// engine; fn must not write to it.
+  template <typename Fn>
+  void scanPrefix(std::string_view prefix, std::vector<std::uint32_t>& ids,
+                  Fn&& fn) const {
+    matchingIds(prefix, ids);
+    for (const std::uint32_t id : ids) {
+      const Entry& entry = entries_[id];
+      if (!entry.tombstone && !fn(entry.key(), *visible(entry))) return;
+    }
   }
   [[nodiscard]] util::Bytes liveBytes() const noexcept {
     return util::Bytes::of(liveBytes_);
@@ -162,6 +168,9 @@ class KvEngine {
   }
   bool write(std::string_view key, StoredValue value, bool tombstone,
              std::uint64_t commitTs);
+  /// `ids` = the ids of the keys that start with `prefix`, in key order.
+  void matchingIds(std::string_view prefix,
+                   std::vector<std::uint32_t>& ids) const;
   [[nodiscard]] std::uint32_t find(std::uint32_t hash,
                                    std::string_view key) const noexcept;
   void place(std::uint32_t hash, std::uint32_t id) noexcept;

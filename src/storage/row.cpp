@@ -89,51 +89,51 @@ std::string encodeRow(const TableSchema& schema, const Row& row) {
   return std::string(enc.view());
 }
 
-std::optional<Row> decodeRow(const TableSchema& schema,
-                             std::string_view bytes) {
-  rpc::WireDecoder dec(bytes);
-  Row row;
-  row.values.reserve(schema.columnCount());
-  for (const Column& column : schema.columns()) {  // typed defaults
-    if (column.type == ColumnType::kString) {
-      row.values.emplace_back(std::string{});
-    } else if (column.type == ColumnType::kDouble) {
-      row.values.emplace_back(0.0);
+bool decodeRow(const TableSchema& schema, std::string_view bytes, Row& out) {
+  out.values.resize(schema.columnCount());
+  for (std::size_t c = 0; c < schema.columnCount(); ++c) {  // typed defaults
+    Value& v = out.values[c];
+    if (schema.columns()[c].type != ColumnType::kString) {
+      v = schema.columns()[c].type == ColumnType::kDouble ? Value{0.0}
+                                                          : Value{std::int64_t{0}};
+    } else if (auto* s = std::get_if<std::string>(&v)) {
+      s->clear();
     } else {
-      row.values.emplace_back(std::int64_t{0});
+      v = std::string{};
     }
   }
+  rpc::WireDecoder dec(bytes);
   while (!dec.done()) {
     const auto tag = dec.readTag();
-    if (!tag) return std::nullopt;
+    if (!tag) return false;
     const std::size_t c = tag->number == 0 ? schema.columnCount()
                                            : static_cast<std::size_t>(tag->number - 1);
     if (c >= schema.columnCount()) {
-      if (!dec.skip(tag->type)) return std::nullopt;
+      if (!dec.skip(tag->type)) return false;
       continue;
     }
     switch (schema.columns()[c].type) {
       case ColumnType::kInt: {
         const auto v = dec.readSint();
-        if (!v) return std::nullopt;
-        row.values[c] = *v;
+        if (!v) return false;
+        out.values[c] = *v;
         break;
       }
       case ColumnType::kDouble: {
         const auto v = dec.readDouble();
-        if (!v) return std::nullopt;
-        row.values[c] = *v;
+        if (!v) return false;
+        out.values[c] = *v;
         break;
       }
       case ColumnType::kString: {
         const auto v = dec.readBytes();
-        if (!v) return std::nullopt;
-        row.values[c] = std::string(*v);
+        if (!v) return false;
+        std::get<std::string>(out.values[c]).assign(*v);
         break;
       }
     }
   }
-  return row;
+  return true;
 }
 
 std::uint64_t declaredPayloadBytes(const TableSchema& schema,

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -41,9 +40,11 @@ void encodeRow(const TableSchema& schema, const Row& row,
 /// The same encoding, into a new string.
 [[nodiscard]] std::string encodeRow(const TableSchema& schema, const Row& row);
 
-/// Decode; nullopt on malformed bytes or type mismatch.
-[[nodiscard]] std::optional<Row> decodeRow(const TableSchema& schema,
-                                           std::string_view bytes);
+/// Decode into `out`, reusing its value and string capacity, so decoding
+/// into a warm row allocates nothing; false on malformed bytes or type
+/// mismatch, with `out` partly overwritten.
+[[nodiscard]] bool decodeRow(const TableSchema& schema, std::string_view bytes,
+                             Row& out);
 
 /// Encoded size without materializing the buffer.
 [[nodiscard]] std::uint64_t encodedRowSize(const TableSchema& schema,

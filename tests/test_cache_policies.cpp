@@ -22,7 +22,9 @@ namespace {
 }
 
 [[nodiscard]] std::string key(int i) {
-  return "k" + std::to_string(10 + i);  // fixed width 3
+  std::string k = "k";
+  k += std::to_string(10 + i);  // fixed width 3
+  return k;
 }
 
 TEST(Lru, EvictsLeastRecentlyUsed) {

@@ -115,8 +115,9 @@ TEST(Fuzz, RowDecoderNeverCrashes) {
        storage::Column{"s", storage::ColumnType::kString}},
       0);
   util::Pcg32 rng(106, 1);
+  storage::Row row;
   for (int trial = 0; trial < 3000; ++trial) {
-    (void)storage::decodeRow(schema, randomBytes(rng, 256));
+    (void)storage::decodeRow(schema, randomBytes(rng, 256), row);
   }
   SUCCEED();
 }

@@ -3,23 +3,26 @@
 // included), erases, gets, and prefix scans with early stop, and must agree
 // on every result, the scan visit order, liveBytes, keyCount and
 // writeCount after every step. The flat engine keeps one version per key,
-// so the streams compare the oracle's newest reads only. Each scan goes
-// through the KeyOrder of a random cut of its prefix, and the orders are
-// held in a map by base, as Database holds them, so one stream drives many
-// orders over the same engines; at the end of a stream every order must
-// hold exactly the keys under its base. The first streams scan one engine;
-// the last run three engines behind shared orders against three oracles.
-// Keys are shaped like the database's index keys
-// (`t/<table>/i/<col>/<value>/<pk>`), so they share long prefixes, and new
-// keys keep arriving between scans, so every order merges new keys
-// mid-stream again and again. Further streams aim at the engine's layout
-// edges: keys on both sides of the 16-byte inline limit, a few keys
-// overwritten thousands of times in place, and two keys whose stored
-// 32-bit index hashes are equal. Payload bytes depend on the write that
-// puts them and on their position, and their lengths cross the payload
-// arena's edges (empty, one byte, around 16, around its 4 KiB classed
-// limit, up to 10 KiB), so a stale, shared or wrongly sized block reads
-// back as bytes the oracle does not hold.
+// so the streams compare the oracle's newest reads only. Each scan is the
+// engine's per-call pass (KvEngine::scanPrefix). Keys are shaped like the
+// database's keys (`t/<table>/i/<col>/<value>/<pk>`), so they share long
+// prefixes. Further streams aim at the engine's layout edges: keys on both
+// sides of the 16-byte inline limit, a few keys overwritten thousands of
+// times in place, and two keys whose stored 32-bit index hashes are equal.
+// Payload bytes depend on the write that puts them and on their position,
+// and their lengths cross the payload arena's edges (empty, one byte,
+// around 16, around its 4 KiB classed limit, up to 10 KiB), so a stale,
+// shared or wrongly sized block reads back as bytes the oracle does not
+// hold.
+//
+// The IndexOrder streams diff one secondary index's entry order against a
+// std::map of entry to shard: appends of new entries, puts and re-puts,
+// erases, puts after erases and lookups with early stop, over entries of 0,
+// 1, 15, 16, 17 and 200 bytes and values that hold '/', on several shards.
+// A lookup visits shard by shard in ascending entry order, and a false
+// return stops only its own shard. Database-level streams check
+// engineScanPrefix against per-shard map oracles and an index's lookups
+// against the rows loaded into it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,8 +37,11 @@
 #include <vector>
 
 #include "reference/kv_engine.hpp"
+#include "rpc/channel.hpp"
+#include "sim/network.hpp"
+#include "sim/tier.hpp"
 #include "storage/database.hpp"
-#include "storage/key_order.hpp"
+#include "storage/index_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -83,7 +89,8 @@ struct BoundaryKeyGen {
     const std::size_t length = kLengths[rng.next() % 6];
     std::string k = "b/";
     k += static_cast<char>('a' + rng.next() % 3);
-    k += "/" + std::to_string(rng.next() % 40);
+    k += '/';
+    k += std::to_string(rng.next() % 40);
     k.resize(length, '-');
     return k;
   }
@@ -152,57 +159,20 @@ std::pair<std::size_t, std::vector<Visit>> scan(const MapKvEngine& engine,
   return {visited, seen};
 }
 
-/// The same scan of one engine through a one-shard KeyOrder.
-std::pair<std::size_t, std::vector<Visit>> scan(KeyOrder& order,
-                                                const KvEngine& engine,
+/// The same scan through the engine's per-call pass.
+std::pair<std::size_t, std::vector<Visit>> scan(const KvEngine& engine,
                                                 std::string_view prefix,
                                                 std::size_t stopAfter) {
   std::vector<Visit> seen;
-  order.scanPrefix(
-      std::span(&engine, 1), prefix, [](std::size_t) {},
-      [&](std::size_t, std::string_view key, const ValueView& v) {
-        seen.emplace_back(std::string(key), v.version, v.size,
-                          std::string(v.payload));
-        return seen.size() < stopAfter;
-      });
+  std::vector<std::uint32_t> ids;
+  engine.scanPrefix(prefix, ids,
+                    [&](std::string_view key, const ValueView& v) {
+                      seen.emplace_back(std::string(key), v.version, v.size,
+                                        std::string(v.payload));
+                      return seen.size() < stopAfter;
+                    });
   return {seen.size(), seen};
 }
-
-/// The key orders of one stream by base, as Database holds them.
-struct Orders {
-  std::size_t shards;
-  std::map<std::string, KeyOrder, std::less<>> byBase{};
-
-  /// The order of a random cut of `prefix`, created empty on first use.
-  KeyOrder& ofCut(util::Pcg32& rng, std::string_view prefix) {
-    const std::string_view base =
-        prefix.substr(0, rng.next() % (prefix.size() + 1));
-    if (const auto it = byBase.find(base); it != byBase.end()) {
-      return it->second;
-    }
-    return byBase.try_emplace(std::string(base), base, shards).first->second;
-  }
-
-  /// The order contract: after a scan, every order holds exactly the keys
-  /// of `engines` under its base.
-  void expectEachHoldsItsBase(std::span<const KvEngine> engines) {
-    ASSERT_GT(byBase.size(), 1u);
-    for (auto& [base, order] : byBase) {
-      order.scanPrefix(
-          engines, base, [](std::size_t) {},
-          [](std::size_t, std::string_view, const ValueView&) {
-            return true;
-          });
-      std::size_t under = 0;
-      for (const KvEngine& engine : engines) {
-        for (std::uint32_t id = 0; id < engine.keyCount(); ++id) {
-          if (engine.keyAt(id).starts_with(base)) ++under;
-        }
-      }
-      EXPECT_EQ(order.size(), under) << "base '" << base << "'";
-    }
-  }
-};
 
 /// A ValueView has no tombstone flag: get() returning a tombstone shows
 /// as a value where the oracle has none.
@@ -222,7 +192,6 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
                  std::size_t reserve, std::uint32_t putSlots = 10) {
   MapKvEngine oracle;
   KvEngine flat;
-  Orders orders{1};
   if (reserve > 0) flat.reserveKeys(reserve);
   std::uint64_t ts = 0;
 
@@ -258,8 +227,7 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
       const std::string prefix = gen.prefix();
       const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 5
                                                         : SIZE_MAX;
-      ASSERT_EQ(scan(oracle, prefix, stopAfter),
-                scan(orders.ofCut(rng, prefix), flat, prefix, stopAfter))
+      ASSERT_EQ(scan(oracle, prefix, stopAfter), scan(flat, prefix, stopAfter))
           << "step " << step << " prefix " << prefix;
     }
     ASSERT_EQ(oracle.keyCount(), flat.keyCount()) << "step " << step;
@@ -267,7 +235,6 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
         << "step " << step;
     ASSERT_EQ(oracle.writeCount(), flat.writeCount()) << "step " << step;
   }
-  orders.expectEachHoldsItsBase(std::span(&flat, 1));
 }
 
 void runDifferential(std::uint64_t seed, std::size_t ops,
@@ -321,7 +288,6 @@ TEST(KvDifferential, PayloadsGrowShrinkAndReturnAfterTombstones) {
                               "p/" + std::string(20, 'c')};
   MapKvEngine oracle;
   KvEngine flat;
-  KeyOrder order("p/", 1);
   std::uint64_t ts = 0;
   for (std::size_t round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < std::size(kLengths); ++i) {
@@ -338,8 +304,7 @@ TEST(KvDifferential, PayloadsGrowShrinkAndReturnAfterTombstones) {
         for (const std::string& key : keys) {
           expectSameValue(oracle.get(key), flat.get(key), ts);
         }
-        ASSERT_EQ(scan(oracle, "p/", SIZE_MAX),
-                  scan(order, flat, "p/", SIZE_MAX))
+        ASSERT_EQ(scan(oracle, "p/", SIZE_MAX), scan(flat, "p/", SIZE_MAX))
             << "ts " << ts;
       }
     }
@@ -369,7 +334,7 @@ struct CollidingKeyGen {
     const std::uint32_t n = rng.next() % 8;
     if (n == 0) return a;
     if (n == 1) return b;
-    return "f" + std::to_string(rng.next() % 6000);
+    return std::string("f").append(std::to_string(rng.next() % 6000));
   }
 
   std::string prefix() { return rng.next() % 2 == 0 ? "key" : key(); }
@@ -400,48 +365,196 @@ TEST(KvDifferential, KeysWithEqualIndexHashesStayApart) {
   runLockstep(rng, gen, 20000, 0, 20);
 }
 
+/// The IndexOrder oracle: every entry the index holds, with its shard.
+using EntryOracle = std::map<std::string, std::size_t, std::less<>>;
+
+/// One step of a lookup: entering a shard (no entry), or an entry.
+using ShardEvent = std::pair<std::size_t, std::optional<std::string>>;
+
+/// The oracle's lookup: each shard entered in order, then its entries that
+/// start with `prefix` in ascending order, `stopAfter` at most.
+std::vector<ShardEvent> lookup(const EntryOracle& oracle, std::size_t shards,
+                               std::string_view prefix,
+                               std::size_t stopAfter) {
+  std::vector<ShardEvent> events;
+  for (std::size_t s = 0; s < shards; ++s) {
+    events.emplace_back(s, std::nullopt);
+    std::size_t inShard = 0;
+    for (auto it = oracle.lower_bound(prefix);
+         it != oracle.end() && it->first.starts_with(prefix) &&
+         inShard < stopAfter;
+         ++it) {
+      if (it->second != s) continue;
+      events.emplace_back(s, it->first);
+      ++inShard;
+    }
+  }
+  return events;
+}
+
+/// The same lookup through `order`.
+std::vector<ShardEvent> lookup(IndexOrder& order, std::string_view prefix,
+                               std::size_t stopAfter) {
+  std::vector<ShardEvent> events;
+  std::size_t inShard = 0;
+  order.lookup(
+      prefix,
+      [&](std::size_t idx) {
+        events.emplace_back(idx, std::nullopt);
+        inShard = 0;
+      },
+      [&](std::size_t idx, std::string_view entry) {
+        events.emplace_back(idx, std::string(entry));
+        return ++inShard < stopAfter;
+      });
+  return events;
+}
+
+/// The shard an entry lives on, fixed per entry as the full key's hash
+/// fixes it in a Database.
+std::size_t shardOf(std::string_view entry, std::size_t shards) {
+  return util::hashKey(entry) % shards;
+}
+
 TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
-  // Every scan follows a fresh insert, so each one merges a one-key tail.
-  MapKvEngine oracle;
-  KvEngine flat;
-  KeyOrder order("t/tables/i/owner/", 1);
+  // Every lookup follows a fresh append, so each one merges a one-entry
+  // tail; now and then a second append lands before the next lookup.
+  constexpr std::size_t kShards = 3;
+  EntryOracle oracle;
+  IndexOrder order(kShards);
   util::Pcg32 rng(5, 3);
-  for (std::uint64_t ts = 1; ts <= 3000; ++ts) {
-    const std::string key = "t/tables/i/owner/" +
-                            std::to_string(rng.next() % 50) + "/" +
-                            std::to_string(ts);
-    oracle.put(key, StoredValue::sized(ts), ts);
-    flat.put(key, StoredValue::sized(ts), ts);
-    const std::string prefix = key.substr(0, key.rfind('/') + 1);
-    ASSERT_EQ(scan(oracle, prefix, SIZE_MAX),
-              scan(order, flat, prefix, SIZE_MAX))
-        << "ts " << ts;
+  for (std::uint64_t pk = 1; pk <= 3000; ++pk) {
+    const std::string value = std::to_string(rng.next() % 50);
+    const std::string entry = value + "/" + std::to_string(pk);
+    order.append(entry, shardOf(entry, kShards));
+    oracle.emplace(entry, shardOf(entry, kShards));
+    if (rng.next() % 4 == 0) continue;
+    ASSERT_EQ(lookup(oracle, kShards, value + "/", SIZE_MAX),
+              lookup(order, value + "/", SIZE_MAX))
+        << "pk " << pk;
+    ASSERT_EQ(order.size(), oracle.size());
   }
 }
 
-/// Keys for the shared-order stream: index-shaped keys and keys of 0, 1,
-/// 15, 16, 17 and 200 bytes. Prefixes include the empty one, ones that
-/// match no key and whole keys.
-struct SharedOrderKeyGen {
+/// A fixed pool of entries: index-shaped `<value>/<pk>` ones whose values
+/// hold '/' now and then, and stems padded to 0, 1, 15, 16, 17 and 200
+/// bytes, so the shorter entries of a stem are prefixes of the longer ones.
+/// Prefixes are the empty one, a value with its '/', a whole entry, a cut
+/// of one, and one that extends an entry past what any holds.
+struct EntryPool {
   util::Pcg32& rng;
-  KeyGen index{rng, 60};
-  BoundaryKeyGen boundary{rng};
+  std::vector<std::string> entries{};
 
-  std::string key() {
-    return rng.next() % 2 == 0 ? index.key() : boundary.key();
-  }
-
-  std::string prefix() {
-    switch (rng.next() % 8) {
-      case 0: return "";
-      case 1: return "t/tables/x/";  // no key has it
-      case 2: return key() + "~";    // no key extends a key with '~'
-      case 3: return key();
-      case 4:
-      case 5: return index.prefix();
-      default: return boundary.prefix();
+  explicit EntryPool(util::Pcg32& r) : rng(r) {
+    static constexpr const char* kValues[] = {"", "7", "12", "a", "a/b",
+                                              "a/b/", "tbl3", "/"};
+    static constexpr std::size_t kLengths[] = {0, 1, 15, 16, 17, 200};
+    for (const char* value : kValues) {
+      for (std::uint32_t pk = 0; pk < 12; ++pk) {
+        entries.push_back(std::string(value) + "/" + std::to_string(pk));
+      }
+    }
+    for (const char c : {'a', 'b'}) {
+      for (std::uint32_t n = 0; n < 8; ++n) {
+        for (const std::size_t length : kLengths) {
+          std::string e = "b/";
+          e += c;
+          e += '/';
+          e += std::to_string(n);
+          e.resize(length, '-');
+          entries.push_back(std::move(e));
+        }
+      }
     }
   }
+
+  const std::string& entry() { return entries[rng.next() % entries.size()]; }
+
+  std::string prefix() {
+    const std::string& e = entry();
+    switch (rng.next() % 6) {
+      case 0: return "";
+      case 1: return e.substr(0, e.rfind('/') + 1);  // "" without a '/'
+      case 2: return e;
+      case 3: return e.substr(0, rng.next() % (e.size() + 1));
+      case 4: return e + "~";
+      default: return e.substr(0, std::min<std::size_t>(e.size(), 15 + rng.next() % 3));
+    }
+  }
+};
+
+/// One seeded stream over an IndexOrder of `shards` shards, checked against
+/// the map oracle after every step.
+void runIndexOrderStream(std::uint64_t seed, std::size_t shards) {
+  util::Pcg32 rng(seed, 11);
+  EntryPool pool(rng);
+  EntryOracle oracle;
+  IndexOrder order(shards);
+  for (std::size_t step = 0; step < 8000; ++step) {
+    const std::uint32_t op = rng.next() % 16;
+    if (op < 7) {  // an append when new (half the time), else a put
+      const std::string& entry = pool.entry();
+      const std::size_t shard = shardOf(entry, shards);
+      const bool held = oracle.contains(entry);
+      if (!held && rng.next() % 2 == 0) {
+        order.append(entry, shard);
+      } else {
+        ASSERT_EQ(order.put(entry, shard), !held) << "step " << step;
+      }
+      oracle.emplace(entry, shard);
+    } else if (op < 10) {
+      const std::string& entry = pool.entry();
+      ASSERT_EQ(order.erase(entry), oracle.erase(entry) == 1)
+          << "step " << step;
+    } else {
+      const std::string prefix = pool.prefix();
+      const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
+                                                        : SIZE_MAX;
+      ASSERT_EQ(lookup(oracle, shards, prefix, stopAfter),
+                lookup(order, prefix, stopAfter))
+          << "seed " << seed << " step " << step << " prefix " << prefix;
+    }
+    ASSERT_EQ(order.size(), oracle.size()) << "step " << step;
+  }
+}
+
+TEST(KvDifferential, SharedOrderMatchesPerShardOracles) {
+  // One order shared by one, three and seven shards.
+  for (const std::size_t shards : {1, 3, 7}) {
+    for (std::uint64_t seed = 61; seed <= 63; ++seed) {
+      runIndexOrderStream(seed + 10 * shards, shards);
+    }
+  }
+}
+
+TEST(IndexOrderDeathTest, AppendOfAHeldEntryAborts) {
+  // Twice in the tail, and in the tail and the sorted records: the merge
+  // that the next put or erase makes finds the duplicate.
+  EXPECT_DEATH(
+      {
+        IndexOrder order(2);
+        order.append("7/1", 0);
+        order.append("7/1", 0);
+        (void)order.put("7/2", 1);
+      },
+      "appended to an order that holds it");
+  EXPECT_DEATH(
+      {
+        IndexOrder order(2);
+        (void)order.put("7/1", 0);
+        order.append("7/1", 0);
+        (void)order.erase("7/2");
+      },
+      "appended to an order that holds it");
+}
+
+/// A Database of three KV nodes on its own tiers and channel.
+struct Db {
+  sim::NetworkModel network;
+  sim::Tier sqlTier{"sql", sim::TierKind::kSqlFrontend, 1};
+  sim::Tier kvTier{"kv", sim::TierKind::kKvStorage, 3};
+  rpc::Channel channel{network, rpc::SerializationModel{}};
+  Database db{sqlTier, kvTier, channel};
 };
 
 /// Keys in and around the Database key layout: rowKey, indexKey and kvKey
@@ -521,147 +634,151 @@ struct LayoutKeyGen {
   }
 };
 
-/// One step of a multi-shard scan: entering a shard (no row), or a row.
-using ShardEvent = std::pair<std::size_t, std::optional<Visit>>;
-
-/// The oracle scans concatenated in shard order, each shard entered before
-/// its rows, with the early stop counted per shard.
-std::vector<ShardEvent> scan(const std::vector<MapKvEngine>& oracles,
-                             std::string_view prefix, std::size_t stopAfter) {
-  std::vector<ShardEvent> events;
+/// The oracle scans concatenated in shard order, with the early stop
+/// counted per shard, each row tagged with its shard.
+std::vector<std::pair<std::size_t, Visit>> scan(
+    const std::vector<MapKvEngine>& oracles, std::string_view prefix,
+    std::size_t stopAfter) {
+  std::vector<std::pair<std::size_t, Visit>> rows;
   for (std::size_t s = 0; s < oracles.size(); ++s) {
-    events.emplace_back(s, std::nullopt);
     for (Visit& v : scan(oracles[s], prefix, stopAfter).second) {
-      events.emplace_back(s, std::move(v));
+      rows.emplace_back(s, std::move(v));
     }
   }
-  return events;
+  return rows;
 }
 
-/// The same scan of `engines` through `order`.
-std::vector<ShardEvent> scan(KeyOrder& order,
-                             const std::vector<KvEngine>& engines,
-                             std::string_view prefix, std::size_t stopAfter) {
-  std::vector<ShardEvent> events;
+/// The same scan through Database::engineScanPrefix, each row tagged with
+/// the shard its key places on; the count per shard restarts when the
+/// shard changes, so a false return must stop only its own shard.
+std::vector<std::pair<std::size_t, Visit>> scan(Database& db,
+                                                std::string_view prefix,
+                                                std::size_t stopAfter,
+                                                std::size_t shards) {
+  std::vector<std::pair<std::size_t, Visit>> rows;
   std::size_t inShard = 0;
-  order.scanPrefix(
-      engines, prefix,
-      [&](std::size_t idx) {
-        events.emplace_back(idx, std::nullopt);
-        inShard = 0;
-      },
-      [&](std::size_t idx, std::string_view key, const ValueView& v) {
-        events.emplace_back(idx,
-                            Visit{std::string(key), v.version, v.size,
-                                  std::string(v.payload)});
-        return ++inShard < stopAfter;
-      });
-  return events;
+  ExecTrace trace;
+  db.engineScanPrefix(prefix, trace,
+                      [&](std::string_view key, const ValueView& v) {
+                        const std::size_t shard = util::hashKey(key) % shards;
+                        if (!rows.empty() && rows.back().first != shard) {
+                          inShard = 0;
+                        }
+                        rows.emplace_back(shard,
+                                          Visit{std::string(key), v.version,
+                                                v.size, std::string(v.payload)});
+                        return ++inShard < stopAfter;
+                      });
+  EXPECT_EQ(trace.rowsRead, rows.size());
+  return rows;
 }
 
-/// Three engines behind shared orders, each diffed against its own map
-/// oracle over one seeded stream of writes and scans: every scan, through
-/// the order of a random cut of its prefix, must equal the oracle scans
-/// concatenated in shard order. Keys land on random shards, so one key can
-/// live on two.
-template <typename Gen>
-void runSharedOrder(std::uint64_t seed) {
-  constexpr std::size_t kShards = 3;
-  util::Pcg32 rng(seed, 11);
-  Gen gen{rng};
-  std::vector<MapKvEngine> oracles(kShards);
-  std::vector<KvEngine> engines(kShards);
-  Orders orders{kShards};
-  std::uint64_t ts = 0;
-
-  for (std::size_t step = 0; step < 8000; ++step) {
-    const std::uint32_t op = rng.next() % 16;
-    if (op < 8) {  // a write; one in eight is an erase
-      const std::size_t shard = rng.next() % kShards;
-      const std::string key = gen.key();
-      const std::uint64_t commitTs = ++ts;
-      if (op == 7) {
-        ASSERT_EQ(oracles[shard].erase(key, commitTs),
-                  engines[shard].erase(key, commitTs))
+TEST(KvDifferential, EngineScanMatchesPerShardOraclesOnLayoutKeys) {
+  // Row, index and KV keys over names holding '/', cut keys and odd keys,
+  // put through enginePut onto the shard their hash picks and scanned by
+  // prefixes at every depth, against one map oracle per shard.
+  for (std::uint64_t seed = 64; seed <= 66; ++seed) {
+    util::Pcg32 rng(seed, 11);
+    LayoutKeyGen gen{rng};
+    Db side;
+    constexpr std::size_t kShards = 3;
+    std::vector<MapKvEngine> oracles(kShards);
+    std::uint64_t ts = 0;
+    for (std::size_t step = 0; step < 6000; ++step) {
+      if (rng.next() % 2 == 0) {
+        const std::string key = gen.key();
+        const std::string payload = payloadOf(step, payloadLength(rng));
+        ExecTrace trace;
+        ASSERT_EQ(oracles[util::hashKey(key) % kShards].put(
+                      key, StoredValue::of(payload), ++ts),
+                  side.db.enginePut(key, StoredValue::of(payload), trace))
             << "step " << step;
         continue;
       }
-      const std::string payload = payloadOf(step, payloadLength(rng));
-      ASSERT_EQ(oracles[shard].put(key, StoredValue::of(payload), commitTs),
-                engines[shard].put(key, StoredValue::of(payload), commitTs))
-          << "step " << step;
-      continue;
+      const std::string prefix = gen.prefix();
+      const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
+                                                        : SIZE_MAX;
+      const std::uint64_t leases = side.db.raft().leaseChecks();
+      ASSERT_EQ(scan(oracles, prefix, stopAfter),
+                scan(side.db, prefix, stopAfter, kShards))
+          << "seed " << seed << " step " << step << " prefix " << prefix;
+      ASSERT_EQ(side.db.raft().leaseChecks(), leases + kShards);
     }
-    const std::string prefix = gen.prefix();
-    const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
-                                                      : SIZE_MAX;
-    ASSERT_EQ(scan(oracles, prefix, stopAfter),
-              scan(orders.ofCut(rng, prefix), engines, prefix, stopAfter))
-        << "seed " << seed << " step " << step << " prefix " << prefix;
-  }
-  orders.expectEachHoldsItsBase(engines);
-}
-
-TEST(KvDifferential, SharedOrderMatchesPerShardOracles) {
-  // Row, index and odd keys; the orders must merge new keys mid-stream
-  // again and again.
-  for (std::uint64_t seed = 61; seed <= 63; ++seed) {
-    runSharedOrder<SharedOrderKeyGen>(seed);
-  }
-}
-
-TEST(KvDifferential, FamilyOrderMatchesPerShardOraclesOnLayoutKeys) {
-  // Row, index and KV keys over names holding '/', cut keys and odd keys,
-  // scanned through the orders of their index and table bases and of
-  // arbitrary cuts.
-  for (std::uint64_t seed = 64; seed <= 66; ++seed) {
-    runSharedOrder<LayoutKeyGen>(seed);
   }
 }
 
 TEST(KvDifferential, IndexOrderHoldsOnlyItsIndex) {
-  constexpr std::size_t kShards = 2;
-  std::vector<MapKvEngine> oracles(kShards);
-  std::vector<KvEngine> engines(kShards);
-  KeyOrder order("t/tables/i/owner/", kShards);
-  std::uint64_t ts = 0;
+  // A table's rows, its owner index and KV keys: the engines hold the rows
+  // and KV keys alone, the index every row's entry, and a lookup visits
+  // the entries of its value shard by shard in entry order, charged one
+  // scanned row each after one lease check per shard.
+  Db side;
+  Database& db = side.db;
+  db.createTable(TableSchema(
+      "tables", {Column{"id", ColumnType::kInt}, Column{"owner", ColumnType::kString}},
+      0, {1}));
+  constexpr std::string_view kBase = "t/tables/i/owner/";
+  EntryOracle oracle;  // entry -> shard of its full key
   std::string buf;
-  const auto put = [&](std::string_view key) {
-    const std::size_t shard = ts % kShards;
-    ++ts;
-    ASSERT_TRUE(oracles[shard].put(key, StoredValue::sized(ts), ts));
-    ASSERT_TRUE(engines[shard].put(key, StoredValue::sized(ts), ts));
+  const auto load = [&](std::int64_t pk, const std::string& owner) {
+    db.loadRow("tables", Row{{pk, owner}});
+    const std::string key(
+        Database::indexKey(buf, "tables", "owner", owner, std::to_string(pk)));
+    oracle.emplace(key.substr(kBase.size()), util::hashKey(key) % 3);
   };
-  const auto expectScan = [&](std::string_view prefix) {
-    ASSERT_EQ(scan(oracles, prefix, SIZE_MAX),
-              scan(order, engines, prefix, SIZE_MAX))
-        << "prefix " << prefix;
+  const auto expectLookup = [&](const std::string& value) {
+    const std::string prefix = std::string(kBase) + value + "/";
+    std::vector<ShardEvent> seen;
+    for (std::size_t s = 0; s < 3; ++s) seen.emplace_back(s, std::nullopt);
+    std::vector<std::pair<std::size_t, std::string>> entries;
+    ExecTrace trace;
+    const std::uint64_t leases = db.raft().leaseChecks();
+    db.indexLookup(prefix, kBase.size(), trace, [&](std::string_view pk) {
+      const std::string entry = value + "/" + std::string(pk);
+      entries.emplace_back(util::hashKey(std::string(kBase) + entry) % 3, entry);
+      return true;
+    });
+    EXPECT_EQ(db.raft().leaseChecks(), leases + 3);
+    EXPECT_EQ(trace.rowsRead, entries.size());
+    EXPECT_EQ(trace.bytesRead, 0u);
+    // Shard by shard, ascending within each.
+    std::vector<ShardEvent> want = lookup(oracle, 3, value + "/", SIZE_MAX);
+    std::vector<ShardEvent> got;
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < 3; ++s) {
+      got.emplace_back(s, std::nullopt);
+      while (next < entries.size() && entries[next].first == s) {
+        got.emplace_back(s, entries[next++].second);
+      }
+    }
+    EXPECT_EQ(next, entries.size()) << "value " << value << ": shards out of order";
+    EXPECT_EQ(got, want) << "value " << value;
   };
-  // A table's rows, its owner index and KV keys, 100 each, put in
-  // descending key order.
-  for (int pk = 99; pk >= 0; --pk) {
-    const std::string id = std::to_string(pk);
-    put(Database::rowKey(buf, "tables", id));
-    put(Database::indexKey(buf, "tables", "owner", std::to_string(pk % 7), id));
-    put(Database::kvKey(buf, "k" + id));
-  }
 
-  expectScan("t/tables/i/owner/3/");
-  EXPECT_EQ(order.size(), 100u);  // the owner index alone
-  expectScan("t/tables/i/owner/x/");  // a value no key has
-  EXPECT_EQ(order.size(), 100u);
-
-  // New owner keys on both sides of the recorded ones and among them, and
-  // new rows: the next scan merges in the owner keys alone.
-  for (int pk = 100; pk < 150; ++pk) {
-    const std::string id = std::to_string(pk);
-    put(Database::indexKey(buf, "tables", "owner", std::to_string(pk % 9), id));
-    put(Database::rowKey(buf, "tables", id));
+  // 100 rows put in descending pk order, and a KV key with each.
+  for (std::int64_t pk = 99; pk >= 0; --pk) {
+    load(pk, std::to_string(pk % 7));
+    db.loadValue(std::string("k").append(std::to_string(pk)), 10);
   }
-  put(Database::indexKey(buf, "tables", "owner", "/", "0"));  // below "0/"
-  expectScan("t/tables/i/owner/");
-  EXPECT_EQ(order.size(), 151u);
-  expectScan("t/tables/i/owner/8/");  // only new keys have value 8
+  EXPECT_EQ(db.engineKeyCount(), 200u);  // rows and KV keys, no entry
+  EXPECT_EQ(db.indexEntryCount(kBase), 100u);
+  expectLookup("3");
+  expectLookup("x");  // a value no row has
+
+  // New rows with entries on both sides of the held ones and among them,
+  // resident rows loaded again under their owners and under new ones
+  // (their old entries stay, as an engine key would), and an owner that
+  // holds a '/'.
+  for (std::int64_t pk = 100; pk < 150; ++pk) load(pk, std::to_string(pk % 9));
+  for (std::int64_t pk = 0; pk < 20; ++pk) load(pk, std::to_string(pk % 7));
+  load(5, "8");
+  load(6, "/");
+  load(150, "8/1");
+  EXPECT_EQ(db.engineKeyCount(), 251u);
+  EXPECT_EQ(db.indexEntryCount(kBase), oracle.size());
+  EXPECT_EQ(oracle.size(), 153u);
+  for (const char* value : {"", "0", "3", "8", "8/1", "x"}) expectLookup(value);
+  EXPECT_EQ(db.indexEntryCount("t/tables/i/id/"), 0u);
 }
 
 }  // namespace

@@ -8,9 +8,10 @@
 // resident SELECT allocates only its decoded rows and the result vector
 // that carries them; encoding a row into a new string allocates its buffer
 // and result, while loadRow encodes through a reused buffer and allocates
-// nothing for a resident row; and the KV engine rewrites and erases
-// payloads in its arena's recycled blocks, at row sizes and past the
-// arena's 4 KiB classed limit alike.
+// nothing for a resident row; a version-bump UPDATE decodes into and
+// encodes from reused buffers and writes no index entry; and the KV engine
+// rewrites and erases payloads in its arena's recycled blocks, at row sizes
+// and past the arena's 4 KiB classed limit alike.
 // This executable replaces the global operator new, plain and nothrow, to
 // count calls, so it is a binary of its own.
 #include <gtest/gtest.h>
@@ -245,7 +246,8 @@ TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
                                Column{"name", ColumnType::kString}},
                               0, {1}));
   for (std::int64_t id = 100000; id < 100400; ++id) {
-    const std::string owner = "o" + std::to_string(id / 2);  // two rows each
+    std::string owner = "o";  // two rows each
+    owner += std::to_string(id / 2);
     db_.loadRow("tables", Row{{id, owner, std::string("n")}});
   }
   const std::vector<Value> point{Value{std::int64_t{100123}}};
@@ -393,6 +395,65 @@ TEST_F(KvReadAllocations, RowLoadsThroughAWarmBufferAllocateNothing) {
   EXPECT_EQ(db_.exec(client_, "SELECT * FROM tables WHERE id = 10499")
                 .rows.size(),
             1u);
+}
+
+TEST_F(KvReadAllocations, VersionBumpUpdatesAllocateNothing) {
+  // uc-object's version bump, `UPDATE tables SET version = ? WHERE id = ?`,
+  // on catalog `tables` rows. The row decodes into a row the Database keeps
+  // for UPDATEs and is rewritten through the reused encoder; its schema_id
+  // entry, a column the statement does not set, has its re-put charged
+  // without a write to the index. So 20,000 such statements leave the
+  // index's entry count unchanged and, once warm, allocate nothing.
+  db_.createTable(TableSchema("tables",
+                              {Column{"id", ColumnType::kInt},
+                               Column{"schema_id", ColumnType::kInt},
+                               Column{"name", ColumnType::kString},
+                               Column{"owner", ColumnType::kString},
+                               Column{"format", ColumnType::kString},
+                               Column{"data_bytes", ColumnType::kInt},
+                               Column{"version", ColumnType::kInt}},
+                              0, {1}));
+  for (std::int64_t id = 10000; id < 10500; ++id) {
+    db_.loadRow("tables", Row{{id, id / 10, "table_" + std::to_string(id),
+                               std::string("user123"), std::string("delta"),
+                               std::int64_t{100000}, std::int64_t{1}}});
+  }
+  constexpr std::string_view kIndex = "t/tables/i/schema_id/";
+  ASSERT_EQ(db_.indexEntryCount(kIndex), 500u);
+  // Versions from 100,001 on take three varint bytes each, so a row's
+  // encoding keeps its length and its payload block's size class.
+  std::int64_t version = 100000;
+  const auto update = [&](std::int64_t id) {
+    const Value params[] = {Value{++version}, Value{id}};
+    return db_.exec(client_, "UPDATE tables SET version = ? WHERE id = ?",
+                    params)
+        .rowsAffected;
+  };
+  // One pass plans the text, sizes the buffers and warms the blocks.
+  for (std::int64_t id = 10000; id < 10500; ++id) ASSERT_EQ(update(id), 1u);
+
+  constexpr std::size_t kCalls = 20000;
+  std::uint64_t updated = 0;
+  const std::uint64_t allocations = allocationsDuring([&] {
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      updated += update(10000 + static_cast<std::int64_t>(i % 500));
+    }
+  });
+  EXPECT_EQ(updated, kCalls);
+  EXPECT_EQ(allocations, 0u) << "heap allocations over " << kCalls
+                             << " version-bump UPDATEs";
+  EXPECT_EQ(db_.indexEntryCount(kIndex), 500u);
+  // The index still finds every row of schema 1049, at its last version.
+  const std::vector<Value> schema{Value{std::int64_t{1049}}};
+  const auto rows =
+      db_.exec(client_, "SELECT * FROM tables WHERE schema_id = ?", schema)
+          .rows;
+  ASSERT_EQ(rows.size(), 10u);
+  for (const Row& row : rows) {
+    // The last call wrote `version` to row 10499, the one before to 10498.
+    const std::int64_t id = valueToInt(row.at(0));
+    EXPECT_EQ(valueToInt(row.at(6)), version - (10499 - id)) << "id " << id;
+  }
 }
 
 TEST_F(KvReadAllocations, CatalogPopulateAllocatesUnderTwoBlocksARow) {

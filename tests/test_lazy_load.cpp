@@ -1,12 +1,10 @@
 // Lockstep test of the lazy KV bulk load: one Database loads a keyspace
 // through Database::loadValueRange, a twin on identical tiers loads the same
 // names and sizes by a loop of loadValue, and one seeded stream of reads,
-// writes, version checks, peeks, loads, deletes, scans and stored-byte
-// totals drives both. Each scan runs through the key orders of several
-// bases: none, the first three bytes and the whole prefix. After every
-// step the results, the CPU meters of every node, the network's byte count
-// and the block caches' hit and miss counts must be equal: when a key is
-// materialized never shows.
+// writes, version checks, peeks, loads, prefix scans and stored-byte totals
+// drives both. After every step the results, the CPU meters of every node,
+// the network's byte count and the block caches' hit and miss counts must
+// be equal: when a key is materialized never shows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,12 +43,11 @@ struct Side {
 
 using ScanRow = std::tuple<std::string, std::uint64_t, std::uint64_t>;
 
-/// Every row engineScanPrefix visits through the order of `base`, with its
-/// trace.
+/// Every row engineScanPrefix visits, with its trace.
 std::vector<ScanRow> scan(Database& db, std::string_view prefix,
-                          std::size_t base, ExecTrace& trace) {
+                          ExecTrace& trace) {
   std::vector<ScanRow> rows;
-  db.engineScanPrefix(prefix, base, trace,
+  db.engineScanPrefix(prefix, trace,
                       [&](std::string_view key, const ValueView& v) {
                         rows.emplace_back(std::string(key), v.size, v.version);
                         return true;
@@ -132,27 +129,12 @@ class LazyLoad : public ::testing::Test {
     lazy_.db.loadValue(key, size);
     eager_.db.loadValue(key, size);
   }
-  void erase(const std::string& key) {
+  void scanBoth(std::string_view prefix) {
     ExecTrace a;
     ExecTrace b;
-    const bool erasedA = lazy_.db.engineDelete(
-        Database::kvKey(lazyKey_, key), a);
-    const bool erasedB = eager_.db.engineDelete(
-        Database::kvKey(eagerKey_, key), b);
-    EXPECT_EQ(erasedA, erasedB) << key;
+    EXPECT_EQ(scan(lazy_.db, prefix, a), scan(eager_.db, prefix, b))
+        << "prefix '" << prefix << "'";
     expectSameTrace(a, b);
-  }
-  void scanBoth(std::string_view prefix) {
-    for (const std::size_t base :
-         {std::size_t{0}, std::min<std::size_t>(3, prefix.size()),
-          prefix.size()}) {
-      ExecTrace a;
-      ExecTrace b;
-      EXPECT_EQ(scan(lazy_.db, prefix, base, a),
-                scan(eager_.db, prefix, base, b))
-          << "prefix '" << prefix << "' base " << base;
-      expectSameTrace(a, b);
-    }
   }
   void storedBytes() {
     const std::uint64_t pending = lazy_.db.pendingRangeKeys();
@@ -181,7 +163,7 @@ class LazyLoad : public ::testing::Test {
     };
     for (int step = 0; step < steps; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
-      const std::uint32_t op = rng.nextBounded(12);
+      const std::uint32_t op = rng.nextBounded(11);
       const std::uint64_t size = rng.nextBounded(3000);
       switch (op) {
         case 0:
@@ -190,8 +172,7 @@ class LazyLoad : public ::testing::Test {
         case 3: check(pickKey()); break;
         case 4: peek(pickKey()); break;
         case 5: loadOne(pickKey(), size); break;
-        case 6: erase(pickKey()); break;
-        case 7: {
+        case 6: {
           // "" and "kv/" materialize every range key, so they are rare.
           const std::uint32_t kind = rng.nextBounded(100);
           if (kind < 2) {
@@ -221,8 +202,6 @@ class LazyLoad : public ::testing::Test {
 
   Side lazy_;
   Side eager_;
-  std::string lazyKey_;
-  std::string eagerKey_;
 };
 
 TEST_F(LazyLoad, SeededStreamMatchesTheLoadValueLoop) {
@@ -259,33 +238,10 @@ TEST_F(LazyLoad, FirstTouchMaterializesOnlyWhatItNeeds) {
   write(workload::keyName(4), 10);
   check(workload::keyName(5));
   loadOne(workload::keyName(6), 20);
-  erase(workload::keyName(7));
-  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 45u);
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 46u);
   scanBoth("t/");  // no range key starts with "t/"
   scanBoth("kv/x");
-  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 45u);
-  expectSameMeters();
-}
-
-TEST_F(LazyLoad, TombstonedRangeKeyIsNeverTakenForUntouched) {
-  load(sizes(13, 20));
-  // Key 2 is deleted before anything else touches it, key 3 after a read.
-  erase(workload::keyName(2));
-  read(workload::keyName(3));
-  erase(workload::keyName(3));
-  for (const std::uint64_t i : {2, 3}) {
-    const std::string key = workload::keyName(i);
-    read(key);
-    check(key);
-    peek(key);
-    EXPECT_FALSE(lazy_.db.peekValueVersion(key).has_value());
-    erase(key);  // a second tombstone
-    read(key);
-  }
-  storedBytes();
-  read(workload::keyName(2));
-  peek(workload::keyName(2));
-  scanBoth("kv/");
+  EXPECT_EQ(lazy_.db.pendingRangeKeys(), 46u);
   expectSameMeters();
 }
 
@@ -314,7 +270,7 @@ TEST_F(LazyLoad, LoadIntoANonEmptyDatabaseRunsTheLoop) {
 TEST_F(LazyLoad, SecondRangeLoadRunsTheLoop) {
   load(sizes(41, 60));
   read(workload::keyName(1));
-  erase(workload::keyName(2));
+  write(workload::keyName(2), 70);
   // Overlaps the first range and runs past it; keys 3.. were never touched.
   load(sizes(42, 80));
   EXPECT_EQ(lazy_.db.pendingRangeKeys(), 0u);

@@ -17,7 +17,11 @@ namespace {
   return util::Bytes::of(n * (kEntryOverheadBytes + 3 + 1));
 }
 
-[[nodiscard]] std::string key(int i) { return "k" + std::to_string(10 + i); }
+[[nodiscard]] std::string key(int i) {
+  std::string k = "k";
+  k += std::to_string(10 + i);
+  return k;
+}
 
 TEST(Lfu, EvictsLeastFrequent) {
   LfuCache cache(capacityFor(3));
@@ -115,7 +119,8 @@ TEST(S3Fifo, BeatsOrMatchesFifoOnSkewedTrace) {
   auto run = [](KvCache& cache, workload::ZipfianGenerator& gen,
                 util::Pcg32& rng) {
     for (int i = 0; i < 60000; ++i) {
-      const std::string k = "z" + std::to_string(gen.nextKey(rng));
+      const std::string k =
+          std::string("z").append(std::to_string(gen.nextKey(rng)));
       if (cache.get(k) == nullptr) cache.put(k, CacheEntry::sized(1));
     }
     return cache.stats().hitRatio();

@@ -32,7 +32,7 @@ TEST(Mattson, MissRatioMonotoneInCapacity) {
   util::Pcg32 rng(17, 1);
   workload::ZipfianGenerator zipf(500, 1.0);
   for (int i = 0; i < 20000; ++i) {
-    profiler.access("k" + std::to_string(zipf.nextKey(rng)));
+    profiler.access(std::string("k").append(std::to_string(zipf.nextKey(rng))));
   }
   double previous = 1.1;
   for (const std::uint64_t cap : {1u, 2u, 5u, 10u, 50u, 100u, 500u}) {
@@ -114,7 +114,7 @@ TEST(Che, ApproximatesMattsonOnZipfTrace) {
   util::Pcg32 rng(29, 1);
   workload::ZipfianGenerator zipf(1000, 1.2);
   for (int i = 0; i < 200000; ++i) {
-    profiler.access("k" + std::to_string(zipf.nextKey(rng)));
+    profiler.access(std::string("k").append(std::to_string(zipf.nextKey(rng))));
   }
   const auto rates = zipfPopularity(1000, 1.2);
   for (const double items : {10.0, 50.0, 200.0}) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "richobject/assembler.hpp"
 #include "richobject/catalog_store.hpp"
@@ -52,6 +53,41 @@ TEST_F(RichObjectTest, SchemasCreated) {
   }
   // tables carries the declared blob column.
   ASSERT_TRUE(db_.schema("tables")->payloadSizeColumn().has_value());
+}
+
+TEST_F(RichObjectTest, LoadKeepsOneEngineKeyPerRowAndOneEntryPerIndexedColumn) {
+  // The KV engines hold each catalog row once and no index entry; each
+  // index holds one entry per row of its table.
+  const std::uint64_t tables = trace_->keyCount();
+  const std::int64_t schemas = store_->schemaIdFor(tables - 1) + 1;
+  const std::int64_t catalogs = store_->catalogIdFor(schemas - 1) + 1;
+  std::uint64_t privileges = static_cast<std::uint64_t>(catalogs);
+  std::uint64_t constraints = 0;
+  std::uint64_t lineage = 0;
+  std::uint64_t properties = 0;
+  for (std::uint64_t t = 0; t < tables; ++t) {
+    privileges += store_->privilegeCount(t);
+    constraints += store_->constraintCount(t);
+    lineage += store_->lineageCount(t);
+    properties += store_->propertyCount(t);
+  }
+  const std::uint64_t rows = store_->config().principals +
+                             static_cast<std::uint64_t>(schemas + catalogs) +
+                             tables + privileges + constraints + lineage +
+                             properties;
+  EXPECT_EQ(db_.engineKeyCount(), rows);
+  const std::pair<const char*, std::uint64_t> indexes[] = {
+      {"t/tables/i/schema_id/", tables},
+      {"t/schemas/i/catalog_id/", static_cast<std::uint64_t>(schemas)},
+      {"t/catalogs/i/metastore_id/", static_cast<std::uint64_t>(catalogs)},
+      {"t/privileges/i/securable_id/", privileges},
+      {"t/constraints/i/table_id/", constraints},
+      {"t/lineage/i/table_id/", lineage},
+      {"t/properties/i/table_id/", properties}};
+  for (const auto& [base, entries] : indexes) {
+    EXPECT_EQ(db_.indexEntryCount(base), entries) << base;
+  }
+  EXPECT_EQ(db_.indexEntryCount("t/principals/i/name/"), 0u);  // no index
 }
 
 TEST_F(RichObjectTest, HierarchyIdsConsistent) {

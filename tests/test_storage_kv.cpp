@@ -1,14 +1,13 @@
-// Storage engine unit tests: overwrites, tombstones, prefix scans through a
-// one-shard KeyOrder, the block cache's hit/miss/grouping behaviour and the row codec.
+// Storage engine unit tests: overwrites, tombstones, the engine's per-call
+// prefix scans, the block cache's hit/miss/grouping behaviour and the row
+// codec.
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "storage/block_cache.hpp"
-#include "storage/key_order.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/row.hpp"
 #include "storage/schema.hpp"
@@ -58,56 +57,57 @@ TEST(KvEngine, LiveBytesTracksNewestVersions) {
   EXPECT_EQ(engine.liveBytes().count(), 10u);
 }
 
-/// Rows of `engine` under `prefix` through a one-shard KeyOrder; `fn`
+/// Rows of `engine` under `prefix`, through its per-call scan; `fn`
 /// returning false stops the scan. Returns the rows visited.
 template <typename Fn>
-std::size_t scanPrefix(KeyOrder& order, const KvEngine& engine,
-                       std::string_view prefix, Fn&& fn) {
+std::size_t scanPrefix(const KvEngine& engine, std::string_view prefix,
+                       Fn&& fn) {
   std::size_t visited = 0;
-  order.scanPrefix(std::span(&engine, 1), prefix, [](std::size_t) {},
-                   [&](std::size_t, std::string_view key,
-                       const ValueView& value) {
-                     ++visited;
-                     return fn(key, value);
-                   });
+  std::vector<std::uint32_t> ids;
+  engine.scanPrefix(prefix, ids,
+                    [&](std::string_view key, const ValueView& value) {
+                      ++visited;
+                      return fn(key, value);
+                    });
   return visited;
 }
 
 TEST(KvEngine, ScanPrefixOrderedAndBounded) {
   KvEngine engine;
-  KeyOrder order("t/users/r/", 1);
-  engine.put("t/users/r/1", StoredValue::of("u1"), 1);
-  engine.put("t/users/r/2", StoredValue::of("u2"), 2);
-  engine.put("t/users/r/3", StoredValue::of("u3"), 3);
-  engine.put("t/orders/r/1", StoredValue::of("o1"), 4);
+  engine.put("t/users/r/3", StoredValue::of("u3"), 1);
+  engine.put("t/users/r/1", StoredValue::of("u1"), 2);
+  engine.put("t/orders/r/1", StoredValue::of("o1"), 3);
+  engine.put("t/users/r/2", StoredValue::of("u2"), 4);
 
   std::vector<std::string> keys;
-  scanPrefix(order, engine, "t/users/r/",
-             [&](std::string_view key, const ValueView&) {
+  std::vector<std::string> payloads;
+  scanPrefix(engine, "t/users/r/",
+             [&](std::string_view key, const ValueView& value) {
                keys.emplace_back(key);
+               payloads.emplace_back(value.payload);
                return true;
              });
   EXPECT_EQ(keys, (std::vector<std::string>{"t/users/r/1", "t/users/r/2",
                                             "t/users/r/3"}));
+  EXPECT_EQ(payloads, (std::vector<std::string>{"u1", "u2", "u3"}));
 
   // Early stop.
   keys.clear();
-  scanPrefix(order, engine, "t/users/r/",
+  scanPrefix(engine, "t/users/r/",
              [&](std::string_view key, const ValueView&) {
                keys.emplace_back(key);
                return false;
              });
-  EXPECT_EQ(keys.size(), 1u);
+  EXPECT_EQ(keys, (std::vector<std::string>{"t/users/r/1"}));
 }
 
 TEST(KvEngine, ScanSkipsTombstones) {
   KvEngine engine;
-  KeyOrder order("", 1);
   engine.put("p/a", StoredValue::sized(1), 1);
   engine.put("p/b", StoredValue::sized(1), 2);
   engine.erase("p/a", 3);
   std::size_t visited =
-      scanPrefix(order, engine, "p/",
+      scanPrefix(engine, "p/",
                  [](std::string_view, const ValueView&) { return true; });
   EXPECT_EQ(visited, 1u);
 }
@@ -119,7 +119,7 @@ TEST(KvEngine, RejectsKeysPastTheLimit) {
   EXPECT_FALSE(engine.put(longest + "k", StoredValue::sized(1), 2));
   EXPECT_FALSE(engine.erase(longest + "k", 3));
   EXPECT_EQ(engine.keyCount(), 1u);
-  EXPECT_EQ(engine.keyAt(0), longest);
+  EXPECT_TRUE(engine.contains(longest));
 }
 
 TEST(BlockCache, MissThenHit) {
@@ -176,18 +176,24 @@ TEST(RowCodec, RoundtripAllTypes) {
   const Row row{{std::int64_t{-42}, 3.5, std::string("alice")}};
   const std::string bytes = encodeRow(schema, row);
   EXPECT_EQ(bytes.size(), encodedRowSize(schema, row));
-  const auto back = decodeRow(schema, bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(valueToInt(back->at(0)), -42);
-  EXPECT_DOUBLE_EQ(std::get<double>(back->at(1)), 3.5);
-  EXPECT_EQ(std::get<std::string>(back->at(2)), "alice");
+  Row back;
+  ASSERT_TRUE(decodeRow(schema, bytes, back));
+  EXPECT_EQ(valueToInt(back.at(0)), -42);
+  EXPECT_DOUBLE_EQ(std::get<double>(back.at(1)), 3.5);
+  EXPECT_EQ(std::get<std::string>(back.at(2)), "alice");
+  // Into a row that already holds other values, of other types.
+  Row reused{{std::string("stale-string-past-the-inline-size"), std::int64_t{9},
+              std::int64_t{7}, std::string("extra")}};
+  ASSERT_TRUE(decodeRow(schema, bytes, reused));
+  EXPECT_EQ(reused.values, back.values);
 }
 
 TEST(RowCodec, DecodeRejectsGarbage) {
   const TableSchema schema("t", {Column{"id", ColumnType::kInt}}, 0);
   // Length-delimited field claiming more bytes than present.
   const std::string bad = "\x0a\xff";
-  EXPECT_FALSE(decodeRow(schema, bad).has_value());
+  Row row;
+  EXPECT_FALSE(decodeRow(schema, bad, row));
 }
 
 TEST(RowCodec, DeclaredPayloadBytes) {

@@ -5,15 +5,17 @@
 #      blocks everything else: a determinism / charge-funnel /
 #      counter-registration / bench-hygiene violation fails the build
 #      before a single sanitized test runs.
-#   2. ASan+UBSan build of everything, full ctest, parallel benches, and a
+#   2. Release build of everything with -Werror: the -O3 optimizer runs
+#      diagnostics (-Wrestrict and kin) that the default build never sees.
+#   3. ASan+UBSan build of everything, full ctest, parallel benches, and a
 #      byte-identical --jobs 1 vs --jobs 8 diff of every deterministic
 #      bench (micro_* are wall-clock and carry lint allows instead).
-#   3. The benchmark's own correctness gate: hostbench/run.py at tiny size,
+#   4. The benchmark's own correctness gate: hostbench/run.py at tiny size,
 #      checking every cell's simulated-output digest against
 #      hostbench/reference.json (all three workloads at all 41 input sets).
-#   4. ThreadSanitizer build running the `tsan`-labeled tests and a traced
+#   5. ThreadSanitizer build running the `tsan`-labeled tests and a traced
 #      parallel bench.
-#   5. (opt-in) clang-tidy over src/ when RUN_CLANG_TIDY=1; skipped
+#   6. (opt-in) clang-tidy over src/ when RUN_CLANG_TIDY=1; skipped
 #      gracefully when clang-tidy is not installed.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-asan)
@@ -22,6 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
+RELEASE_BUILD_DIR="${RELEASE_BUILD_DIR:-build-release}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -41,6 +44,14 @@ fi
 if ! git diff --quiet -- perf/LINT_TREND.json 2>/dev/null; then
   echo "check.sh: perf/LINT_TREND.json changed — review the per-rule counts and commit it with this change" >&2
 fi
+
+# Release lane: the whole tree at -O3 with warnings as errors, so the
+# build stays warning-free where libstdc++'s optimizer-only diagnostics
+# fire.
+cmake -B "$RELEASE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$RELEASE_BUILD_DIR" -j "$(nproc)"
+echo "check.sh: the Release build compiled without a warning"
 
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
@@ -92,8 +103,9 @@ echo "check.sh: lint, all tests, the parallel benches, and the determinism gates
 # reference, at all 41 input sets of every workload. kv-churn arms health
 # monitoring, so every Remote, Linked and Disagg call there runs
 # rpc::Channel's retry ladder. uc-object is the only workload that serves
-# objects, plans SQL and scans the storage engine's key order (plan cache,
-# pending-tail merges), about 2.5 s a set. meta-kv is the only one that
+# objects, plans SQL and looks up secondary indexes (plan cache, the merge
+# of each index's bulk-loaded tail at its first lookup), about 2.5 s a set.
+# meta-kv is the only one that
 # serves Remote and Disagg KV ops on modulo placement without faults, the
 # shared read path's steady state (about 0.7 s a set). run.py exits 0 even
 # when the gate fails, so the lane reads its verdict line.

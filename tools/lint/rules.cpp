@@ -520,7 +520,7 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
   for (const SourceFile& f : in.files) {
     // The serve-path whitelist: the slab/arena storage, the flat cache, the
     // SLRU wrapper whose segments are flat caches, the flat KV engine,
-    // the key order over its keys, the lazy bulk-load range and the
+    // the secondary-index entry orders, the lazy bulk-load range and the
     // Database facade that materializes its keys on the KV path. The
     // node-based LFU and S3-FIFO and the test-only oracles in
     // tests/reference/ allocate per entry by design and are deliberately
@@ -529,8 +529,8 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
                     "src/cache/flat_cache.cpp", "src/cache/slru.cpp",
                     "src/storage/kv_engine.hpp",
                     "src/storage/kv_engine.cpp",
-                    "src/storage/key_order.hpp",
-                    "src/storage/key_order.cpp",
+                    "src/storage/index_order.hpp",
+                    "src/storage/index_order.cpp",
                     "src/storage/kv_range.hpp",
                     "src/storage/kv_range.cpp",
                     "src/storage/database.cpp"})) {
