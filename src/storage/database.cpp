@@ -68,11 +68,6 @@ std::string_view Database::rowKey(std::string& out, std::string_view table,
   return joinKey(out, {"t/", table, "/r/", pk});
 }
 
-std::string_view Database::rowPrefix(std::string& out,
-                                     std::string_view table) {
-  return joinKey(out, {"t/", table, "/r/"});
-}
-
 std::string_view Database::indexKey(std::string& out, std::string_view table,
                                     std::string_view column,
                                     std::string_view value,
@@ -116,15 +111,16 @@ const TableSchema* Database::schema(std::string_view table) const {
   return it == schemas_.end() ? nullptr : &it->second;
 }
 
-void Database::loadRow(std::string_view table, const Row& row) {
+bool Database::loadRow(std::string_view table, const Row& row) {
   const TableSchema* s = schema(table);
-  if (!s) return;
+  if (!s) return false;
   const std::string pk = valueToString(row.values[s->primaryKeyColumn()]);
   const std::string_view key = rowKey(keyBuf_, table, pk);
   KvEngine& engine = engines_[nodeFor(key)];
-  const std::size_t keys = engine.keyCount();
-  engine.put(key, rowValue(*s, row, rowBuf_), ++ts_);
-  const bool newRow = engine.keyCount() > keys;
+  if (engine.contains(key) ||
+      !engine.put(key, rowValue(*s, row, rowBuf_), ++ts_)) {
+    return false;
+  }
   for (const std::size_t col : s->indexedColumns()) {
     const std::string_view column = s->columns()[col].name;
     const std::string_view ik = indexKey(keyBuf_, table, column,
@@ -132,15 +128,9 @@ void Database::loadRow(std::string_view table, const Row& row) {
     ++ts_;
     if (ik.size() > KvEngine::kMaxKeyBytes) continue;
     const std::size_t base = indexBaseSize(table, column);
-    IndexOrder& index = indexFor(ik.substr(0, base));
-    // A new row key is a new primary key, so its entries are new as well
-    // when no name in them holds a '/': then `<value>/<pk>` splits one way.
-    if (newRow && std::count(ik.begin(), ik.end(), '/') == 5) {
-      index.append(ik.substr(base), nodeFor(ik));
-    } else {
-      index.put(ik.substr(base), nodeFor(ik));
-    }
+    indexFor(ik.substr(0, base)).append(ik.substr(base), nodeFor(ik));
   }
+  return true;
 }
 
 void Database::loadValue(std::string_view key, std::uint64_t size) {
@@ -165,7 +155,7 @@ void Database::loadValueRange(std::vector<std::uint64_t> sizes,
     return;
   }
   const std::uint64_t keys = sizes.size();
-  range_ = KvRange(std::move(sizes), name, index, ts_);
+  range_ = KvRange(std::move(sizes), index, ts_);
   ts_ += keys;
 }
 
@@ -198,23 +188,6 @@ bool Database::materializeKey(std::size_t idx, std::string_view key) {
                     range_.versionOf(*i));
   range_.materialized(*i);
   return true;
-}
-
-void Database::materializeMatching(std::string_view prefix) {
-  // A scan must see every key it matches. No simulated path scans the KV
-  // keys, so this walks the whole range rather than index the names.
-  const bool canMatch = prefix.size() <= kKvPrefix.size()
-                            ? kKvPrefix.starts_with(prefix)
-                            : prefix.starts_with(kKvPrefix);
-  if (!canMatch) return;
-  // Not keyBuf_: `prefix` may view it.
-  std::string name;
-  std::string key;
-  for (std::uint64_t i = 0; i < range_.size(); ++i) {
-    range_.nameOf(i, name);
-    const std::string_view k = kvKey(key, name);
-    if (k.starts_with(prefix)) materialize(nodeFor(k), k);
-  }
 }
 
 IndexOrder& Database::indexFor(std::string_view base) {
@@ -301,52 +274,18 @@ bool Database::enginePut(std::string_view key, StoredValue value,
                     });
 }
 
-bool Database::indexPut(std::string_view key, std::size_t base,
-                        ExecTrace& trace) {
-  return chargedPut(key, 0, trace, [&](std::size_t idx, std::uint64_t) {
-    if (key.size() > KvEngine::kMaxKeyBytes) return false;
-    indexFor(key.substr(0, base)).put(key.substr(base), idx);
-    return true;
-  });
-}
-
 bool Database::chargeIndexRePut(std::string_view key, ExecTrace& trace) {
   return chargedPut(key, 0, trace, [&](std::size_t, std::uint64_t) {
     return key.size() <= KvEngine::kMaxKeyBytes;
   });
 }
 
-bool Database::indexDelete(std::string_view key, std::size_t base,
-                           ExecTrace& trace) {
-  const std::uint64_t keyHash = util::hashKey(key);
-  const std::size_t idx = keyHash % engines_.size();
-  const StorageCosts& costs = config_.costs;
-
-  kvTier_->node(idx).charge(sim::CpuComponent::kKvExecution,
-                            costs.execPerRowMicros + costs.memtableMicros);
-  ++ts_;
-  if (key.size() > KvEngine::kMaxKeyBytes) return false;
-  if (const auto it = indexes_.find(key.substr(0, base));
-      it != indexes_.end()) {
-    it->second.erase(key.substr(base));
-  }
-  trace.latencyMicros += raft_.replicate(idx, key.size());
-  blockCaches_[idx]->invalidate(keyHash);
-  ++trace.rowsWritten;
-  return true;
-}
-
-void Database::chargeScannedRow(std::size_t idx, std::uint64_t size,
-                                ExecTrace& trace) {
-  const StorageCosts& costs = config_.costs;
-  const double execMicros =
-      costs.execPerRowMicros +
-      costs.execPerByteMicros * static_cast<double>(size);
+void Database::chargeVisitedEntry(std::size_t idx, ExecTrace& trace) {
+  const double execMicros = config_.costs.execPerRowMicros;
   kvTier_->node(idx).charge(sim::CpuComponent::kKvExecution, execMicros);
   trace.latencyMicros += execMicros;
   ++trace.rowsRead;
-  trace.bytesRead += size;
-  touchLeg(idx, size);
+  touchLeg(idx, 0);
 }
 
 // ---- statement front-end ----

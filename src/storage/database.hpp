@@ -11,23 +11,26 @@
 //                    client but traverses the full read path internally
 //                    (parse, plan, lease, full row fetch, front-end hop)
 //
+// Storage is reached by key only: every read is a point get of a row or KV
+// value (engineGet) or one index lookup (indexLookup), and every write puts
+// one row or KV value (enginePut). No path scans a table or deletes a key.
+//
 // A KV bulk load is lazy: loadValueRange() records the whole keyspace as one
 // KvRange (kv_range.hpp) and puts no key into an engine. A range key is
 // materialized, at the version the loadValue loop would have given it,
-// before the first write to it (enginePut, loadValue), the first pointer
-// read of it (engineGet) or the first prefix scan whose prefix a range key
-// can start with. peekValueVersion and totalStoredBytes answer untouched
-// keys from the range and never materialize. No charge, version, size or
-// block-cache touch depends on when a key is materialized.
+// before the first write to it (enginePut, loadValue) or the first pointer
+// read of it (engineGet). peekValueVersion and totalStoredBytes answer
+// untouched keys from the range and never materialize. No charge, version,
+// size or block-cache touch depends on when a key is materialized.
 //
 // The KV engines hold rows and KV values only. Each secondary index keeps
 // its entries in one IndexOrder (index_order.hpp), by index base
-// ("t/<table>/i/<column>/"): loadRow and the executor's UPDATE write them
-// through indexPut/indexDelete, which charge what an engine put or delete
-// of the index key would, and the executor's index lookup reads them
-// through indexLookup, which charges each visited entry as a scanned row.
-// A table scan (engineScanPrefix) makes one pass over every engine's keys
-// per call; no simulated path issues one.
+// ("t/<table>/i/<column>/"): loadRow appends a new row's entries, and the
+// executor's index lookup reads them through indexLookup, which charges
+// each visited entry as a scanned row. An UPDATE sets no indexed column
+// (the planner refuses one), so it leaves every entry as it is and charges
+// each through chargeIndexRePut, as the engine put of the unchanged index
+// key it stands for.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +102,10 @@ class Database {
   // ---- schema / population (no cost accounting: experiment setup) ----
   void createTable(TableSchema schema);
   [[nodiscard]] const TableSchema* schema(std::string_view table) const;
-  void loadRow(std::string_view table, const Row& row);
+  /// Insert `row` and its index entries. False, writing nothing, for an
+  /// unknown table or a primary key the table already holds: a row is
+  /// loaded once, and only an UPDATE rewrites it.
+  bool loadRow(std::string_view table, const Row& row);
   void loadValue(std::string_view key, std::uint64_t size);
   /// Pre-size every engine's point index for a bulk load of `expectedKeys`
   /// (spread by key hash), avoiding per-engine rehash cascades.
@@ -168,43 +174,21 @@ class Database {
   [[nodiscard]] std::optional<ValueView> engineGet(std::string_view key,
                                                    ExecTrace& trace);
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
-  /// Visit the engine keys (rows and KV values) that start with `prefix`,
-  /// shard by shard in node order, ascending within a shard: each shard's
-  /// lease is validated before its rows, and fn returning false stops that
-  /// shard. One pass over each engine's keys per call. `key` views bytes
-  /// that stay valid for the database's life. fn must not write to or scan
-  /// this database.
-  template <typename Fn>
-  void engineScanPrefix(std::string_view prefix, ExecTrace& trace, Fn&& fn) {
-    if (!range_.empty()) materializeMatching(prefix);
-    for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
-      raft_.validateLease(idx);
-      engines_[idx].scanPrefix(
-          prefix, scanIds_, [&](std::string_view key, const ValueView& v) {
-            chargeScannedRow(idx, v.size, trace);
-            return fn(key, v);
-          });
-    }
-  }
 
   // Index entries. `key` is an index key (indexKey) and its first `base`
   // bytes name the index (`t/<table>/i/<column>/`); the bytes past them are
   // the entry.
-  /// Put the entry unless its index holds it, charged as enginePut charges
-  /// `key` with a zero-byte value. False, after the KV execution charge,
-  /// for a key past KvEngine::kMaxKeyBytes.
-  bool indexPut(std::string_view key, std::size_t base, ExecTrace& trace);
-  /// The charges of indexPut for an entry the statement leaves unchanged
-  /// (an UPDATE of other columns), without touching the index.
+  /// Charge the re-put of an entry an UPDATE leaves unchanged as enginePut
+  /// charges `key` with a zero-byte value, without touching the index.
+  /// False, after the KV execution charge alone, for a key past
+  /// KvEngine::kMaxKeyBytes.
   bool chargeIndexRePut(std::string_view key, ExecTrace& trace);
-  /// Drop the entry, charged as an engine delete of `key`, held or not.
-  bool indexDelete(std::string_view key, std::size_t base, ExecTrace& trace);
   /// Visit the entries of the index of `prefix`'s first `base` bytes whose
   /// key starts with `prefix`, shard by shard in node order, ascending
   /// within a shard: each shard's lease is validated before its entries,
   /// each entry is charged as a scanned zero-byte row, and fn returning
   /// false stops that shard. fn gets the entry's bytes past `prefix`, valid
-  /// until the next write to the index; it must not write to this database.
+  /// for the database's life; it must not load a row into this database.
   template <typename Fn>
   void indexLookup(std::string_view prefix, std::size_t base,
                    ExecTrace& trace, Fn&& fn) {
@@ -213,7 +197,7 @@ class Database {
             prefix.substr(base),
             [&](std::size_t idx) { raft_.validateLease(idx); },
             [&](std::size_t idx, std::string_view entry) {
-              chargeScannedRow(idx, 0, trace);
+              chargeVisitedEntry(idx, trace);
               return fn(entry.substr(prefix.size() - base));
             });
   }
@@ -229,7 +213,7 @@ class Database {
   [[nodiscard]] std::uint64_t blockCacheMisses() const;
   [[nodiscard]] const RaftReplicator& raft() const noexcept { return raft_; }
   [[nodiscard]] sim::Tier& kvTier() noexcept { return *kvTier_; }
-  /// Keys the KV engines hold: rows and KV values, tombstones included.
+  /// Keys the KV engines hold: rows and KV values.
   [[nodiscard]] std::uint64_t engineKeyCount() const noexcept;
   /// Entries the index under `base` (`t/<table>/i/<column>/`) holds.
   [[nodiscard]] std::size_t indexEntryCount(std::string_view base) const;
@@ -240,7 +224,6 @@ class Database {
   // allocating once the buffer is large enough. No argument may view `out`.
   static std::string_view rowKey(std::string& out, std::string_view table,
                                  std::string_view pk);
-  static std::string_view rowPrefix(std::string& out, std::string_view table);
   static std::string_view indexKey(std::string& out, std::string_view table,
                                    std::string_view column,
                                    std::string_view value, std::string_view pk);
@@ -273,8 +256,6 @@ class Database {
     return !range_.empty() && materializeKey(idx, key);
   }
   bool materializeKey(std::size_t idx, std::string_view key);
-  /// Materialize every untouched range key that starts with `prefix`.
-  void materializeMatching(std::string_view prefix);
   /// The index under `base`, created empty on first use.
   IndexOrder& indexFor(std::string_view base);
   /// Charge a put of `key` with `size` value bytes as a replicated write
@@ -283,8 +264,9 @@ class Database {
   template <typename Commit>
   bool chargedPut(std::string_view key, std::uint64_t size, ExecTrace& trace,
                   Commit&& commit);
-  /// KV-side execution charge for one row a prefix scan visits on `idx`.
-  void chargeScannedRow(std::size_t idx, std::uint64_t size, ExecTrace& trace);
+  /// KV-side execution charge for one index entry a lookup visits on `idx`:
+  /// a scanned row of zero bytes.
+  void chargeVisitedEntry(std::size_t idx, ExecTrace& trace);
   /// The cached plan for `sql`, parsed and planned on first use; a full
   /// cache is emptied first. Errors are not cached: each call returns
   /// nullptr with `error` set.
@@ -297,7 +279,7 @@ class Database {
   /// the chosen front-end node.
   sim::Node& frontendForStatement();
   /// The statement in flight moved `bytes` on KV node `idx`. A zero-byte
-  /// touch (an index-entry put) still gets its leg.
+  /// touch (an index-entry re-put or visit) still gets its leg.
   void touchLeg(std::size_t idx, std::uint64_t bytes) noexcept {
     legs_[idx].bytes += bytes;
     legs_[idx].touched = true;
@@ -323,8 +305,6 @@ class Database {
   std::vector<std::string_view> matchBuf_;
   /// The rows an UPDATE in flight rewrites, kept with their capacity.
   std::vector<Row> updateBuf_;
-  /// A table scan's matching key ids on one engine (engineScanPrefix).
-  std::vector<std::uint32_t> scanIds_;
   /// The row being loaded or rewritten, encoded; put() copies its bytes.
   rpc::WireEncoder rowBuf_;
   /// Key buffer for the const peeks, apart from keyBuf_ so that a peek

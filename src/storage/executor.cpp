@@ -1,7 +1,5 @@
 #include "storage/executor.hpp"
 
-#include <algorithm>
-
 namespace dcache::storage {
 namespace {
 
@@ -85,7 +83,7 @@ bool Executor::fetchRows(const TableAccessPlan& access,
     case AccessPath::kPointGet: {
       const ColumnType pkType =
           schema.columns()[schema.primaryKeyColumn()].type;
-      const auto pkValue = resolve(access.key->rhs, params, pkType);
+      const auto pkValue = resolve(access.key.rhs, params, pkType);
       if (!pkValue) {
         error = "missing parameter for key condition";
         return false;
@@ -101,8 +99,8 @@ bool Executor::fetchRows(const TableAccessPlan& access,
       return true;
     }
     case AccessPath::kIndexLookup: {
-      const Column& column = schema.columns()[access.key->columnIndex];
-      const auto keyValue = resolve(access.key->rhs, params, column.type);
+      const Column& column = schema.columns()[access.key.columnIndex];
+      const auto keyValue = resolve(access.key.rhs, params, column.type);
       if (!keyValue) {
         error = "missing parameter for index condition";
         return false;
@@ -127,28 +125,12 @@ bool Executor::fetchRows(const TableAccessPlan& access,
       }
       return true;
     }
-    case AccessPath::kTableScan: {
-      bool corrupt = false;
-      db_->engineScanPrefix(Database::rowPrefix(*keyBuf_, schema.name()),
-                            trace,
-                            [&](std::string_view, const ValueView& stored) {
-                              if (take(stored.payload)) return true;
-                              corrupt = true;
-                              return false;
-                            });
-      if (corrupt) {
-        error = "corrupt row during scan of " + schema.name();
-        return false;
-      }
-      return true;
-    }
   }
   error = "unknown access path";
   return false;
 }
 
 bool Executor::writeRow(const TableSchema& schema, const Row& row,
-                        std::span<const BoundCondition> assignments,
                         ExecTrace& trace) {
   const std::string pk =
       valueToString(row.values[schema.primaryKeyColumn()]);
@@ -158,18 +140,10 @@ bool Executor::writeRow(const TableSchema& schema, const Row& row,
     return false;
   }
   for (const std::size_t col : schema.indexedColumns()) {
-    const std::string& column = schema.columns()[col].name;
-    const std::string_view key = Database::indexKey(
-        *keyBuf_, schema.name(), column, valueToString(row.values[col]), pk);
-    const bool assigned = std::any_of(
-        assignments.begin(), assignments.end(),
-        [col](const BoundCondition& a) { return a.columnIndex == col; });
-    if (assigned) {
-      db_->indexPut(key, Database::indexBaseSize(schema.name(), column),
-                    trace);
-    } else {
-      db_->chargeIndexRePut(key, trace);
-    }
+    db_->chargeIndexRePut(
+        Database::indexKey(*keyBuf_, schema.name(), schema.columns()[col].name,
+                           valueToString(row.values[col]), pk),
+        trace);
   }
   return true;
 }
@@ -185,26 +159,17 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
     return outcome;
   }
   for (Row& target : std::span(targets).first(used)) {
-    // The planner rejects a SET of the key, so the key stays the row's.
-    const std::string pk =
-        valueToString(target.values[schema.primaryKeyColumn()]);
-    // Remove index entries for columns about to change, then rewrite.
+    // The planner rejects a SET of the key or of an indexed column, so the
+    // row keeps its key and its index entries.
     for (const auto& [col, rhs] : plan.assignments) {
       const auto value = resolve(rhs, params, schema.columns()[col].type);
       if (!value) {
         outcome.error = "missing parameter in SET";
         return outcome;
       }
-      if (schema.hasIndexOn(col) && !valueEquals(target.values[col], *value)) {
-        const std::string& column = schema.columns()[col].name;
-        db_->indexDelete(
-            Database::indexKey(*keyBuf_, schema.name(), column,
-                               valueToString(target.values[col]), pk),
-            Database::indexBaseSize(schema.name(), column), trace);
-      }
       target.values[col] = *value;
     }
-    if (writeRow(schema, target, plan.assignments, trace)) {
+    if (writeRow(schema, target, trace)) {
       ++outcome.rowsAffected;
     }
   }

@@ -1,8 +1,11 @@
 // Plan executor: runs a QueryPlan against the database's engine-level API.
-// Every row touched flows through Database::engineGet/enginePut and every
-// index entry through indexLookup/indexPut/indexDelete, so all CPU,
-// block-cache, disk and replication costs are charged where the work
-// happens — the executor adds no accounting of its own.
+// A SELECT reads by primary key or through one index lookup; an UPDATE
+// reads its rows the same way and rewrites their bytes, never an index
+// entry (the planner refuses a SET of an indexed column). Every row touched
+// flows through Database::engineGet/enginePut and every index entry through
+// indexLookup or chargeIndexRePut, so all CPU, block-cache, disk and
+// replication costs are charged where the work happens — the executor adds
+// no accounting of its own.
 #pragma once
 
 #include <span>
@@ -56,11 +59,9 @@ class Executor {
                  ExecTrace& trace, std::vector<Row>& out, std::size_t& used,
                  std::string& error);
 
-  /// Put `row` and its index entries. An entry of an indexed column that
-  /// `assignments` does not set is unchanged: only its re-put is charged.
-  bool writeRow(const TableSchema& schema, const Row& row,
-                std::span<const BoundCondition> assignments,
-                ExecTrace& trace);
+  /// Put `row` and charge the re-put of each of its index entries, which
+  /// the statement leaves unchanged.
+  bool writeRow(const TableSchema& schema, const Row& row, ExecTrace& trace);
 
   Outcome runUpdate(const QueryPlan& plan, std::span<const Value> params,
                     ExecTrace& trace);

@@ -2,17 +2,17 @@
 // index entry is the key `t/<table>/i/<column>/<value>/<pk>` with an empty
 // value: no path point-reads it, a lookup scans it by prefix. So entries
 // live here, not in the KV engines. The Database keeps one order per index
-// base (`t/<table>/i/<column>/`) and charges each entry write and each
-// visited entry as the engine write and scan row it stands for.
+// base (`t/<table>/i/<column>/`), appends the entries of each row it loads
+// and charges each visited entry as the engine scan row it stands for. No
+// statement writes an entry: an UPDATE may not set an indexed column.
 //
 // An order keeps each entry's bytes past the base (`<value>/<pk>`) in its
 // own KeyArena, behind a 12-byte record {arena ref, length, shard}, where
 // the shard is the KV node the full key places on. Records are sorted by
-// entry bytes, followed by an unsorted tail: a bulk load appends entries
-// it knows to be new, and the next lookup, put or erase sorts the tail
-// and merges it in. put() takes an entry only if the order does not
-// hold it, so an entry put again never grows the order; erase() gives the
-// entry's block back to the arena.
+// entry bytes, followed by an unsorted tail of appended entries that the
+// next lookup sorts and merges in. Two rows can spell one entry alike
+// through a '/' in their names (value "a/b" with pk "c", value "a" with pk
+// "b/c"); the merge keeps one copy, as one engine key would hold it.
 #pragma once
 
 #include <cstdint>
@@ -34,23 +34,17 @@ class IndexOrder {
   /// kMaxShards.
   explicit IndexOrder(std::size_t shards);
 
-  /// Take `entry`, which lives on `shard`, into the unsorted tail. The order
-  /// must not hold it: a duplicate found when the tail is merged is an
-  /// invariant violation and aborts.
+  /// Take `entry`, which lives on `shard`, into the unsorted tail; an entry
+  /// the order already holds is dropped when the tail is merged. Throws
+  /// std::invalid_argument for an entry past kMaxEntryBytes or a shard past
+  /// the order's.
   void append(std::string_view entry, std::size_t shard);
-  /// Take `entry` on `shard` unless the order holds it; returns whether it
-  /// did.
-  bool put(std::string_view entry, std::size_t shard);
-  /// Drop `entry`; returns whether the order held it.
-  bool erase(std::string_view entry);
-  // append and put throw std::invalid_argument for an entry past
-  // kMaxEntryBytes or a shard past the order's.
 
   /// Visit the entries that start with `prefix`: shard by shard in index
   /// order, ascending within a shard. `enterShard(idx)` runs before shard
   /// idx, whether it has matches or not; `fn(idx, entry)` returning false
-  /// skips the rest of shard idx. `entry` views the order's bytes, valid
-  /// until its next put or erase, which neither callback may make.
+  /// skips the rest of shard idx. `entry` views the order's bytes, valid as
+  /// long as the order; neither callback may append to it.
   template <typename EnterShard, typename Fn>
   void lookup(std::string_view prefix, EnterShard&& enterShard, Fn&& fn) {
     const std::span<const Record> matches = matching(prefix);
@@ -62,7 +56,8 @@ class IndexOrder {
     }
   }
 
-  /// Entries held, the unsorted tail included.
+  /// Entries held, the unsorted tail included: an entry appended twice
+  /// counts twice until the next lookup merges the tail.
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
 
  private:
@@ -76,15 +71,13 @@ class IndexOrder {
   [[nodiscard]] std::string_view bytesOf(const Record& r) const noexcept {
     return arena_.view(r.ref, r.length);
   }
-  [[nodiscard]] Record store(std::string_view entry, std::size_t shard);
-  /// The records that start with `prefix`, in entry order.
+  /// The records that start with `prefix`, in entry order, with the tail
+  /// merged in.
   [[nodiscard]] std::span<const Record> matching(std::string_view prefix);
-  /// The first record not below `entry`, with the tail merged in.
-  [[nodiscard]] std::vector<Record>::iterator lowerBound(std::string_view entry);
-  /// Sort the tail and merge it into the sorted records.
+  /// Sort the tail, merge it into the sorted records and drop duplicates.
   void mergeTail();
 
-  cache::KeyArena arena_;        // entry bytes; erase gives a block back
+  cache::KeyArena arena_;        // entry bytes; a dropped duplicate's stay
   std::vector<Record> records_;  // [0, sorted_) in entry order, then the tail
   std::size_t sorted_ = 0;
   std::size_t shards_;

@@ -1,6 +1,5 @@
 #include "storage/kv_engine.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/hash.hpp"
@@ -56,8 +55,8 @@ void KvEngine::storeKey(Entry& entry, std::string_view key) {
   }
 }
 
-bool KvEngine::write(std::string_view key, StoredValue value, bool tombstone,
-                     std::uint64_t commitTs) {
+bool KvEngine::put(std::string_view key, StoredValue value,
+                   std::uint64_t commitTs) {
   if (key.size() > kMaxKeyBytes || value.payload.size() > kMaxPayloadBytes) {
     return false;
   }
@@ -76,36 +75,27 @@ bool KvEngine::write(std::string_view key, StoredValue value, bool tombstone,
     if (held.version >= commitTs) {
       return false;  // stale write: a newer version is already committed
     }
-    if (!held.tombstone) liveBytes_ -= held.size;
+    liveBytes_ -= held.size;
     if (held.payloadSize > 0) payloads_.release(held.payload, held.payloadSize);
   }
   Entry& entry = entries_[id];
   entry.payloadSize = static_cast<std::uint32_t>(value.payload.size());
   if (!value.payload.empty()) entry.payload = payloads_.store(value.payload);
-  entry.tombstone = tombstone;
   entry.size = value.size;
   entry.version = commitTs;
-  if (!tombstone) liveBytes_ += value.size;
+  liveBytes_ += value.size;
   ++writes_;
   return true;
 }
 
-void KvEngine::matchingIds(std::string_view prefix,
-                           std::vector<std::uint32_t>& ids) const {
-  ids.clear();
-  const auto count = static_cast<std::uint32_t>(entries_.highWater());
-  for (std::uint32_t id = 0; id < count; ++id) {
-    // dcache-lint: allow(hot-path-alloc, a reused buffer grows only while scans match more keys, then never again)
-    if (entries_[id].key().starts_with(prefix)) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return entries_[a].key() < entries_[b].key();
-  });
-}
-
 std::optional<ValueView> KvEngine::get(std::string_view key) const {
   const std::uint32_t id = find(indexHash(key), key);
-  return id == kNoEntry ? std::nullopt : visible(entries_[id]);
+  if (id == kNoEntry) return std::nullopt;
+  const Entry& entry = entries_[id];
+  return ValueView{entry.size, entry.version,
+                   entry.payloadSize == 0
+                       ? std::string_view{}
+                       : payloads_.view(entry.payload, entry.payloadSize)};
 }
 
 }  // namespace dcache::storage

@@ -1,27 +1,26 @@
 // Key-value engine — the TiKV stand-in. Each key holds one version, the
-// newest: a write replaces it in place, a delete writes a tombstone, and a
-// commit at or below the held version is rejected. No simulated path reads
-// an older version, so none is kept. Values carry a logical size apart from
-// the optional payload, so simulating 1 MB values does not cost 1 MB of
-// host RAM each.
+// newest: a write replaces it in place, and a commit at or below the held
+// version is rejected. No simulated path reads an older version, so none is
+// kept, and none deletes a key. Values carry a logical size apart from the
+// optional payload, so simulating 1 MB values does not cost 1 MB of host
+// RAM each.
 //
 // Layout, sized for bulk loads of millions of keys: each key is one 48-byte
 // entry in a NodeSlab (entries never move and are never released). The key
 // comes first — inline up to 16 bytes, else in a KeyArena — then its value:
-// the payload's length and the tombstone flag, the logical size, the
-// version and a reference to the payload's bytes. Those bytes live in a
-// second KeyArena, apart from the keys: an overwrite or erase gives the old
-// block back to its size class, so rewriting a row allocates nothing once
-// warm, while key bytes are never given back. KV values have no payload
-// and take no block. Reads return a ValueView whose payload views the
-// arena; it is valid until the next write to that key. One open-addressing
-// index of 8-byte {32-bit hash, id} slots serves point reads: probe
-// positions come from the stored hash, so growth re-places slots without
-// re-hashing keys, and a full key compare decides equality.
-// The engine keeps no key order. A Database puts rows and KV values here;
-// secondary-index entries live in an IndexOrder (index_order.hpp), and no
-// simulated path scans a range of engine keys, so scanPrefix() makes one
-// pass over every key per call and sorts the matches.
+// the payload's length, the logical size, the version and a reference to
+// the payload's bytes. Those bytes live in a second KeyArena, apart from
+// the keys: an overwrite gives the old block back to its size class, so
+// rewriting a row allocates nothing once warm, while key bytes are never
+// given back. KV values have no payload and take no block. Reads return a
+// ValueView whose payload views the arena; it is valid until the next write
+// to that key. One open-addressing index of 8-byte {32-bit hash, id} slots
+// serves point reads: probe positions come from the stored hash, so growth
+// re-places slots without re-hashing keys, and a full key compare decides
+// equality.
+// The engine keeps no key order and serves point operations only: a
+// Database puts rows and KV values here and reads them by key, while
+// secondary-index entries live in an IndexOrder (index_order.hpp).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +49,8 @@ struct StoredValue {
   }
 };
 
-/// A key's value as get() and scanPrefix() read it. `payload` views the
-/// engine's bytes and is valid until the next write to that key.
+/// A key's value as get() reads it. `payload` views the engine's bytes and
+/// is valid until the next write to that key.
 struct ValueView {
   std::uint64_t size = 0;     // logical bytes
   std::uint64_t version = 0;  // commit timestamp that wrote the value
@@ -64,8 +63,8 @@ class KvEngine {
   /// length holds the bytes of every index key past its base; longer keys
   /// are rejected.
   static constexpr std::size_t kMaxKeyBytes = UINT16_MAX;
-  /// Longest payload put() accepts, so that an entry's 31-bit payload
-  /// length holds it; longer payloads are rejected.
+  /// Longest payload put() accepts, below the payload arena's largest
+  /// block; longer payloads are rejected.
   static constexpr std::size_t kMaxPayloadBytes = (std::size_t{1} << 31) - 1;
 
   /// Write `value` at `commitTs` as `key`'s one version, replacing the held
@@ -75,25 +74,18 @@ class KvEngine {
   /// (returns false) — this is the guard the delayed-writes scenario
   /// probes. So are keys past kMaxKeyBytes and payloads past
   /// kMaxPayloadBytes.
-  bool put(std::string_view key, StoredValue value, std::uint64_t commitTs) {
-    return write(key, value, false, commitTs);
-  }
+  bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
 
-  /// Tombstone write, under the same rules as put().
-  bool erase(std::string_view key, std::uint64_t commitTs) {
-    return write(key, StoredValue{}, true, commitTs);
-  }
-
-  /// The value of `key`; nullopt for missing keys and tombstones. The
-  /// payload view is valid until the next write to this key.
+  /// The value of `key`; nullopt for a missing key. The payload view is
+  /// valid until the next write to this key.
   [[nodiscard]] std::optional<ValueView> get(std::string_view key) const;
 
-  /// Whether `key` holds any version, a tombstone included.
+  /// Whether `key` holds a value.
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
     return find(indexHash(key), key) != kNoEntry;
   }
 
-  /// Version of the key's value; nullopt if absent or deleted.
+  /// Version of the key's value; nullopt if absent.
   [[nodiscard]] std::optional<std::uint64_t> latestVersion(
       std::string_view key) const {
     const std::optional<ValueView> v = get(key);
@@ -104,23 +96,9 @@ class KvEngine {
   /// bulk load never regrows it.
   void reserveKeys(std::size_t expectedKeys);
 
-  /// Keys ever written, tombstones included.
+  /// Keys held.
   [[nodiscard]] std::size_t keyCount() const noexcept {
     return entries_.highWater();
-  }
-  /// Visit the keys that start with `prefix` and hold a value, in key
-  /// order; `fn(key, value)` returning false stops. One pass over every key
-  /// and a sort of the matches, per call. `ids` is scratch space a caller
-  /// reuses across calls. `key` views bytes that stay valid as long as the
-  /// engine; fn must not write to it.
-  template <typename Fn>
-  void scanPrefix(std::string_view prefix, std::vector<std::uint32_t>& ids,
-                  Fn&& fn) const {
-    matchingIds(prefix, ids);
-    for (const std::uint32_t id : ids) {
-      const Entry& entry = entries_[id];
-      if (!entry.tombstone && !fn(entry.key(), *visible(entry))) return;
-    }
   }
   [[nodiscard]] util::Bytes liveBytes() const noexcept {
     return util::Bytes::of(liveBytes_);
@@ -141,11 +119,10 @@ class KvEngine {
       const char* arenaKey;                  // longer keys, in keys_
     };
     std::uint32_t keySize = 0;
-    std::uint32_t payloadSize : 31 = 0;  // 0: no block in payloads_
-    std::uint32_t tombstone : 1 = 0;     // the key is deleted
-    std::uint64_t size = 0;              // logical bytes
-    std::uint64_t version = 0;           // commit timestamp
-    cache::KeyArena::Ref payload{};      // in payloads_ if payloadSize > 0
+    std::uint32_t payloadSize = 0;    // 0: no block in payloads_
+    std::uint64_t size = 0;           // logical bytes
+    std::uint64_t version = 0;        // commit timestamp
+    cache::KeyArena::Ref payload{};   // in payloads_ if payloadSize > 0
 
     [[nodiscard]] std::string_view key() const noexcept {
       return {keySize <= kInlineKeyBytes ? inlineKey : arenaKey, keySize};
@@ -157,20 +134,6 @@ class KvEngine {
   static_assert(kMaxPayloadBytes <= cache::KeyArena::kMaxBytes,
                 "the payload arena cannot hold the longest payload");
 
-  /// The entry's value; nullopt if it is a tombstone.
-  [[nodiscard]] std::optional<ValueView> visible(
-      const Entry& entry) const noexcept {
-    if (entry.tombstone) return std::nullopt;
-    return ValueView{entry.size, entry.version,
-                     entry.payloadSize == 0
-                         ? std::string_view{}
-                         : payloads_.view(entry.payload, entry.payloadSize)};
-  }
-  bool write(std::string_view key, StoredValue value, bool tombstone,
-             std::uint64_t commitTs);
-  /// `ids` = the ids of the keys that start with `prefix`, in key order.
-  void matchingIds(std::string_view prefix,
-                   std::vector<std::uint32_t>& ids) const;
   [[nodiscard]] std::uint32_t find(std::uint32_t hash,
                                    std::string_view key) const noexcept;
   void place(std::uint32_t hash, std::uint32_t id) noexcept;
@@ -182,7 +145,7 @@ class KvEngine {
   cache::KeyArena payloads_;  // payload bytes; an overwrite recycles them
   std::vector<Slot> index_;  // power-of-two linear probing, <= 70 % full
   std::size_t indexMask_ = 0;
-  std::uint64_t liveBytes_ = 0;  // every key's value, tombstones aside
+  std::uint64_t liveBytes_ = 0;  // every key's logical value bytes
   std::uint64_t writes_ = 0;
 };
 

@@ -5,10 +5,9 @@
 
 namespace dcache::storage {
 
-KvRange::KvRange(std::vector<std::uint64_t> sizes, KeyNameFn name,
-                 KeyIndexFn index, std::uint64_t firstTs)
+KvRange::KvRange(std::vector<std::uint64_t> sizes, KeyIndexFn index,
+                 std::uint64_t firstTs)
     : sizes_(std::move(sizes)),
-      name_(name),
       index_(index),
       firstTs_(firstTs),
       pending_(sizes_.size()),

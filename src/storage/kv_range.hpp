@@ -6,9 +6,9 @@
 // its 8-byte entry in the size table and nothing else.
 //
 // The range does not track which keys were touched: a range key that its
-// engine holds, tombstone included, has been materialized (database.hpp
-// says when). The name mapping comes in as two function pointers, so
-// storage stays independent of the workload module that defines it.
+// engine holds has been materialized (database.hpp says when). The range
+// maps a name to its index through a function pointer, so storage stays
+// independent of the workload module that defines the names.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@ class KvRange {
   /// A range with nothing pending.
   KvRange() = default;
   /// Keys 0 .. sizes.size() - 1, the first committed at firstTs + 1.
-  KvRange(std::vector<std::uint64_t> sizes, KeyNameFn name, KeyIndexFn index,
+  KvRange(std::vector<std::uint64_t> sizes, KeyIndexFn index,
           std::uint64_t firstTs);
 
   /// No key waits to be materialized.
@@ -41,18 +41,12 @@ class KvRange {
   [[nodiscard]] std::uint64_t pendingBytes() const noexcept {
     return pendingBytes_;
   }
-  /// Keys in the range; 0 once every key is materialized.
-  [[nodiscard]] std::uint64_t size() const noexcept { return sizes_.size(); }
-
   /// The index of the range key named `name`, or nullopt.
   [[nodiscard]] std::optional<std::uint64_t> indexOf(
       std::string_view name) const {
     const std::optional<std::uint64_t> index = index_(name);
     if (!index || *index >= sizes_.size()) return std::nullopt;
     return index;
-  }
-  void nameOf(std::uint64_t index, std::string& out) const {
-    name_(index, out);
   }
   [[nodiscard]] std::uint64_t sizeOf(std::uint64_t index) const noexcept {
     return sizes_[index];
@@ -67,7 +61,6 @@ class KvRange {
 
  private:
   std::vector<std::uint64_t> sizes_;
-  KeyNameFn name_ = nullptr;
   KeyIndexFn index_ = nullptr;
   std::uint64_t firstTs_ = 0;
   std::uint64_t pending_ = 0;

@@ -1,12 +1,14 @@
 // Query planner: statement IR + schema catalog -> executable plan.
 // Access-path selection is deliberately simple and deterministic — primary
-// key equality wins, then a secondary-index equality, then a full scan —
-// because what the cost study needs is a *faithful* work profile per query
-// shape, not a cost-based optimizer.
+// key equality wins, then a secondary-index equality — because what the
+// cost study needs is a *faithful* work profile per query shape, not a
+// cost-based optimizer. Storage is reached by key only: a statement with
+// neither equality in its WHERE is refused, and so is an UPDATE that sets
+// an indexed column, so a statement never scans a table or rewrites an
+// index entry.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -22,12 +24,12 @@ struct BoundCondition {
   Operand rhs;
 };
 
-enum class AccessPath : std::uint8_t { kPointGet, kIndexLookup, kTableScan };
+enum class AccessPath : std::uint8_t { kPointGet, kIndexLookup };
 
 struct TableAccessPlan {
   const TableSchema* schema = nullptr;
-  AccessPath path = AccessPath::kTableScan;
-  std::optional<BoundCondition> key;    // drives point get / index lookup
+  AccessPath path = AccessPath::kPointGet;
+  BoundCondition key;                    // drives the point get or lookup
   std::vector<BoundCondition> residual;  // re-checked on each row
 };
 
@@ -50,8 +52,9 @@ class Planner {
 
   explicit Planner(CatalogLookup catalog) : catalog_(std::move(catalog)) {}
 
-  /// A PlanError for an unknown table or column, and for an UPDATE that
-  /// sets the primary-key column.
+  /// A PlanError for an unknown table or column, for a WHERE with no
+  /// primary-key or indexed-column equality (no WHERE included), and for an
+  /// UPDATE that sets the primary-key column or an indexed column.
   [[nodiscard]] PlanResult plan(const Statement& statement) const;
 
  private:

@@ -10,7 +10,8 @@
 // Everything else is a ParseError: joins, column lists, table-qualified
 // columns, LIMIT, INSERT and DELETE included. A statement may end in one
 // ';' and nothing may follow it. An unterminated string literal is an
-// error.
+// error. The WHERE is optional to the grammar only: the planner refuses a
+// statement without a primary-key or indexed-column equality.
 #pragma once
 
 #include <string>

@@ -1,43 +1,40 @@
 // Differential fuzz between the flat KvEngine and the ordered-map oracle in
 // tests/reference/: both run an identical seeded stream of puts (stale ones
-// included), erases, gets, and prefix scans with early stop, and must agree
-// on every result, the scan visit order, liveBytes, keyCount and
-// writeCount after every step. The flat engine keeps one version per key,
-// so the streams compare the oracle's newest reads only. Each scan is the
-// engine's per-call pass (KvEngine::scanPrefix). Keys are shaped like the
-// database's keys (`t/<table>/i/<col>/<value>/<pk>`), so they share long
-// prefixes. Further streams aim at the engine's layout edges: keys on both
-// sides of the 16-byte inline limit, a few keys overwritten thousands of
-// times in place, and two keys whose stored 32-bit index hashes are equal.
-// Payload bytes depend on the write that puts them and on their position,
-// and their lengths cross the payload arena's edges (empty, one byte,
-// around 16, around its 4 KiB classed limit, up to 10 KiB), so a stale,
-// shared or wrongly sized block reads back as bytes the oracle does not
-// hold.
+// included) and gets, and must agree on every put's acceptance, every read,
+// liveBytes, keyCount and writeCount after every step. Keys are shaped like
+// the database's keys (`t/<table>/i/<col>/<value>/<pk>`), so they share
+// long prefixes. Further streams aim at the engine's layout edges: keys on
+// both sides of the 16-byte inline limit, a few keys overwritten thousands
+// of times in place, and two keys whose stored 32-bit index hashes are
+// equal. Payload bytes depend on the write that puts them and on their
+// position, and their lengths cross the payload arena's edges (empty, one
+// byte, around 16, around its 4 KiB classed limit, up to 10 KiB), so a
+// stale, shared or wrongly sized block reads back as bytes the oracle does
+// not hold.
 //
 // The IndexOrder streams diff one secondary index's entry order against a
-// std::map of entry to shard: appends of new entries, puts and re-puts,
-// erases, puts after erases and lookups with early stop, over entries of 0,
-// 1, 15, 16, 17 and 200 bytes and values that hold '/', on several shards.
-// A lookup visits shard by shard in ascending entry order, and a false
-// return stops only its own shard. Database-level streams check
-// engineScanPrefix against per-shard map oracles and an index's lookups
-// against the rows loaded into it.
+// std::map of entry to shard: appends of new entries and of entries the
+// order holds, and lookups with early stop, over entries of 0, 1, 15, 16,
+// 17 and 200 bytes and values that hold '/', on several shards. A lookup
+// visits shard by shard in ascending entry order, a false return stops
+// only its own shard, and an entry appended twice is held once.
+// Database-level tests check an index's lookups against the rows loaded
+// into it, that a resident primary key loaded again changes nothing, and
+// that two rows spelling one entry alike share it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "reference/kv_engine.hpp"
 #include "rpc/channel.hpp"
+#include "sim/node.hpp"
 #include "sim/network.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
@@ -63,24 +60,12 @@ struct KeyGen {
     return "t/" + table + "/i/" + kColumns[rng.next() % 2] + "/" +
            std::to_string(rng.next() % 12) + "/" + std::to_string(pk);
   }
-
-  /// A prefix at a random depth of a random key. Mostly the index-value
-  /// prefix the executor scans; now and then the whole table or keyspace.
-  std::string prefix() {
-    const std::string k = key();
-    const std::uint32_t depth = rng.next() % 16;
-    if (depth == 0) return "t/";
-    if (depth == 1) return k.substr(0, k.find('/', 2) + 1);  // t/<table>/
-    if (depth < 8) return k.substr(0, k.rfind('/') + 1);     // up to the pk
-    if (depth < 12) return k.substr(0, 1 + rng.next() % k.size());  // a cut
-    return k;                                                // one key
-  }
 };
 
 /// Keys of 15, 16, 17 and 200 bytes around the engine's 16-byte inline
 /// limit, plus the empty and one-byte keys. A key is a stem (`b/<c>/<n>`)
 /// padded with '-', so the shorter keys of a stem are prefixes of the
-/// longer ones and every scan crosses the inline/arena boundary.
+/// longer ones, on both sides of the inline/arena boundary.
 struct BoundaryKeyGen {
   util::Pcg32& rng;
 
@@ -94,18 +79,6 @@ struct BoundaryKeyGen {
     k.resize(length, '-');
     return k;
   }
-
-  std::string prefix() {
-    const std::string k = key();
-    switch (rng.next() % 6) {
-      case 0: return "";
-      case 1: return k.substr(0, 4);  // b/<c>/
-      case 2:  // the first 15, 16 or 17 bytes
-        return k.substr(0, std::min<std::size_t>(k.size(), 15 + rng.next() % 3));
-      case 3: return k.substr(0, rng.next() % (k.size() + 1));
-      default: return k;
-    }
-  }
 };
 
 /// A handful of hot keys, inline and arena-sized, overwritten again and
@@ -118,8 +91,6 @@ struct HotKeyGen {
     return n % 2 == 0 ? "h/" + std::to_string(n)
                       : "h/" + std::string(40, 'x') + std::to_string(n);
   }
-
-  std::string prefix() { return rng.next() % 2 == 0 ? "h/" : key(); }
 };
 
 /// `length` payload bytes that depend on the write that puts them and on
@@ -144,38 +115,6 @@ std::size_t payloadLength(util::Pcg32& rng) {
   return rng.next() % 40;
 }
 
-using Visit = std::tuple<std::string, std::uint64_t, std::uint64_t, std::string>;
-
-std::pair<std::size_t, std::vector<Visit>> scan(const MapKvEngine& engine,
-                                                std::string_view prefix,
-                                                std::size_t stopAfter) {
-  std::vector<Visit> seen;
-  const std::size_t visited = engine.scanPrefix(
-      prefix, MapKvEngine::kLatest,
-      [&](std::string_view key, const OracleValue& v) {
-        seen.emplace_back(std::string(key), v.version, v.size, v.payload);
-        return seen.size() < stopAfter;
-      });
-  return {visited, seen};
-}
-
-/// The same scan through the engine's per-call pass.
-std::pair<std::size_t, std::vector<Visit>> scan(const KvEngine& engine,
-                                                std::string_view prefix,
-                                                std::size_t stopAfter) {
-  std::vector<Visit> seen;
-  std::vector<std::uint32_t> ids;
-  engine.scanPrefix(prefix, ids,
-                    [&](std::string_view key, const ValueView& v) {
-                      seen.emplace_back(std::string(key), v.version, v.size,
-                                        std::string(v.payload));
-                      return seen.size() < stopAfter;
-                    });
-  return {seen.size(), seen};
-}
-
-/// A ValueView has no tombstone flag: get() returning a tombstone shows
-/// as a value where the oracle has none.
 void expectSameValue(const OracleValue* oracle,
                      const std::optional<ValueView>& flat, std::size_t step) {
   ASSERT_EQ(oracle == nullptr, !flat.has_value()) << "step " << step;
@@ -186,7 +125,7 @@ void expectSameValue(const OracleValue* oracle,
 }
 
 /// One lockstep stream of `ops` steps. Of every 32 op draws, `putSlots`
-/// are puts, the next 2 erases and the next 8 gets; scans take the rest.
+/// are puts and the rest gets.
 template <typename Gen>
 void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
                  std::size_t reserve, std::uint32_t putSlots = 10) {
@@ -213,22 +152,11 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
       ASSERT_EQ(oracle.put(key, value(), commitTs),
                 flat.put(key, value(), commitTs))
           << "step " << step;
-    } else if (op < putSlots + 2) {
-      const std::string key = gen.key();
-      const std::uint64_t commitTs = ++ts;
-      ASSERT_EQ(oracle.erase(key, commitTs), flat.erase(key, commitTs))
-          << "step " << step;
-    } else if (op < putSlots + 10) {
+    } else {
       const std::string key = gen.key();
       expectSameValue(oracle.get(key), flat.get(key), step);
       ASSERT_EQ(oracle.latestVersion(key), flat.latestVersion(key))
           << "step " << step;
-    } else {
-      const std::string prefix = gen.prefix();
-      const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 5
-                                                        : SIZE_MAX;
-      ASSERT_EQ(scan(oracle, prefix, stopAfter), scan(flat, prefix, stopAfter))
-          << "step " << step << " prefix " << prefix;
     }
     ASSERT_EQ(oracle.keyCount(), flat.keyCount()) << "step " << step;
     ASSERT_EQ(oracle.liveBytes().count(), flat.liveBytes().count())
@@ -278,10 +206,9 @@ TEST(KvDifferential, OverwriteHeavyHistoryUnderGc) {
 TEST(KvDifferential, PayloadsGrowShrinkAndReturnAfterTombstones) {
   // Three keys, one inline and two in the key arena, each put through the
   // payload edges in turn, so every overwrite grows or shrinks its payload
-  // and most change its size class; every third put follows a tombstone.
-  // The keys share the payload arena, so a block given back under the
-  // wrong class, or read through after its key moved to another, shows in
-  // a neighbour's bytes or its own.
+  // and most change its size class. The keys share the payload arena, so a
+  // block given back under the wrong class, or read through after its key
+  // moved to another, shows in a neighbour's bytes or its own.
   static constexpr std::size_t kLengths[] = {0,     17, 4097, 1,  16,
                                              10240, 4095, 15, 4096, 17};
   const std::string keys[] = {"p/a", "p/" + std::string(30, 'b'),
@@ -292,10 +219,6 @@ TEST(KvDifferential, PayloadsGrowShrinkAndReturnAfterTombstones) {
   for (std::size_t round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < std::size(kLengths); ++i) {
       for (std::size_t k = 0; k < std::size(keys); ++k) {
-        if ((i + k) % 3 == 0) {
-          ++ts;
-          ASSERT_EQ(oracle.erase(keys[k], ts), flat.erase(keys[k], ts));
-        }
         ++ts;
         const std::string payload =
             payloadOf(ts, kLengths[(i + k + round) % std::size(kLengths)]);
@@ -304,8 +227,6 @@ TEST(KvDifferential, PayloadsGrowShrinkAndReturnAfterTombstones) {
         for (const std::string& key : keys) {
           expectSameValue(oracle.get(key), flat.get(key), ts);
         }
-        ASSERT_EQ(scan(oracle, "p/", SIZE_MAX), scan(flat, "p/", SIZE_MAX))
-            << "ts " << ts;
       }
     }
   }
@@ -336,8 +257,6 @@ struct CollidingKeyGen {
     if (n == 1) return b;
     return std::string("f").append(std::to_string(rng.next() % 6000));
   }
-
-  std::string prefix() { return rng.next() % 2 == 0 ? "key" : key(); }
 };
 
 TEST(KvDifferential, KeysWithEqualIndexHashesStayApart) {
@@ -354,9 +273,6 @@ TEST(KvDifferential, KeysWithEqualIndexHashesStayApart) {
   ASSERT_TRUE(flat.put(b, StoredValue::sized(2), 2));
   ASSERT_TRUE(flat.put(a, StoredValue::sized(3), 3));  // overwrite a only
   EXPECT_EQ(sizeOf(a), 3u);
-  EXPECT_EQ(sizeOf(b), 2u);
-  ASSERT_TRUE(flat.erase(a, 4));  // erase a only
-  EXPECT_EQ(sizeOf(a), std::nullopt);
   EXPECT_EQ(sizeOf(b), 2u);
   EXPECT_EQ(flat.keyCount(), 2u);
 
@@ -484,36 +400,27 @@ struct EntryPool {
 };
 
 /// One seeded stream over an IndexOrder of `shards` shards, checked against
-/// the map oracle after every step.
+/// the map oracle at every lookup. The pool is small, so most appends past
+/// the first few hundred steps repeat an entry the order holds, in its
+/// tail or its sorted records, and the merge must drop each repeat.
 void runIndexOrderStream(std::uint64_t seed, std::size_t shards) {
   util::Pcg32 rng(seed, 11);
   EntryPool pool(rng);
   EntryOracle oracle;
   IndexOrder order(shards);
   for (std::size_t step = 0; step < 8000; ++step) {
-    const std::uint32_t op = rng.next() % 16;
-    if (op < 7) {  // an append when new (half the time), else a put
+    if (rng.next() % 16 < 7) {
       const std::string& entry = pool.entry();
-      const std::size_t shard = shardOf(entry, shards);
-      const bool held = oracle.contains(entry);
-      if (!held && rng.next() % 2 == 0) {
-        order.append(entry, shard);
-      } else {
-        ASSERT_EQ(order.put(entry, shard), !held) << "step " << step;
-      }
-      oracle.emplace(entry, shard);
-    } else if (op < 10) {
-      const std::string& entry = pool.entry();
-      ASSERT_EQ(order.erase(entry), oracle.erase(entry) == 1)
-          << "step " << step;
-    } else {
-      const std::string prefix = pool.prefix();
-      const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
-                                                        : SIZE_MAX;
-      ASSERT_EQ(lookup(oracle, shards, prefix, stopAfter),
-                lookup(order, prefix, stopAfter))
-          << "seed " << seed << " step " << step << " prefix " << prefix;
+      order.append(entry, shardOf(entry, shards));
+      oracle.emplace(entry, shardOf(entry, shards));
+      continue;
     }
+    const std::string prefix = pool.prefix();
+    const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
+                                                      : SIZE_MAX;
+    ASSERT_EQ(lookup(oracle, shards, prefix, stopAfter),
+              lookup(order, prefix, stopAfter))
+        << "seed " << seed << " step " << step << " prefix " << prefix;
     ASSERT_EQ(order.size(), oracle.size()) << "step " << step;
   }
 }
@@ -527,25 +434,28 @@ TEST(KvDifferential, SharedOrderMatchesPerShardOracles) {
   }
 }
 
-TEST(IndexOrderDeathTest, AppendOfAHeldEntryAborts) {
-  // Twice in the tail, and in the tail and the sorted records: the merge
-  // that the next put or erase makes finds the duplicate.
-  EXPECT_DEATH(
-      {
-        IndexOrder order(2);
-        order.append("7/1", 0);
-        order.append("7/1", 0);
-        (void)order.put("7/2", 1);
-      },
-      "appended to an order that holds it");
-  EXPECT_DEATH(
-      {
-        IndexOrder order(2);
-        (void)order.put("7/1", 0);
-        order.append("7/1", 0);
-        (void)order.erase("7/2");
-      },
-      "appended to an order that holds it");
+TEST(IndexOrder, AppendedDuplicatesKeepOneCopy) {
+  // Twice in the tail, then in the tail and the sorted records: the merge
+  // that the next lookup makes keeps one copy, on its shard.
+  IndexOrder order(2);
+  order.append("7/1", 0);
+  order.append("7/1", 0);
+  order.append("7/2", 1);
+  EXPECT_EQ(order.size(), 3u);  // the tail counts both until it is merged
+  EXPECT_EQ(lookup(order, "7/", SIZE_MAX),
+            (std::vector<ShardEvent>{
+                {0, std::nullopt}, {0, "7/1"}, {1, std::nullopt}, {1, "7/2"}}));
+  EXPECT_EQ(order.size(), 2u);
+  order.append("7/2", 1);
+  order.append("7/0", 1);
+  order.append("7/1", 0);
+  EXPECT_EQ(lookup(order, "7/", SIZE_MAX),
+            (std::vector<ShardEvent>{{0, std::nullopt},
+                                     {0, "7/1"},
+                                     {1, std::nullopt},
+                                     {1, "7/0"},
+                                     {1, "7/2"}}));
+  EXPECT_EQ(order.size(), 3u);
 }
 
 /// A Database of three KV nodes on its own tiers and channel.
@@ -557,161 +467,12 @@ struct Db {
   Database db{sqlTier, kvTier, channel};
 };
 
-/// Keys in and around the Database key layout: rowKey, indexKey and kvKey
-/// over a few table, column and value names, some holding '/'; strings that
-/// stop inside the layout; and arbitrary strings of 0, 1, 15, 16, 17 and
-/// 200 bytes over the layout's own characters and two others.
-struct LayoutKeyGen {
-  util::Pcg32& rng;
-  std::string buf{};  // the key builders' buffer
-
-  template <std::size_t N>
-  std::string pick(const char* const (&names)[N]) {
-    return names[rng.next() % N];
-  }
-
-  std::string value() {
-    switch (rng.next() % 4) {
-      case 0: return "";
-      case 1: return std::to_string(rng.next() % 20) + "/" +
-                     std::to_string(rng.next() % 4);
-      default: return std::to_string(rng.next() % 40);
-    }
-  }
-
-  std::string key() {
-    static constexpr const char* kTableNames[] = {"a", "tables", "x/r",
-                                                  "x/i/y", ""};
-    static constexpr const char* kColumnNames[] = {"owner", "id", "c/d"};
-    static constexpr const char* kCuts[] = {
-        "",     "t",      "t/",      "t/a",      "t/a/",  "t/a/r",
-        "t/a/r/", "t/a/i", "t/a/i/", "t/a/i/c", "t/a/x/", "t//r/",
-        "k",    "kv",     "kv/",     "kv0"};
-    switch (rng.next() % 10) {
-      case 0:
-      case 1:
-        return std::string(Database::rowKey(buf, pick(kTableNames), value()));
-      case 2:
-      case 3:
-      case 4:
-        return std::string(Database::indexKey(buf, pick(kTableNames),
-                                              pick(kColumnNames), value(),
-                                              value()));
-      case 5:
-        return std::string(Database::kvKey(buf, value()));
-      case 6:
-        return pick(kCuts);
-      default: {
-        static constexpr std::size_t kLengths[] = {0, 1, 15, 16, 17, 200};
-        static constexpr char kBytes[] = {'t', '/', 'k', 'v', 'r',
-                                          'i', 'a', '\0', '\xff'};
-        std::string k(kLengths[rng.next() % 6], ' ');
-        for (char& c : k) c = kBytes[rng.next() % sizeof(kBytes)];
-        return k;
-      }
-    }
-  }
-
-  /// A key, a cut of one, its part through its first one to five '/' (a
-  /// table's or an index's base at three and four) or the part up to its
-  /// last '/'.
-  std::string prefix() {
-    const std::string k = key();
-    switch (rng.next() % 4) {
-      case 0: return k;
-      case 1: return k.substr(0, rng.next() % (k.size() + 1));
-      case 2: {
-        std::size_t end = 0;
-        for (std::uint32_t n = 1 + rng.next() % 5; n > 0; --n) {
-          end = k.find('/', end);
-          if (end == std::string::npos) return k;
-          ++end;
-        }
-        return k.substr(0, end);
-      }
-      default: return k.substr(0, k.rfind('/') + 1);  // "" without a '/'
-    }
-  }
-};
-
-/// The oracle scans concatenated in shard order, with the early stop
-/// counted per shard, each row tagged with its shard.
-std::vector<std::pair<std::size_t, Visit>> scan(
-    const std::vector<MapKvEngine>& oracles, std::string_view prefix,
-    std::size_t stopAfter) {
-  std::vector<std::pair<std::size_t, Visit>> rows;
-  for (std::size_t s = 0; s < oracles.size(); ++s) {
-    for (Visit& v : scan(oracles[s], prefix, stopAfter).second) {
-      rows.emplace_back(s, std::move(v));
-    }
-  }
-  return rows;
-}
-
-/// The same scan through Database::engineScanPrefix, each row tagged with
-/// the shard its key places on; the count per shard restarts when the
-/// shard changes, so a false return must stop only its own shard.
-std::vector<std::pair<std::size_t, Visit>> scan(Database& db,
-                                                std::string_view prefix,
-                                                std::size_t stopAfter,
-                                                std::size_t shards) {
-  std::vector<std::pair<std::size_t, Visit>> rows;
-  std::size_t inShard = 0;
-  ExecTrace trace;
-  db.engineScanPrefix(prefix, trace,
-                      [&](std::string_view key, const ValueView& v) {
-                        const std::size_t shard = util::hashKey(key) % shards;
-                        if (!rows.empty() && rows.back().first != shard) {
-                          inShard = 0;
-                        }
-                        rows.emplace_back(shard,
-                                          Visit{std::string(key), v.version,
-                                                v.size, std::string(v.payload)});
-                        return ++inShard < stopAfter;
-                      });
-  EXPECT_EQ(trace.rowsRead, rows.size());
-  return rows;
-}
-
-TEST(KvDifferential, EngineScanMatchesPerShardOraclesOnLayoutKeys) {
-  // Row, index and KV keys over names holding '/', cut keys and odd keys,
-  // put through enginePut onto the shard their hash picks and scanned by
-  // prefixes at every depth, against one map oracle per shard.
-  for (std::uint64_t seed = 64; seed <= 66; ++seed) {
-    util::Pcg32 rng(seed, 11);
-    LayoutKeyGen gen{rng};
-    Db side;
-    constexpr std::size_t kShards = 3;
-    std::vector<MapKvEngine> oracles(kShards);
-    std::uint64_t ts = 0;
-    for (std::size_t step = 0; step < 6000; ++step) {
-      if (rng.next() % 2 == 0) {
-        const std::string key = gen.key();
-        const std::string payload = payloadOf(step, payloadLength(rng));
-        ExecTrace trace;
-        ASSERT_EQ(oracles[util::hashKey(key) % kShards].put(
-                      key, StoredValue::of(payload), ++ts),
-                  side.db.enginePut(key, StoredValue::of(payload), trace))
-            << "step " << step;
-        continue;
-      }
-      const std::string prefix = gen.prefix();
-      const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
-                                                        : SIZE_MAX;
-      const std::uint64_t leases = side.db.raft().leaseChecks();
-      ASSERT_EQ(scan(oracles, prefix, stopAfter),
-                scan(side.db, prefix, stopAfter, kShards))
-          << "seed " << seed << " step " << step << " prefix " << prefix;
-      ASSERT_EQ(side.db.raft().leaseChecks(), leases + kShards);
-    }
-  }
-}
-
 TEST(KvDifferential, IndexOrderHoldsOnlyItsIndex) {
   // A table's rows, its owner index and KV keys: the engines hold the rows
   // and KV keys alone, the index every row's entry, and a lookup visits
   // the entries of its value shard by shard in entry order, charged one
-  // scanned row each after one lease check per shard.
+  // scanned row each after one lease check per shard. A resident primary
+  // key loaded again is refused and changes nothing.
   Db side;
   Database& db = side.db;
   db.createTable(TableSchema(
@@ -721,7 +482,7 @@ TEST(KvDifferential, IndexOrderHoldsOnlyItsIndex) {
   EntryOracle oracle;  // entry -> shard of its full key
   std::string buf;
   const auto load = [&](std::int64_t pk, const std::string& owner) {
-    db.loadRow("tables", Row{{pk, owner}});
+    ASSERT_TRUE(db.loadRow("tables", Row{{pk, owner}})) << pk;
     const std::string key(
         Database::indexKey(buf, "tables", "owner", owner, std::to_string(pk)));
     oracle.emplace(key.substr(kBase.size()), util::hashKey(key) % 3);
@@ -766,19 +527,58 @@ TEST(KvDifferential, IndexOrderHoldsOnlyItsIndex) {
   expectLookup("x");  // a value no row has
 
   // New rows with entries on both sides of the held ones and among them,
-  // resident rows loaded again under their owners and under new ones
-  // (their old entries stay, as an engine key would), and an owner that
-  // holds a '/'.
+  // and an owner that holds a '/'. Resident rows loaded again, under their
+  // owners and under new ones, and a row of an unknown table are refused:
+  // no row, entry or timestamp changes, as the next new row's version shows.
   for (std::int64_t pk = 100; pk < 150; ++pk) load(pk, std::to_string(pk % 9));
-  for (std::int64_t pk = 0; pk < 20; ++pk) load(pk, std::to_string(pk % 7));
-  load(5, "8");
-  load(6, "/");
+  const std::optional<std::uint64_t> last = db.peekRowVersion("tables", "149");
+  ASSERT_TRUE(last.has_value());
+  for (std::int64_t pk = 0; pk < 20; ++pk) {
+    const std::string id = std::to_string(pk);
+    const std::optional<std::uint64_t> version = db.peekRowVersion("tables", id);
+    for (const std::string& owner : {std::to_string(pk % 7), std::string("8"),
+                                    std::string("/")}) {
+      EXPECT_FALSE(db.loadRow("tables", Row{{pk, owner}})) << pk << " " << owner;
+    }
+    EXPECT_EQ(db.peekRowVersion("tables", id), version) << pk;
+  }
+  EXPECT_FALSE(db.loadRow("nope", Row{{std::int64_t{1}, std::string("8")}}));
   load(150, "8/1");
+  // The row and its one entry take the two timestamps after row 149's.
+  EXPECT_EQ(db.peekRowVersion("tables", "150"), *last + 2);
   EXPECT_EQ(db.engineKeyCount(), 251u);
   EXPECT_EQ(db.indexEntryCount(kBase), oracle.size());
-  EXPECT_EQ(oracle.size(), 153u);
-  for (const char* value : {"", "0", "3", "8", "8/1", "x"}) expectLookup(value);
+  EXPECT_EQ(oracle.size(), 151u);
+  for (const char* value : {"", "0", "3", "5", "8", "8/1", "/", "x"}) {
+    expectLookup(value);
+  }
   EXPECT_EQ(db.indexEntryCount("t/tables/i/id/"), 0u);
+}
+
+TEST(KvDifferential, RowsThatSpellOneEntryAlikeShareIt) {
+  // Owner "a/b" with name "c" and owner "a" with name "b/c" both spell the
+  // owner index's entry "a/b/c". Both appends land in the tail; the first
+  // lookup keeps one copy, through which each owner finds its own row.
+  Db side;
+  Database& db = side.db;
+  db.createTable(TableSchema("files",
+                             {Column{"name", ColumnType::kString},
+                              Column{"owner", ColumnType::kString}},
+                             0, {1}));
+  ASSERT_TRUE(db.loadRow("files", Row{{std::string("c"), std::string("a/b")}}));
+  ASSERT_TRUE(db.loadRow("files", Row{{std::string("b/c"), std::string("a")}}));
+  constexpr std::string_view kBase = "t/files/i/owner/";
+  EXPECT_EQ(db.indexEntryCount(kBase), 2u);
+  sim::Node client("client", sim::TierKind::kClient);
+  for (const std::string owner : {"a", "a/b"}) {
+    const Value param[] = {Value{owner}};
+    const auto sel =
+        db.exec(client, "SELECT * FROM files WHERE owner = ?", param);
+    ASSERT_TRUE(sel.ok) << sel.error;
+    ASSERT_EQ(sel.rows.size(), 1u) << owner;
+    EXPECT_EQ(std::get<std::string>(sel.rows[0].at(1)), owner);
+  }
+  EXPECT_EQ(db.indexEntryCount(kBase), 1u);
 }
 
 }  // namespace

@@ -7,11 +7,11 @@
 // well; Raft replication walks its followers without a container; a
 // resident SELECT allocates only its decoded rows and the result vector
 // that carries them; encoding a row into a new string allocates its buffer
-// and result, while loadRow encodes through a reused buffer and allocates
-// nothing for a resident row; a version-bump UPDATE decodes into and
-// encodes from reused buffers and writes no index entry; and the KV engine
-// rewrites and erases payloads in its arena's recycled blocks, at row sizes
-// and past the arena's 4 KiB classed limit alike.
+// and result, while loadRow refuses a resident row without allocating; a
+// version-bump UPDATE decodes into and encodes from reused buffers and
+// writes no index entry; and the KV engine rewrites payloads in its arena's
+// recycled blocks, at row sizes and past the arena's 4 KiB classed limit
+// alike.
 // This executable replaces the global operator new, plain and nothrow, to
 // count calls, so it is a binary of its own.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -277,15 +278,13 @@ TEST_F(KvReadAllocations, ResidentSelectsAllocateOnlyTheirRows) {
 }
 
 /// Heap allocations `engine` makes over `puts` puts to `keys` in turn, put
-/// n carrying a payload of `length(n)` bytes and following an erase of its
-/// key when n is a multiple of `eraseEvery` (0: never). The payloads are
-/// built in batches before each counted region, so the count is the
-/// engine's alone.
+/// n carrying a payload of `length(n)` bytes. The payloads are built in
+/// batches before each counted region, so the count is the engine's alone.
 template <typename Length>
 std::uint64_t payloadPutAllocations(KvEngine& engine,
                                     std::span<const std::string> keys,
-                                    std::size_t puts, std::size_t eraseEvery,
-                                    std::uint64_t& ts, Length&& length) {
+                                    std::size_t puts, std::uint64_t& ts,
+                                    Length&& length) {
   constexpr std::size_t kBatch = 500;
   std::vector<std::string> payloads;
   payloads.reserve(kBatch);
@@ -300,10 +299,6 @@ std::uint64_t payloadPutAllocations(KvEngine& engine,
     allocations += allocationsDuring([&] {
       for (std::size_t i = 0; i < n; ++i) {
         const std::string& key = keys[(first + i) % keys.size()];
-        if (eraseEvery > 0 && (first + i) % eraseEvery == 0 &&
-            !engine.erase(key, ++ts)) {
-          ++rejected;
-        }
         if (!engine.put(key, StoredValue::of(payloads[i]), ++ts)) {
           ++rejected;
         }
@@ -315,11 +310,10 @@ std::uint64_t payloadPutAllocations(KvEngine& engine,
 }
 
 TEST(KvEngineAllocations, PayloadRewritesAndErasesAllocateNothing) {
-  // Six row keys, each put in turn with a payload of one of seven sizes
-  // and erased before every fourth put: an overwrite or an erase gives
-  // the old block back to its size class, where a later put takes it
-  // again. The pattern repeats every 84 puts, so two rounds reach every
-  // class's high-water mark.
+  // Six row keys, each put in turn with a payload of one of seven sizes: an
+  // overwrite gives the old block back to its size class, where a later
+  // put takes it again. The pattern repeats every 42 puts, so the 168
+  // warming puts reach every class's high-water mark.
   static constexpr std::size_t kLengths[] = {17, 40, 41, 200, 333, 1000, 4096};
   const std::vector<std::string> keys = {"t/a/r/1", "t/a/r/2", "t/a/r/3",
                                          "t/tables/r/100004", "t/tables/r/5",
@@ -327,12 +321,12 @@ TEST(KvEngineAllocations, PayloadRewritesAndErasesAllocateNothing) {
   const auto length = [](std::size_t n) { return kLengths[n % 7]; };
   KvEngine engine;
   std::uint64_t ts = 0;
-  payloadPutAllocations(engine, keys, 2 * 84, 4, ts, length);
+  payloadPutAllocations(engine, keys, 2 * 84, ts, length);
 
   const std::uint64_t allocations =
-      payloadPutAllocations(engine, keys, 20000, 4, ts, length);
+      payloadPutAllocations(engine, keys, 20000, ts, length);
   EXPECT_EQ(allocations, 0u) << "heap allocations over 20000 payload puts "
-                                "and 5000 erases to resident keys";
+                                "to resident keys";
   // The last put to keys[0] is put 19998.
   EXPECT_EQ(engine.get(keys[0])->payload.size(), kLengths[19998 % 7]);
 }
@@ -350,19 +344,20 @@ TEST(KvEngineAllocations, LargePayloadRewritesStayBounded) {
   };
   KvEngine engine;
   std::uint64_t ts = 0;
-  payloadPutAllocations(engine, keys, 200, 0, ts, length);
+  payloadPutAllocations(engine, keys, 200, ts, length);
 
   const std::uint64_t allocations =
-      payloadPutAllocations(engine, keys, 10000, 0, ts, length);
+      payloadPutAllocations(engine, keys, 10000, ts, length);
   EXPECT_LE(allocations, 4u) << "heap allocations over 10000 rewrites of "
                                 "one key at 4-64 KiB";
 }
 
 TEST_F(KvReadAllocations, RowLoadsThroughAWarmBufferAllocateNothing) {
-  // Database::loadRow encodes each row into one encoder the Database
-  // reuses and the engine copies the bytes into its payload arena, so
-  // loading rows over resident keys (catalog `tables` rows, 42 bytes, and
-  // their schema_id index keys) allocates nothing once the buffer is warm.
+  // Database::loadRow builds each row key in a buffer the Database reuses
+  // and refuses a primary key the table holds before it encodes the row,
+  // so loading catalog `tables` rows (42 bytes, with a schema_id index)
+  // over resident keys writes nothing and allocates nothing once the
+  // buffer is warm.
   db_.createTable(TableSchema("tables",
                               {Column{"id", ColumnType::kInt},
                                Column{"schema_id", ColumnType::kInt},
@@ -378,20 +373,24 @@ TEST_F(KvReadAllocations, RowLoadsThroughAWarmBufferAllocateNothing) {
                         std::string("user123"), std::string("delta"),
                         std::int64_t{100000}, std::int64_t{1}}});
   }
-  // The first load puts the keys; the second warms the row buffer and
-  // each engine's list of recycled payload blocks.
-  for (int warm = 0; warm < 2; ++warm) {
-    for (const Row& row : rows) db_.loadRow("tables", row);
-  }
+  // The first load puts the rows and their entries.
+  for (const Row& row : rows) ASSERT_TRUE(db_.loadRow("tables", row));
+  const std::optional<std::uint64_t> version =
+      db_.peekRowVersion("tables", "10499");
 
   constexpr std::size_t kRounds = 20;
+  std::size_t loaded = 0;
   const std::uint64_t allocations = allocationsDuring([&] {
     for (std::size_t r = 0; r < kRounds; ++r) {
-      for (const Row& row : rows) db_.loadRow("tables", row);
+      for (const Row& row : rows) loaded += db_.loadRow("tables", row) ? 1 : 0;
     }
   });
+  EXPECT_EQ(loaded, 0u);
   EXPECT_EQ(allocations, 0u) << "heap allocations over "
                              << kRounds * rows.size() << " row loads";
+  EXPECT_EQ(db_.peekRowVersion("tables", "10499"), version);
+  EXPECT_EQ(db_.engineKeyCount(), rows.size());
+  EXPECT_EQ(db_.indexEntryCount("t/tables/i/schema_id/"), rows.size());
   EXPECT_EQ(db_.exec(client_, "SELECT * FROM tables WHERE id = 10499")
                 .rows.size(),
             1u);

@@ -1,18 +1,13 @@
 // Lockstep test of the lazy KV bulk load: one Database loads a keyspace
 // through Database::loadValueRange, a twin on identical tiers loads the same
 // names and sizes by a loop of loadValue, and one seeded stream of reads,
-// writes, version checks, peeks, loads, prefix scans and stored-byte totals
-// drives both. After every step the results, the CPU meters of every node,
+// writes, version checks, peeks, loads and stored-byte totals drives both. After every step the results, the CPU meters of every node,
 // the network's byte count and the block caches' hit and miss counts must
 // be equal: when a key is materialized never shows.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "rpc/channel.hpp"
@@ -40,30 +35,6 @@ struct Side {
     return c;
   }
 };
-
-using ScanRow = std::tuple<std::string, std::uint64_t, std::uint64_t>;
-
-/// Every row engineScanPrefix visits, with its trace.
-std::vector<ScanRow> scan(Database& db, std::string_view prefix,
-                          ExecTrace& trace) {
-  std::vector<ScanRow> rows;
-  db.engineScanPrefix(prefix, trace,
-                      [&](std::string_view key, const ValueView& v) {
-                        rows.emplace_back(std::string(key), v.size, v.version);
-                        return true;
-                      });
-  return rows;
-}
-
-void expectSameTrace(const ExecTrace& a, const ExecTrace& b) {
-  EXPECT_EQ(a.rowsRead, b.rowsRead);
-  EXPECT_EQ(a.rowsWritten, b.rowsWritten);
-  EXPECT_EQ(a.bytesRead, b.bytesRead);
-  EXPECT_EQ(a.bytesWritten, b.bytesWritten);
-  EXPECT_EQ(a.blockHits, b.blockHits);
-  EXPECT_EQ(a.blockMisses, b.blockMisses);
-  EXPECT_EQ(a.latencyMicros, b.latencyMicros);
-}
 
 class LazyLoad : public ::testing::Test {
  protected:
@@ -129,13 +100,6 @@ class LazyLoad : public ::testing::Test {
     lazy_.db.loadValue(key, size);
     eager_.db.loadValue(key, size);
   }
-  void scanBoth(std::string_view prefix) {
-    ExecTrace a;
-    ExecTrace b;
-    EXPECT_EQ(scan(lazy_.db, prefix, a), scan(eager_.db, prefix, b))
-        << "prefix '" << prefix << "'";
-    expectSameTrace(a, b);
-  }
   void storedBytes() {
     const std::uint64_t pending = lazy_.db.pendingRangeKeys();
     EXPECT_EQ(lazy_.db.totalStoredBytes().count(),
@@ -163,7 +127,7 @@ class LazyLoad : public ::testing::Test {
     };
     for (int step = 0; step < steps; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
-      const std::uint32_t op = rng.nextBounded(11);
+      const std::uint32_t op = rng.nextBounded(10);
       const std::uint64_t size = rng.nextBounded(3000);
       switch (op) {
         case 0:
@@ -172,19 +136,6 @@ class LazyLoad : public ::testing::Test {
         case 3: check(pickKey()); break;
         case 4: peek(pickKey()); break;
         case 5: loadOne(pickKey(), size); break;
-        case 6: {
-          // "" and "kv/" materialize every range key, so they are rare.
-          const std::uint32_t kind = rng.nextBounded(100);
-          if (kind < 2) {
-            scanBoth(kind == 0 ? "" : "kv/");
-          } else if (kind < 20) {
-            scanBoth("t/");
-          } else {  // one key's full name, so one row at most
-            const std::string oneKey = "kv/" + pickKey();
-            scanBoth(oneKey);
-          }
-          break;
-        }
         default: storedBytes(); break;
       }
       expectSameMeters();
@@ -208,7 +159,7 @@ TEST_F(LazyLoad, SeededStreamMatchesTheLoadValueLoop) {
   constexpr std::size_t kKeys = 400;
   load(sizes(11, kKeys));
   EXPECT_EQ(lazy_.db.pendingRangeKeys(), kKeys);
-  // Rows under "t/", so that a scan there has rows the range never owns.
+  // Rows beside the range, whose timestamps come after its keys'.
   for (Side* side : {&lazy_, &eager_}) {
     side->db.createTable(TableSchema(
         "t", {Column{"id", ColumnType::kInt}, Column{"v", ColumnType::kString}},
@@ -223,8 +174,10 @@ TEST_F(LazyLoad, SeededStreamMatchesTheLoadValueLoop) {
     ASSERT_FALSE(HasFailure());
   }
   storedBytes();
-  scanBoth("");  // materializes whatever is left
+  // A read of every range key materializes whatever is left.
+  for (std::uint64_t i = 0; i < kKeys; ++i) read(workload::keyName(i));
   EXPECT_EQ(lazy_.db.pendingRangeKeys(), 0u);
+  expectSameMeters();
   drive(4, kKeys, 200);
 }
 
@@ -239,8 +192,7 @@ TEST_F(LazyLoad, FirstTouchMaterializesOnlyWhatItNeeds) {
   check(workload::keyName(5));
   loadOne(workload::keyName(6), 20);
   EXPECT_EQ(lazy_.db.pendingRangeKeys(), 46u);
-  scanBoth("t/");  // no range key starts with "t/"
-  scanBoth("kv/x");
+  read("other-1");  // no range key
   EXPECT_EQ(lazy_.db.pendingRangeKeys(), 46u);
   expectSameMeters();
 }

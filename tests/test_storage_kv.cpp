@@ -1,11 +1,9 @@
-// Storage engine unit tests: overwrites, tombstones, the engine's per-call
-// prefix scans, the block cache's hit/miss/grouping behaviour and the row
-// codec.
+// Storage engine unit tests: overwrites, stale commits, the key limit, the
+// block cache's hit/miss/grouping behaviour and the row codec.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "storage/block_cache.hpp"
 #include "storage/kv_engine.hpp"
@@ -35,17 +33,6 @@ TEST(KvEngine, RejectsOutOfOrderCommits) {
   EXPECT_EQ(engine.get("k")->size, 1u);
 }
 
-TEST(KvEngine, TombstoneHidesValue) {
-  KvEngine engine;
-  engine.put("k", StoredValue::sized(10), 1);
-  EXPECT_TRUE(engine.erase("k", 2));
-  EXPECT_FALSE(engine.get("k").has_value());
-  EXPECT_FALSE(engine.latestVersion("k").has_value());
-  // A later write resurrects the key.
-  engine.put("k", StoredValue::sized(30), 3);
-  EXPECT_EQ(engine.get("k")->size, 30u);
-}
-
 TEST(KvEngine, LiveBytesTracksNewestVersions) {
   KvEngine engine;
   engine.put("a", StoredValue::sized(100), 1);
@@ -53,63 +40,8 @@ TEST(KvEngine, LiveBytesTracksNewestVersions) {
   EXPECT_EQ(engine.liveBytes().count(), 150u);
   engine.put("a", StoredValue::sized(10), 3);  // replaces the 100
   EXPECT_EQ(engine.liveBytes().count(), 60u);
-  engine.erase("b", 4);
-  EXPECT_EQ(engine.liveBytes().count(), 10u);
-}
-
-/// Rows of `engine` under `prefix`, through its per-call scan; `fn`
-/// returning false stops the scan. Returns the rows visited.
-template <typename Fn>
-std::size_t scanPrefix(const KvEngine& engine, std::string_view prefix,
-                       Fn&& fn) {
-  std::size_t visited = 0;
-  std::vector<std::uint32_t> ids;
-  engine.scanPrefix(prefix, ids,
-                    [&](std::string_view key, const ValueView& value) {
-                      ++visited;
-                      return fn(key, value);
-                    });
-  return visited;
-}
-
-TEST(KvEngine, ScanPrefixOrderedAndBounded) {
-  KvEngine engine;
-  engine.put("t/users/r/3", StoredValue::of("u3"), 1);
-  engine.put("t/users/r/1", StoredValue::of("u1"), 2);
-  engine.put("t/orders/r/1", StoredValue::of("o1"), 3);
-  engine.put("t/users/r/2", StoredValue::of("u2"), 4);
-
-  std::vector<std::string> keys;
-  std::vector<std::string> payloads;
-  scanPrefix(engine, "t/users/r/",
-             [&](std::string_view key, const ValueView& value) {
-               keys.emplace_back(key);
-               payloads.emplace_back(value.payload);
-               return true;
-             });
-  EXPECT_EQ(keys, (std::vector<std::string>{"t/users/r/1", "t/users/r/2",
-                                            "t/users/r/3"}));
-  EXPECT_EQ(payloads, (std::vector<std::string>{"u1", "u2", "u3"}));
-
-  // Early stop.
-  keys.clear();
-  scanPrefix(engine, "t/users/r/",
-             [&](std::string_view key, const ValueView&) {
-               keys.emplace_back(key);
-               return false;
-             });
-  EXPECT_EQ(keys, (std::vector<std::string>{"t/users/r/1"}));
-}
-
-TEST(KvEngine, ScanSkipsTombstones) {
-  KvEngine engine;
-  engine.put("p/a", StoredValue::sized(1), 1);
-  engine.put("p/b", StoredValue::sized(1), 2);
-  engine.erase("p/a", 3);
-  std::size_t visited =
-      scanPrefix(engine, "p/",
-                 [](std::string_view, const ValueView&) { return true; });
-  EXPECT_EQ(visited, 1u);
+  EXPECT_FALSE(engine.put("b", StoredValue::sized(7), 2));  // stale: no change
+  EXPECT_EQ(engine.liveBytes().count(), 60u);
 }
 
 TEST(KvEngine, RejectsKeysPastTheLimit) {
@@ -117,7 +49,6 @@ TEST(KvEngine, RejectsKeysPastTheLimit) {
   const std::string longest(KvEngine::kMaxKeyBytes, 'k');
   EXPECT_TRUE(engine.put(longest, StoredValue::sized(1), 1));
   EXPECT_FALSE(engine.put(longest + "k", StoredValue::sized(1), 2));
-  EXPECT_FALSE(engine.erase(longest + "k", 3));
   EXPECT_EQ(engine.keyCount(), 1u);
   EXPECT_TRUE(engine.contains(longest));
 }

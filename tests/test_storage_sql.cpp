@@ -1,8 +1,10 @@
 // SQL layer tests: parser golden cases and error handling (every form no
-// simulated path issues is rejected), planner access-path selection, and
-// end-to-end execution against the database (point/index/scan selects,
-// residual filters, updates with index maintenance, parameters, the plan
-// cache). Rows are seeded with Database::loadRow.
+// simulated path issues is rejected), planner access-path selection and its
+// refusals (no key or indexed-column equality, a SET of the key or of an
+// indexed column), and end-to-end execution against the database (point
+// and index selects, residual filters, updates, parameters, the plan
+// cache). Rows are seeded with Database::loadRow, which refuses a primary
+// key the table holds.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -161,8 +163,7 @@ TEST_F(PlannerTest, PrimaryKeyWinsPointGet) {
       parseSqlOrThrow("SELECT * FROM tables WHERE name = 'x' AND id = ?"));
   const auto& qp = std::get<QueryPlan>(plan);
   EXPECT_EQ(qp.primary.path, AccessPath::kPointGet);
-  ASSERT_TRUE(qp.primary.key.has_value());
-  EXPECT_EQ(qp.primary.key->columnIndex, 0u);
+  EXPECT_EQ(qp.primary.key.columnIndex, 0u);
   EXPECT_EQ(qp.primary.residual.size(), 1u);
 }
 
@@ -174,9 +175,35 @@ TEST_F(PlannerTest, SecondaryIndexLookup) {
 }
 
 TEST_F(PlannerTest, FallbackTableScan) {
-  const auto plan = planner_.plan(
-      parseSqlOrThrow("SELECT * FROM tables WHERE name = 'x'"));
-  EXPECT_EQ(std::get<QueryPlan>(plan).primary.path, AccessPath::kTableScan);
+  // No statement scans a table: a WHERE on an unindexed column alone, or
+  // no WHERE at all, is a plan error, for SELECT and UPDATE alike.
+  for (const char* unkeyed :
+       {"SELECT * FROM tables WHERE name = 'x'", "SELECT * FROM tables",
+        "UPDATE tables SET name = 'y' WHERE name = 'x'",
+        "UPDATE tables SET name = 'y'"}) {
+    const auto plan = planner_.plan(parseSqlOrThrow(unkeyed));
+    ASSERT_TRUE(std::holds_alternative<PlanError>(plan)) << unkeyed;
+    EXPECT_NE(std::get<PlanError>(plan).message.find(
+                  "no primary-key or indexed-column equality"),
+              std::string::npos)
+        << unkeyed;
+  }
+}
+
+TEST_F(PlannerTest, SetOfTheKeyOrAnIndexedColumnFails) {
+  // An UPDATE rewrites row bytes only: a new key or a new indexed value
+  // would have to move the row or its index entry.
+  const auto key = planner_.plan(
+      parseSqlOrThrow("UPDATE tables SET id = 2 WHERE id = 1"));
+  ASSERT_TRUE(std::holds_alternative<PlanError>(key));
+  EXPECT_EQ(std::get<PlanError>(key).message, "cannot SET primary key column id");
+  const auto indexed = planner_.plan(
+      parseSqlOrThrow("UPDATE tables SET name = 'x', schema_id = ? WHERE id = 1"));
+  ASSERT_TRUE(std::holds_alternative<PlanError>(indexed));
+  EXPECT_EQ(std::get<PlanError>(indexed).message,
+            "cannot SET indexed column schema_id");
+  EXPECT_TRUE(std::holds_alternative<QueryPlan>(planner_.plan(
+      parseSqlOrThrow("UPDATE tables SET name = 'x' WHERE schema_id = 1"))));
 }
 
 TEST_F(PlannerTest, UnknownTableAndColumnFail) {
@@ -254,16 +281,54 @@ TEST_F(SqlExecution, ResidualFilterApplies) {
 }
 
 TEST_F(SqlExecution, UpdateMaintainsSecondaryIndex) {
+  // An UPDATE never rewrites an index entry: setting the indexed team_id
+  // is refused, so the row and both lookups stay as they were.
   loadUser(1, 10, "amy");
   auto upd = exec("UPDATE users SET team_id = ? WHERE id = ?",
                   {std::int64_t{20}, std::int64_t{1}});
-  ASSERT_TRUE(upd.ok);
-  EXPECT_EQ(upd.rowsAffected, 1u);
+  EXPECT_FALSE(upd.ok);
+  EXPECT_NE(upd.error.find("plan error: cannot SET indexed column team_id"),
+            std::string::npos)
+      << upd.error;
+  EXPECT_EQ(upd.rowsAffected, 0u);
 
+  const auto row = exec("SELECT * FROM users WHERE id = ?", {std::int64_t{1}});
+  ASSERT_EQ(row.rows.size(), 1u);
+  EXPECT_EQ(valueToInt(row.rows[0].at(1)), 10);
   auto oldTeam = exec("SELECT * FROM users WHERE team_id = 10");
-  EXPECT_TRUE(oldTeam.rows.empty());
+  EXPECT_EQ(oldTeam.rows.size(), 1u);
   auto newTeam = exec("SELECT * FROM users WHERE team_id = 20");
-  EXPECT_EQ(newTeam.rows.size(), 1u);
+  EXPECT_TRUE(newTeam.rows.empty());
+
+  // A SET of other columns rewrites the row and leaves its entry as it is.
+  upd = exec("UPDATE users SET name = 'bea' WHERE team_id = 10");
+  ASSERT_TRUE(upd.ok) << upd.error;
+  EXPECT_EQ(upd.rowsAffected, 1u);
+  oldTeam = exec("SELECT * FROM users WHERE team_id = 10");
+  ASSERT_EQ(oldTeam.rows.size(), 1u);
+  EXPECT_EQ(std::get<std::string>(oldTeam.rows[0].at(2)), "bea");
+}
+
+TEST_F(SqlExecution, LoadingAResidentPrimaryKeyChangesNothing) {
+  // A row is loaded once: loading its key again must not rewrite it, or the
+  // first value's index entry would stay and a lookup by that value would
+  // return a row whose column no longer matches.
+  loadUser(1, 5, "amy");
+  const auto version = db_.peekRowVersion("users", "1");
+  loadUser(1, 6, "bob");
+  EXPECT_EQ(db_.peekRowVersion("users", "1"), version);
+  for (const std::int64_t team : {5, 6}) {
+    const auto sel = exec("SELECT * FROM users WHERE team_id = ?", {team});
+    ASSERT_TRUE(sel.ok) << sel.error;
+    for (const Row& row : sel.rows) {
+      EXPECT_EQ(valueToInt(row.at(1)), team) << "lookup by team " << team;
+    }
+    EXPECT_EQ(sel.rows.size(), team == 5 ? 1u : 0u) << "team " << team;
+  }
+  const auto row = exec("SELECT * FROM users WHERE id = ?", {std::int64_t{1}});
+  ASSERT_EQ(row.rows.size(), 1u);
+  EXPECT_EQ(valueToInt(row.rows[0].at(1)), 5);
+  EXPECT_EQ(std::get<std::string>(row.rows[0].at(2)), "amy");
 }
 
 TEST_F(SqlExecution, QualifiedWhereIsRejectedAndNoRowChanges) {
@@ -276,7 +341,7 @@ TEST_F(SqlExecution, QualifiedWhereIsRejectedAndNoRowChanges) {
   EXPECT_NE(upd.error.find("parse error"), std::string::npos) << upd.error;
   EXPECT_EQ(upd.rowsAffected, 0u);
 
-  const auto all = exec("SELECT * FROM users");  // a table scan
+  const auto all = exec("SELECT * FROM users WHERE team_id = 1");
   ASSERT_TRUE(all.ok) << all.error;
   ASSERT_EQ(all.rows.size(), 5u);
   for (const Row& row : all.rows) {
@@ -291,7 +356,8 @@ TEST_F(SqlExecution, UpdateOfThePrimaryKeyIsRejected) {
   const auto upd = exec("UPDATE users SET id = 9 WHERE id = 1");
   EXPECT_FALSE(upd.ok);
   EXPECT_NE(upd.error.find("plan error"), std::string::npos) << upd.error;
-  EXPECT_EQ(exec("SELECT * FROM users").rows.size(), 5u);
+  EXPECT_EQ(exec("SELECT * FROM users WHERE id = 1").rows.size(), 1u);
+  EXPECT_TRUE(exec("SELECT * FROM users WHERE id = 9").rows.empty());
   EXPECT_EQ(exec("SELECT * FROM users WHERE team_id = 1").rows.size(), 5u);
 }
 
@@ -333,7 +399,9 @@ TEST_F(SqlExecution, CachedPlanChargesTheSameFrontEndWork) {
 }
 
 TEST_F(SqlExecution, CreateTableReplansCachedText) {
-  // `team` starts unindexed: the first run scans the whole table.
+  // `team` starts indexed, so the text plans as an index lookup and its
+  // plan is cached; redefined without the index, the same text plans again
+  // and is refused, since no statement scans a table.
   const auto makeMembers = [&](std::vector<std::size_t> indexed) {
     db_.createTable(TableSchema("members",
                                 {Column{"id", ColumnType::kInt},
@@ -343,22 +411,26 @@ TEST_F(SqlExecution, CreateTableReplansCachedText) {
       db_.loadRow("members", Row{{id, id % 10}});
     }
   };
-  const auto kvRowsCharged = [&] {
+  const auto select = [&] {
+    return exec("SELECT * FROM members WHERE team = ?", {std::int64_t{3}});
+  };
+  makeMembers({1});
+  for (int run = 0; run < 2; ++run) {  // the second run uses the cached plan
     const double before =
         kvTier_.aggregateCpu().micros(sim::CpuComponent::kKvExecution);
-    const auto sel =
-        exec("SELECT * FROM members WHERE team = ?", {std::int64_t{3}});
-    EXPECT_TRUE(sel.ok) << sel.error;
+    const auto sel = select();
+    ASSERT_TRUE(sel.ok) << sel.error;
     EXPECT_EQ(sel.rows.size(), 3u);
-    return kvTier_.aggregateCpu().micros(sim::CpuComponent::kKvExecution) -
-           before;
-  };
-  makeMembers({});
-  const double scanned = kvRowsCharged();
-  makeMembers({1});  // same text, now with an index on `team`
-  const double looked = kvRowsCharged();
-  // Index lookup: 3 index entries + 3 rows, against all 30 rows.
-  EXPECT_LT(looked * 2, scanned);
+    // Index lookup: 3 index entries + 3 rows, not all 30 rows.
+    const double charged =
+        kvTier_.aggregateCpu().micros(sim::CpuComponent::kKvExecution) - before;
+    EXPECT_LT(charged, 10 * StorageCosts{}.execPerRowMicros) << "run " << run;
+  }
+  makeMembers({});  // same text, now without the index on `team`
+  const auto refused = select();
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("plan error"), std::string::npos)
+      << refused.error;
 }
 
 TEST_F(SqlExecution, ErrorsAreReportedOnEveryCall) {
