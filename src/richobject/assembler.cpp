@@ -12,16 +12,6 @@ using storage::Value;
 using storage::valueToInt;
 using storage::valueToString;
 
-[[nodiscard]] std::uint64_t rowsBytes(const storage::Database::QueryResult& r,
-                                      const storage::TableSchema& schema) {
-  std::uint64_t bytes = 0;
-  for (const Row& row : r.rows) {
-    bytes += storage::encodedRowSize(schema, row) +
-             storage::declaredPayloadBytes(schema, row);
-  }
-  return bytes;
-}
-
 }  // namespace
 
 Assembler::Assembler(CatalogStore& store, AppCosts costs)
@@ -34,17 +24,13 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   const std::size_t budget =
       std::clamp<std::size_t>(store_->trace().statementsFor(tableId), 1, 8);
 
-  auto issue = [&](std::string_view sql, std::span<const Value> params,
-                   const char* table) -> storage::Database::QueryResult {
+  auto issue = [&](std::string_view sql, std::span<const Value> params)
+      -> storage::Database::QueryResult {
     appNode.charge(sim::CpuComponent::kRequestPrep, costs_.requestPrepMicros);
     auto r = db.exec(appNode, sql, params);
     ++result.statementsIssued;
     result.latencyMicros += r.latencyMicros;
-    if (r.ok) {
-      if (const auto* schema = db.schema(table)) {
-        result.bytesRead += rowsBytes(r, *schema);
-      }
-    }
+    result.bytesRead += r.logicalBytes;
     return r;
   };
 
@@ -53,7 +39,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 1. The table row itself (always issued).
   {
     const Value params[] = {Value{id}};
-    auto r = issue("SELECT * FROM tables WHERE id = ?", params, "tables");
+    auto r = issue("SELECT * FROM tables WHERE id = ?", params);
     if (!r.ok || r.rows.empty()) return result;  // unknown table
     const Row& row = r.rows.front();
     result.object.table =
@@ -66,7 +52,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 2. Parent schema.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{result.object.table.schemaId}};
-    auto r = issue("SELECT * FROM schemas WHERE id = ?", params, "schemas");
+    auto r = issue("SELECT * FROM schemas WHERE id = ?", params);
     if (r.ok && !r.rows.empty()) {
       const Row& row = r.rows.front();
       result.object.schema =
@@ -78,7 +64,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 3. Parent catalog.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{result.object.schema.catalogId}};
-    auto r = issue("SELECT * FROM catalogs WHERE id = ?", params, "catalogs");
+    auto r = issue("SELECT * FROM catalogs WHERE id = ?", params);
     if (r.ok && !r.rows.empty()) {
       const Row& row = r.rows.front();
       result.object.catalog =
@@ -90,8 +76,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 4. Table-level privileges.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{CatalogStore::tableSecurable(tableId)}};
-    auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params,
-                   "privileges");
+    auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params);
     if (r.ok) {
       for (const Row& row : r.rows) {
         result.object.privileges.push_back(
@@ -105,8 +90,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   if (result.statementsIssued < budget) {
     const Value params[] = {
         Value{CatalogStore::catalogSecurable(result.object.catalog.id)}};
-    auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params,
-                   "privileges");
+    auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params);
     if (r.ok) {
       for (const Row& row : r.rows) {
         result.object.privileges.push_back(
@@ -119,8 +103,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 6. Constraints.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{id}};
-    auto r = issue("SELECT * FROM constraints WHERE table_id = ?", params,
-                   "constraints");
+    auto r = issue("SELECT * FROM constraints WHERE table_id = ?", params);
     if (r.ok) {
       for (const Row& row : r.rows) {
         result.object.constraints.push_back(Constraint{
@@ -132,8 +115,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 7. Lineage.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{id}};
-    auto r =
-        issue("SELECT * FROM lineage WHERE table_id = ?", params, "lineage");
+    auto r = issue("SELECT * FROM lineage WHERE table_id = ?", params);
     if (r.ok) {
       for (const Row& row : r.rows) {
         result.object.lineage.push_back(
@@ -145,8 +127,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 8. Properties.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{id}};
-    auto r = issue("SELECT * FROM properties WHERE table_id = ?", params,
-                   "properties");
+    auto r = issue("SELECT * FROM properties WHERE table_id = ?", params);
     if (r.ok) {
       for (const Row& row : r.rows) {
         result.object.properties.emplace(valueToString(row.at(2)),

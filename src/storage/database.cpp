@@ -364,13 +364,12 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
 
   std::uint64_t requestBytes = sql.size();
   for (const Value& p : params) requestBytes += valueStringSize(p) + 2;
-  std::uint64_t responseBytes = 16;
-  for (const Row& row : outcome.rows) {
-    responseBytes += encodedRowSize(*plan->primary.schema, row) + 3;
-  }
+  const std::uint64_t responseBytes =
+      16 + outcome.rowBytes.encoded + 3 * outcome.rows.size();
 
   result.ok = true;
   result.rows = std::move(outcome.rows);
+  result.logicalBytes = outcome.rowBytes.logical;
   result.rowsAffected = outcome.rowsAffected;
   result.latencyMicros =
       trace.latencyMicros +

@@ -127,6 +127,9 @@ class Database {
     bool ok = false;
     std::string error;
     std::vector<Row> rows;
+    /// The logical bytes of `rows` as stored: each row's encoded bytes
+    /// plus its declared payload bytes.
+    std::uint64_t logicalBytes = 0;
     std::uint64_t rowsAffected = 0;
     double latencyMicros = 0.0;
   };

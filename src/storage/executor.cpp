@@ -48,7 +48,7 @@ Executor::Outcome Executor::run(const QueryPlan& plan,
   Outcome outcome;
   std::size_t used = 0;
   outcome.ok = fetchRows(plan.primary, params, trace, outcome.rows, used,
-                         outcome.error);
+                         outcome.rowBytes, outcome.error);
   outcome.rows.resize(used);  // drops a row a residual filter rejected
   return outcome;
 }
@@ -56,7 +56,7 @@ Executor::Outcome Executor::run(const QueryPlan& plan,
 bool Executor::fetchRows(const TableAccessPlan& access,
                          std::span<const Value> params, ExecTrace& trace,
                          std::vector<Row>& out, std::size_t& used,
-                         std::string& error) {
+                         RowBytes& bytes, std::string& error) {
   const TableSchema& schema = *access.schema;
 
   // Residual filter evaluated against a decoded row.
@@ -70,12 +70,20 @@ bool Executor::fetchRows(const TableAccessPlan& access,
     }
     return true;
   };
-  // Decode `payload` into the next row of `out`; it counts if it decodes
-  // and passes the residual filters.
-  auto take = [&](std::string_view payload) {
+  // Decode `stored` into the next row of `out`; it counts if it decodes,
+  // holds `key` in the key column when one is given, and passes the
+  // residual filters.
+  auto take = [&](const ValueView& stored, const Value* key) {
     if (used == out.size()) out.emplace_back();
-    if (!decodeRow(schema, payload, out[used])) return false;
-    if (passesResidual(out[used])) ++used;
+    Row& row = out[used];
+    if (!decodeRow(schema, stored.payload, row)) return false;
+    if ((key == nullptr ||
+         valueEquals(row.values[access.key.columnIndex], *key)) &&
+        passesResidual(row)) {
+      ++used;
+      bytes.encoded += stored.payload.size();
+      bytes.logical += stored.size;
+    }
     return true;
   };
 
@@ -92,7 +100,7 @@ bool Executor::fetchRows(const TableAccessPlan& access,
       const std::optional<ValueView> stored =
           db_->engineGet(Database::rowKey(*keyBuf_, schema.name(), pk), trace);
       if (!stored) return true;  // no row: empty result, not an error
-      if (!take(stored->payload)) {
+      if (!take(*stored, nullptr)) {
         error = "corrupt row for pk " + pk;
         return false;
       }
@@ -118,10 +126,14 @@ bool Executor::fetchRows(const TableAccessPlan& access,
                          return true;
                        });
       out.reserve(used + matched.size());
+      // Index keys do not escape '/', so under value "a" the lookup also
+      // meets the entry of value "a/b" and key "c", which reads as key
+      // "b/c": that row is fetched and charged, then left out unless it
+      // holds the value.
       for (const std::string_view pk : matched) {
         const std::optional<ValueView> stored = db_->engineGet(
             Database::rowKey(*keyBuf_, schema.name(), pk), trace);
-        if (stored) take(stored->payload);  // else an entry without its row
+        if (stored) take(*stored, &*keyValue);  // else an entry without its row
       }
       return true;
     }
@@ -155,7 +167,9 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
   const TableSchema& schema = *plan.primary.schema;
   std::vector<Row>& targets = *updateBuf_;
   std::size_t used = 0;
-  if (!fetchRows(plan.primary, params, trace, targets, used, outcome.error)) {
+  RowBytes read;
+  if (!fetchRows(plan.primary, params, trace, targets, used, read,
+                 outcome.error)) {
     return outcome;
   }
   for (Row& target : std::span(targets).first(used)) {

@@ -35,10 +35,17 @@ class Executor {
         rowBuf_(&rowBuf),
         updateBuf_(&updateBuf) {}
 
+  /// The stored sizes of the rows a statement returns, summed.
+  struct RowBytes {
+    std::uint64_t encoded = 0;  // the rows' bytes as stored
+    std::uint64_t logical = 0;  // plus their declared payload bytes
+  };
+
   struct Outcome {
     bool ok = false;
     std::string error;
     std::vector<Row> rows;           // SELECT results, whole rows
+    RowBytes rowBytes;               // of `rows`
     std::uint64_t rowsAffected = 0;  // UPDATE
   };
 
@@ -52,12 +59,13 @@ class Executor {
                                                     ColumnType type);
 
   /// Decode the rows the access plan selects into `out[used ..]`, residual
-  /// filters applied, advancing `used`. Rows `out` already holds past
-  /// `used` are decoded into, keeping their capacity; `out` grows only past
-  /// its size.
+  /// filters applied, advancing `used` and adding their stored sizes to
+  /// `bytes`. A row an index lookup fetches counts only if it holds the
+  /// looked-up value. Rows `out` already holds past `used` are decoded
+  /// into, keeping their capacity; `out` grows only past its size.
   bool fetchRows(const TableAccessPlan& access, std::span<const Value> params,
                  ExecTrace& trace, std::vector<Row>& out, std::size_t& used,
-                 std::string& error);
+                 RowBytes& bytes, std::string& error);
 
   /// Put `row` and charge the re-put of each of its index entries, which
   /// the statement leaves unchanged.

@@ -76,10 +76,12 @@ namespace dcache::util {
 
 /// Transparent hasher for unordered containers keyed by std::string but
 /// probed with string_view (heterogeneous lookup, no temporary strings).
+/// It picks buckets only, so it uses fastHash64: a container hashed with it
+/// must not be iterated where the order could reach experiment output.
 struct TransparentStringHash {
   using is_transparent = void;
   [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-    return static_cast<std::size_t>(hashKey(s));
+    return static_cast<std::size_t>(fastHash64(s));
   }
 };
 

@@ -2,9 +2,10 @@
 // the textbook list/map oracles in tests/reference/: both are driven in
 // lockstep over seeded op streams and must agree on every observable —
 // hit/miss per get, stats counters, item counts, byte accounting and (for
-// LRU) the next eviction victim. This is the lock that lets FlatCache claim
-// sequence-identity, plus the SlruCache constructor-clamp regressions and
-// the accounting-invariant death test from the same bugfix sweep.
+// LRU) the next eviction victim. This is the lock that lets FlatCache and
+// the storage BlockCache claim sequence-identity, plus the SlruCache
+// constructor-clamp regressions and the accounting-invariant death test
+// from the same bugfix sweep.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +20,8 @@
 #include "reference/clock.hpp"
 #include "reference/fifo.hpp"
 #include "reference/lru.hpp"
+#include "storage/block_cache.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace dcache::cache {
@@ -120,6 +123,73 @@ TEST(CacheDifferential, LruVictimParity) {
       flat.put(key, CacheEntry::sized(100));
     }
     ASSERT_EQ(oracle.victim(), flat.victim()) << "step " << step;
+  }
+}
+
+/// A block id spelled as 'b' and 16 hex digits: the key the reference
+/// ClockCache holds each block under.
+std::string hexBlockId(std::uint64_t id) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(17, 'b');
+  for (std::size_t i = 16; i > 0; --i) {
+    out[i] = kHex[id & 0xF];
+    id >>= 4;
+  }
+  return out;
+}
+
+void expectSameBlocks(const ClockCache& oracle,
+                      const storage::BlockCache& blocks, std::size_t step) {
+  ASSERT_EQ(oracle.itemCount(), blocks.itemCount()) << "step " << step;
+  ASSERT_EQ(oracle.bytesUsed().count(), blocks.bytesUsed().count())
+      << "step " << step;
+  const CacheStats& os = oracle.stats();
+  const CacheStats& bs = blocks.stats();
+  ASSERT_EQ(os.hits, bs.hits) << "step " << step;
+  ASSERT_EQ(os.misses, bs.misses) << "step " << step;
+  ASSERT_EQ(os.insertions, bs.insertions) << "step " << step;
+  ASSERT_EQ(os.overwrites, bs.overwrites) << "step " << step;
+  ASSERT_EQ(os.evictions, bs.evictions) << "step " << step;
+}
+
+TEST(CacheDifferential, BlockCacheLockstep) {
+  // The integer-keyed block CLOCK against the reference ClockCache keyed by
+  // each block's hex id with entries of the block's size: one seeded
+  // stream of reads, writes and rare clears over 400 keys, rows on both
+  // sides of the 4 KiB block and now and then one too large to admit, at
+  // a capacity of about 100 blocks so that the hand keeps evicting.
+  using storage::BlockCache;
+  constexpr std::uint64_t kBlock = BlockCache::kBlockBytes;
+  const util::Bytes capacity = util::Bytes::of(100 * (kBlock + 97));
+  for (const std::uint64_t seed : {0x51ull, 0xb10cull}) {
+    BlockCache blocks(capacity);
+    ClockCache oracle(capacity);
+    util::Pcg32 rng(seed, 11);
+    for (std::size_t step = 0; step < 20000; ++step) {
+      const std::string key = "block-key-" + std::to_string(rng.next() % 400);
+      const std::uint64_t keyHash = util::hashKey(key);
+      const std::string id = hexBlockId(keyHash >> 4);
+      const std::uint64_t rowBytes = rng.next() % 64 == 0
+                                         ? capacity.count()
+                                         : 1 + rng.next() % (3 * kBlock);
+      const CacheEntry entry =
+          CacheEntry::sized(BlockCache::blockSizeFor(rowBytes));
+      const std::uint32_t op = rng.next() % 500;
+      if (op < 2) {
+        blocks.clear();
+        oracle.clear();
+      } else if (op < 150) {
+        blocks.touchWrite(keyHash, rowBytes);
+        oracle.put(id, entry);
+      } else {
+        const bool hit = oracle.get(id) != nullptr;
+        if (!hit) oracle.put(id, entry);
+        ASSERT_EQ(blocks.touchRead(keyHash, rowBytes), hit) << "step " << step;
+      }
+      expectSameBlocks(oracle, blocks, step);
+    }
+    EXPECT_GT(blocks.stats().evictions, 1000u);
+    EXPECT_GT(blocks.stats().overwrites, 500u);
   }
 }
 

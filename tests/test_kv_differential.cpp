@@ -581,5 +581,35 @@ TEST(KvDifferential, RowsThatSpellOneEntryAlikeShareIt) {
   EXPECT_EQ(db.indexEntryCount(kBase), 1u);
 }
 
+TEST(KvDifferential, IndexLookupLeavesOutARowOfAnotherValue) {
+  // Owner "a/b" with name "c" spells the entry "a/b/c", which under owner
+  // "a" reads as the primary key "b/c": a real row, but one whose owner is
+  // "z". The lookup fetches and charges it, then leaves it out.
+  Db side;
+  Database& db = side.db;
+  db.createTable(TableSchema("files",
+                             {Column{"name", ColumnType::kString},
+                              Column{"owner", ColumnType::kString}},
+                             0, {1}));
+  ASSERT_TRUE(db.loadRow("files", Row{{std::string("c"), std::string("a/b")}}));
+  ASSERT_TRUE(db.loadRow("files", Row{{std::string("b/c"), std::string("z")}}));
+  sim::Node client("client", sim::TierKind::kClient);
+  const auto select = [&](const std::string& owner) {
+    const Value param[] = {Value{owner}};
+    return db.exec(client, "SELECT * FROM files WHERE owner = ?", param);
+  };
+  const std::uint64_t missesBefore = db.blockCacheMisses();
+  const auto none = select("a");
+  ASSERT_TRUE(none.ok) << none.error;
+  EXPECT_TRUE(none.rows.empty());
+  EXPECT_EQ(none.logicalBytes, 0u);
+  EXPECT_EQ(db.blockCacheMisses(), missesBefore + 1);  // the fetch is charged
+  const auto one = select("a/b");
+  ASSERT_TRUE(one.ok) << one.error;
+  ASSERT_EQ(one.rows.size(), 1u);
+  EXPECT_EQ(std::get<std::string>(one.rows[0].at(0)), "c");
+  EXPECT_EQ(std::get<std::string>(one.rows[0].at(1)), "a/b");
+}
+
 }  // namespace
 }  // namespace dcache::storage

@@ -3,7 +3,9 @@
 // and the object codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "richobject/assembler.hpp"
@@ -13,6 +15,7 @@
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
+#include "storage/row.hpp"
 
 namespace dcache::richobject {
 namespace {
@@ -133,6 +136,53 @@ TEST_F(RichObjectTest, FullBudgetFetchesParentsAndSatellites) {
   EXPECT_EQ(result.object.constraints.size(), store_->constraintCount(full));
   EXPECT_EQ(result.object.lineage.size(), store_->lineageCount(full));
   EXPECT_EQ(result.object.properties.size(), store_->propertyCount(full));
+}
+
+TEST_F(RichObjectTest, StatementLogicalBytesSumTheirRows) {
+  // Each getTable statement reports the logical bytes of the rows it
+  // returns from their stored sizes; they must equal the bytes of the
+  // decoded rows, and getTable's bytesRead the sum over its statements.
+  // Every third table is updated first, so rewritten rows count too.
+  for (std::uint64_t t = 0; t < 200; ++t) {
+    if (t % 3 == 0) assembler_->updateTable(app_, t);
+    const auto id = static_cast<std::int64_t>(t);
+    const std::int64_t schemaId = store_->schemaIdFor(t);
+    const std::int64_t catalogId = store_->catalogIdFor(schemaId);
+    const std::pair<const char*, storage::Value> statements[] = {
+        {"SELECT * FROM tables WHERE id = ?", storage::Value{id}},
+        {"SELECT * FROM schemas WHERE id = ?", storage::Value{schemaId}},
+        {"SELECT * FROM catalogs WHERE id = ?", storage::Value{catalogId}},
+        {"SELECT * FROM privileges WHERE securable_id = ?",
+         storage::Value{CatalogStore::tableSecurable(t)}},
+        {"SELECT * FROM privileges WHERE securable_id = ?",
+         storage::Value{CatalogStore::catalogSecurable(catalogId)}},
+        {"SELECT * FROM constraints WHERE table_id = ?", storage::Value{id}},
+        {"SELECT * FROM lineage WHERE table_id = ?", storage::Value{id}},
+        {"SELECT * FROM properties WHERE table_id = ?", storage::Value{id}}};
+    const std::size_t budget =
+        std::clamp<std::size_t>(trace_->statementsFor(t), 1, 8);
+    std::uint64_t budgetBytes = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const auto& [sql, param] = statements[i];
+      const storage::Value params[] = {param};
+      const auto r = db_.exec(app_, sql, params);
+      ASSERT_TRUE(r.ok) << sql << ": " << r.error;
+      const std::string_view from = std::string_view(sql).substr(14);
+      const storage::TableSchema* schema =
+          db_.schema(from.substr(0, from.find(' ')));
+      ASSERT_NE(schema, nullptr) << sql;
+      std::uint64_t want = 0;
+      for (const storage::Row& row : r.rows) {
+        want += storage::encodedRowSize(*schema, row) +
+                storage::declaredPayloadBytes(*schema, row);
+      }
+      EXPECT_EQ(r.logicalBytes, want) << "table " << t << ": " << sql;
+      if (i < budget) budgetBytes += r.logicalBytes;
+    }
+    const auto result = assembler_->getTable(app_, t);
+    ASSERT_TRUE(result.ok);
+    EXPECT_EQ(result.bytesRead, budgetBytes) << "table " << t;
+  }
 }
 
 TEST_F(RichObjectTest, UnknownTableFails) {

@@ -9,6 +9,7 @@
 #include "storage/kv_engine.hpp"
 #include "storage/row.hpp"
 #include "storage/schema.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace dcache::storage {
@@ -67,23 +68,16 @@ TEST(BlockCache, WriteWarmsBlock) {
   EXPECT_TRUE(cache.touchRead("key1", 100));
 }
 
-TEST(BlockCache, InvalidateForcesMiss) {
-  BlockCache cache(util::Bytes::mb(4));
-  cache.touchWrite("key1", 100);
-  cache.invalidate("key1");
-  EXPECT_FALSE(cache.touchRead("key1", 100));
-}
-
 TEST(BlockCache, BlocksAtLeastPageSized) {
   EXPECT_EQ(BlockCache::blockSizeFor(10), BlockCache::kBlockBytes);
   EXPECT_EQ(BlockCache::blockSizeFor(1 << 20), 1u << 20);
 }
 
 TEST(BlockCache, BlockIdGroupsAndIsStable) {
-  const std::string id = BlockCache::blockIdFor("some-key");
+  const std::uint64_t id = BlockCache::blockIdFor("some-key");
   EXPECT_EQ(id, BlockCache::blockIdFor("some-key"));
-  EXPECT_EQ(id.size(), 17u);
-  EXPECT_EQ(id[0], 'b');
+  EXPECT_EQ(id, util::hashKey("some-key") >> 4);
+  EXPECT_NE(id, BlockCache::blockIdFor("other-key"));
 }
 
 TEST(BlockCache, EvictsUnderPressure) {

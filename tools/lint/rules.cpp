@@ -520,15 +520,17 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
   for (const SourceFile& f : in.files) {
     // The serve-path whitelist: the slab/arena storage, the flat cache, the
     // SLRU wrapper whose segments are flat caches, the flat KV engine,
-    // the secondary-index entry orders, the lazy bulk-load range and the
-    // Database facade that materializes its keys on the KV path. The
-    // node-based LFU and S3-FIFO and the test-only oracles in
-    // tests/reference/ allocate per entry by design and are deliberately
-    // out of scope.
+    // the storage block cache, the secondary-index entry orders, the lazy
+    // bulk-load range and the Database facade that materializes its keys
+    // on the KV path. The node-based LFU and S3-FIFO and the test-only
+    // oracles in tests/reference/ allocate per entry by design and are
+    // deliberately out of scope.
     if (!fileIs(f, {"src/cache/slab.hpp", "src/cache/flat_cache.hpp",
                     "src/cache/flat_cache.cpp", "src/cache/slru.cpp",
                     "src/storage/kv_engine.hpp",
                     "src/storage/kv_engine.cpp",
+                    "src/storage/block_cache.hpp",
+                    "src/storage/block_cache.cpp",
                     "src/storage/index_order.hpp",
                     "src/storage/index_order.cpp",
                     "src/storage/kv_range.hpp",
