@@ -1,10 +1,10 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
 // statement execution, the catalog bulk load and the first index lookups
-// after it, raw KV engine operations and the row codec. The parse/plan
-// numbers here are the *host* cost of our mini engine; the simulated TiDB
-// front-end charges the calibrated constants documented in
-// core/calibration.hpp instead.
+// after it, getTable on the warm catalog, raw KV engine operations and the
+// row codec. The parse/plan numbers here are the *host* cost of our mini
+// engine; the simulated TiDB front-end charges the calibrated constants
+// documented in core/calibration.hpp instead.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "richobject/assembler.hpp"
 #include "richobject/catalog_store.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
@@ -181,6 +182,35 @@ void BM_FirstIndexLookupsAfterCatalogLoad(benchmark::State& state) {
 BENCHMARK(BM_FirstIndexLookupsAfterCatalogLoad)
     ->Arg(4242)
     ->Unit(benchmark::kMillisecond);
+
+// getTable, uc-object's rich-object read: up to 8 statements, three point
+// gets then up to five index lookups, for each table id the reads of a
+// UcTraceWorkload stream name. The catalog of 20K tables is loaded and then
+// warmed by one pass over the ids, so every index's bulk-loaded tail is
+// merged and every block the ids touch is cached before the timed loop.
+void BM_GetTable(benchmark::State& state) {
+  workload::UcTraceConfig config;
+  config.numTables = 20000;
+  const workload::UcTraceWorkload trace(config);
+  CatalogFixture fixture(trace);
+  fixture.store.populate();
+  richobject::Assembler assembler(fixture.store);
+  workload::UcTraceWorkload stream(config);
+  std::vector<std::uint64_t> ids;
+  ids.reserve(4096);
+  while (ids.size() < 4096) {
+    const workload::Op op = stream.next();
+    if (op.isRead()) ids.push_back(op.keyIndex);
+  }
+  for (const std::uint64_t id : ids) assembler.getTable(fixture.client, id);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto result = assembler.getTable(fixture.client, ids[next]);
+    benchmark::DoNotOptimize(result.statementsIssued);
+    next = (next + 1) % ids.size();
+  }
+}
+BENCHMARK(BM_GetTable);
 
 /// Workload key names 0 .. n - 1, built before a timed loop reads them.
 std::vector<std::string> keyNames(std::uint64_t n) {

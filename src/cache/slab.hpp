@@ -10,10 +10,11 @@
 // KeyArena packs variable-length byte strings into chunked buffers with
 // size-class free lists, so churn recycles their storage instead of
 // allocating per entry. The flat cache keeps keys in one; the KV engine
-// keeps long keys in one and row payloads in another. Keys short enough to
-// live inline in the node (the common case: workload keys are "k%09llu")
-// never touch the arena at all — the same inline-or-chunked split
-// cachegrand's storage_db uses.
+// keeps in one the bytes of each long key past its inline head, followed in
+// the same block by the row payload. Keys short enough to live inline in
+// the node (the common case: workload keys are "k%09llu") never touch the
+// arena at all — the same inline-or-chunked split cachegrand's storage_db
+// uses.
 #pragma once
 
 #include <bit>
@@ -37,11 +38,16 @@ class KeyArena {
     std::uint32_t offset = 0;
   };
 
-  /// Longest string store() takes: its power-of-two class fits 32 bits.
+  /// Most bytes store() takes, both parts together: their power-of-two
+  /// class fits 32 bits.
   static constexpr std::size_t kMaxBytes = std::size_t{1} << 31;
 
-  [[nodiscard]] Ref store(std::string_view bytes) {
-    const std::uint32_t cap = classBytes(bytes.size());
+  [[nodiscard]] Ref store(std::string_view bytes) { return store(bytes, {}); }
+
+  /// Store `first` and `second` back to back in one block, which release()
+  /// takes back with their summed length.
+  [[nodiscard]] Ref store(std::string_view first, std::string_view second) {
+    const std::uint32_t cap = classBytes(first.size() + second.size());
     auto& freeList = freeListOf(cap);
     Ref ref;
     if (!freeList.empty()) {
@@ -50,9 +56,10 @@ class KeyArena {
     } else {
       ref = bumpAlloc(cap);
     }
-    if (!bytes.empty()) {
-      std::memcpy(chunks_[ref.chunk].get() + ref.offset, bytes.data(),
-                  bytes.size());
+    char* block = chunks_[ref.chunk].get() + ref.offset;
+    if (!first.empty()) std::memcpy(block, first.data(), first.size());
+    if (!second.empty()) {
+      std::memcpy(block + first.size(), second.data(), second.size());
     }
     return ref;
   }

@@ -78,6 +78,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
     const Value params[] = {Value{CatalogStore::tableSecurable(tableId)}};
     auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params);
     if (r.ok) {
+      result.object.privileges.reserve(r.rows.size());
       for (const Row& row : r.rows) {
         result.object.privileges.push_back(
             Privilege{SecurableLevel::kTable, valueToString(row.at(2)),
@@ -92,6 +93,8 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
         Value{CatalogStore::catalogSecurable(result.object.catalog.id)}};
     auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params);
     if (r.ok) {
+      result.object.privileges.reserve(result.object.privileges.size() +
+                                       r.rows.size());
       for (const Row& row : r.rows) {
         result.object.privileges.push_back(
             Privilege{SecurableLevel::kCatalog, valueToString(row.at(2)),
@@ -105,6 +108,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
     const Value params[] = {Value{id}};
     auto r = issue("SELECT * FROM constraints WHERE table_id = ?", params);
     if (r.ok) {
+      result.object.constraints.reserve(r.rows.size());
       for (const Row& row : r.rows) {
         result.object.constraints.push_back(Constraint{
             valueToString(row.at(2)), valueToString(row.at(3))});
@@ -117,6 +121,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
     const Value params[] = {Value{id}};
     auto r = issue("SELECT * FROM lineage WHERE table_id = ?", params);
     if (r.ok) {
+      result.object.lineage.reserve(r.rows.size());
       for (const Row& row : r.rows) {
         result.object.lineage.push_back(
             LineageEdge{valueToInt(row.at(2)), valueToString(row.at(3))});

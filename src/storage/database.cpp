@@ -75,16 +75,14 @@ std::string_view Database::indexKey(std::string& out, std::string_view table,
   return joinKey(out, {"t/", table, "/i/", column, "/", value, "/", pk});
 }
 
+std::string_view Database::indexBase(std::string& out, std::string_view table,
+                                     std::string_view column) {
+  return joinKey(out, {"t/", table, "/i/", column, "/"});
+}
+
 std::size_t Database::indexBaseSize(std::string_view table,
                                     std::string_view column) noexcept {
   return joinedSize({"t/", table, "/i/", column, "/"});
-}
-
-std::string_view Database::indexPrefix(std::string& out,
-                                       std::string_view table,
-                                       std::string_view column,
-                                       std::string_view value) {
-  return joinKey(out, {"t/", table, "/i/", column, "/", value, "/"});
 }
 
 std::string_view Database::kvKey(std::string& out, std::string_view key) {
@@ -116,11 +114,11 @@ bool Database::loadRow(std::string_view table, const Row& row) {
   if (!s) return false;
   const std::string pk = valueToString(row.values[s->primaryKeyColumn()]);
   const std::string_view key = rowKey(keyBuf_, table, pk);
-  KvEngine& engine = engines_[nodeFor(key)];
-  if (engine.contains(key) ||
-      !engine.put(key, rowValue(*s, row, rowBuf_), ++ts_)) {
+  if (!engines_[nodeFor(key)].putNew(key, rowValue(*s, row, rowBuf_),
+                                     ts_ + 1)) {
     return false;
   }
+  ++ts_;
   for (const std::size_t col : s->indexedColumns()) {
     const std::string_view column = s->columns()[col].name;
     const std::string_view ik = indexKey(keyBuf_, table, column,

@@ -12,8 +12,9 @@
 //                    (parse, plan, lease, full row fetch, front-end hop)
 //
 // Storage is reached by key only: every read is a point get of a row or KV
-// value (engineGet) or one index lookup (indexLookup), and every write puts
-// one row or KV value (enginePut). No path scans a table or deletes a key.
+// value (engineGet) or one index lookup of one value (indexLookup), and
+// every write puts one row or KV value (enginePut). No path scans a table
+// or deletes a key.
 //
 // A KV bulk load is lazy: loadValueRange() records the whole keyspace as one
 // KvRange (kv_range.hpp) and puts no key into an engine. A range key is
@@ -23,14 +24,16 @@
 // untouched keys from the range and never materialize. No charge, version,
 // size or block-cache touch depends on when a key is materialized.
 //
-// The KV engines hold rows and KV values only. Each secondary index keeps
-// its entries in one IndexOrder (index_order.hpp), by index base
+// The KV engines hold rows and KV values only; loadRow puts a new row with
+// one engine probe (KvEngine::putNew). Each secondary index keeps its
+// entries in one IndexOrder (index_order.hpp), by index base
 // ("t/<table>/i/<column>/"): loadRow appends a new row's entries, and the
-// executor's index lookup reads them through indexLookup, which charges
-// each visited entry as a scanned row. An UPDATE sets no indexed column
-// (the planner refuses one), so it leaves every entry as it is and charges
-// each through chargeIndexRePut, as the engine put of the unchanged index
-// key it stands for.
+// executor's index lookup reads the entries `<value>/<pk>` of its value
+// through indexLookup, which finds them by the hash of the value's head
+// and charges each visited entry as a scanned row. An UPDATE sets no
+// indexed column (the planner refuses one), so it leaves every entry as it
+// is and charges each through chargeIndexRePut, as the engine put of the
+// unchanged index key it stands for.
 #pragma once
 
 #include <cstdint>
@@ -102,9 +105,9 @@ class Database {
   // ---- schema / population (no cost accounting: experiment setup) ----
   void createTable(TableSchema schema);
   [[nodiscard]] const TableSchema* schema(std::string_view table) const;
-  /// Insert `row` and its index entries. False, writing nothing, for an
-  /// unknown table or a primary key the table already holds: a row is
-  /// loaded once, and only an UPDATE rewrites it.
+  /// Insert `row` and its index entries. False, writing nothing and taking
+  /// no timestamp, for an unknown table or a primary key the table already
+  /// holds: a row is loaded once, and only an UPDATE rewrites it.
   bool loadRow(std::string_view table, const Row& row);
   void loadValue(std::string_view key, std::uint64_t size);
   /// Pre-size every engine's point index for a bulk load of `expectedKeys`
@@ -186,23 +189,22 @@ class Database {
   /// False, after the KV execution charge alone, for a key past
   /// KvEngine::kMaxKeyBytes.
   bool chargeIndexRePut(std::string_view key, ExecTrace& trace);
-  /// Visit the entries of the index of `prefix`'s first `base` bytes whose
-  /// key starts with `prefix`, shard by shard in node order, ascending
+  /// Visit the entries `<value>/<pk>` of the index under `base`
+  /// (`t/<table>/i/<column>/`), shard by shard in node order, ascending
   /// within a shard: each shard's lease is validated before its entries,
   /// each entry is charged as a scanned zero-byte row, and fn returning
-  /// false stops that shard. fn gets the entry's bytes past `prefix`, valid
-  /// for the database's life; it must not load a row into this database.
+  /// false stops that shard. fn gets the entry's bytes past `<value>/`,
+  /// valid for the database's life; it must not load a row into this
+  /// database.
   template <typename Fn>
-  void indexLookup(std::string_view prefix, std::size_t base,
+  void indexLookup(std::string_view base, std::string_view value,
                    ExecTrace& trace, Fn&& fn) {
-    indexFor(prefix.substr(0, base))
-        .lookup(
-            prefix.substr(base),
-            [&](std::size_t idx) { raft_.validateLease(idx); },
-            [&](std::size_t idx, std::string_view entry) {
-              chargeVisitedEntry(idx, trace);
-              return fn(entry.substr(prefix.size() - base));
-            });
+    indexFor(base).lookup(
+        value, [&](std::size_t idx) { raft_.validateLease(idx); },
+        [&](std::size_t idx, std::string_view entry) {
+          chargeVisitedEntry(idx, trace);
+          return fn(entry.substr(value.size() + 1));
+        });
   }
 
   /// Fault injection: a KV node crashed and restarted — its block cache is
@@ -230,13 +232,12 @@ class Database {
   static std::string_view indexKey(std::string& out, std::string_view table,
                                    std::string_view column,
                                    std::string_view value, std::string_view pk);
-  /// The length of an index key's base, `t/<table>/i/<column>/`.
+  /// An index key's base, `t/<table>/i/<column>/`, which names the index.
+  static std::string_view indexBase(std::string& out, std::string_view table,
+                                    std::string_view column);
+  /// The length of indexBase(table, column).
   static std::size_t indexBaseSize(std::string_view table,
                                    std::string_view column) noexcept;
-  static std::string_view indexPrefix(std::string& out,
-                                      std::string_view table,
-                                      std::string_view column,
-                                      std::string_view value);
   static std::string_view kvKey(std::string& out, std::string_view key);
 
   /// The value a table row is stored as: its bytes, encoded into `enc`,

@@ -117,14 +117,12 @@ bool Executor::fetchRows(const TableAccessPlan& access,
       // keys view the index's entry bytes, which no read moves.
       std::vector<std::string_view>& matched = *matchBuf_;
       matched.clear();
-      const std::string_view prefix = Database::indexPrefix(
-          *keyBuf_, schema.name(), column.name, valueToString(*keyValue));
-      db_->indexLookup(prefix,
-                       Database::indexBaseSize(schema.name(), column.name),
-                       trace, [&](std::string_view pk) {
-                         matched.push_back(pk);
-                         return true;
-                       });
+      db_->indexLookup(
+          Database::indexBase(*keyBuf_, schema.name(), column.name),
+          valueToString(*keyValue), trace, [&](std::string_view pk) {
+            matched.push_back(pk);
+            return true;
+          });
       out.reserve(used + matched.size());
       // Index keys do not escape '/', so under value "a" the lookup also
       // meets the entry of value "a/b" and key "c", which reads as key

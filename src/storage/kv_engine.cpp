@@ -1,5 +1,6 @@
 #include "storage/kv_engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/hash.hpp"
@@ -15,7 +16,7 @@ std::uint32_t KvEngine::find(std::uint32_t hash,
   if (index_.empty()) return kNoEntry;
   std::size_t pos = hash & indexMask_;
   while (index_[pos].id != kNoEntry) {
-    if (index_[pos].hash == hash && entries_[index_[pos].id].key() == key) {
+    if (index_[pos].hash == hash && holds(entries_[index_[pos].id], key)) {
       return index_[pos].id;
     }
     pos = (pos + 1) & indexMask_;
@@ -45,18 +46,18 @@ void KvEngine::reserveKeys(std::size_t expectedKeys) {
   if (slots > index_.size()) growIndex(slots);
 }
 
-void KvEngine::storeKey(Entry& entry, std::string_view key) {
-  entry.keySize = static_cast<std::uint32_t>(key.size());
-  if (key.size() > kInlineKeyBytes) {
-    // Entries are never released, so neither is the arena block.
-    entry.arenaKey = keys_.view(keys_.store(key), key.size()).data();
-  } else if (!key.empty()) {
-    std::memcpy(entry.inlineKey, key.data(), key.size());
-  }
-}
-
 bool KvEngine::put(std::string_view key, StoredValue value,
                    std::uint64_t commitTs) {
+  return write(key, value, commitTs, true);
+}
+
+bool KvEngine::putNew(std::string_view key, StoredValue value,
+                      std::uint64_t commitTs) {
+  return write(key, value, commitTs, false);
+}
+
+bool KvEngine::write(std::string_view key, StoredValue value,
+                     std::uint64_t commitTs, bool overwrite) {
   if (key.size() > kMaxKeyBytes || value.payload.size() > kMaxPayloadBytes) {
     return false;
   }
@@ -69,18 +70,26 @@ bool KvEngine::put(std::string_view key, StoredValue value,
     }
     id = entries_.acquire();
     place(h, id);
-    storeKey(entries_[id], key);
+    Entry& fresh = entries_[id];
+    fresh.keySize = static_cast<std::uint32_t>(key.size());
+    if (!key.empty()) {
+      std::memcpy(fresh.keyHead, key.data(),
+                  std::min(key.size(), kInlineKeyBytes));
+    }
   } else {
     const Entry& held = entries_[id];
-    if (held.version >= commitTs) {
-      return false;  // stale write: a newer version is already committed
+    if (!overwrite || held.version >= commitTs) {
+      return false;  // putNew of a held key, or a stale write
     }
     liveBytes_ -= held.size;
-    if (held.payloadSize > 0) payloads_.release(held.payload, held.payloadSize);
+    if (held.blockSize() > 0) blocks_.release(held.block, held.blockSize());
   }
   Entry& entry = entries_[id];
   entry.payloadSize = static_cast<std::uint32_t>(value.payload.size());
-  if (!value.payload.empty()) entry.payload = payloads_.store(value.payload);
+  if (entry.blockSize() > 0) {
+    entry.block = blocks_.store(key.substr(key.size() - entry.tailSize()),
+                                value.payload);
+  }
   entry.size = value.size;
   entry.version = commitTs;
   liveBytes_ += value.size;
@@ -95,7 +104,8 @@ std::optional<ValueView> KvEngine::get(std::string_view key) const {
   return ValueView{entry.size, entry.version,
                    entry.payloadSize == 0
                        ? std::string_view{}
-                       : payloads_.view(entry.payload, entry.payloadSize)};
+                       : blocks_.view(entry.block, entry.blockSize())
+                             .substr(entry.tailSize())};
 }
 
 }  // namespace dcache::storage

@@ -6,18 +6,20 @@
 // RAM each.
 //
 // Layout, sized for bulk loads of millions of keys: each key is one 48-byte
-// entry in a NodeSlab (entries never move and are never released). The key
-// comes first — inline up to 16 bytes, else in a KeyArena — then its value:
-// the payload's length, the logical size, the version and a reference to
-// the payload's bytes. Those bytes live in a second KeyArena, apart from
-// the keys: an overwrite gives the old block back to its size class, so
-// rewriting a row allocates nothing once warm, while key bytes are never
-// given back. KV values have no payload and take no block. Reads return a
-// ValueView whose payload views the arena; it is valid until the next write
-// to that key. One open-addressing index of 8-byte {32-bit hash, id} slots
-// serves point reads: probe positions come from the stored hash, so growth
-// re-places slots without re-hashing keys, and a full key compare decides
-// equality.
+// entry in a NodeSlab (entries never move and are never released). The
+// entry holds the key's first 16 bytes inline, then its value: the
+// payload's length, the logical size, the version and a reference to one
+// block in a KeyArena. That block holds the key's bytes past 16, its tail,
+// followed by the payload's bytes, so a read of a long-keyed row compares
+// the tail and finds the payload in the same block. An overwrite writes
+// the tail from the key being put into a new block and gives the old block
+// back to its size class, so rewriting a row allocates nothing once warm.
+// A key of 16 bytes or fewer with no payload, a KV value, takes no block.
+// Reads return a ValueView whose payload views the arena; it is valid
+// until the next write to that key. One open-addressing index of 8-byte
+// {32-bit hash, id} slots serves point reads: probe positions come from the
+// stored hash, so growth re-places slots without re-hashing keys, and a
+// full key compare decides equality.
 // The engine keeps no key order and serves point operations only: a
 // Database puts rows and KV values here and reads them by key, while
 // secondary-index entries live in an IndexOrder (index_order.hpp).
@@ -63,9 +65,13 @@ class KvEngine {
   /// length holds the bytes of every index key past its base; longer keys
   /// are rejected.
   static constexpr std::size_t kMaxKeyBytes = UINT16_MAX;
-  /// Longest payload put() accepts, below the payload arena's largest
-  /// block; longer payloads are rejected.
-  static constexpr std::size_t kMaxPayloadBytes = (std::size_t{1} << 31) - 1;
+  /// Bytes of a key its entry holds inline; the rest, the key's tail,
+  /// shares one arena block with the payload.
+  static constexpr std::size_t kInlineKeyBytes = 16;
+  /// Longest payload put() accepts: with the longest key tail it still
+  /// fits the arena's largest block. Longer payloads are rejected.
+  static constexpr std::size_t kMaxPayloadBytes =
+      cache::KeyArena::kMaxBytes - (kMaxKeyBytes - kInlineKeyBytes);
 
   /// Write `value` at `commitTs` as `key`'s one version, replacing the held
   /// one; the payload is copied into the engine, so it must not view the
@@ -75,6 +81,10 @@ class KvEngine {
   /// probes. So are keys past kMaxKeyBytes and payloads past
   /// kMaxPayloadBytes.
   bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
+
+  /// put() for a key the engine does not hold, in one probe: a held key is
+  /// refused (returns false) and keeps its value, whatever its version.
+  bool putNew(std::string_view key, StoredValue value, std::uint64_t commitTs);
 
   /// The value of `key`; nullopt for a missing key. The payload view is
   /// valid until the next write to this key.
@@ -111,38 +121,52 @@ class KvEngine {
 
  private:
   static constexpr std::uint32_t kNoEntry = UINT32_MAX;
-  static constexpr std::size_t kInlineKeyBytes = 16;
 
   struct Entry {
-    union {
-      char inlineKey[kInlineKeyBytes] = {};  // keys up to kInlineKeyBytes
-      const char* arenaKey;                  // longer keys, in keys_
-    };
+    char keyHead[kInlineKeyBytes] = {};  // the key's first bytes
     std::uint32_t keySize = 0;
-    std::uint32_t payloadSize = 0;    // 0: no block in payloads_
+    std::uint32_t payloadSize = 0;
     std::uint64_t size = 0;           // logical bytes
     std::uint64_t version = 0;        // commit timestamp
-    cache::KeyArena::Ref payload{};   // in payloads_ if payloadSize > 0
+    cache::KeyArena::Ref block{};     // tail, then payload, if blockSize() > 0
 
-    [[nodiscard]] std::string_view key() const noexcept {
-      return {keySize <= kInlineKeyBytes ? inlineKey : arenaKey, keySize};
+    [[nodiscard]] std::size_t tailSize() const noexcept {
+      return keySize > kInlineKeyBytes ? keySize - kInlineKeyBytes : 0;
+    }
+    [[nodiscard]] std::size_t blockSize() const noexcept {
+      return tailSize() + payloadSize;
     }
   };
   struct Slot { std::uint32_t hash = 0; std::uint32_t id = kNoEntry; };
   static_assert(sizeof(Entry) <= 48, "a KvEngine entry grew past 48 bytes");
   static_assert(sizeof(Slot) == 8, "a KvEngine index slot grew past 8 bytes");
-  static_assert(kMaxPayloadBytes <= cache::KeyArena::kMaxBytes,
-                "the payload arena cannot hold the longest payload");
+  static_assert((kMaxKeyBytes - kInlineKeyBytes) + kMaxPayloadBytes <=
+                    cache::KeyArena::kMaxBytes,
+                "the longest key tail and payload do not fit one block");
 
   [[nodiscard]] std::uint32_t find(std::uint32_t hash,
                                    std::string_view key) const noexcept;
+  /// Whether `entry` holds `key`: its length, its inline head and, past
+  /// 16 bytes, its tail in the entry's block.
+  [[nodiscard]] bool holds(const Entry& entry,
+                           std::string_view key) const noexcept {
+    if (entry.keySize != key.size()) return false;
+    if (key.size() <= kInlineKeyBytes) {
+      return std::string_view(entry.keyHead, key.size()) == key;
+    }
+    return std::string_view(entry.keyHead, kInlineKeyBytes) ==
+               key.substr(0, kInlineKeyBytes) &&
+           blocks_.view(entry.block, entry.tailSize()) ==
+               key.substr(kInlineKeyBytes);
+  }
   void place(std::uint32_t hash, std::uint32_t id) noexcept;
   void growIndex(std::size_t slots);
-  void storeKey(Entry& entry, std::string_view key);
+  /// put() and putNew(); `overwrite` says whether a held key is rewritten.
+  bool write(std::string_view key, StoredValue value, std::uint64_t commitTs,
+             bool overwrite);
 
   cache::NodeSlab<Entry> entries_;  // ids 0, 1, 2, ...; never released
-  cache::KeyArena keys_;      // bytes of keys past kInlineKeyBytes; kept
-  cache::KeyArena payloads_;  // payload bytes; an overwrite recycles them
+  cache::KeyArena blocks_;  // key tails and payloads; an overwrite recycles
   std::vector<Slot> index_;  // power-of-two linear probing, <= 70 % full
   std::size_t indexMask_ = 0;
   std::uint64_t liveBytes_ = 0;  // every key's logical value bytes

@@ -18,6 +18,11 @@ bool MapKvEngine::put(std::string_view key, StoredValue value,
   return true;
 }
 
+bool MapKvEngine::putNew(std::string_view key, StoredValue value,
+                         std::uint64_t commitTs) {
+  return !values_.contains(key) && put(key, value, commitTs);
+}
+
 const OracleValue* MapKvEngine::get(std::string_view key) const {
   const auto it = values_.find(key);
   return it == values_.end() ? nullptr : &it->second;

@@ -1,8 +1,8 @@
 // Test-only oracle: an ordered map holding each key's newest value, its
 // payload owned as a std::string. test_kv_differential drives it in
 // lockstep with the production flat KvEngine (src/storage/kv_engine.hpp),
-// which must agree on every put's acceptance, every read, byte count and
-// counter.
+// which must agree on every put's and putNew's acceptance, every read, byte
+// count and counter.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,8 @@ class MapKvEngine {
   /// Replace the key's value, unless the held version is at or past
   /// `commitTs`.
   bool put(std::string_view key, StoredValue value, std::uint64_t commitTs);
+  /// put() for a key the oracle does not hold; a held key is refused.
+  bool putNew(std::string_view key, StoredValue value, std::uint64_t commitTs);
   [[nodiscard]] const OracleValue* get(std::string_view key) const;
   [[nodiscard]] std::optional<std::uint64_t> latestVersion(
       std::string_view key) const;

@@ -5,19 +5,23 @@
 // the database's keys (`t/<table>/i/<col>/<value>/<pk>`), so they share
 // long prefixes. Further streams aim at the engine's layout edges: keys on
 // both sides of the 16-byte inline limit, a few keys overwritten thousands
-// of times in place, and two keys whose stored 32-bit index hashes are
-// equal. Payload bytes depend on the write that puts them and on their
-// position, and their lengths cross the payload arena's edges (empty, one
-// byte, around 16, around its 4 KiB classed limit, up to 10 KiB), so a
-// stale, shared or wrongly sized block reads back as bytes the oracle does
-// not hold.
+// of times in place, two keys whose stored 32-bit index hashes are equal,
+// and long row keys, whose bytes past the inline 16 share a block with the
+// payload, rewritten again and again (and refused by putNew). Payload bytes
+// depend on the write that puts them and on their position, and their
+// lengths cross the arena's edges (empty, one byte, around 16, around its
+// 4 KiB classed limit, up to 10 KiB), so a stale, shared or wrongly sized
+// block, or a key tail lost or misplaced by a rewrite, reads back as bytes
+// the oracle does not hold.
 //
 // The IndexOrder streams diff one secondary index's entry order against a
 // std::map of entry to shard: appends of new entries and of entries the
-// order holds, and lookups with early stop, over entries of 0, 1, 15, 16,
-// 17 and 200 bytes and values that hold '/', on several shards. A lookup
-// visits shard by shard in ascending entry order, a false return stops
-// only its own shard, and an entry appended twice is held once.
+// order holds, and value lookups with early stop, over entries of 0, 1,
+// 15, 16, 17 and 200 bytes and values that hold '/', on several shards,
+// and over two heads whose 32-bit hashes are equal. A lookup of a value
+// visits its entries shard by shard in ascending entry order, a false
+// return stops only its own shard, and an entry appended twice is held
+// once.
 // Database-level tests check an index's lookups against the rows loaded
 // into it, that a resident primary key loaded again changes nothing, and
 // that two rows spelling one entry alike share it.
@@ -81,6 +85,22 @@ struct BoundaryKeyGen {
   }
 };
 
+/// Row-shaped keys of 17 to 200 bytes, all past the 16 bytes an entry holds
+/// inline: a stem `t/privileges/r/<n>` padded with '-' to one of five
+/// lengths. Keys of one stem share their inline bytes and differ in their
+/// tails' lengths; "t/privileges/r/1-" and "t/privileges/r/10" differ only
+/// in their tails' bytes.
+struct LongKeyGen {
+  util::Pcg32& rng;
+
+  std::string key() {
+    static constexpr std::size_t kLengths[] = {17, 18, 22, 64, 200};
+    std::string k = "t/privileges/r/" + std::to_string(rng.next() % 24);
+    k.resize(std::max(k.size(), kLengths[rng.next() % 5]), '-');
+    return k;
+  }
+};
+
 /// A handful of hot keys, inline and arena-sized, overwritten again and
 /// again in place.
 struct HotKeyGen {
@@ -115,6 +135,14 @@ std::size_t payloadLength(util::Pcg32& rng) {
   return rng.next() % 40;
 }
 
+/// A payload length across the arena's classes: empty, one byte, around the
+/// 4 KiB classed limit and 10 KiB in three of four draws, else up to 10 KiB.
+std::size_t classLength(util::Pcg32& rng) {
+  static constexpr std::size_t kEdges[] = {0, 1, 4095, 4096, 4097, 10 * 1024};
+  if (rng.next() % 4 == 0) return rng.next() % (10 * 1024 + 1);
+  return kEdges[rng.next() % 6];
+}
+
 void expectSameValue(const OracleValue* oracle,
                      const std::optional<ValueView>& flat, std::size_t step) {
   ASSERT_EQ(oracle == nullptr, !flat.has_value()) << "step " << step;
@@ -124,11 +152,19 @@ void expectSameValue(const OracleValue* oracle,
   ASSERT_EQ(oracle->payload, flat->payload) << "step " << step;
 }
 
-/// One lockstep stream of `ops` steps. Of every 32 op draws, `putSlots`
-/// are puts and the rest gets.
+/// How a lockstep stream draws its ops: of every 32 op draws, `putSlots`
+/// are puts, the next `newSlots` putNews and the rest gets; a write's
+/// payload length comes from `length`.
+struct StreamMix {
+  std::uint32_t putSlots = 10;
+  std::uint32_t newSlots = 0;
+  std::size_t (*length)(util::Pcg32&) = payloadLength;
+};
+
+/// One lockstep stream of `ops` steps, drawn as `mix` says.
 template <typename Gen>
 void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
-                 std::size_t reserve, std::uint32_t putSlots = 10) {
+                 std::size_t reserve, StreamMix mix = {}) {
   MapKvEngine oracle;
   KvEngine flat;
   if (reserve > 0) flat.reserveKeys(reserve);
@@ -136,7 +172,8 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
 
   for (std::size_t step = 0; step < ops; ++step) {
     const std::uint32_t op = rng.next() % 32;
-    if (op < putSlots) {  // put; one in eight reuses or rewinds the timestamp
+    if (op < mix.putSlots + mix.newSlots) {
+      // A put or a putNew; one in eight reuses or rewinds the timestamp.
       const std::string key = gen.key();
       const std::uint64_t commitTs =
           rng.next() % 8 == 0 ? ts - std::min<std::uint64_t>(ts, rng.next() % 3)
@@ -144,14 +181,18 @@ void runLockstep(util::Pcg32& rng, Gen& gen, std::size_t ops,
       const bool withPayload = rng.next() % 2 == 0;
       const std::uint64_t size = rng.next() % 500;
       const std::string payload =
-          withPayload ? payloadOf(step, payloadLength(rng)) : std::string();
-      auto value = [&] {
-        return withPayload ? StoredValue::of(payload)
-                           : StoredValue::sized(size);
-      };
-      ASSERT_EQ(oracle.put(key, value(), commitTs),
-                flat.put(key, value(), commitTs))
-          << "step " << step;
+          withPayload ? payloadOf(step, mix.length(rng)) : std::string();
+      const StoredValue value = withPayload ? StoredValue::of(payload)
+                                            : StoredValue::sized(size);
+      if (op < mix.putSlots) {
+        ASSERT_EQ(oracle.put(key, value, commitTs),
+                  flat.put(key, value, commitTs))
+            << "step " << step;
+      } else {
+        ASSERT_EQ(oracle.putNew(key, value, commitTs),
+                  flat.putNew(key, value, commitTs))
+            << "step " << step;
+      }
     } else {
       const std::string key = gen.key();
       expectSameValue(oracle.get(key), flat.get(key), step);
@@ -199,16 +240,32 @@ TEST(KvDifferential, OverwriteHeavyHistoryUnderGc) {
   for (const std::uint64_t seed : {41, 48}) {
     util::Pcg32 rng(seed, 11);
     HotKeyGen gen{rng};
-    runLockstep(rng, gen, 20000, 0, 20);
+    runLockstep(rng, gen, 20000, 0, {.putSlots = 20});
+  }
+}
+
+TEST(KvDifferential, LongKeysKeepTheirTailsAcrossPayloadRewrites) {
+  // About 120 keys of 17-200 bytes, written in two of every three steps at
+  // payload sizes across the arena's classes. Each rewrite stores the
+  // key's tail in the payload's new block and frees the old one, so a tail
+  // lost, left in a freed block or stored at the wrong offset, and a
+  // payload read from the wrong offset, show at the next get. One write in
+  // five is a putNew, which must refuse a held key and leave its value.
+  for (const std::uint64_t seed : {71, 72}) {
+    util::Pcg32 rng(seed, 11);
+    LongKeyGen gen{rng};
+    runLockstep(rng, gen, 20000, 0,
+                {.putSlots = 16, .newSlots = 4, .length = classLength});
   }
 }
 
 TEST(KvDifferential, PayloadsGrowShrinkAndReturnAfterTombstones) {
-  // Three keys, one inline and two in the key arena, each put through the
-  // payload edges in turn, so every overwrite grows or shrinks its payload
-  // and most change its size class. The keys share the payload arena, so a
-  // block given back under the wrong class, or read through after its key
-  // moved to another, shows in a neighbour's bytes or its own.
+  // Three keys, one inline and two whose tails share the payload's block,
+  // each put through the payload edges in turn, so every overwrite grows
+  // or shrinks its payload and most change its size class. The keys share
+  // one arena, so a block given back under the wrong class, or read
+  // through after its key moved to another, shows in a neighbour's bytes
+  // or its own.
   static constexpr std::size_t kLengths[] = {0,     17, 4097, 1,  16,
                                              10240, 4095, 15, 4096, 17};
   const std::string keys[] = {"p/a", "p/" + std::string(30, 'b'),
@@ -278,7 +335,7 @@ TEST(KvDifferential, KeysWithEqualIndexHashesStayApart) {
 
   util::Pcg32 rng(51, 11);
   CollidingKeyGen gen{rng, a, b};
-  runLockstep(rng, gen, 20000, 0, 20);
+  runLockstep(rng, gen, 20000, 0, {.putSlots = 20});
 }
 
 /// The IndexOrder oracle: every entry the index holds, with its shard.
@@ -308,13 +365,14 @@ std::vector<ShardEvent> lookup(const EntryOracle& oracle, std::size_t shards,
   return events;
 }
 
-/// The same lookup through `order`.
-std::vector<ShardEvent> lookup(IndexOrder& order, std::string_view prefix,
+/// The lookup of `value` through `order`, which the oracle makes with the
+/// prefix `<value>/`.
+std::vector<ShardEvent> lookup(IndexOrder& order, std::string_view value,
                                std::size_t stopAfter) {
   std::vector<ShardEvent> events;
   std::size_t inShard = 0;
   order.lookup(
-      prefix,
+      value,
       [&](std::size_t idx) {
         events.emplace_back(idx, std::nullopt);
         inShard = 0;
@@ -346,26 +404,28 @@ TEST(KvDifferential, NewKeysBetweenScansMergeInOrder) {
     oracle.emplace(entry, shardOf(entry, kShards));
     if (rng.next() % 4 == 0) continue;
     ASSERT_EQ(lookup(oracle, kShards, value + "/", SIZE_MAX),
-              lookup(order, value + "/", SIZE_MAX))
+              lookup(order, value, SIZE_MAX))
         << "pk " << pk;
     ASSERT_EQ(order.size(), oracle.size());
   }
 }
 
+/// The values of the pool's index-shaped entries.
+constexpr const char* kPoolValues[] = {"", "7", "12", "a", "a/b",
+                                       "a/b/", "tbl3", "/"};
+
 /// A fixed pool of entries: index-shaped `<value>/<pk>` ones whose values
-/// hold '/' now and then, and stems padded to 0, 1, 15, 16, 17 and 200
-/// bytes, so the shorter entries of a stem are prefixes of the longer ones.
-/// Prefixes are the empty one, a value with its '/', a whole entry, a cut
-/// of one, and one that extends an entry past what any holds.
+/// hold '/' now and then, and stems `b/<c>/<n>` padded to 0, 1, 15, 16, 17
+/// and 200 bytes, so the shorter entries of a stem are prefixes of the
+/// longer ones. Lookups are of the pool's values, of a stem's first one or
+/// two segments, and of values no entry is under.
 struct EntryPool {
   util::Pcg32& rng;
   std::vector<std::string> entries{};
 
   explicit EntryPool(util::Pcg32& r) : rng(r) {
-    static constexpr const char* kValues[] = {"", "7", "12", "a", "a/b",
-                                              "a/b/", "tbl3", "/"};
     static constexpr std::size_t kLengths[] = {0, 1, 15, 16, 17, 200};
-    for (const char* value : kValues) {
+    for (const char* value : kPoolValues) {
       for (std::uint32_t pk = 0; pk < 12; ++pk) {
         entries.push_back(std::string(value) + "/" + std::to_string(pk));
       }
@@ -386,15 +446,17 @@ struct EntryPool {
 
   const std::string& entry() { return entries[rng.next() % entries.size()]; }
 
-  std::string prefix() {
-    const std::string& e = entry();
-    switch (rng.next() % 6) {
-      case 0: return "";
-      case 1: return e.substr(0, e.rfind('/') + 1);  // "" without a '/'
-      case 2: return e;
-      case 3: return e.substr(0, rng.next() % (e.size() + 1));
-      case 4: return e + "~";
-      default: return e.substr(0, std::min<std::size_t>(e.size(), 15 + rng.next() % 3));
+  std::string value() {
+    static constexpr const char* kAbsent[] = {"x", "7x", "a/c", "tbl",
+                                              "b/c", "b/a/1"};
+    switch (rng.next() % 4) {
+      case 0:
+      case 1: return kPoolValues[rng.next() % std::size(kPoolValues)];
+      case 2: {
+        static constexpr const char* kStemCuts[] = {"b", "b/a", "b/b"};
+        return kStemCuts[rng.next() % std::size(kStemCuts)];
+      }
+      default: return kAbsent[rng.next() % std::size(kAbsent)];
     }
   }
 };
@@ -415,12 +477,12 @@ void runIndexOrderStream(std::uint64_t seed, std::size_t shards) {
       oracle.emplace(entry, shardOf(entry, shards));
       continue;
     }
-    const std::string prefix = pool.prefix();
+    const std::string value = pool.value();
     const std::size_t stopAfter = rng.next() % 3 == 0 ? 1 + rng.next() % 4
                                                       : SIZE_MAX;
-    ASSERT_EQ(lookup(oracle, shards, prefix, stopAfter),
-              lookup(order, prefix, stopAfter))
-        << "seed " << seed << " step " << step << " prefix " << prefix;
+    ASSERT_EQ(lookup(oracle, shards, value + "/", stopAfter),
+              lookup(order, value, stopAfter))
+        << "seed " << seed << " step " << step << " value " << value;
     ASSERT_EQ(order.size(), oracle.size()) << "step " << step;
   }
 }
@@ -442,20 +504,66 @@ TEST(IndexOrder, AppendedDuplicatesKeepOneCopy) {
   order.append("7/1", 0);
   order.append("7/2", 1);
   EXPECT_EQ(order.size(), 3u);  // the tail counts both until it is merged
-  EXPECT_EQ(lookup(order, "7/", SIZE_MAX),
+  EXPECT_EQ(lookup(order, "7", SIZE_MAX),
             (std::vector<ShardEvent>{
                 {0, std::nullopt}, {0, "7/1"}, {1, std::nullopt}, {1, "7/2"}}));
   EXPECT_EQ(order.size(), 2u);
   order.append("7/2", 1);
   order.append("7/0", 1);
   order.append("7/1", 0);
-  EXPECT_EQ(lookup(order, "7/", SIZE_MAX),
+  EXPECT_EQ(lookup(order, "7", SIZE_MAX),
             (std::vector<ShardEvent>{{0, std::nullopt},
                                      {0, "7/1"},
                                      {1, std::nullopt},
                                      {1, "7/0"},
                                      {1, "7/2"}}));
   EXPECT_EQ(order.size(), 3u);
+}
+
+/// The first two heads `h<N>` whose head hashes are equal.
+std::pair<std::string, std::string> collidingHeads() {
+  const auto head = [](std::uint32_t n) {
+    return std::string("h").append(std::to_string(n));
+  };
+  std::unordered_map<std::uint32_t, std::uint32_t> seen;
+  for (std::uint32_t n = 0; n < 1000000; ++n) {
+    const auto [it, fresh] = seen.emplace(IndexOrder::headHash(head(n)), n);
+    if (!fresh) return {head(it->second), head(n)};
+  }
+  return {};
+}
+
+TEST(IndexOrder, HeadsWithEqualHashesStayApart) {
+  // Two heads whose 32-bit head hashes are equal share one run. Entries of
+  // each, of a value under each ("<head>/x") and of a longer head are
+  // appended in a seeded order on three shards, with lookups between
+  // batches: each value's lookup visits its own entries alone, ascending
+  // within each shard, as the oracle does.
+  const auto [a, b] = collidingHeads();
+  ASSERT_FALSE(a.empty()) << "no colliding head pair found";
+  ASSERT_NE(a, b);
+  ASSERT_EQ(IndexOrder::headHash(a), IndexOrder::headHash(b));
+  ASSERT_EQ(IndexOrder::headHash(a + "/x/1"), IndexOrder::headHash(a));
+
+  constexpr std::size_t kShards = 3;
+  const std::string values[] = {a, b, a + "/x", b + "/x", a + "x"};
+  EntryOracle oracle;
+  IndexOrder order(kShards);
+  util::Pcg32 rng(81, 11);
+  for (std::size_t step = 1; step <= 600; ++step) {
+    const std::string& value = values[rng.next() % std::size(values)];
+    const std::string entry = value + "/" + std::to_string(rng.next() % 100);
+    order.append(entry, shardOf(entry, kShards));
+    oracle.emplace(entry, shardOf(entry, kShards));
+    if (step % 50 != 0) continue;
+    for (const std::string& v : values) {
+      const std::vector<ShardEvent> got = lookup(order, v, SIZE_MAX);
+      ASSERT_EQ(lookup(oracle, kShards, v + "/", SIZE_MAX), got)
+          << "step " << step << " value " << v;
+      ASSERT_GT(got.size(), kShards) << "value " << v << " has no entry";
+    }
+  }
+  EXPECT_EQ(order.size(), oracle.size());
 }
 
 /// A Database of three KV nodes on its own tiers and channel.
@@ -488,13 +596,10 @@ TEST(KvDifferential, IndexOrderHoldsOnlyItsIndex) {
     oracle.emplace(key.substr(kBase.size()), util::hashKey(key) % 3);
   };
   const auto expectLookup = [&](const std::string& value) {
-    const std::string prefix = std::string(kBase) + value + "/";
-    std::vector<ShardEvent> seen;
-    for (std::size_t s = 0; s < 3; ++s) seen.emplace_back(s, std::nullopt);
     std::vector<std::pair<std::size_t, std::string>> entries;
     ExecTrace trace;
     const std::uint64_t leases = db.raft().leaseChecks();
-    db.indexLookup(prefix, kBase.size(), trace, [&](std::string_view pk) {
+    db.indexLookup(kBase, value, trace, [&](std::string_view pk) {
       const std::string entry = value + "/" + std::string(pk);
       entries.emplace_back(util::hashKey(std::string(kBase) + entry) % 3, entry);
       return true;

@@ -9,9 +9,9 @@
 // that carries them; encoding a row into a new string allocates its buffer
 // and result, while loadRow refuses a resident row without allocating; a
 // version-bump UPDATE decodes into and encodes from reused buffers and
-// writes no index entry; and the KV engine rewrites payloads in its arena's
-// recycled blocks, at row sizes and past the arena's 4 KiB classed limit
-// alike.
+// writes no index entry; and the KV engine rewrites payloads, with the
+// tails of long keys, in its arena's recycled blocks, at row sizes and past
+// the arena's 4 KiB classed limit alike.
 // This executable replaces the global operator new, plain and nothrow, to
 // count calls, so it is a binary of its own.
 #include <gtest/gtest.h>
@@ -331,6 +331,34 @@ TEST(KvEngineAllocations, PayloadRewritesAndErasesAllocateNothing) {
   EXPECT_EQ(engine.get(keys[0])->payload.size(), kLengths[19998 % 7]);
 }
 
+TEST(KvEngineAllocations, LongKeyedRowRewritesAllocateNothing) {
+  // Row keys of 18 to 200 bytes keep their bytes past the inline 16 in one
+  // block with the payload, so every rewrite stores the key's tail again
+  // with the new payload and gives the old block back to its size class.
+  // Four keys put in turn at six payload sizes, the empty one included:
+  // once the 240 warming puts have reached each class's high-water mark,
+  // rewrites take blocks back and allocate nothing.
+  static constexpr std::size_t kLengths[] = {0, 1, 40, 333, 4000, 4096};
+  const std::vector<std::string> keys = {
+      "t/privileges/r/12345", "t/constraints/r/77", "t/lineage/r/100001",
+      "t/properties/r/" + std::string(185, '9')};
+  const auto length = [](std::size_t n) { return kLengths[n % 6]; };
+  KvEngine engine;
+  std::uint64_t ts = 0;
+  payloadPutAllocations(engine, keys, 240, ts, length);
+
+  const std::uint64_t allocations =
+      payloadPutAllocations(engine, keys, 20000, ts, length);
+  EXPECT_EQ(allocations, 0u) << "heap allocations over 20000 payload puts "
+                                "to resident long-keyed rows";
+  EXPECT_EQ(engine.keyCount(), keys.size());
+  // The last puts to keys[0..3] are puts 19996..19999.
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_EQ(engine.get(keys[k])->payload.size(), kLengths[(19996 + k) % 6])
+        << keys[k];
+  }
+}
+
 TEST(KvEngineAllocations, LargePayloadRewritesStayBounded) {
   // One key rewritten at random sizes in (4 KiB, 64 KiB]. Past its 4 KiB
   // classed limit the payload arena rounds a block up to a power of two,
@@ -353,11 +381,11 @@ TEST(KvEngineAllocations, LargePayloadRewritesStayBounded) {
 }
 
 TEST_F(KvReadAllocations, RowLoadsThroughAWarmBufferAllocateNothing) {
-  // Database::loadRow builds each row key in a buffer the Database reuses
-  // and refuses a primary key the table holds before it encodes the row,
-  // so loading catalog `tables` rows (42 bytes, with a schema_id index)
-  // over resident keys writes nothing and allocates nothing once the
-  // buffer is warm.
+  // Database::loadRow builds each row key and encodes the row in buffers
+  // the Database reuses, and its one engine probe refuses a primary key
+  // the table holds, so loading catalog `tables` rows (42 bytes, with a
+  // schema_id index) over resident keys writes nothing and allocates
+  // nothing once the buffers are warm.
   db_.createTable(TableSchema("tables",
                               {Column{"id", ColumnType::kInt},
                                Column{"schema_id", ColumnType::kInt},

@@ -7,9 +7,10 @@
 #      before a single sanitized test runs.
 #   2. Release build of everything with -Werror: the -O3 optimizer runs
 #      diagnostics (-Wrestrict and kin) that the default build never sees.
-#   3. ASan+UBSan build of everything, full ctest, parallel benches, and a
-#      byte-identical --jobs 1 vs --jobs 8 diff of every deterministic
-#      bench (micro_* are wall-clock and carry lint allows instead).
+#   3. ASan+UBSan build of everything, full ctest, parallel benches, one
+#      short run of each micro_* bench, and a byte-identical --jobs 1 vs
+#      --jobs 8 diff of every deterministic bench (micro_* are wall-clock
+#      and carry lint allows instead).
 #   4. The benchmark's own correctness gate: hostbench/run.py at tiny size,
 #      checking every cell's simulated-output digest against
 #      hostbench/reference.json (all three workloads at all 41 input sets).
@@ -61,6 +62,14 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # per-cell deployments, ordered result collection.
 "$BUILD_DIR/bench/fig4_synthetic" --jobs 8 > /dev/null
 
+# Each micro bench once under the sanitizers, so a bench that crashes or
+# trips ASan/UBSan fails the gate. Their wall-clock output is not compared;
+# --benchmark_min_time=0.01 (seconds, the form google-benchmark 1.7 takes)
+# stops each benchmark after its first timed iterations.
+for bench in micro_cache micro_serialization micro_storage; do
+  "$BUILD_DIR/bench/$bench" --benchmark_min_time=0.01 > /dev/null
+done
+
 # Determinism diff: every deterministic bench must emit byte-identical
 # stdout for --jobs 1 and --jobs 8. The golden-op cap keeps the sanitized
 # runs fast while still driving the full matrix (same cells, same seeds).
@@ -96,7 +105,7 @@ for bench in "${TIMELINE_BENCHES[@]}"; do
   jobs_diff "$bench"
 done
 
-echo "check.sh: lint, all tests, the parallel benches, and the determinism gates passed under ASan/UBSan"
+echo "check.sh: lint, all tests, the parallel and micro benches, and the determinism gates passed under ASan/UBSan"
 
 # Benchmark correctness lane: hostbench/run.py builds its own plain tree
 # and compares each cell's simulated-output digest with the committed

@@ -520,9 +520,10 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
   for (const SourceFile& f : in.files) {
     // The serve-path whitelist: the slab/arena storage, the flat cache, the
     // SLRU wrapper whose segments are flat caches, the flat KV engine,
-    // the storage block cache, the secondary-index entry orders, the lazy
-    // bulk-load range and the Database facade that materializes its keys
-    // on the KV path. The node-based LFU and S3-FIFO and the test-only
+    // the storage block cache, the secondary-index entry orders (whose
+    // head-hash directory, rebuilt per merge, reallocates only when its
+    // runs pass a doubling), the lazy bulk-load range and the Database
+    // facade that materializes its keys on the KV path. The node-based LFU and S3-FIFO and the test-only
     // oracles in tests/reference/ allocate per entry by design and are
     // deliberately out of scope.
     if (!fileIs(f, {"src/cache/slab.hpp", "src/cache/flat_cache.hpp",
