@@ -1,8 +1,17 @@
 #include "cache/disagg_cache.hpp"
 
+#include <algorithm>
+
 #include "sim/trace_hook.hpp"
 
 namespace dcache::cache {
+namespace {
+
+/// An invalidation message's bytes beyond its key: 8-byte version plus
+/// framing.
+constexpr std::uint64_t kInvalidationOverheadBytes = 12;
+
+}  // namespace
 
 DisaggCache::DisaggCache(sim::Tier& farTier, util::Bytes perNodeCapacity,
                          sim::Tier& appTier, util::Bytes hotCapacityPerNode,
@@ -49,6 +58,21 @@ void DisaggCache::hotInvalidate(std::size_t appIndex, std::string_view key) {
   app.charge(sim::CpuComponent::kCacheOp, costs_.hotProbeMicros);
   hotShards_[appIndex]->erase(key);
   app.mem().use(hotShards_[appIndex]->bytesUsed());
+}
+
+DisaggCache::Fanout DisaggCache::invalidatePeers(std::size_t writerIndex,
+                                                 std::string_view key) {
+  sim::Node& writer = appTier_->node(writerIndex);
+  Fanout out;
+  for (std::size_t i = 0; i < hotShards_.size(); ++i) {
+    if (i == writerIndex) continue;
+    const double latency = channel_->oneWay(
+        writer, appTier_->node(i), key.size() + kInvalidationOverheadBytes);
+    out.latencyMicros = std::max(out.latencyMicros, latency);
+    hotInvalidate(i, key);
+    ++out.peers;
+  }
+  return out;
 }
 
 void DisaggCache::clearHotCaches() {

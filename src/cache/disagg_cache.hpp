@@ -5,8 +5,8 @@
 // hot cache in front so the per-byte pull is only paid for the cold tail.
 // Placement is client-driven — every app server hashes the key to a pool
 // slot itself, no directory service on the access path — and coherence is
-// DiFache-style decentralized invalidation (the writer fans out to its
-// peers over the InvalidationBus; the deployment owns that wiring).
+// DiFache-style decentralized invalidation: the writer sends each peer app
+// server a one-way message itself (invalidatePeers), no coordinator hop.
 #pragma once
 
 #include <memory>
@@ -59,10 +59,22 @@ class DisaggCache {
   /// Fill after a far read or storage miss.
   void hotFill(std::size_t appIndex, std::string_view key, std::uint64_t size,
                std::uint64_t version);
-  /// Drop one app server's copy (the InvalidationBus handler's job).
+  /// Drop one app server's copy.
   void hotInvalidate(std::size_t appIndex, std::string_view key);
-  /// Epoch fence: drop every hot copy at once (pool membership changed —
-  /// client-driven placement would otherwise read slots that moved).
+  /// What one writer's fan-out cost: the slowest one-way leg, and the peer
+  /// app servers it reached.
+  struct Fanout {
+    double latencyMicros = 0.0;
+    std::uint64_t peers = 0;
+  };
+  /// Decentralized coherence: app server `writerIndex` sends every other
+  /// app server, in ascending index, a one-way invalidation (key + 8-byte
+  /// version + framing), and that peer drops its hot copy. A message lost
+  /// to a down or cut peer still drops the copy and counts as reached.
+  Fanout invalidatePeers(std::size_t writerIndex, std::string_view key);
+  /// Hot flush: drop every hot copy at once (a pool node crashed —
+  /// client-driven placement would otherwise serve copies of slots that
+  /// are gone).
   void clearHotCaches();
   [[nodiscard]] KvCache& hotShard(std::size_t appIndex) noexcept {
     return *hotShards_[appIndex];

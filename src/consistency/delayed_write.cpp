@@ -3,12 +3,7 @@
 #include <sstream>
 
 #include "cache/flat_cache.hpp"
-#include "consistency/lease.hpp"
-#include "rpc/channel.hpp"
 #include "sim/event_loop.hpp"
-#include "sim/fault.hpp"
-#include "sim/network.hpp"
-#include "sim/tier.hpp"
 #include "storage/kv_engine.hpp"
 
 namespace dcache::consistency {
@@ -54,88 +49,6 @@ DelayedWriteOutcome runDelayedWriteScenario(const DelayedWriteConfig& config) {
   });
 
   // t1': instance B warms its shard from storage's current value.
-  loop.schedule(config.warmReadAtMicros, [&] {
-    if (const std::optional<storage::ValueView> v = engine.get(key)) {
-      cacheB.put(key, cache::CacheEntry::sized(v->size, v->version));
-      log << "[t=" << loop.now() << "] new owner warmed v" << v->version
-          << " from storage\n";
-    }
-  });
-
-  loop.run();
-
-  const cache::CacheEntry* cached = cacheB.peek(key);
-  const std::optional<storage::ValueView> stored = engine.get(key);
-  outcome.cacheVersion = cached ? cached->version : 0;
-  outcome.storageVersion = stored ? stored->version : 0;
-  outcome.anomaly = cached && stored && cached->version != stored->version;
-  log << "[final] cache v" << outcome.cacheVersion << " / storage v"
-      << outcome.storageVersion << (outcome.anomaly ? "  ** ANOMALY **" : "")
-      << "\n";
-  outcome.history = log.str();
-  return outcome;
-}
-
-DelayedWriteOutcome runFaultInjectedReshardScenario(
-    const FaultInjectedReshardConfig& config) {
-  DelayedWriteOutcome outcome;
-  std::ostringstream log;
-
-  sim::EventLoop loop;
-  storage::KvEngine engine;
-  // Shards of the doomed owner (A) and of its successor (B).
-  cache::FlatCache cacheA(cache::FlatMode::kLru, util::Bytes::mb(1));
-  cache::FlatCache cacheB(cache::FlatMode::kLru, util::Bytes::mb(1));
-
-  // Real fencing machinery: node 0 owns the key's partition under a lease
-  // granted by the storage authority; the crash revokes it.
-  sim::NetworkModel network;
-  rpc::Channel channel(network, rpc::SerializationModel{});
-  sim::Tier appTier("app", sim::TierKind::kAppServer, 2);
-  sim::Tier authorityTier("kv", sim::TierKind::kKvStorage, 1);
-  LeaseManager leases(appTier, authorityTier.node(0), channel);
-
-  sim::FaultSchedule faults;
-  faults.crashNode(config.crashAtMicros, sim::TierKind::kAppServer, 0);
-
-  const std::string key = "acct:42";
-  engine.put(key, storage::StoredValue::sized(100), 1);
-  cacheA.put(key, cache::CacheEntry::sized(100, 1));
-
-  // t0: the writer on node 0 sends v2, stamped with its lease epoch — the
-  // RPC is delayed in flight.
-  const std::uint64_t writerEpoch = leases.epoch(0);
-  loop.schedule(config.writeDelayMicros, [&] {
-    if (config.epochFencing && writerEpoch != leases.epoch(0)) {
-      outcome.writeRejected = true;
-      log << "[t=" << loop.now() << "] storage REJECTED stale write"
-          << " (writer epoch " << writerEpoch << " < lease epoch "
-          << leases.epoch(0) << ")\n";
-      return;
-    }
-    engine.put(key, storage::StoredValue::sized(100), 2);
-    log << "[t=" << loop.now() << "] delayed write committed v2\n";
-  });
-
-  // The reshard is *not* scripted here: the fault schedule's crash event
-  // takes node 0 down, its volatile shard dies with it, and the lease
-  // manager revokes its lease — bumping the epoch storage fences against.
-  for (const sim::FaultEvent& event : faults.events()) {
-    loop.schedule(event.atMicros, [&, event] {
-      if (event.kind != sim::FaultKind::kNodeCrash ||
-          event.tier != sim::TierKind::kAppServer) {
-        return;
-      }
-      appTier.node(event.nodeIndex).setUp(false);
-      cacheA.clear();
-      leases.revoke(event.nodeIndex);
-      log << "[t=" << loop.now() << "] fault: node " << event.nodeIndex
-          << " crashed; owner A -> B, lease epoch " << leases.epoch(0)
-          << "\n";
-    });
-  }
-
-  // t1': the successor warms its shard from storage's current value.
   loop.schedule(config.warmReadAtMicros, [&] {
     if (const std::optional<storage::ValueView> v = engine.get(key)) {
       cacheB.put(key, cache::CacheEntry::sized(v->size, v->version));

@@ -47,19 +47,4 @@ struct DelayedWriteOutcome {
                                              bool epochFencing,
                                              util::Pcg32& rng);
 
-/// Same interleaving, but the reshard is not scripted: it is caused by an
-/// injected crash of the owning node (a sim::FaultSchedule event), and the
-/// fencing epoch comes from a real consistency::LeaseManager whose revoke()
-/// fires as part of handling the crash — the path core::Deployment takes
-/// when a fault schedule reshards the linked ring.
-struct FaultInjectedReshardConfig {
-  std::uint64_t writeDelayMicros = 5000;  // in-flight delay of the write
-  std::uint64_t crashAtMicros = 2000;     // FaultSchedule: owner A crashes
-  std::uint64_t warmReadAtMicros = 3000;  // new owner warms from storage
-  bool epochFencing = true;               // validate writes against leases
-};
-
-[[nodiscard]] DelayedWriteOutcome runFaultInjectedReshardScenario(
-    const FaultInjectedReshardConfig& config);
-
 }  // namespace dcache::consistency

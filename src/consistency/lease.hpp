@@ -3,8 +3,9 @@
 // partition; while the lease is live and all writes are routed through the
 // owner, the owner can serve consistent reads *without* a per-read version
 // check — replacing O(QPS) storage round-trips with O(shards / lease term)
-// renewals. The ablation bench quantifies how much of the §5.5 loss this
-// design recovers.
+// renewals. LeaseManager serves bench/ablation_consistency only: its
+// Linked+Lease cells quantify how much of the §5.5 loss this design
+// recovers. core::Deployment has no lease path.
 #pragma once
 
 #include <cstdint>

@@ -95,18 +95,6 @@ Deployment::Deployment(DeploymentConfig config) : config_(config) {
           *farTier_, config_.farMemoryPerNode, *app_, config_.hotCachePerNode,
           *channel_, config_.evictionPolicy, cal.disagg);
       ring_ = &disagg_->shards();
-      // DiFache-style decentralized coherence: every app server subscribes
-      // its own hot cache; a writer fans invalidations straight to its
-      // peers — no coordinator on the path. Subscriber id == app index
-      // (subscription order), which lets the writer skip itself.
-      invalidationBus_ =
-          std::make_unique<consistency::InvalidationBus>(*channel_);
-      for (std::size_t i = 0; i < app_->size(); ++i) {
-        invalidationBus_->subscribe(
-            app_->node(i), [this, i](std::string_view key, std::uint64_t) {
-              disagg_->hotInvalidate(i, key);
-            });
-      }
       break;
     }
   }
@@ -675,8 +663,8 @@ void Deployment::serveWrite(OpCtx& op) {
   } else if (disagg_) {
     // Writer updates (or tombstones) the far slot and its own hot copy,
     // then fans the invalidation to its peers itself — DiFache-style, no
-    // coordinator on the coherence path. Peers drop their hot copies via
-    // the bus handler; the next read re-pulls from the far pool.
+    // coordinator on the coherence path. Peers drop their hot copies; the
+    // next read re-pulls from the far pool.
     latency += eachReplica(op.key, /*skipDead=*/true, [&](std::size_t node) {
       return refresh ? disagg_->farPut(op.app, node, op.key, size, version)
                      : disagg_->farInvalidate(op.app, node, op.key);
@@ -686,10 +674,10 @@ void Deployment::serveWrite(OpCtx& op) {
     } else {
       disagg_->hotInvalidate(op.appIndex, op.key);
     }
-    const std::uint64_t deliveredBefore = invalidationBus_->delivered();
-    latency += invalidationBus_->publish(op.app, op.key, version, op.appIndex);
-    counters_.clientInvalidations +=
-        invalidationBus_->delivered() - deliveredBefore;
+    const cache::DisaggCache::Fanout fanout =
+        disagg_->invalidatePeers(op.appIndex, op.key);
+    latency += fanout.latencyMicros;
+    counters_.clientInvalidations += fanout.peers;
   }
 
   if (membershipInstalled_ && membership_->anyWindowActive()) {
@@ -749,12 +737,6 @@ void Deployment::installMembershipSchedule(MembershipSchedule schedule,
   // instead of being invisible to modulo placement (Linked is armed from
   // the start).
   if (ring_) ring_->armRing();
-  if (linked_ && !leases_) {
-    // Same fencing authority as the crash path: leases are revoked when a
-    // planned transition moves ownership (see advanceMembership).
-    leases_ = std::make_unique<consistency::LeaseManager>(*app_, kv_->node(0),
-                                                          *channel_);
-  }
   if (monitor_) {
     // Scale-out spares start absent: the monitor must not probe a node
     // that was never placed (it registers again at its join event).
@@ -784,16 +766,8 @@ void Deployment::advanceMembership() {
   obs::RequestScope scope(tracer_.get(), "membership.pump");
   membership_->advanceTo(simNowMicros_);
   for (const MembershipEvent& e : membership_->drainApplied()) {
-    // Deployment-owned fencing. The director already moved the ring and
-    // (warm) opened the transfer window; what's left is the machinery the
-    // director deliberately can't see.
-    if (ring_ && e.tier == ring_->tier().kind()) {
-      // Ownership moved: in-flight writes carrying the old epoch are
-      // fenced exactly as on the crash path (Fig. 8); a linked owner's
-      // lease is revoked (only linked deployments hold leases).
-      ++ownershipEpoch_;
-      if (leases_) leases_->revoke(e.nodeIndex);
-    }
+    // The director already moved the ring, fenced it and (warm) opened the
+    // transfer window; what's left is the health monitor it can't see.
     sim::Node* node = monitor_ ? nodeAt(e.tier, e.nodeIndex) : nullptr;
     if (node == nullptr) continue;
     if (e.kind == MembershipKind::kLeave) {
@@ -823,12 +797,6 @@ void Deployment::installFaultSchedule(sim::FaultSchedule schedule) {
   faultCursor_ = 0;
   faultsInstalled_ = true;
   channel_->enableFaults(config_.faultSeed, config_.rpcPolicy);
-  if (linked_ && !leases_) {
-    // The Fig. 8 fencing authority: a storage node grants ownership leases
-    // over the ring partitions; revocation on reshard bumps the epoch.
-    leases_ = std::make_unique<consistency::LeaseManager>(*app_, kv_->node(0),
-                                                          *channel_);
-  }
   applyPendingFaults();  // events at/before the current clock fire now
 }
 
@@ -879,15 +847,17 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
       }
       if (sim::Node* node = nodeAt(event.tier, event.nodeIndex)) {
         node->setUp(false);
+        if (disagg_ && event.tier == sim::TierKind::kAppServer) {
+          // The crashed process loses its in-process hot cache: it comes
+          // back cold, as a membership rejoin does.
+          disagg_->hotShard(event.nodeIndex).clear();
+        }
       }
       if (ring_ == nullptr || event.tier != ring_->tier().kind()) break;
       if (linked_) {
-        // Reshard: the dead server's range moves to the survivors and any
-        // lease it held is revoked, fencing its in-flight stale writes.
+        // Reshard: the dead server's range moves to the survivors.
         if (!ring_->isMember(event.nodeIndex)) break;
         ring_->retireMember(event.nodeIndex);
-        ++ownershipEpoch_;
-        if (leases_) leases_->revoke(event.nodeIndex);
         break;
       }
       // A pod's or pool node's memory is gone; it stays a ring member, so
@@ -895,11 +865,9 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
       ring_->dropShard(event.nodeIndex);
       if (disagg_) {
         // Client-driven placement means no coordinator can quiesce readers,
-        // so fence coarsely: bump the ownership epoch and drop every hot
-        // copy — a stale hot hit for a key whose far slot just vanished is
-        // now impossible.
+        // so fence coarsely: drop every hot copy — a stale hot hit for a
+        // key whose far slot just vanished is now impossible.
         disagg_->clearHotCaches();
-        ++ownershipEpoch_;
       }
       break;
     }
@@ -911,12 +879,10 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
       if (event.tier == sim::TierKind::kAppServer && linked_ &&
           !ring_->isMember(event.nodeIndex)) {
         // Rejoin cold; ownership returns to the exact pre-crash partition
-        // (vnode points depend only on the member index), and the epoch
-        // bumps again — entries the survivors filled for this range are
-        // now unreachable, which is the restart's hit-ratio cost.
+        // (vnode points depend only on the member index) — entries the
+        // survivors filled for this range are now unreachable, which is the
+        // restart's hit-ratio cost.
         ring_->admitMember(event.nodeIndex);
-        ++ownershipEpoch_;
-        if (leases_) leases_->revoke(event.nodeIndex);
       }
       break;
     }

@@ -3,6 +3,15 @@
 // storage tier, wired per one of the five architectures. serve() pushes one workload operation
 // through the deployment, charging every hop and every byte; afterwards the
 // tiers' meters hold exactly the CPU/memory picture the cost model prices.
+//
+// Consistency is each architecture's own serve path, nothing beside it:
+// Linked+Version checks every hit against storage (§5.5); a Disaggregated
+// writer invalidates its peers' hot copies itself
+// (DisaggCache::invalidatePeers); a far-node crash flushes every hot copy;
+// planned churn is fenced inside the MembershipDirector. There is no lease
+// or epoch state here: ownership leases are priced by
+// bench/ablation_consistency alone, and the Fig. 8 fix by fig8's scripted
+// scenario (consistency/delayed_write.hpp).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +24,6 @@
 #include "cache/disagg_cache.hpp"
 #include "cache/linked_cache.hpp"
 #include "cache/remote_cache.hpp"
-#include "consistency/invalidation.hpp"
-#include "consistency/lease.hpp"
 #include "core/architecture.hpp"
 #include "core/calibration.hpp"
 #include "core/health.hpp"
@@ -280,17 +287,6 @@ class Deployment {
     return replicationOn_;
   }
   [[nodiscard]] rpc::Channel& channel() noexcept { return *channel_; }
-  /// Ring-ownership epoch: bumped every time cache ownership moves (an app
-  /// node crash or restart resharding the linked ring). Stale in-flight
-  /// writes carrying an older epoch are the Fig. 8 anomaly; the lease
-  /// manager's per-node epochs (leases()) provide the fencing.
-  [[nodiscard]] std::uint64_t ownershipEpoch() const noexcept {
-    return ownershipEpoch_;
-  }
-  /// Lease manager (linked architectures with faults installed; else null).
-  [[nodiscard]] consistency::LeaseManager* leases() noexcept {
-    return leases_.get();
-  }
   /// Size of the TTL fill-time bookkeeping map (boundedness regression
   /// tests: it must track cache occupancy, not keyspace size).
   [[nodiscard]] std::size_t ttlBookkeepingSize() const noexcept {
@@ -326,10 +322,6 @@ class Deployment {
   }
   [[nodiscard]] cache::DisaggCache* disaggCache() noexcept {
     return disagg_.get();
-  }
-  /// Decentralized invalidation fan-out (kDisaggregated only; else null).
-  [[nodiscard]] consistency::InvalidationBus* invalidationBus() noexcept {
-    return invalidationBus_.get();
   }
   [[nodiscard]] richobject::CatalogStore* catalogStore() noexcept {
     return catalogStore_.get();
@@ -399,9 +391,8 @@ class Deployment {
   [[nodiscard]] bool dynamicTopology() const noexcept {
     return faultsInstalled_ || membershipInstalled_;
   }
-  /// Apply due membership events and pump handoff batches, then run the
-  /// deployment-owned fencing for each applied event (epoch bump, lease
-  /// revocation, hot-cache flush, health (de)registration).
+  /// Apply due membership events and pump handoff batches, then
+  /// (de)register each applied event's node with the health monitor.
   void advanceMembership();
   /// Mirror the director's counters into counters_.
   void syncMembershipCounters() noexcept;
@@ -433,7 +424,6 @@ class Deployment {
   std::unique_ptr<cache::LinkedCache> linked_;
   std::unique_ptr<cache::DisaggCache> disagg_;
   cache::ShardedTier* ring_ = nullptr;  // the cache tier (null under Base)
-  std::unique_ptr<consistency::InvalidationBus> invalidationBus_;
 
   std::unique_ptr<richobject::CatalogStore> catalogStore_;
   std::unique_ptr<richobject::Assembler> assembler_;
@@ -480,13 +470,11 @@ class Deployment {
   std::size_t ejectionCursor_ = 0;
   std::size_t activeSlowNodes_ = 0;
 
-  std::unique_ptr<consistency::LeaseManager> leases_;
   std::unique_ptr<MembershipDirector> membership_;
   bool membershipInstalled_ = false;
   sim::FaultSchedule faultSchedule_;
   std::size_t faultCursor_ = 0;
   bool faultsInstalled_ = false;
-  std::uint64_t ownershipEpoch_ = 1;
   /// Single-flight table: key -> completion time of the in-flight storage
   /// read (fault mode only).
   std::unordered_map<std::string, std::uint64_t> inflight_;

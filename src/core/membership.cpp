@@ -7,16 +7,6 @@
 
 namespace dcache::core {
 
-std::string_view membershipKindName(MembershipKind kind) noexcept {
-  switch (kind) {
-    case MembershipKind::kJoin:
-      return "join";
-    case MembershipKind::kLeave:
-      return "leave";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // MembershipSchedule
 // ---------------------------------------------------------------------------
@@ -46,20 +36,6 @@ void MembershipSchedule::rollingRestart(std::uint64_t fromMicros,
     const std::uint64_t at = fromMicros + i * stepMicros;
     leave(at, tier, firstNode + i);
     join(at + downMicros, tier, firstNode + i);
-  }
-}
-
-void MembershipSchedule::scaleOut(std::uint64_t atMicros, sim::TierKind tier,
-                                  std::size_t firstNode, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    join(atMicros, tier, firstNode + i);
-  }
-}
-
-void MembershipSchedule::scaleIn(std::uint64_t atMicros, sim::TierKind tier,
-                                 std::size_t firstNode, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    leave(atMicros, tier, firstNode + i);
   }
 }
 

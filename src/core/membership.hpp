@@ -23,9 +23,11 @@
 // The director is deliberately ignorant of core::Deployment — it sees only
 // the app tier, the cache front-ends and the channel (the Hooks struct).
 // Each front-end contributes its ShardedTier; only the transport a dual
-// read or migration pays stays per architecture. Deployment-level
-// fencing (ownership-epoch bump, lease revocation, hot-cache flush, health
-// (de)registration) is driven by the deployment draining appliedEvents().
+// read or migration pays stays per architecture. The director does all the
+// fencing itself: fenceWrite, the pump's version check on arrival, and a
+// cold hot cache for a Disaggregated app server that rejoins. The
+// deployment calls drainApplied() only to (de)register nodes with its
+// health monitor.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +48,6 @@ enum class MembershipKind : std::uint8_t {
   kJoin,   // node arrives (scale-out step, restart coming back)
   kLeave,  // node departs gracefully (drain, scale-in step)
 };
-
-[[nodiscard]] std::string_view membershipKindName(MembershipKind kind) noexcept;
 
 struct MembershipEvent {
   std::uint64_t atMicros = 0;
@@ -70,13 +70,6 @@ class MembershipSchedule {
   void rollingRestart(std::uint64_t fromMicros, sim::TierKind tier,
                       std::size_t firstNode, std::size_t count,
                       std::uint64_t stepMicros, std::uint64_t downMicros);
-  /// Scale-out: nodes [firstNode, firstNode + count) all join at once.
-  void scaleOut(std::uint64_t atMicros, sim::TierKind tier,
-                std::size_t firstNode, std::size_t count);
-  /// Scale-in (flash drain): nodes [firstNode, firstNode + count) all
-  /// leave at once.
-  void scaleIn(std::uint64_t atMicros, sim::TierKind tier,
-               std::size_t firstNode, std::size_t count);
   /// Mark a provisioned node absent from the *initial* placement (a
   /// scale-out spare). It is taken out of the ring and powered down before
   /// the first op, uncounted and windowless — it arrives at its join

@@ -69,6 +69,26 @@ std::uint64_t CatalogStore::propertyCount(std::uint64_t tableId) const {
   return satelliteCount(tableId, 4, config_.maxPropertiesPerTable);
 }
 
+std::int64_t CatalogStore::schemaCount() const noexcept {
+  const std::uint64_t numTables = trace_->keyCount();
+  return schemaIdFor(numTables == 0 ? 0 : numTables - 1) + 1;
+}
+
+std::int64_t CatalogStore::catalogCount() const noexcept {
+  return catalogIdFor(schemaCount() - 1) + 1;
+}
+
+std::uint64_t CatalogStore::rowCount() const {
+  std::uint64_t rows = config_.principals +
+                       2 * static_cast<std::uint64_t>(catalogCount()) +
+                       static_cast<std::uint64_t>(schemaCount());
+  for (std::uint64_t t = 0; t < trace_->keyCount(); ++t) {
+    rows += 1 + privilegeCount(t) + constraintCount(t) + lineageCount(t) +
+            propertyCount(t);
+  }
+  return rows;
+}
+
 void CatalogStore::createSchemas() {
   TableSchema tables(
       "tables",
@@ -134,6 +154,9 @@ void CatalogStore::createSchemas() {
 }
 
 void CatalogStore::populate() {
+  // The exact count, not a bound: at 20K tables a per-table bound would
+  // double every engine's point index.
+  db_->reserveKeys(rowCount());
   util::Pcg32 rng(config_.seed, 5);
   const std::uint64_t numTables = trace_->keyCount();
 
@@ -149,9 +172,8 @@ void CatalogStore::populate() {
   }
 
   // Hierarchy: catalogs and schemas covering all tables.
-  const std::int64_t numSchemas =
-      schemaIdFor(numTables == 0 ? 0 : numTables - 1) + 1;
-  const std::int64_t numCatalogs = catalogIdFor(numSchemas - 1) + 1;
+  const std::int64_t numSchemas = schemaCount();
+  const std::int64_t numCatalogs = catalogCount();
   for (std::int64_t c = 0; c < numCatalogs; ++c) {
     db_->loadRow("catalogs", Row{{c, std::int64_t{0},
                                   "catalog_" + std::to_string(c),

@@ -37,6 +37,10 @@ class CatalogStore {
 
   /// Bulk-load the dataset (no cost accounting — experiment setup).
   void populate();
+  /// Rows populate() loads, one KV key each: the principals, each catalog
+  /// and its catalog-level grant, the schemas, and each table with its
+  /// satellites. populate() reserves the engines for exactly this many.
+  [[nodiscard]] std::uint64_t rowCount() const;
 
   [[nodiscard]] std::uint64_t tableCount() const noexcept {
     return trace_->keyCount();
@@ -67,6 +71,9 @@ class CatalogStore {
   [[nodiscard]] std::uint64_t satelliteCount(std::uint64_t tableId,
                                              std::uint64_t salt,
                                              std::uint64_t maxCount) const;
+  /// Schemas and catalogs covering every table.
+  [[nodiscard]] std::int64_t schemaCount() const noexcept;
+  [[nodiscard]] std::int64_t catalogCount() const noexcept;
 
   storage::Database* db_;
   const workload::UcTraceWorkload* trace_;

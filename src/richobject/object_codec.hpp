@@ -1,8 +1,10 @@
 // Wire codec for RichTableObject. A *remote* cache has to serialize the
 // whole object graph on every hit — this codec is that cost made concrete
 // (and testable). A linked cache hands out the in-process object and never
-// runs it; the encodedObjectSize() is what the cost model charges when the
-// object does cross a process boundary.
+// runs it. The deployment does not run it either: it sizes an object by
+// RichTableObject::approximateSize() and charges serialization per byte of
+// that size. encodedObjectSize() is the real codec's count, for the tests
+// and the Unity Catalog example.
 #pragma once
 
 #include <optional>

@@ -3,28 +3,9 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/metrics.hpp"
 #include "sim/trace_hook.hpp"
 
 namespace dcache::rpc {
-
-void exportFaultMetrics(obs::MetricsRegistry& registry,
-                        std::string_view prefix,
-                        const Channel::FaultCounters& counters) {
-  const std::string base(prefix);
-  registry.setCounter(base + "retries", counters.retries);
-  registry.setCounter(base + "timeouts", counters.timeouts);
-  registry.setCounter(base + "failed_calls", counters.failedCalls);
-  registry.setGauge(base + "wasted_cpu_micros", counters.wastedCpuMicros);
-  registry.setCounter(base + "budget_exhausted", counters.budgetExhausted);
-  registry.setCounter(base + "queue_timeouts", counters.queueTimeouts);
-  registry.setCounter(base + "queue_rejections", counters.queueRejections);
-  registry.setCounter(base + "breaker_opens", counters.breakerOpens);
-  registry.setCounter(base + "breaker_short_circuits",
-                      counters.breakerShortCircuits);
-  registry.setCounter(base + "hedges_sent", counters.hedgesSent);
-  registry.setCounter(base + "hedge_wins", counters.hedgeWins);
-}
 
 bool CircuitBreaker::allowRequest(double nowMicros) noexcept {
   switch (state_) {

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 #include <unordered_map>
 
 #include "rpc/serialization_model.hpp"
@@ -24,10 +23,6 @@
 #include "sim/node.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
-
-namespace dcache::obs {
-class MetricsRegistry;
-}
 
 namespace dcache::rpc {
 
@@ -378,12 +373,5 @@ class Channel {
   std::array<util::Histogram, static_cast<std::size_t>(sim::TierKind::kCount)>
       hedgeLatency_;
 };
-
-/// Thin metrics adapter: publish the channel's fault counters under
-/// `prefix` (e.g. "cell0.rpc.") in the unified registry, replacing ad-hoc
-/// printf plumbing in the benches.
-void exportFaultMetrics(obs::MetricsRegistry& registry,
-                        std::string_view prefix,
-                        const Channel::FaultCounters& counters);
 
 }  // namespace dcache::rpc

@@ -56,17 +56,6 @@ void FaultSchedule::crashWindow(std::uint64_t fromMicros,
   restartNode(clampWindowEnd(fromMicros, untilMicros), tier, node);
 }
 
-void FaultSchedule::rollingRestartWave(std::uint64_t fromMicros,
-                                       TierKind tier, std::size_t firstNode,
-                                       std::size_t count,
-                                       std::uint64_t stepMicros,
-                                       std::uint64_t downMicros) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t at = fromMicros + i * stepMicros;
-    crashWindow(at, at + downMicros, tier, firstNode + i);
-  }
-}
-
 void FaultSchedule::tierOutage(std::uint64_t fromMicros,
                                std::uint64_t untilMicros, TierKind tier) {
   add({fromMicros, FaultKind::kTierOutage, tier, 0, 1.0, 0.0});

@@ -66,14 +66,6 @@ class FaultSchedule {
   /// `untilMicros`.
   void crashWindow(std::uint64_t fromMicros, std::uint64_t untilMicros,
                    TierKind tier, std::size_t node);
-  /// Rolling-restart wave as the *crash path* sees it: node `firstNode + i`
-  /// goes down at `fromMicros + i * stepMicros` and cold-restarts
-  /// `downMicros` later. The planned-churn twin is
-  /// core::MembershipSchedule::rollingRestart, which drains instead of
-  /// crashing; comparing the two postures is fig12's whole point.
-  void rollingRestartWave(std::uint64_t fromMicros, TierKind tier,
-                          std::size_t firstNode, std::size_t count,
-                          std::uint64_t stepMicros, std::uint64_t downMicros);
   void tierOutage(std::uint64_t fromMicros, std::uint64_t untilMicros,
                   TierKind tier);
   void degradeNetwork(std::uint64_t fromMicros, std::uint64_t untilMicros,

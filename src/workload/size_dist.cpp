@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "util/hash.hpp"
 
@@ -11,13 +10,6 @@ namespace dcache::workload {
 std::uint64_t SizeDistribution::sizeForKey(std::uint64_t keyIndex) const {
   util::Pcg32 rng(util::hashU64(keyIndex), 0x5e<<1 | 1);
   return sample(rng);
-}
-
-std::string FixedSize::describe() const {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "fixed(%llu B)",
-                static_cast<unsigned long long>(bytes_));
-  return buf;
 }
 
 LogNormalSize::LogNormalSize(double medianBytes, double sigma,
@@ -31,13 +23,6 @@ std::uint64_t LogNormalSize::sample(util::Pcg32& rng) const {
   const double v = util::logNormal(rng, mu_, sigma_);
   const auto n = static_cast<std::uint64_t>(std::llround(std::max(v, 1.0)));
   return std::clamp(n, min_, max_);
-}
-
-std::string LogNormalSize::describe() const {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "lognormal(median=%.0fB, sigma=%.2f)",
-                std::exp(mu_), sigma_);
-  return buf;
 }
 
 LogNormalParetoTailSize::LogNormalParetoTailSize(
@@ -56,14 +41,6 @@ std::uint64_t LogNormalParetoTailSize::sample(util::Pcg32& rng) const {
     return std::min(n, max_);
   }
   return body_.sample(rng);
-}
-
-std::string LogNormalParetoTailSize::describe() const {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s + pareto tail(p=%.3f, xm=%.0fB, a=%.2f)",
-                body_.describe().c_str(), tailProbability_, tailStart_,
-                tailShape_);
-  return buf;
 }
 
 }  // namespace dcache::workload

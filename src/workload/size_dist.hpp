@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "util/rng.hpp"
 
@@ -19,7 +18,6 @@ class SizeDistribution {
  public:
   virtual ~SizeDistribution() = default;
   [[nodiscard]] virtual std::uint64_t sample(util::Pcg32& rng) const = 0;
-  [[nodiscard]] virtual std::string describe() const = 0;
 
   /// Deterministic size for a key: every access to a key sees one size, as
   /// for a real stored object. Derived by sampling from a key-seeded rng.
@@ -32,7 +30,6 @@ class FixedSize final : public SizeDistribution {
   [[nodiscard]] std::uint64_t sample(util::Pcg32&) const override {
     return bytes_;
   }
-  [[nodiscard]] std::string describe() const override;
 
  private:
   std::uint64_t bytes_;
@@ -45,7 +42,6 @@ class LogNormalSize final : public SizeDistribution {
   LogNormalSize(double medianBytes, double sigma, std::uint64_t minBytes = 1,
                 std::uint64_t maxBytes = UINT64_MAX);
   [[nodiscard]] std::uint64_t sample(util::Pcg32& rng) const override;
-  [[nodiscard]] std::string describe() const override;
 
  private:
   double mu_;
@@ -62,7 +58,6 @@ class LogNormalParetoTailSize final : public SizeDistribution {
                           double tailProbability, double tailStartBytes,
                           double tailShape, std::uint64_t maxBytes);
   [[nodiscard]] std::uint64_t sample(util::Pcg32& rng) const override;
-  [[nodiscard]] std::string describe() const override;
 
  private:
   LogNormalSize body_;

@@ -1,10 +1,10 @@
-// Consistency machinery tests: ownership leases, invalidation bus, the
-// Fig. 8 delayed-write scenario, and the linearizability checker. The
-// version check itself is Deployment::versionCurrent (test_deployment).
+// Consistency machinery tests: ownership leases, the Fig. 8 delayed-write
+// scenario, and the linearizability checker. The version check itself is
+// Deployment::versionCurrent (test_deployment); the Disaggregated writer's
+// invalidation fan-out is DisaggCache::invalidatePeers (test_disaggregated).
 #include <gtest/gtest.h>
 
 #include "consistency/delayed_write.hpp"
-#include "consistency/invalidation.hpp"
 #include "consistency/lease.hpp"
 #include "consistency/linearizability.hpp"
 #include "rpc/channel.hpp"
@@ -73,37 +73,6 @@ TEST_F(ConsistencyTest, LeaseRenewalChargesRpcNotReads) {
   EXPECT_EQ(leases.localChecks(), 1000u);
 }
 
-TEST_F(ConsistencyTest, InvalidationBusDeliversToAllButWriter) {
-  InvalidationBus bus(channel_);
-  std::vector<int> delivered(3, 0);
-  for (std::size_t i = 0; i < 3; ++i) {
-    bus.subscribe(appTier_.node(i), [&delivered, i](std::string_view,
-                                                    std::uint64_t) {
-      ++delivered[i];
-    });
-  }
-  bus.publish(appTier_.node(0), "k", 5, /*skipSubscriber=*/0);
-  EXPECT_EQ(delivered, (std::vector<int>{0, 1, 1}));
-  EXPECT_EQ(bus.published(), 1u);
-  EXPECT_EQ(bus.delivered(), 2u);
-}
-
-TEST_F(ConsistencyTest, InvalidationPublishToOneOwner) {
-  InvalidationBus bus(channel_);
-  int hits = 0;
-  std::uint64_t seenVersion = 0;
-  bus.subscribe(appTier_.node(0), [&](std::string_view key, std::uint64_t v) {
-    ++hits;
-    seenVersion = v;
-    EXPECT_EQ(key, "the-key");
-  });
-  bus.subscribe(appTier_.node(1),
-                [&](std::string_view, std::uint64_t) { ++hits; });
-  bus.publishTo(0, appTier_.node(2), "the-key", 42);
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(seenVersion, 42u);
-}
-
 TEST(DelayedWrite, AnomalyWithoutFencing) {
   DelayedWriteConfig config;  // write lands after the reshard + warm read
   config.epochFencing = false;
@@ -142,43 +111,6 @@ TEST(DelayedWrite, SweepRatesMatchTheFix) {
   const double fenced = delayedWriteAnomalyRate(400, true, rng2);
   EXPECT_GT(unfenced, 0.1);  // the race is common under random timing
   EXPECT_DOUBLE_EQ(fenced, 0.0);
-}
-
-// ---- Fault-injected reshard (crash-driven Fig. 8) ----
-
-TEST(FaultInjectedReshard, LeaseRevocationFencesStaleWrite) {
-  FaultInjectedReshardConfig config;  // crash at 2ms, write lands at 5ms
-  ASSERT_TRUE(config.epochFencing);
-  const auto outcome = runFaultInjectedReshardScenario(config);
-  // The injected crash revoked the owner's lease before the delayed write
-  // landed: storage fenced it on the bumped epoch.
-  EXPECT_TRUE(outcome.writeRejected);
-  EXPECT_FALSE(outcome.anomaly);
-  EXPECT_EQ(outcome.cacheVersion, outcome.storageVersion);
-  EXPECT_NE(outcome.history.find("REJECTED"), std::string::npos);
-  EXPECT_NE(outcome.history.find("fault: node 0 crashed"),
-            std::string::npos);
-}
-
-TEST(FaultInjectedReshard, WithoutFencingTheCrashReproducesTheAnomaly) {
-  FaultInjectedReshardConfig config;
-  config.epochFencing = false;
-  const auto outcome = runFaultInjectedReshardScenario(config);
-  EXPECT_TRUE(outcome.anomaly);
-  EXPECT_FALSE(outcome.writeRejected);
-  EXPECT_EQ(outcome.cacheVersion, 1u);    // successor warmed the old value
-  EXPECT_EQ(outcome.storageVersion, 2u);  // stale write landed anyway
-}
-
-TEST(FaultInjectedReshard, WriteBeforeCrashIsNotFenced) {
-  FaultInjectedReshardConfig config;
-  config.writeDelayMicros = 100;  // commits before the crash revokes
-  config.crashAtMicros = 2000;
-  config.warmReadAtMicros = 3000;
-  const auto outcome = runFaultInjectedReshardScenario(config);
-  EXPECT_FALSE(outcome.writeRejected);
-  EXPECT_FALSE(outcome.anomaly);
-  EXPECT_EQ(outcome.cacheVersion, 2u);  // successor warmed the new value
 }
 
 // ---- Linearizability checker ----

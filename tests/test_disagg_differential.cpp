@@ -45,8 +45,9 @@ class ReferenceModel {
     Prediction p;
     if (isWrite) {
       // Write-through: far slot + writer's own hot copy refresh; every
-      // peer's copy is invalidated over the bus (delivered unconditionally,
-      // whether or not the peer held the key — the bus can't know).
+      // peer's copy is invalidated by the writer's fan-out (delivered
+      // unconditionally, whether or not the peer held the key — the writer
+      // can't know).
       far_.insert(keyIndex);
       hot_[app].insert(keyIndex);
       for (std::size_t i = 0; i < kAppServers; ++i) {
@@ -133,13 +134,9 @@ void runDifferential(std::uint64_t seed, std::size_t ops) {
     ASSERT_EQ(c.clientInvalidations, expectedInvalidations)
         << "step " << step;
   }
-  // The bus's own ledger agrees with the explicit invalidation log: one
-  // publish per logged write, every one delivered to all peers.
-  ASSERT_NE(deployment.invalidationBus(), nullptr);
-  EXPECT_EQ(deployment.invalidationBus()->published(),
-            reference.invalidationLog().size());
-  EXPECT_EQ(deployment.invalidationBus()->delivered(),
-            expectedInvalidations);
+  // One fan-out per logged write, every one delivered to all peers.
+  EXPECT_EQ(deployment.counters().writes, reference.invalidationLog().size());
+  EXPECT_EQ(deployment.counters().clientInvalidations, expectedInvalidations);
 }
 
 TEST(DisaggDifferential, LockstepAgainstSequentialReference) {
@@ -177,6 +174,7 @@ TEST(DisaggDifferential, LockstepSurvivesWriteHeavyStream) {
       ASSERT_EQ(result.cacheHit, p.cacheHit) << "step " << step;
     }
   }
+  EXPECT_EQ(deployment.counters().writes, reference.invalidationLog().size());
   EXPECT_EQ(deployment.counters().clientInvalidations,
             expectedInvalidations);
 }

@@ -2,7 +2,7 @@
 // accounting of one-sided reads, the hot-cache/far-pool interaction (an
 // in-process hit must never touch the fabric), DiFache-style decentralized
 // invalidation correctness (the writer's fan-out reaches every cached
-// copy; no stale hot copy survives an epoch fence), and fault interplay
+// copy; no stale hot copy survives a hot flush), and fault interplay
 // (far-pool crash degrades to storage, a gray-slow pool node gets ejected
 // and routed around by the health monitor).
 #include <gtest/gtest.h>
@@ -283,6 +283,48 @@ TEST_F(DisaggCacheTest, HotHitChargesNoFarAccessCpu) {
   EXPECT_FALSE(cache_.hotGet(1, "hot-key").hit);
 }
 
+TEST(DisaggCache, InvalidatePeersDeliversToAllButWriter) {
+  sim::NetworkModel network;
+  rpc::Channel channel(network, rpc::SerializationModel{});
+  sim::Tier farTier("far-memory", sim::TierKind::kFarMemory, 2);
+  sim::Tier appTier("app", sim::TierKind::kAppServer, 4);
+  cache::DisaggCache cache(farTier, util::Bytes::mb(4), appTier,
+                           util::Bytes::kb(64), channel);
+  const std::string key = "shared-key";
+  for (std::size_t i = 0; i < appTier.size(); ++i) {
+    cache.hotFill(i, key, 300, /*version=*/4);
+  }
+  std::vector<double> cacheCpuBefore;
+  for (std::size_t i = 0; i < appTier.size(); ++i) {
+    cacheCpuBefore.push_back(
+        appTier.node(i).cpu().micros(sim::CpuComponent::kCacheOp));
+  }
+  const std::uint64_t messagesBefore = network.messagesSent();
+
+  const std::size_t writer = 1;
+  const cache::DisaggCache::Fanout fanout = cache.invalidatePeers(writer, key);
+
+  // One one-way message per peer, none to the writer itself.
+  EXPECT_EQ(fanout.peers, appTier.size() - 1);
+  EXPECT_EQ(network.messagesSent() - messagesBefore, appTier.size() - 1);
+  EXPECT_GT(fanout.latencyMicros, 0.0);
+  for (std::size_t i = 0; i < appTier.size(); ++i) {
+    const double cacheCpu =
+        appTier.node(i).cpu().micros(sim::CpuComponent::kCacheOp) -
+        cacheCpuBefore[i];
+    if (i == writer) {
+      // The writer's own copy is untouched, and so is its cache CPU.
+      const cache::CacheEntry* own = cache.hotShard(i).peek(key);
+      ASSERT_NE(own, nullptr);
+      EXPECT_EQ(own->version, 4u);
+      EXPECT_EQ(cacheCpu, 0.0);
+    } else {
+      EXPECT_EQ(cache.hotShard(i).peek(key), nullptr) << "app " << i;
+      EXPECT_DOUBLE_EQ(cacheCpu, cache.costs().hotProbeMicros) << "app " << i;
+    }
+  }
+}
+
 // ---- Deployment serve path ----
 
 [[nodiscard]] core::DeploymentConfig disaggDeployment() {
@@ -314,11 +356,8 @@ TEST_F(DisaggCacheTest, HotHitChargesNoFarAccessCpu) {
 TEST(DisaggDeployment, TiersAndWiringExistOnlyForDisaggregated) {
   core::Deployment disagg(disaggDeployment());
   EXPECT_NE(disagg.disaggCache(), nullptr);
-  EXPECT_NE(disagg.invalidationBus(), nullptr);
-  // client, app, far-memory, sql, kv — and one bus subscriber per server.
+  // client, app, far-memory, sql, kv.
   EXPECT_EQ(disagg.tiers().size(), 5u);
-  EXPECT_EQ(disagg.invalidationBus()->subscriberCount(),
-            disagg.appTier().size());
 
   for (const core::Architecture arch :
        {core::Architecture::kBase, core::Architecture::kRemote,
@@ -327,7 +366,6 @@ TEST(DisaggDeployment, TiersAndWiringExistOnlyForDisaggregated) {
     config.architecture = arch;
     core::Deployment other(config);
     EXPECT_EQ(other.disaggCache(), nullptr);
-    EXPECT_EQ(other.invalidationBus(), nullptr);
   }
 }
 
@@ -383,7 +421,6 @@ TEST(DisaggDeployment, WriterInvalidationReachesEveryCachedCopy) {
   // its own copy and fans the invalidation to apps 1 and 2 itself.
   deployment.serve(writeOp(keyIndex, size));
   EXPECT_EQ(deployment.counters().clientInvalidations, 2u);
-  EXPECT_EQ(deployment.invalidationBus()->published(), 1u);
 
   const cache::CacheEntry* writer = cache.hotShard(0).peek(key);
   ASSERT_NE(writer, nullptr);
@@ -419,16 +456,14 @@ TEST(DisaggDeployment, PoolCrashFencesEpochAndFallsBackToStorage) {
   const std::size_t farIdx = cache.shards().ownerOf(key);
 
   for (int i = 0; i < 3; ++i) deployment.serve(readOp(keyIndex, size));
-  const std::uint64_t epochBefore = deployment.ownershipEpoch();
 
   sim::FaultSchedule faults;
   faults.crashNode(1000, sim::TierKind::kFarMemory, farIdx);
   deployment.installFaultSchedule(std::move(faults));
   deployment.setSimTimeMicros(2000);  // the crash fires here
 
-  // Epoch fence: membership changed, every hot copy is dropped at once so
-  // client-driven placement cannot read a slot that moved or died.
-  EXPECT_EQ(deployment.ownershipEpoch(), epochBefore + 1);
+  // Hot flush: the pool lost a node, so every hot copy is dropped at once
+  // and client-driven placement cannot read a slot that died.
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(cache.hotShard(i).peek(key), nullptr) << "app " << i;
   }
@@ -443,6 +478,35 @@ TEST(DisaggDeployment, PoolCrashFencesEpochAndFallsBackToStorage) {
   EXPECT_EQ(after.degradedReads, before.degradedReads + 1);
   EXPECT_EQ(after.storageReads, before.storageReads + 1);
   EXPECT_EQ(after.failedOps, before.failedOps);  // served, just degraded
+}
+
+TEST(DisaggDeployment, AppServerCrashLosesItsHotCache) {
+  core::Deployment deployment(disaggDeployment());
+  workload::SyntheticWorkload workload(smallWorkload());
+  deployment.populateKv(workload);
+  cache::DisaggCache& cache = *deployment.disaggCache();
+
+  const std::uint64_t keyIndex = 23;
+  const std::string key = workload::keyName(keyIndex);
+  const std::uint64_t size = workload.valueSizeFor(keyIndex);
+  for (int i = 0; i < 3; ++i) deployment.serve(readOp(keyIndex, size));
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_NE(cache.hotShard(i).peek(key), nullptr) << "app " << i;
+  }
+
+  sim::FaultSchedule faults;
+  faults.crashNode(1000, sim::TierKind::kAppServer, 1);
+  deployment.installFaultSchedule(std::move(faults));
+  deployment.setSimTimeMicros(2000);  // the crash fires here
+
+  // The crashed process's volatile hot cache is gone; the live servers and
+  // the far pool keep theirs.
+  EXPECT_FALSE(deployment.appTier().node(1).isUp());
+  EXPECT_EQ(cache.hotShard(1).itemCount(), 0u);
+  EXPECT_NE(cache.hotShard(0).peek(key), nullptr);
+  EXPECT_NE(cache.hotShard(2).peek(key), nullptr);
+  EXPECT_NE(cache.shards().shard(cache.shards().ownerOf(key)).peek(key),
+            nullptr);
 }
 
 TEST(DisaggDeployment, GraySlowPoolNodeIsEjectedAndRoutedAround) {

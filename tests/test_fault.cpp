@@ -315,17 +315,13 @@ TEST(DeploymentFaults, LinkedCrashShedsOwnershipAndHitRatio) {
   sim::FaultSchedule schedule;
   schedule.crashNode(now, sim::TierKind::kAppServer, 0);
   deployment.installFaultSchedule(std::move(schedule));
-  const std::uint64_t epochBefore = deployment.ownershipEpoch();
 
   deployment.clearMeters();
   now = drive(deployment, workload, 1500, now);
 
-  // The ring resharded: node 0 lost its shard, the epoch and its lease
-  // fencing epoch bumped, and ~1/N of the working set went cold.
+  // The ring resharded: node 0 lost its shard, and ~1/N of the working set
+  // went cold.
   EXPECT_FALSE(deployment.linkedCache()->shards().isMember(0));
-  EXPECT_GT(deployment.ownershipEpoch(), epochBefore);
-  ASSERT_NE(deployment.leases(), nullptr);
-  EXPECT_GE(deployment.leases()->epoch(0), 2u);
   // The dead node owned ~1/N of the ring; its share of the working set
   // re-misses in the window right after the crash.
   const double crashHitRatio = deployment.counters().hitRatio();

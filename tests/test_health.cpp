@@ -381,6 +381,54 @@ TEST(DeploymentHealth, LinkedSlowNodeIsRoutedAroundViaReplicas) {
   EXPECT_DOUBLE_EQ(deployment.appTier().node(0).slowFactor(), 1.0);
 }
 
+TEST(DeploymentHealth, LinkedReplicaPickGrantsOneProbePerOp) {
+  // Under affinity routing appIndexFor picks the Linked replica and
+  // lookupLinked reads from that pick. Choosing again would find the probe
+  // slot spent and fall back past the owner the client leg went to.
+  core::DeploymentConfig config = grayConfig(core::Architecture::kLinked);
+  config.cacheReplicationFactor = 2;
+  ASSERT_TRUE(config.affinityRouting);
+  core::Deployment deployment(config);
+  workload::SyntheticWorkload workload{smallWorkload()};
+  deployment.populateKv(workload);
+  const std::uint64_t now = drive(deployment, workload, 8000, 0);
+
+  // Eject app server 0 outright, then let one probe interval pass.
+  core::HealthMonitor& monitor = *deployment.healthMonitor();
+  const std::size_t owner = 0;
+  for (int i = 0; i < 100 && !monitor.ejected(sim::TierKind::kAppServer,
+                                              owner);
+       ++i) {
+    monitor.onCallOutcome(deployment.appTier().node(owner), false, 0.0, now);
+  }
+  ASSERT_TRUE(monitor.ejected(sim::TierKind::kAppServer, owner));
+  deployment.setSimTimeMicros(
+      now + static_cast<std::uint64_t>(config.health.probeIntervalMicros));
+
+  // A key the ejected owner holds as its primary replica.
+  cache::ShardedTier& ring = deployment.linkedCache()->shards();
+  std::uint64_t keyIndex = 0;
+  for (; keyIndex < workload.keyCount(); ++keyIndex) {
+    const std::string key = workload::keyName(keyIndex);
+    if (ring.replicasOf(key, config.cacheReplicationFactor)[0] == owner &&
+        ring.shard(owner).peek(key) != nullptr) {
+      break;
+    }
+  }
+  ASSERT_LT(keyIndex, workload.keyCount());
+
+  const std::uint64_t probesBefore = monitor.probesGranted();
+  const std::uint64_t fallbacksBefore =
+      deployment.counters().replicaFallbackReads;
+  const std::uint64_t ownerHitsBefore = ring.shard(owner).stats().hits;
+  const auto result = deployment.serve(workload::Op{
+      workload::OpType::kRead, keyIndex, workload.valueSizeFor(keyIndex)});
+  EXPECT_TRUE(result.cacheHit);
+  EXPECT_EQ(monitor.probesGranted(), probesBefore + 1);
+  EXPECT_EQ(deployment.counters().replicaFallbackReads, fallbacksBefore);
+  EXPECT_EQ(ring.shard(owner).stats().hits, ownerHitsBefore + 1);
+}
+
 TEST(DeploymentHealth, GrayTimelineReplaysByteForByte) {
   auto run = [] {
     core::DeploymentConfig config = grayConfig(core::Architecture::kRemote);

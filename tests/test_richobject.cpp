@@ -93,6 +93,12 @@ TEST_F(RichObjectTest, LoadKeepsOneEngineKeyPerRowAndOneEntryPerIndexedColumn) {
   EXPECT_EQ(db_.indexEntryCount("t/principals/i/name/"), 0u);  // no index
 }
 
+TEST_F(RichObjectTest, RowCountIsTheKeyCountPopulateLoads) {
+  // populate() reserves the engines for rowCount() keys; an exact count
+  // is what keeps the reservation from over-sizing the point indexes.
+  EXPECT_EQ(store_->rowCount(), db_.engineKeyCount());
+}
+
 TEST_F(RichObjectTest, HierarchyIdsConsistent) {
   // Table 0 and table 49 share schema 0; table 50 starts schema 1.
   EXPECT_EQ(store_->schemaIdFor(0), store_->schemaIdFor(49));
